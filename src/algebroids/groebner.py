@@ -6,6 +6,7 @@ optionally carry representations over the original generators so that
 membership tests can return coefficient lifts.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -47,6 +48,16 @@ class TermOrder:
             return (-pos,) + self.mono_key(exp)
         return self.mono_key(exp) + (-pos,)
 
+    def descending_key(self, mono):
+        """Flat tuple that sorts ascending exactly when key sorts descending."""
+        pos, exp = mono
+        if self.kind == "lex":
+            flat = tuple(-e for e in exp)
+        else:
+            deg = sum(exp) if self.kind == "grevlex" else sum(w * e for w, e in zip(self.weights, exp))
+            flat = (-deg,) + exp[::-1]
+        return (pos,) + flat if self.module == "pot" else flat + (pos,)
+
 
 def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
@@ -71,8 +82,9 @@ class FreeModuleElement:
         clean = {}
         if terms:
             for (pos, exp), c in terms.items():
-                c = Fraction(c)
-                if c != 0:
+                if type(c) is not Fraction:
+                    c = Fraction(c)
+                if c:
                     clean[(pos, tuple(exp))] = c
         self.terms = clean
 
@@ -180,49 +192,66 @@ class FreeModuleElement:
         return f"FreeModuleElement({self.to_polys()!r})"
 
 
-def _reduce(f, leads, elements, order, track):
-    """Full normal form of f modulo the elements; optionally track quotients.
+def _buckets(leads):
+    """Map each module position to the (index, exponent, coeff) of the leads there."""
+    out = {}
+    for idx, ((pos, exp), coeff) in enumerate(leads):
+        out.setdefault(pos, []).append((idx, exp, coeff))
+    return out
 
-    leads is the precomputed list of (mono, coeff) leading terms.
+
+def _reduce(terms, buckets, elements, order, track):
+    """Full normal form of the terms modulo the elements; optionally track quotients.
+
+    buckets maps a module position to the leading terms of the elements there
+    (see _buckets).  Pending monomials wait in a heap, largest first; a
+    reduction step only creates monomials below the one it removes, so a
+    popped monomial is final.
     Returns (remainder terms dict, quotients list of term-dicts or None).
     """
-    work = dict(f.terms)
+    key = order.descending_key
+    work = dict(terms)
+    heap = [(key(m), m) for m in work]
+    heapq.heapify(heap)
+    rem = {}
     quotients = [dict() for _ in elements] if track else None
-    irreducible = set()
-    while True:
-        candidates = [m for m in work if m not in irreducible]
-        if not candidates:
-            break
-        mono = max(candidates, key=order.key)
-        pos, exp = mono
-        coeff = work[mono]
-        hit = None
-        for idx, (lmono, lcoeff) in enumerate(leads):
-            lpos, lexp = lmono
-            if lpos == pos and _divides(lexp, exp):
-                hit = (idx, lcoeff, _quot(exp, lexp))
-                break
-        if hit is None:
-            irreducible.add(mono)
+    while heap:
+        mono = heapq.heappop(heap)[1]
+        coeff = work.pop(mono, None)
+        if coeff is None:  # cancelled, or already popped
             continue
-        idx, lcoeff, qexp = hit
+        pos, exp = mono
+        for idx, lexp, lcoeff in buckets.get(pos, ()):
+            if _divides(lexp, exp):
+                break
+        else:
+            rem[mono] = coeff
+            continue
+        qexp = _quot(exp, lexp)
         factor = coeff / lcoeff
         if track:
             quotients[idx][qexp] = quotients[idx].get(qexp, Fraction(0)) + factor
         for (p2, e2), c2 in elements[idx].terms.items():
             m2 = (p2, tuple(a + b for a, b in zip(e2, qexp)))
-            nv = work.get(m2, Fraction(0)) - factor * c2
-            if nv:
-                work[m2] = nv
+            if m2 == mono:  # the leading term, cancelled by construction
+                continue
+            old = work.get(m2)
+            if old is None:
+                work[m2] = -factor * c2
+                heapq.heappush(heap, (key(m2), m2))
             else:
-                work.pop(m2, None)
-    return work, quotients
+                nv = old - factor * c2
+                if nv:
+                    work[m2] = nv
+                else:
+                    del work[m2]
+    return rem, quotients
 
 
 class GroebnerBasis:
     """Reduced Groebner basis; elements monic, auto-reduced, sorted."""
 
-    __slots__ = ("order", "elements", "reps", "nvars", "rank")
+    __slots__ = ("order", "elements", "reps", "nvars", "rank", "_leads", "_buckets")
 
     def __init__(self, order, elements, reps, nvars, rank):
         self.order = order
@@ -230,15 +259,17 @@ class GroebnerBasis:
         self.reps = reps  # list of FreeModuleElement over A^len(gens), or None
         self.nvars = nvars
         self.rank = rank
+        self._leads = tuple(e.leading(order) for e in elements)
+        self._buckets = _buckets(self._leads)
 
     def leads(self):
-        return [e.leading(self.order) for e in self.elements]
+        return self._leads
 
     def normal_form(self, f, track=False):
         """(remainder, quotients over basis elements or None)."""
         if isinstance(f, Polynomial):
             f = FreeModuleElement.from_poly(f)
-        rem, quot = _reduce(f, self.leads(), self.elements, self.order, track)
+        rem, quot = _reduce(f.terms, self._buckets, self.elements, self.order, track)
         rem_el = FreeModuleElement(self.nvars, self.rank, rem)
         if not track:
             return rem_el, None
@@ -263,6 +294,17 @@ class GroebnerBasis:
         return acc.to_polys()
 
 
+def _subtract_multiples(rep, quot, reps):
+    """rep - sum_t quot[t] * reps[t], the quotients given as term-dicts."""
+    terms = dict(rep.terms)
+    for q, r in zip(quot, reps):
+        for qexp, qc in q.items():
+            for (pos, e), c in r.terms.items():
+                m = (pos, tuple(a + b for a, b in zip(e, qexp)))
+                terms[m] = terms.get(m, 0) - qc * c
+    return FreeModuleElement(rep.nvars, rep.rank, terms)
+
+
 def groebner_basis(gens, order, track=False):
     """Reduced Groebner basis of the given polynomials or module elements."""
     items = []
@@ -279,113 +321,74 @@ def groebner_basis(gens, order, track=False):
         if g.nvars != nvars or g.rank != rank:
             raise ValueError("mixed ambient modules")
 
-    ngens = len(items)
     basis = []
+    leads = []  # (mono, coeff) of basis[k], computed once when k is added
+    buckets = {}  # _buckets(leads), kept in step
     reps = []
-    for i, g in enumerate(items):
-        basis.append(g)
-        if track:
-            unit = FreeModuleElement(nvars, ngens, {(i, (0,) * nvars): Fraction(1)})
-            reps.append(unit)
-
-    def lead(i):
-        return basis[i].leading(order)
-
-    pairs = set()
+    pairs = []  # heap of (order.key((pos, lcm)), i, j): normal selection
     done = set()
 
-    def add_pairs(j):
-        (pj, ej), _ = lead(j)
-        for i in range(j):
-            (pi, ei), _ = lead(i)
-            if pi == pj:
-                pairs.add((i, j))
+    def add(element, rep):
+        j = len(basis)
+        lead = element.leading(order)
+        (pos, exp), coeff = lead
+        for i, lexp, _c in buckets.get(pos, ()):
+            heapq.heappush(pairs, (order.key((pos, _lcm_exp(lexp, exp))), i, j))
+        basis.append(element)
+        leads.append(lead)
+        buckets.setdefault(pos, []).append((j, exp, coeff))
+        reps.append(rep)
 
-    for j in range(len(basis)):
-        add_pairs(j)
-
-    def pair_lcm_key(pair):
-        i, j = pair
-        (p, ei), _ = lead(i)
-        (_, ej), _ = lead(j)
-        return order.key((p, _lcm_exp(ei, ej)))
+    ngens = len(items)
+    for i, g in enumerate(items):
+        add(g, FreeModuleElement(nvars, ngens, {(i, (0,) * nvars): Fraction(1)}) if track else None)
 
     while pairs:
-        i, j = min(pairs, key=pair_lcm_key)
-        pairs.discard((i, j))
+        _, i, j = heapq.heappop(pairs)
         done.add((i, j))
-        (p, ei), ci = lead(i)
-        (_, ej), cj = lead(j)
-        L = _lcm_exp(ei, ej)
+        (p, ei), ci = leads[i]
+        (_, ej), cj = leads[j]
         # coprimality criterion (valid for ideals only)
         if rank == 1 and all(a == 0 or b == 0 for a, b in zip(ei, ej)):
             continue
+        L = _lcm_exp(ei, ej)
         # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            (pk, ek), _ = lead(k)
-            if pk == p and _divides(ek, L):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a in done and b in done:
-                    skip = True
-                    break
-        if skip:
+        if any(k != i and k != j and _divides(ek, L)
+               and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+               for k, ek, _c in buckets[p]):
             continue
-        sf = basis[i].mul_term(_quot(L, ei), Fraction(1) / ci)
-        sg = basis[j].mul_term(_quot(L, ej), Fraction(1) / cj)
-        spoly = sf - sg
-        leads = [lead(t) for t in range(len(basis))]
-        rem, quot = _reduce(spoly, leads, basis, order, track)
+        qi, qj = _quot(L, ei), _quot(L, ej)
+        spoly = basis[i].mul_term(qi, Fraction(1) / ci) - basis[j].mul_term(qj, Fraction(1) / cj)
+        rem, quot = _reduce(spoly.terms, buckets, basis, order, track)
         if rem:
-            rem_el = FreeModuleElement(nvars, rank, rem)
+            rep = None
             if track:
-                rep = reps[i].mul_term(_quot(L, ei), Fraction(1) / ci) \
-                    - reps[j].mul_term(_quot(L, ej), Fraction(1) / cj)
-                for t, q in enumerate(quot):
-                    for qexp, qc in q.items():
-                        rep = rep - reps[t].mul_term(qexp, qc)
-                reps.append(rep)
-            basis.append(rem_el)
-            add_pairs(len(basis) - 1)
+                rep = _subtract_multiples(reps[i].mul_term(qi, Fraction(1) / ci)
+                                          - reps[j].mul_term(qj, Fraction(1) / cj), quot, reps)
+            add(FreeModuleElement(nvars, rank, rem), rep)
 
-    # auto-reduction to the unique reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1 :]
-            if not others:
-                continue
-            leads = [e.leading(order) for e in others]
-            rem, quot = _reduce(basis[i], leads, others, order, track)
-            rem_el = FreeModuleElement(nvars, rank, rem)
-            if rem_el.terms != basis[i].terms:
-                changed = True
-                if rem_el.is_zero():
-                    del basis[i]
-                    if track:
-                        del reps[i]
-                    break
-                if track:
-                    rep = reps[i]
-                    other_reps = reps[:i] + reps[i + 1 :]
-                    for t, q in enumerate(quot):
-                        for qexp, qc in q.items():
-                            rep = rep - other_reps[t].mul_term(qexp, qc)
-                    reps[i] = rep
-                basis[i] = rem_el
+    # minimal basis: drop each element whose lead another lead divides (of
+    # equal leads the first stays)
+    keep = [k for k, ((pk, ek), _c) in enumerate(leads)
+            if not any(t != k and _divides(et, ek) and (et != ek or t < k)
+                       for t, et, _c2 in buckets[pk])]
+    basis = [basis[k] for k in keep]
+    leads = [leads[k] for k in keep]
+    reps = [reps[k] for k in keep]
+    buckets = _buckets(leads)
+    # tail reduction to the unique reduced basis; the leads never change, and
+    # no element's own lead divides a monomial below it
+    for i, (mono, coeff) in enumerate(leads):
+        tail = {m: c for m, c in basis[i].terms.items() if m != mono}
+        rem, quot = _reduce(tail, buckets, basis, order, track)
+        if track:
+            reps[i] = _subtract_multiples(reps[i], quot, reps)
+        basis[i] = FreeModuleElement(nvars, rank, {mono: coeff, **rem})
 
     # monic, deterministic ordering
-    scaled = []
-    for idx, e in enumerate(basis):
-        _, c = e.leading(order)
-        scaled.append((e.scale(Fraction(1) / c), reps[idx].scale(Fraction(1) / c) if track else None))
-    scaled.sort(key=lambda pair: order.key(pair[0].leading(order)[0]), reverse=True)
-    elements = [e for e, _ in scaled]
-    out_reps = [r for _, r in scaled] if track else None
+    by_lead = sorted(range(len(basis)), key=lambda k: order.key(leads[k][0]), reverse=True)
+    elements = [basis[k].scale(Fraction(1) / leads[k][1]) for k in by_lead]
+    out_reps = [reps[k].scale(Fraction(1) / leads[k][1]) for k in by_lead] if track else None
     return GroebnerBasis(order, elements, out_reps, nvars, rank)
 
 
@@ -517,16 +520,6 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal({self.gens!r})"
-
-
-def normal_form(f, gb):
-    rem, _ = gb.normal_form(f)
-    return rem.to_poly() if gb.rank == 1 and isinstance(f, Polynomial) else rem
-
-
-def ideal_member(f, gb):
-    rem, _ = gb.normal_form(f)
-    return rem.is_zero()
 
 
 def syzygies(vectors):

@@ -174,3 +174,110 @@ def test_ideal_power_and_product():
     assert sq.equals(m.product(m))
     assert sq.colength() == 3
     assert m.power(0).is_unit()
+
+
+# -- the basis does not depend on pair order, tracking or generator order ----
+
+XYZ = ("x", "y", "z")
+
+
+def random_poly(rng, nvars, degree=2, terms=3):
+    out = {}
+    for _ in range(rng.randrange(1, terms + 1)):
+        out[tuple(rng.randrange(degree + 1) for _ in range(nvars))] = rng.randrange(-3, 4)
+    return Polynomial(nvars, out)
+
+
+def whitney_module():
+    """The four generators of T(I) for the Whitney umbrella z^2 - x^2*y."""
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    zero = Polynomial.zero(3)
+    return [FreeModuleElement.from_polys(v) for v in
+            ([x, -2 * y, zero], [x, zero, z], [zero, 2 * z, x * x], [z, zero, x * y])]
+
+
+def random_modules(seed, count, nvars=2, rank=2):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        vecs = [FreeModuleElement.from_polys([random_poly(rng, nvars) for _ in range(rank)])
+                for _ in range(3)]
+        vecs = [v for v in vecs if not v.is_zero()]
+        if vecs:
+            out.append(vecs)
+    return out
+
+
+def combination(gens, coeffs):
+    acc = FreeModuleElement(gens[0].nvars, gens[0].rank)
+    for g, c in zip(gens, coeffs):
+        acc = acc + g.mul_poly(c)
+    return acc
+
+
+# an ideal (as rank-1 elements), the Whitney T(I), and random rank-2 modules
+MODULE_CASES = ([[FreeModuleElement.from_poly(parse_poly(s, XYZ))
+                  for s in ("x^2 + y*z", "x*y - z^2", "y^3 + x")],
+                 whitney_module()]
+                + random_modules(11, 4))
+
+
+@pytest.mark.parametrize("module", ["top", "pot"])
+@pytest.mark.parametrize("gens", MODULE_CASES)
+def test_tracked_module_basis_reps_and_lift(gens, module):
+    order = TermOrder("grevlex", module=module)
+    gb = groebner_basis(gens, order, track=True)
+    assert len(gb.reps) == len(gb.elements)
+    for element, rep in zip(gb.elements, gb.reps):
+        assert combination(gens, rep.to_polys()) == element
+    rng = random.Random(3)
+    nvars = gens[0].nvars
+    for _ in range(3):
+        f = combination(gens, [random_poly(rng, nvars) for _ in gens])
+        lift = gb.lift(f)
+        assert lift is not None
+        assert combination(gens, lift) == f
+
+
+@pytest.mark.parametrize("module", ["top", "pot"])
+@pytest.mark.parametrize("gens", MODULE_CASES)
+def test_tracking_leaves_elements_unchanged(gens, module):
+    order = TermOrder("grevlex", module=module)
+    assert (groebner_basis(gens, order, track=True).elements
+            == groebner_basis(gens, order).elements)
+
+
+@pytest.mark.parametrize("module", ["top", "pot"])
+@pytest.mark.parametrize("gens", MODULE_CASES)
+def test_module_basis_ignores_generator_order(gens, module):
+    order = TermOrder("grevlex", module=module)
+    expected = groebner_basis(gens, order).elements
+    rng = random.Random(7)
+    for _ in range(3):
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        assert groebner_basis(shuffled, order).elements == expected
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+def test_ideal_basis_ignores_generator_order(kind):
+    rng = random.Random(23)
+    order = TermOrder(kind)
+    for _ in range(4):
+        gens = [random_poly(rng, 3) for _ in range(4)]
+        gens = [g for g in gens if not g.is_zero()]
+        expected = groebner_basis(gens, order).elements
+        for _ in range(3):
+            rng.shuffle(gens)
+            assert groebner_basis(gens, order).elements == expected
+
+
+def test_descending_key_reverses_key():
+    rng = random.Random(1)
+    monos = {(rng.randrange(3), tuple(rng.randrange(4) for _ in range(3))) for _ in range(60)}
+    orders = [TermOrder(kind, weights, module)
+              for kind, weights in (("grevlex", None), ("lex", None), ("wgrevlex", (1, 2, 3)))
+              for module in ("top", "pot")]
+    for order in orders:
+        assert (sorted(monos, key=order.descending_key)
+                == sorted(monos, key=order.key, reverse=True))

@@ -1,0 +1,66 @@
+"""Reduced Groebner bases cross-checked against sympy (a test-only dependency)."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from algebroids.groebner import Ideal, TermOrder, groebner_basis
+from algebroids.poly import Polynomial, parse_poly
+
+sympy = pytest.importorskip("sympy")
+
+XYZ = ("x", "y", "z")
+SINGULARITIES = {
+    "D4": "x^2 + y^2*z + z^3",
+    "E6": "x^2 + y^3 + z^4",
+    "E7": "x^2 + y^3 + y*z^3",
+    "E8": "x^2 + y^3 + z^5",
+}
+
+
+def jacobian(text):
+    f = parse_poly(text, XYZ)
+    return [f.diff(i) for i in range(3)]
+
+
+def random_ideal(seed):
+    """Three random polynomials without constant term, so never the unit ideal."""
+    rng = random.Random(seed)
+    gens = []
+    while len(gens) < 3:
+        terms = {}
+        for _ in range(rng.randrange(2, 4)):
+            exp = tuple(rng.randrange(3) for _ in range(3))
+            if any(exp):
+                terms[exp] = rng.randrange(-4, 5)
+        g = Polynomial(3, terms)
+        if not g.is_zero():
+            gens.append(g)
+    return gens
+
+
+CASES = {name: jacobian(text) for name, text in SINGULARITIES.items()}
+CASES["E6 J^2"] = Ideal(3, jacobian(SINGULARITIES["E6"])).power(2).gens
+CASES.update({f"random {seed}": random_ideal(seed) for seed in range(5)})
+
+
+def ours(gens, kind):
+    gb = groebner_basis(gens, TermOrder(kind))
+    return sorted(sorted(e.to_poly().terms.items()) for e in gb.elements)
+
+
+def theirs(gens, kind):
+    syms = sympy.symbols(XYZ)
+    exprs = [sympy.Poly.from_dict({exp: sympy.Rational(c.numerator, c.denominator)
+                                   for exp, c in g.terms.items()}, *syms).as_expr()
+             for g in gens]
+    gb = sympy.groebner(exprs, *syms, order=kind, domain="QQ")
+    return sorted(sorted((exp, Fraction(int(c.p), int(c.q))) for exp, c in p.terms())
+                  for p in gb.polys)
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_reduced_basis_matches_sympy(name, kind):
+    assert ours(CASES[name], kind) == theirs(CASES[name], kind)
