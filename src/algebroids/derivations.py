@@ -7,7 +7,7 @@ from math import gcd
 
 from . import linalg
 from .errors import PreconditionError
-from .groebner import (FreeModuleElement, Ideal, TermOrder, groebner_basis,
+from .groebner import (FreeModuleElement, Ideal, TermOrder,
                        module_span_contains, modules_equal, syzygies)
 from .poly import Polynomial, default_varnames, format_poly
 
@@ -163,10 +163,6 @@ def tangent_derivations(ideal):
     return dm
 
 
-def contains_derivation(dm, delta):
-    return dm.contains(delta)
-
-
 def krull_dimension(ideal):
     """Krull dimension of A/I in the graded polynomial model.
 
@@ -292,6 +288,16 @@ def _positive_weight_solution(exps, used, n, d):
     return tuple(full)
 
 
+def minimal_monomials(exps):
+    """The exponents that no other one divides, by increasing total degree
+    (ties in the iteration order of exps)."""
+    out = []
+    for e in sorted(exps, key=sum):
+        if not any(all(a <= b for a, b in zip(m, e)) for m in out):
+            out.append(e)
+    return out
+
+
 def monomialize(ideal):
     """Minimal monomial generators when the ideal is monomial in the given
     coordinates; None otherwise."""
@@ -301,11 +307,7 @@ def monomialize(ideal):
     monos = set()
     for g in ideal.gens:
         monos.update(g.terms)
-    # minimalize under divisibility
-    minimal = []
-    for e in sorted(monos, key=sum):
-        if not any(all(a <= b for a, b in zip(m, e)) for m in minimal):
-            minimal.append(e)
+    minimal = minimal_monomials(monos)
     candidate = Ideal(n, [Polynomial.monomial(n, e) for e in minimal], ideal.weights)
     if candidate.equals(ideal):
         return [Polynomial.monomial(n, e) for e in minimal]

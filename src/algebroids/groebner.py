@@ -463,17 +463,27 @@ class Ideal:
             if not pure:
                 return None
             bounds.append(min(pure))
+        n = self.nvars
+        # a lead whose last nonzero exponent sits at position i can divide
+        # prefix + (e, 0, ...) only at level i: below that it would divide the
+        # prefix, which was already ruled out
+        by_last = [[] for _ in range(n)]
+        for lt in lts:
+            by_last[max(j for j, a in enumerate(lt) if a)].append(lt)
         out = []
 
         def rec(prefix):
-            if len(prefix) == self.nvars:
-                exp = tuple(prefix)
-                if not any(_divides(lt, exp) for lt in lts):
-                    out.append(exp)
-                return
             i = len(prefix)
+            if i == n:
+                out.append(tuple(prefix))
+                return
             for e in range(bounds[i]):
-                rec(prefix + [e])
+                exp = prefix + [e]
+                # standard monomials form an order ideal: a larger e is
+                # divisible too (_divides compares the first i + 1 places)
+                if any(_divides(lt, exp) for lt in by_last[i]):
+                    break
+                rec(exp)
 
         rec([])
         return sorted(out)

@@ -5,12 +5,12 @@ extraction from rational series."""
 from fractions import Fraction
 from math import factorial
 
+from .derivations import minimal_monomials, monomialize
 from .errors import PreconditionError
 from .groebner import Ideal
-from .series import (CharacterSeries, QuasiPolynomial, RationalSeries,
-                     SemigroupSpec, cumulative_quasi_polynomial,
-                     gamma_restriction, integrate_characters,
-                     quasi_polynomial_of, reconstruct_rational, SeriesPrefix)
+from .series import (CharacterSeries, RationalSeries, SeriesPrefix,
+                     cumulative_quasi_polynomial, quasi_polynomial_of,
+                     reconstruct_rational)
 
 
 def _wdeg(exp, weights):
@@ -20,7 +20,7 @@ def _wdeg(exp, weights):
 def _monomial_numerator(gens, weights):
     """Numerator coefficients of the Hilbert series of A/(monomial gens),
     by the colon recursion K(I) = K(I') - t^deg(m) K(I':m)."""
-    gens = _minimalize(gens)
+    gens = minimal_monomials(set(gens))
     if not gens:
         return {0: 1}
     if any(all(e == 0 for e in g) for g in gens):
@@ -28,21 +28,13 @@ def _monomial_numerator(gens, weights):
     m = gens[0]
     rest = gens[1:]
     without = _monomial_numerator(rest, weights)
-    colon = _minimalize([tuple(max(e - f, 0) for e, f in zip(g, m)) for g in rest])
+    colon = minimal_monomials({tuple(max(e - f, 0) for e, f in zip(g, m)) for g in rest})
     shifted = _monomial_numerator(colon, weights)
     d = _wdeg(m, weights)
     out = dict(without)
     for k, c in shifted.items():
         out[k + d] = out.get(k + d, 0) - c
     return {k: c for k, c in out.items() if c}
-
-
-def _minimalize(gens):
-    out = []
-    for g in sorted(set(gens), key=sum):
-        if not any(all(a <= b for a, b in zip(m, g)) for m in out):
-            out.append(g)
-    return out
 
 
 def hilbert_series_quotient(ideal):
@@ -91,8 +83,6 @@ def equivariant_series_monomial(ideal, bound=12):
     Closed form by inclusion-exclusion over generator subsets; explicit
     coefficients through the bound by direct standard-monomial enumeration.
     """
-    from .derivations import monomialize
-
     weights = ideal.weights
     n = ideal.nvars
     if ideal.is_zero():

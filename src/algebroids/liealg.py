@@ -5,8 +5,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import AlgebroidError, InconsistencyError, PreconditionError
-from .groebner import TermOrder, groebner_basis
-from .poly import Polynomial
+from .groebner import groebner_basis
 
 
 class LieAlgebra:
@@ -119,11 +118,12 @@ class LieAlgebra:
 
     def radical(self):
         """(dimension, basis) of {x : kappa(x, [g,g]) = 0}."""
-        kappa = self.killing_matrix()
-        derived = self.derived_subalgebra_basis()
-        rows = [linalg.mat_vec(kappa, b) for b in derived]
-        basis = linalg.kernel_basis(rows) if rows else linalg.identity(self.dim)
+        basis = self._killing_orthogonal_of_derived(self.killing_matrix())
         return len(basis), basis
+
+    def _killing_orthogonal_of_derived(self, kappa):
+        rows = [linalg.mat_vec(kappa, b) for b in self.derived_subalgebra_basis()]
+        return linalg.kernel_basis(rows) if rows else linalg.identity(self.dim)
 
     def is_solvable_cartan(self):
         return self.radical()[0] == self.dim
@@ -138,14 +138,16 @@ class LieAlgebra:
         return len(linalg.kernel_basis(stacked)) if stacked else self.dim
 
     def fingerprint(self):
+        derived = self.derived_series()
+        kappa = self.killing_matrix()
         return {
             "dim": self.dim,
-            "derived_series": self.derived_series(),
+            "derived_series": derived,
             "lower_central_series": self.lower_central_series(),
-            "killing_rank": self.killing_rank(),
-            "radical_dim": self.radical()[0],
+            "killing_rank": linalg.rank(kappa),
+            "radical_dim": len(self._killing_orthogonal_of_derived(kappa)),
             "center_dim": self.center_dim(),
-            "solvable": self.derived_series()[-1] == 0,
+            "solvable": derived[-1] == 0,
         }
 
     def to_json(self):
@@ -181,22 +183,30 @@ def gl2():
     return lie_algebra_from_matrices(basis, labels=["E11", "E12", "E21", "E22"])
 
 
+def span_lie_algebra(vectors, bracket, labels=None):
+    """Structure constants of the span of linearly independent vectors,
+    closed under bracket(a, b), the bracket of vectors[a] and vectors[b]."""
+    brackets = {}
+    for a in range(len(vectors)):
+        for b in range(a + 1, len(vectors)):
+            sol = linalg.coordinates(vectors, bracket(a, b))
+            if sol is None:
+                raise AlgebroidError("span is not closed under the bracket")
+            brackets[(a, b)] = sol
+    return LieAlgebra(len(vectors), brackets, labels)
+
+
 def lie_algebra_from_matrices(mats, labels=None):
     """Structure constants of a matrix Lie algebra spanned by the given
     (linearly independent) matrices, closed under commutator."""
-    n = len(mats[0])
-    flat = [[m[i][j] for i in range(n) for j in range(n)] for m in mats]
-    brackets = {}
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            comm = linalg.mat_sub(linalg.mat_mul(mats[a], mats[b]),
-                                  linalg.mat_mul(mats[b], mats[a]))
-            target = [comm[i][j] for i in range(n) for j in range(n)]
-            sol = linalg.solve([[flat[k][t] for k in range(len(mats))] for t in range(n * n)], target)
-            if sol is None:
-                raise AlgebroidError("matrices are not closed under commutator")
-            brackets[(a, b)] = sol
-    return LieAlgebra(len(mats), brackets, labels)
+    def flat(m):
+        return [c for row in m for c in row]
+
+    def commutator(a, b):
+        return flat(linalg.mat_sub(linalg.mat_mul(mats[a], mats[b]),
+                                   linalg.mat_mul(mats[b], mats[a])))
+
+    return span_lie_algebra([flat(m) for m in mats], commutator, labels)
 
 
 # -- fibre Lie algebra extraction -----------------------------------------
@@ -219,32 +229,50 @@ def _module_degree(vec, weights):
     return degs.pop()
 
 
-def minimal_module_generators(dm):
-    """Minimal homogeneous generating set of the derivation module
-    (graded Nakayama pruning)."""
-    if not dm.ideal.is_quasi_homogeneous():
-        raise PreconditionError("not quasi-homogeneous")
+def _span_coordinates(elements, target):
+    """Coordinates of the module element target in the Q-span of elements."""
+    monos = sorted({m for e in elements + [target] for m in e.terms})
+    return linalg.coordinates([[e.terms.get(m, 0) for m in monos] for e in elements],
+                              [target.terms.get(m, 0) for m in monos])
+
+
+def _graded_nakayama(dm):
+    """(Groebner basis of m*T, kept generators, their degrees, their normal
+    forms): graded Nakayama as a rank test in each degree of T/mT."""
     weights = dm.weights
-    order = dm.module_order()
     candidates = _homogeneous_generator_components(dm)
     # deduplicate and sort by derivation degree, deterministically
     seen = []
     for c in candidates:
         if c not in seen:
             seen.append(c)
+    if not seen:
+        return None, [], [], []
     seen.sort(key=lambda v: (_module_degree(v, weights), sorted(v.terms)))
     n = dm.nvars
-    m_times = []
+    m_times = [c.mul_term(tuple(1 if t == j else 0 for t in range(n)))
+               for c in seen for j in range(n)]
+    gb = groebner_basis(m_times, dm.module_order())
+    # normal forms mod m*T are Q-linear and keep the degree, so c lies in
+    # <kept> + m*T iff NF(c) is in the span of the kept NFs of its degree
+    kept, degrees, forms = [], [], []
     for c in seen:
-        for j in range(n):
-            m_times.append(c.mul_term(tuple(1 if t == j else 0 for t in range(n))))
-    kept = []
-    for c in seen:
-        gens = kept + m_times
-        gb = groebner_basis(gens, order)
-        if not gb.contains(c):
+        d = _module_degree(c, weights)
+        nf = gb.normal_form(c)[0]
+        same = [f for f, e in zip(forms, degrees) if e == d]
+        if _span_coordinates(same, nf) is None:
             kept.append(c)
-    return kept
+            degrees.append(d)
+            forms.append(nf)
+    return gb, kept, degrees, forms
+
+
+def minimal_module_generators(dm):
+    """Minimal homogeneous generating set of the derivation module
+    (graded Nakayama pruning)."""
+    if not dm.ideal.is_quasi_homogeneous():
+        raise PreconditionError("not quasi-homogeneous")
+    return _graded_nakayama(dm)[1]
 
 
 def fibre_lie_algebra(dm, require_origin=True):
@@ -252,6 +280,9 @@ def fibre_lie_algebra(dm, require_origin=True):
 
     require_origin enforces the vanishing-at-origin reduction used for
     singularity analyses; toral analyses pass False to keep constant fields.
+    The class of [d_i, d_j] is homogeneous of degree deg d_i + deg d_j, so
+    its coordinates are one solve against the kept normal forms of that
+    degree; they are unique because the kept classes are a basis of T/mT.
     """
     from .derivations import Derivation
 
@@ -259,21 +290,24 @@ def fibre_lie_algebra(dm, require_origin=True):
         raise PreconditionError("not quasi-homogeneous")
     if require_origin and not dm.all_vanish_at_origin():
         raise PreconditionError("not logarithmic at origin")
-    basis_vecs = minimal_module_generators(dm)
+    gb, basis_vecs, degrees, forms = _graded_nakayama(dm)
     if not basis_vecs:
         return LieAlgebra(0, {}), []
-    order = dm.module_order()
-    gb = groebner_basis(basis_vecs, order, track=True)
     basis = [Derivation.from_vector(v) for v in basis_vecs]
     m = len(basis)
     brackets = {}
     for i in range(m):
         for j in range(i + 1, m):
-            br = basis[i].bracket(basis[j])
-            lift = gb.lift(br.to_vector())
-            if lift is None:
+            nf = gb.normal_form(basis[i].bracket(basis[j]).to_vector())[0]
+            d = degrees[i] + degrees[j]
+            same = [k for k in range(m) if degrees[k] == d]
+            sol = _span_coordinates([forms[k] for k in same], nf)
+            if sol is None:
                 raise AlgebroidError("bracket leaves the module (not a Lie algebroid?)")
-            brackets[(i, j)] = tuple(c.constant_term() for c in lift)
+            vec = [Fraction(0)] * m
+            for k, c in zip(same, sol):
+                vec[k] = c
+            brackets[(i, j)] = tuple(vec)
     labels = [f"d{i + 1}" for i in range(m)]
     algebra = LieAlgebra(m, brackets, labels)
     return algebra, basis

@@ -7,10 +7,6 @@ Everything is small (desk scale), so plain Gaussian elimination is enough.
 from fractions import Fraction
 
 
-def frac_matrix(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def zeros(n, m):
     return [[Fraction(0)] * m for _ in range(n)]
 
@@ -114,29 +110,16 @@ def row_space_basis(rows):
     return rref(rows)[0]
 
 
-def in_row_space(rows, v):
-    """Whether v lies in the span of the given rows."""
-    red, pivots = rref(rows)
-    w = list(v)
-    for i, p in enumerate(pivots):
-        if w[p] != 0:
-            c = w[p]
-            w = [x - c * y for x, y in zip(w, red[i])]
-    return all(x == 0 for x in w)
-
-
-def solve(a, b):
-    """One solution x of A x = b, or None if inconsistent."""
-    if not a:
-        return None if any(x != 0 for x in b) else []
-    m = len(a[0])
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    red, pivots = rref(aug)
-    if m in pivots:
+def coordinates(vectors, target):
+    """x with sum_k x[k] * vectors[k] == target, or None when target lies
+    outside the span (unique when the vectors are linearly independent)."""
+    k = len(vectors)
+    red, pivots = rref([[v[t] for v in vectors] + [b] for t, b in enumerate(target)])
+    if k in pivots:
         return None
-    x = [Fraction(0)] * m
-    for i, p in enumerate(pivots):
-        x[p] = red[i][m]
+    x = [Fraction(0)] * k
+    for row, p in zip(red, pivots):
+        x[p] = row[k]
     return x
 
 

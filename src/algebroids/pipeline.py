@@ -6,13 +6,12 @@ from fractions import Fraction
 from . import linalg
 from .derivations import (Derivation, jacobian_ideal, monomialize,
                           quasi_homogeneous_weights, tangent_derivations)
-from .errors import (AlgebroidError, InconsistencyError, ParseError,
-                     PreconditionError)
+from .errors import InconsistencyError, ParseError, PreconditionError
 from .groebner import Ideal
 from .hilbert import dimension_multiplicity, graded_pieces_series
-from .liealg import fibre_lie_algebra
+from .liealg import fibre_lie_algebra, span_lie_algebra
 from .poly import Polynomial, format_poly, parse_poly
-from .repmod import invariants_dimension, sym_power_basis
+from .repmod import polarize, sym_power_basis
 from .series import (RationalSeries, SeriesPrefix, quasi_polynomial_of,
                      reconstruct_rational)
 
@@ -147,8 +146,8 @@ def _sl2_covariant_path(algebra, basis_derivations, depth):
     if len(derived) != 3:
         return None
     # derived subalgebra must be simple of type sl2: Killing form of rank 3
-    sub = _subalgebra_structure(algebra, derived)
-    if sub is None or sub.killing_rank() != 3:
+    sub = span_lie_algebra(derived, lambda a, b: algebra.bracket(derived[a], derived[b]))
+    if sub.killing_rank() != 3:
         return None
     nvars = basis_derivations[0].nvars
     # action of the derived subalgebra on V = m/m^2
@@ -171,22 +170,6 @@ def _sl2_covariant_path(algebra, basis_derivations, depth):
     return dims, series
 
 
-def _subalgebra_structure(algebra, basis):
-    """LieAlgebra on the given subspace basis, or None if not closed."""
-    from .liealg import LieAlgebra
-    rows = list(basis)
-    brackets = {}
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            br = algebra.bracket(basis[i], basis[j])
-            cols = [[rows[k][t] for k in range(len(rows))] for t in range(algebra.dim)]
-            sol = linalg.solve(cols, br)
-            if sol is None:
-                return None
-            brackets[(i, j)] = sol
-    return LieAlgebra(len(basis), brackets)
-
-
 def _nilpotent_element(mats):
     """A nonzero nilpotent matrix in the span of mats (basis search first,
     then pairwise sums)."""
@@ -203,24 +186,8 @@ def _nilpotent_element(mats):
 
 def _sym_kernel_dim(mat, n):
     """dim ker of the derivation action of mat on degree-n monomials."""
-    dim = len(mat)
-    basis = sym_power_basis(dim, n)
-    index = {e: i for i, e in enumerate(basis)}
-    size = len(basis)
-    action = linalg.zeros(size, size)
-    for col, exp in enumerate(basis):
-        for i, e_i in enumerate(exp):
-            if e_i == 0:
-                continue
-            for k in range(dim):
-                c = mat[k][i]
-                if not c:
-                    continue
-                new = list(exp)
-                new[i] -= 1
-                new[k] += 1
-                action[index[tuple(new)]][col] += e_i * c
-    return size - linalg.rank(action)
+    action = polarize(mat, sym_power_basis(len(mat), n))
+    return len(action) - linalg.rank(action)
 
 
 def analyze_singularity(spec, mode="tangent", series_depth=8):

@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement
 from . import linalg
 from .errors import AlgebroidError, InconsistencyError, PreconditionError
 from .groebner import FreeModuleElement, TermOrder, groebner_basis, syzygies
-from .liealg import LieAlgebra, sl2
+from .liealg import sl2
 from .poly import Polynomial
 from .series import partitions_in_rectangle
 
@@ -118,29 +118,31 @@ def sym_power_basis(dim, n):
     return out
 
 
+def polarize(m, basis):
+    """Matrix of the derivation action of m on the monomials in basis (all of
+    one degree, e.g. sym_power_basis), by exact polarization."""
+    index = {e: i for i, e in enumerate(basis)}
+    out = linalg.zeros(len(basis), len(basis))
+    for col, exp in enumerate(basis):
+        for i, e_i in enumerate(exp):
+            if e_i == 0:
+                continue
+            # replace one factor v_i by m(v_i) = sum_k m[k][i] v_k
+            for k in range(len(m)):
+                c = m[k][i]
+                if not c:
+                    continue
+                new = list(exp)
+                new[i] -= 1
+                new[k] += 1
+                out[index[tuple(new)]][col] += e_i * c
+    return out
+
+
 def sym_power_rep(rep, n):
     """Action on S^n(V) by exact polarization of the monomial basis."""
     basis = sym_power_basis(rep.dim, n)
-    index = {e: i for i, e in enumerate(basis)}
-    size = len(basis)
-    mats = []
-    for m in rep.matrices:
-        out = linalg.zeros(size, size)
-        for col, exp in enumerate(basis):
-            for i, e_i in enumerate(exp):
-                if e_i == 0:
-                    continue
-                # replace one factor v_i by m(v_i) = sum_k m[k][i] v_k
-                for k in range(rep.dim):
-                    c = m[k][i]
-                    if not c:
-                        continue
-                    new = list(exp)
-                    new[i] -= 1
-                    new[k] += 1
-                    out[index[tuple(new)]][col] += e_i * c
-        mats.append(out)
-    return MatrixRep(rep.algebra, mats)
+    return MatrixRep(rep.algebra, [polarize(m, basis) for m in rep.matrices])
 
 
 def invariants_dimension(rep, nil):
@@ -223,7 +225,7 @@ def _submodule_closure(matrices, vectors):
         for b in basis:
             for m in matrices:
                 img = linalg.mat_vec(m, b)
-                if any(img) and not linalg.in_row_space(basis, img):
+                if any(img) and linalg.coordinates(basis, img) is None:
                     extra.append(img)
         if not extra:
             return basis
@@ -252,29 +254,22 @@ def _quotient_action(matrices, sub, dim):
     comp = []
     basis = list(sub)
     for v in linalg.identity(dim):
-        if not linalg.in_row_space(basis, v):
+        if linalg.coordinates(basis, v) is None:
             comp.append(v)
             basis = linalg.row_space_basis(basis + [v])
     full = list(sub) + comp
     # change of basis: columns of P are the chosen basis vectors
     p = [[full[j][i] for j in range(dim)] for i in range(dim)]
+    # P^-1 from one elimination of [P | I]
+    red, _pivots = linalg.rref([row + unit for row, unit in zip(p, linalg.identity(dim))])
+    p_inv = [row[dim:] for row in red]
     k = len(sub)
     q = len(comp)
     out = []
     for m in matrices:
-        conj = _conjugate(m, p)
+        conj = linalg.mat_mul(p_inv, linalg.mat_mul(m, p))
         out.append([[conj[k + i][k + j] for j in range(q)] for i in range(q)])
     return out, q
-
-
-def _conjugate(m, p):
-    n = len(p)
-    inv = []
-    for col in linalg.identity(n):
-        sol = linalg.solve(p, col)
-        inv.append(sol)
-    p_inv = [[inv[j][i] for j in range(n)] for i in range(n)]
-    return linalg.mat_mul(p_inv, linalg.mat_mul(m, p))
 
 
 def recognition_sl_blocks(matrices, dim=None):
@@ -292,8 +287,7 @@ def recognition_sl_blocks(matrices, dim=None):
         cartan[i][i] = Fraction(1)
         cartan[i + 1][i + 1] = Fraction(-1)
         target = [cartan[a][b] for a in range(dim) for b in range(dim)]
-        cols = [[flat[k][t] for k in range(len(matrices))] for t in range(dim * dim)]
-        if linalg.solve(cols, target) is None:
+        if linalg.coordinates(flat, target) is None:
             hypothesis = False
             break
     factors = []

@@ -7,7 +7,7 @@ one residue polynomial per class mod the period.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, factorial
+from math import lcm
 
 from . import linalg
 from .errors import AlgebroidError, PreconditionError
@@ -229,9 +229,8 @@ class QuasiPolynomial:
 
 def _fit_polynomial(points):
     """Exact polynomial through (x, y) points, coefficient list ascending."""
-    k = len(points)
-    rows = [[Fraction(x) ** j for j in range(k)] for x, _ in points]
-    sol = linalg.solve(rows, [Fraction(y) for _, y in points])
+    powers = [[Fraction(x) ** j for x, _ in points] for j in range(len(points))]
+    sol = linalg.coordinates(powers, [Fraction(y) for _, y in points])
     if sol is None:
         raise AlgebroidError("polynomial fit failed")
     while sol and sol[-1] == 0:
@@ -264,11 +263,6 @@ def quasi_polynomial_of(rs):
 def cumulative_quasi_polynomial(rs):
     """Quasi-polynomial of the partial sums sum_{i<=n} coefficient(i)."""
     return quasi_polynomial_of(rs.with_extra_factor(1))
-
-
-def quasi_polynomials_of(rs):
-    """(coefficient quasi-polynomial, cumulative quasi-polynomial)."""
-    return quasi_polynomial_of(rs), cumulative_quasi_polynomial(rs)
 
 
 # -- torus-character series ----------------------------------------------

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from algebroids.derivations import DerivationModule, tangent_derivations
+from algebroids.derivations import (Derivation, DerivationModule,
+                                   tangent_derivations)
 from algebroids.errors import AlgebroidError, PreconditionError
-from algebroids.groebner import Ideal
+from algebroids.groebner import Ideal, groebner_basis
 from algebroids.liealg import (LieAlgebra, abelian_lie_algebra,
                                fibre_lie_algebra, gl2,
-                               lie_algebra_from_matrices, sl2)
+                               lie_algebra_from_matrices,
+                               minimal_module_generators, sl2)
 from algebroids.poly import parse_poly
 
 
@@ -141,3 +143,72 @@ def test_to_json_shape():
     for i, j, vec in obj["brackets"]:
         assert 1 <= i < j <= 3
         assert all(isinstance(c, str) for c in vec)
+
+
+# -- the per-candidate Groebner route, kept as an independent oracle -------
+
+ORACLE_INPUTS = {
+    "whitney": ("xyz", ["z^2 - x^2*y"], (1, 2, 2), True),
+    "d4": ("xyz", ["x^2 + y^2*z + z^3"], (3, 2, 2), True),
+    "e6": ("xyz", ["x^2 + y^3 + z^4"], (6, 4, 3), True),
+    "quadric3": ("xyz", ["x^2 + y^2 + z^2"], None, True),
+    "fermat": ("xyz", ["x^3 + y^3 + z^3"], None, True),
+    "toral": ("xyz", ["x", "y"], None, False),
+}
+# the same inputs with the sum of the first two generators appended, so that
+# some candidate is a combination of others of its degree
+ORACLE_INPUTS.update({f"{name}+sum": data for name, data in list(ORACLE_INPUTS.items())})
+
+
+def _oracle_dm(name):
+    names, gens, weights, _origin = ORACLE_INPUTS[name]
+    dm = tangent_derivations(Ideal(3, [P(g, names) for g in gens], weights))
+    if not name.endswith("+sum"):
+        return dm
+    first, second = dm.generators[:2]
+    extra = Derivation.from_vector(first.to_vector() + second.to_vector())
+    return DerivationModule(dm.generators + [extra], dm.ideal, verify=False)
+
+
+def _oracle_minimal_generators(dm):
+    """Keep a candidate iff one Groebner basis of kept + m*T does not contain it."""
+    weights = dm.weights
+    shifts = [-w for w in weights]
+    seen = []
+    for g in dm.generators:
+        for c in g.to_vector().homogeneous_components(weights, shifts=shifts).values():
+            if c not in seen:
+                seen.append(c)
+
+    def degree(v):
+        (pos, exp), _c = next(iter(v.terms.items()))
+        return sum(w * e for w, e in zip(weights, exp)) - weights[pos]
+
+    seen.sort(key=lambda v: (degree(v), sorted(v.terms)))
+    n = dm.nvars
+    m_times = [c.mul_term(tuple(1 if t == j else 0 for t in range(n)))
+               for c in seen for j in range(n)]
+    kept = []
+    for c in seen:
+        if not groebner_basis(kept + m_times, dm.module_order()).contains(c):
+            kept.append(c)
+    return kept
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+def test_minimal_generators_match_groebner_membership(name):
+    dm = _oracle_dm(name)
+    assert minimal_module_generators(dm) == _oracle_minimal_generators(dm)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+def test_fibre_brackets_match_tracked_lifts(name):
+    dm = _oracle_dm(name)
+    algebra, basis = fibre_lie_algebra(dm, require_origin=ORACLE_INPUTS[name][3])
+    gb = groebner_basis([d.to_vector() for d in basis], dm.module_order(), track=True)
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            lift = gb.lift(basis[i].bracket(basis[j]).to_vector())
+            assert lift is not None
+            expected = tuple(c.constant_term() for c in lift)
+            assert algebra.basis_bracket(i, j) == expected
