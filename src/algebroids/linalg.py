@@ -106,6 +106,15 @@ def kernel_basis(rows):
     return basis
 
 
+def inverse(a):
+    """A^-1 from one elimination of [A | I]; ValueError when A is singular."""
+    n = len(a)
+    red, pivots = rref([list(row) + unit for row, unit in zip(a, identity(n))])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n:] for row in red]
+
+
 def row_space_basis(rows):
     return rref(rows)[0]
 
@@ -121,13 +130,3 @@ def coordinates(vectors, target):
     for row, p in zip(red, pivots):
         x[p] = row[k]
     return x
-
-
-def is_nilpotent(a):
-    n = len(a)
-    p = a
-    for _ in range(n):
-        if all(all(x == 0 for x in row) for row in p):
-            return True
-        p = mat_mul(p, a)
-    return all(all(x == 0 for x in row) for row in p)

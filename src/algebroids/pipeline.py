@@ -11,7 +11,7 @@ from .groebner import Ideal
 from .hilbert import dimension_multiplicity, graded_pieces_series
 from .liealg import fibre_lie_algebra, span_lie_algebra
 from .poly import Polynomial, format_poly, parse_poly
-from .repmod import polarize, sym_power_basis
+from .repmod import MatrixRep, sl2_isotypic, sym_kernel_dims
 from .series import (RationalSeries, SeriesPrefix, quasi_polynomial_of,
                      reconstruct_rational)
 
@@ -139,18 +139,17 @@ def _regular_sequence_heuristic(ideal):
     return len(ideal.gens) == ideal.nvars - krull_dimension(ideal)
 
 
-def _sl2_covariant_path(algebra, basis_derivations, depth):
-    """Length series via covariant dimensions when the derived subalgebra of
-    the fibre acts as sl2 on V = m/m^2; returns (dims, series) or None."""
+def _levi_action(algebra, basis_derivations):
+    """MatrixRep of the derived subalgebra of the fibre on V = m/m^2 when
+    that subalgebra is a form of sl2 (3-dimensional, Killing rank 3), else
+    None."""
     derived = algebra.derived_subalgebra_basis()
     if len(derived) != 3:
         return None
-    # derived subalgebra must be simple of type sl2: Killing form of rank 3
     sub = span_lie_algebra(derived, lambda a, b: algebra.bracket(derived[a], derived[b]))
     if sub.killing_rank() != 3:
         return None
     nvars = basis_derivations[0].nvars
-    # action of the derived subalgebra on V = m/m^2
     mats = []
     for coeffs in derived:
         mat = linalg.zeros(nvars, nvars)
@@ -158,36 +157,23 @@ def _sl2_covariant_path(algebra, basis_derivations, depth):
             if c:
                 mat = linalg.mat_add(mat, linalg.mat_scale(delta.linear_part_matrix(), c))
         mats.append(mat)
-    nil = _nilpotent_element(mats)
-    if nil is None:
+    return MatrixRep(sub, mats)
+
+
+def _sl2_covariant_path(algebra, basis_derivations, depth):
+    """Length series via covariant dimensions when the derived subalgebra of
+    the fibre acts as a form of sl2 on V = m/m^2: V = sum V_k over Q-bar from
+    the Casimir, then dim ker e on S^n(V) by weight counting; returns
+    (dims, series) or None."""
+    rep = _levi_action(algebra, basis_derivations)
+    if rep is None:
         return None
-    dims = [_sym_kernel_dim(nil, n) for n in range(depth + 1)]
-    d = nvars - 1
-    factors = COVARIANT_DENOMINATORS.get(d)
+    dims = sym_kernel_dims(sl2_isotypic(rep), depth)
+    factors = COVARIANT_DENOMINATORS.get(rep.dim - 1)
     if factors is None:
         return dims, None
     series = reconstruct_rational(SeriesPrefix(dims), factors)
     return dims, series
-
-
-def _nilpotent_element(mats):
-    """A nonzero nilpotent matrix in the span of mats (basis search first,
-    then pairwise sums)."""
-    candidates = list(mats)
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            candidates.append(linalg.mat_add(mats[i], mats[j]))
-            candidates.append(linalg.mat_sub(mats[i], mats[j]))
-    for m in candidates:
-        if any(any(row) for row in m) and linalg.is_nilpotent(m):
-            return m
-    return None
-
-
-def _sym_kernel_dim(mat, n):
-    """dim ker of the derivation action of mat on degree-n monomials."""
-    action = polarize(mat, sym_power_basis(len(mat), n))
-    return len(action) - linalg.rank(action)
 
 
 def analyze_singularity(spec, mode="tangent", series_depth=8):

@@ -159,8 +159,18 @@ def invariants_dimension(rep, nil):
 
 
 def weight_space_dims(h):
-    """Integer eigenvalue -> dim ker(H - e), with a diagonalizability check."""
+    """Integer eigenvalue -> dim ker(H - e), with a diagonalizability check.
+
+    A diagonal H is read off directly; any other H is scanned by ranks."""
     n = len(h)
+    if all(not h[i][j] for i in range(n) for j in range(n) if i != j):
+        dims = {}
+        for i in range(n):
+            e = h[i][i]
+            if e.denominator != 1:
+                raise PreconditionError("H not rationally diagonalizable")
+            dims[int(e)] = dims.get(int(e), 0) + 1
+        return dict(sorted(dims.items()))
     bound = 0
     for row in h:
         s = sum(abs(c) for c in row)
@@ -195,6 +205,59 @@ def decompose_sl2(rep):
     if sum((e + 1) * m for e, m in mults.items()) != rep.dim:
         raise InconsistencyError("weight multiplicities do not sum to the dimension")
     return mults
+
+
+def sl2_isotypic(rep):
+    """Multiset {k: multiplicity of V_k} of a module over a Q-form of sl2,
+    read off the Casimir C = sum (kappa^-1)_ij rho_i rho_j of the Killing
+    form kappa; C acts on V_k as k(k+2)/8, so non-split forms need no
+    rational nilpotent (Humphreys, 6.2 and 7)."""
+    kappa = rep.algebra.killing_matrix()
+    if len(kappa) != 3 or linalg.rank(kappa) != 3:
+        raise PreconditionError("not a form of sl2")
+    kappa_inv = linalg.inverse(kappa)
+    n = rep.dim
+    casimir = linalg.zeros(n, n)
+    for i in range(3):
+        for j in range(3):
+            if kappa_inv[i][j]:
+                prod = linalg.mat_mul(rep.matrices[i], rep.matrices[j])
+                casimir = linalg.mat_add(casimir, linalg.mat_scale(prod, kappa_inv[i][j]))
+    mults = {}
+    filled = 0
+    for k in range(n):
+        if filled == n:
+            break
+        shift = Fraction(k * (k + 2), 8)
+        shifted = [[c - (shift if i == j else 0) for j, c in enumerate(row)]
+                   for i, row in enumerate(casimir)]
+        kernel = n - linalg.rank(shifted)
+        if kernel % (k + 1):
+            raise InconsistencyError("Casimir eigenspace is not a sum of copies of V_k")
+        if kernel:
+            mults[k] = kernel // (k + 1)
+            filled += kernel
+    if filled != n:
+        raise InconsistencyError("Casimir eigenspaces do not fill the module")
+    return mults
+
+
+def sym_kernel_dims(mults, depth):
+    """[dim ker e on S^n(V) for n <= depth] for V = sum of mults[k] copies of
+    V_k and any nonzero nilpotent e: the number of irreducible summands of
+    S^n(V), i.e. its weight-0 plus weight-1 multiplicities, from the weight
+    generating function prod_w 1/(1 - q^w t)."""
+    # chars[n] = {weight: multiplicity} of S^n(V)
+    chars = [{0: 1}] + [{} for _ in range(depth)]
+    for k, m in mults.items():
+        for w in range(-k, k + 1, 2):
+            for _ in range(m):
+                # multiply by 1/(1 - q^w t): S^n gains q^w times the updated S^(n-1)
+                for n in range(1, depth + 1):
+                    acc = chars[n]
+                    for u, c in chars[n - 1].items():
+                        acc[u + w] = acc.get(u + w, 0) + c
+    return [ch.get(0, 0) + ch.get(1, 0) for ch in chars]
 
 
 def cayley_sylvester(n, d, e):
@@ -260,9 +323,7 @@ def _quotient_action(matrices, sub, dim):
     full = list(sub) + comp
     # change of basis: columns of P are the chosen basis vectors
     p = [[full[j][i] for j in range(dim)] for i in range(dim)]
-    # P^-1 from one elimination of [P | I]
-    red, _pivots = linalg.rref([row + unit for row, unit in zip(p, linalg.identity(dim))])
-    p_inv = [row[dim:] for row in red]
+    p_inv = linalg.inverse(p)
     k = len(sub)
     q = len(comp)
     out = []

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from algebroids import linalg
 
 
@@ -28,3 +30,14 @@ def test_coordinates_dependent_vectors_give_a_solution():
 def test_coordinates_empty_vectors():
     assert linalg.coordinates([], F(0, 0)) == []
     assert linalg.coordinates([], F(0, 1)) is None
+
+
+def test_inverse():
+    a = [F(2, 1, 0), F(0, 1, 3), F(1, 0, 1)]
+    assert linalg.mat_mul(a, linalg.inverse(a)) == linalg.identity(3)
+    assert linalg.inverse([]) == []
+
+
+def test_inverse_singular():
+    with pytest.raises(ValueError):
+        linalg.inverse([F(1, 2), F(2, 4)])

@@ -1,19 +1,28 @@
 """End-to-end reports and the command-line interface."""
 
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
+from algebroids import linalg
 from algebroids.cli import main
+from algebroids.derivations import tangent_derivations
 from algebroids.errors import ParseError, PreconditionError
-from algebroids.pipeline import (analyze_singularity, analyze_toral,
+from algebroids.liealg import fibre_lie_algebra
+from algebroids.pipeline import (_levi_action, _sl2_covariant_path,
+                                 analyze_singularity, analyze_toral,
                                  covariants_report, parse_input)
+from algebroids.repmod import polarize, sl2_isotypic, sym_power_basis
 from algebroids.series import RationalSeries
 
 WHITNEY = "vars: x, y, z\nweights: 1, 2, 2\nideal: z^2 - x^2*y\n"
 QUADRIC = "vars: x, y, z\nideal: x^2 + y^2 + z^2\n"
+SPLIT_QUADRIC = "vars: x, y, z\nideal: x^2 + y*z\n"
 FERMAT = "vars: x, y, z\nideal: x^3 + y^3 + z^3\n"
+DISCRIMINANT = ("vars: x, y, z, w\n"
+                "ideal: y^2*z^2 - 4*x*z^3 - 4*y^3*w + 18*x*y*z*w - 27*x^2*w^2\n")
 
 
 def test_parse_input():
@@ -58,9 +67,78 @@ def test_analyze_quadric():
     fp = report.fingerprint
     assert fp["dim"] == 4 and fp["radical_dim"] == 1
     assert not report.solvable
-    # no rational nilpotent in the compact o3 form, so no certified length
-    assert report.series is None
-    assert report.series_note == "length not certified"
+    # the compact so(3) form has no rational nilpotent; the Casimir still
+    # certifies m/m^2 = V_2 over Q-bar, so the split form's series follows
+    assert report.series == RationalSeries([1], [(1, 1), (2, 1)])
+    assert report.series_note is None
+    split = analyze_singularity(parse_input(SPLIT_QUADRIC))
+    assert split.series == report.series
+    assert (split.dimension, split.multiplicity) == \
+        (report.dimension, report.multiplicity)
+
+
+# -- the sl2 length path against the matrix kernel -------------------------
+
+def _is_nilpotent(m):
+    power = m
+    for _ in range(len(m)):
+        power = linalg.mat_mul(power, m)
+    return not any(any(row) for row in power)
+
+
+def _rational_nilpotent(mats):
+    """A nonzero nilpotent among the matrices and their pairwise sums and
+    differences, or None."""
+    candidates = list(mats)
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            candidates.append(linalg.mat_add(mats[i], mats[j]))
+            candidates.append(linalg.mat_sub(mats[i], mats[j]))
+    for m in candidates:
+        if any(any(row) for row in m) and _is_nilpotent(m):
+            return m
+    return None
+
+
+def _levi_rep(text):
+    spec = parse_input(text)
+    dm = tangent_derivations(spec.ideal())
+    fibre, basis = fibre_lie_algebra(dm)
+    return fibre, basis, _levi_action(fibre, basis)
+
+
+@pytest.mark.parametrize("text", [DISCRIMINANT, SPLIT_QUADRIC],
+                         ids=["discriminant", "split-quadric"])
+def test_sl2_length_dims_match_nilpotent_kernel(text):
+    fibre, basis, rep = _levi_rep(text)
+    nil = _rational_nilpotent(rep.matrices)
+    assert nil is not None
+    dims, _series = _sl2_covariant_path(fibre, basis, 12)
+    for n in range(7):
+        monos = sym_power_basis(rep.dim, n)
+        assert dims[n] == len(monos) - linalg.rank(polarize(nil, monos))
+
+
+def test_compact_quadric_has_no_rational_nilpotent():
+    _fibre, _basis, rep = _levi_rep(QUADRIC)
+    assert _rational_nilpotent(rep.matrices) is None
+    assert sl2_isotypic(rep) == {2: 1}
+
+
+def test_discriminant_independent_of_variable_order():
+    ideal = DISCRIMINANT.splitlines()[1]
+    seen = set()
+    for perm in itertools.permutations(["x", "y", "z", "w"]):
+        report = analyze_singularity(parse_input(f"vars: {', '.join(perm)}\n{ideal}\n"),
+                                     series_depth=12)
+        seen.add(json.dumps([report.fingerprint, report.series.to_json(),
+                             report.dimension, str(report.multiplicity)],
+                            sort_keys=True))
+    assert len(seen) == 1
+    fingerprint, series, dimension, multiplicity = json.loads(seen.pop())
+    assert fingerprint["derived_series"] == [4, 3, 3]
+    assert RationalSeries.from_json(series) == RationalSeries([1, -1, 1], [(1, 2), (4, 1)])
+    assert (dimension, multiplicity) == (2, "1/4")
 
 
 def test_analyze_fermat_tjurina_mode():

@@ -8,12 +8,13 @@ import pytest
 
 from algebroids import linalg
 from algebroids.errors import AlgebroidError, PreconditionError
-from algebroids.liealg import sl2
+from algebroids.liealg import gl2, sl2
 from algebroids.repmod import (MatrixRep, binary_form_rep, cayley_sylvester,
                                covariant_dimension, decompose_sl2,
                                direct_sum_rep, invariants_dimension,
                                recognition_sl_blocks, sl2_algebroid_filtration,
-                               sym_power_rep, tensor_rep, trivial_rep)
+                               sl2_isotypic, sym_kernel_dims, sym_power_rep,
+                               tensor_rep, trivial_rep, weight_space_dims)
 
 
 def F(x):
@@ -47,6 +48,55 @@ def test_decompose_examples():
     assert decompose_sl2(sym_power_rep(binary_form_rep(2), 2)) == {4: 1, 0: 1}
     v1 = binary_form_rep(1)
     assert decompose_sl2(tensor_rep(v1, v1)) == {2: 1, 0: 1}
+
+
+def test_weight_space_dims_non_diagonal_h():
+    # conjugating by a rational unipotent matrix makes H non-diagonal; the
+    # rank scan must still give the decomposition of the diagonal form
+    rep = sym_power_rep(binary_form_rep(2), 2)
+    n = rep.dim
+    p = linalg.identity(n)
+    for i in range(n - 1):
+        p[i][i + 1] = F(i + 1)
+    p[0][n - 1] = Fraction(-1, 2)
+    p_inv = linalg.inverse(p)
+    conj = MatrixRep(rep.algebra,
+                     [linalg.mat_mul(p_inv, linalg.mat_mul(m, p)) for m in rep.matrices])
+    h = conj.matrices[0]
+    assert any(h[i][j] for i in range(n) for j in range(n) if i != j)
+    assert weight_space_dims(h) == weight_space_dims(rep.matrices[0])
+    assert decompose_sl2(conj) == decompose_sl2(rep) == {4: 1, 0: 1}
+
+
+def test_weight_space_dims_diagonal_non_integer():
+    with pytest.raises(PreconditionError, match="not rationally diagonalizable"):
+        weight_space_dims([[F(1), F(0)], [F(0), Fraction(1, 2)]])
+
+
+def test_sl2_isotypic_matches_weight_decomposition():
+    for n in range(5):
+        for d in range(5):
+            rep = sym_power_rep(binary_form_rep(d), n)
+            assert sl2_isotypic(rep) == decompose_sl2(rep)
+    rep = direct_sum_rep(sym_power_rep(binary_form_rep(2), 2),
+                         direct_sum_rep(binary_form_rep(3), binary_form_rep(0)))
+    assert sl2_isotypic(rep) == decompose_sl2(rep) == {4: 1, 3: 1, 0: 2}
+
+
+def test_sl2_isotypic_requires_sl2():
+    with pytest.raises(PreconditionError, match="not a form of sl2"):
+        sl2_isotypic(trivial_rep(gl2(), 2))
+
+
+def test_sym_kernel_dims_match_cayley_sylvester():
+    for d in range(7):
+        assert sym_kernel_dims({d: 1}, 12) == [covariant_dimension(n, d) for n in range(13)]
+    # a reducible V against the raising operator's kernel on S^n(V)
+    v = direct_sum_rep(binary_form_rep(2), direct_sum_rep(binary_form_rep(1),
+                                                          binary_form_rep(0)))
+    assert sym_kernel_dims({2: 1, 1: 1, 0: 1}, 3) == \
+        [invariants_dimension(sym_power_rep(v, n), [1])[0] for n in range(4)]
+    assert sym_kernel_dims({1: 2}, 6) == [1, 2, 4, 6, 9, 12, 16]
 
 
 def test_cayley_sylvester_examples():
