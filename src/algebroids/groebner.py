@@ -1,16 +1,16 @@
 """Groebner bases for ideals and submodules of free modules over Q[x1..xn].
 
 Buchberger's algorithm with normal pair selection, the chain criterion, and
-the coprimality criterion (ideals only, where it is valid).  Basis elements
-optionally carry representations over the original generators so that
-membership tests can return coefficient lifts.
+the coprimality criterion (ideals only, where it is valid).  Syzygies and
+coefficient lifts over the original generators are both read off one basis
+of the augmented rows (v_i, e_i) under a position-over-term order.
 """
 
 import heapq
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .errors import AlgebroidError, PreconditionError
+from .errors import PreconditionError
 from .poly import Polynomial
 
 
@@ -200,21 +200,19 @@ def _buckets(leads):
     return out
 
 
-def _reduce(terms, buckets, elements, order, track):
-    """Full normal form of the terms modulo the elements; optionally track quotients.
+def _reduce(terms, buckets, elements, order):
+    """Full normal form of the terms modulo the elements.
 
     buckets maps a module position to the leading terms of the elements there
     (see _buckets).  Pending monomials wait in a heap, largest first; a
     reduction step only creates monomials below the one it removes, so a
-    popped monomial is final.
-    Returns (remainder terms dict, quotients list of term-dicts or None).
+    popped monomial is final.  Returns the remainder as a terms dict.
     """
     key = order.descending_key
     work = dict(terms)
     heap = [(key(m), m) for m in work]
     heapq.heapify(heap)
     rem = {}
-    quotients = [dict() for _ in elements] if track else None
     while heap:
         mono = heapq.heappop(heap)[1]
         coeff = work.pop(mono, None)
@@ -229,8 +227,6 @@ def _reduce(terms, buckets, elements, order, track):
             continue
         qexp = _quot(exp, lexp)
         factor = coeff / lcoeff
-        if track:
-            quotients[idx][qexp] = quotients[idx].get(qexp, Fraction(0)) + factor
         for (p2, e2), c2 in elements[idx].terms.items():
             m2 = (p2, tuple(a + b for a, b in zip(e2, qexp)))
             if m2 == mono:  # the leading term, cancelled by construction
@@ -245,18 +241,17 @@ def _reduce(terms, buckets, elements, order, track):
                     work[m2] = nv
                 else:
                     del work[m2]
-    return rem, quotients
+    return rem
 
 
 class GroebnerBasis:
     """Reduced Groebner basis; elements monic, auto-reduced, sorted."""
 
-    __slots__ = ("order", "elements", "reps", "nvars", "rank", "_leads", "_buckets")
+    __slots__ = ("order", "elements", "nvars", "rank", "_leads", "_buckets")
 
-    def __init__(self, order, elements, reps, nvars, rank):
+    def __init__(self, order, elements, nvars, rank):
         self.order = order
         self.elements = elements
-        self.reps = reps  # list of FreeModuleElement over A^len(gens), or None
         self.nvars = nvars
         self.rank = rank
         self._leads = tuple(e.leading(order) for e in elements)
@@ -265,54 +260,25 @@ class GroebnerBasis:
     def leads(self):
         return self._leads
 
-    def normal_form(self, f, track=False):
-        """(remainder, quotients over basis elements or None)."""
+    def normal_form(self, f):
+        """Remainder of f modulo the basis."""
         if isinstance(f, Polynomial):
             f = FreeModuleElement.from_poly(f)
-        rem, quot = _reduce(f.terms, self._buckets, self.elements, self.order, track)
-        rem_el = FreeModuleElement(self.nvars, self.rank, rem)
-        if not track:
-            return rem_el, None
-        return rem_el, [Polynomial(self.nvars, q) for q in quot]
+        rem = _reduce(f.terms, self._buckets, self.elements, self.order)
+        return FreeModuleElement(self.nvars, self.rank, rem)
 
     def contains(self, f):
-        rem, _ = self.normal_form(f)
-        return rem.is_zero()
-
-    def lift(self, f):
-        """Coefficients over the ORIGINAL generators, or None if not a member."""
-        if self.reps is None:
-            raise AlgebroidError("basis was computed without lift tracking")
-        rem, quot = self.normal_form(f, track=True)
-        if not rem.is_zero():
-            return None
-        ngens = self.reps[0].rank if self.reps else 0
-        acc = FreeModuleElement(self.nvars, ngens)
-        for q, rep in zip(quot, self.reps):
-            if not q.is_zero():
-                acc = acc + rep.mul_poly(q)
-        return acc.to_polys()
+        return self.normal_form(f).is_zero()
 
 
-def _subtract_multiples(rep, quot, reps):
-    """rep - sum_t quot[t] * reps[t], the quotients given as term-dicts."""
-    terms = dict(rep.terms)
-    for q, r in zip(quot, reps):
-        for qexp, qc in q.items():
-            for (pos, e), c in r.terms.items():
-                m = (pos, tuple(a + b for a, b in zip(e, qexp)))
-                terms[m] = terms.get(m, 0) - qc * c
-    return FreeModuleElement(rep.nvars, rep.rank, terms)
+def _as_elements(vectors):
+    return [FreeModuleElement.from_poly(v) if isinstance(v, Polynomial) else v
+            for v in vectors]
 
 
-def groebner_basis(gens, order, track=False):
+def groebner_basis(gens, order):
     """Reduced Groebner basis of the given polynomials or module elements."""
-    items = []
-    for g in gens:
-        if isinstance(g, Polynomial):
-            g = FreeModuleElement.from_poly(g)
-        if not g.is_zero():
-            items.append(g)
+    items = [g for g in _as_elements(gens) if not g.is_zero()]
     if not items:
         raise PreconditionError("no nonzero generators")
     nvars = items[0].nvars
@@ -324,11 +290,10 @@ def groebner_basis(gens, order, track=False):
     basis = []
     leads = []  # (mono, coeff) of basis[k], computed once when k is added
     buckets = {}  # _buckets(leads), kept in step
-    reps = []
     pairs = []  # heap of (order.key((pos, lcm)), i, j): normal selection
     done = set()
 
-    def add(element, rep):
+    def add(element):
         j = len(basis)
         lead = element.leading(order)
         (pos, exp), coeff = lead
@@ -337,11 +302,9 @@ def groebner_basis(gens, order, track=False):
         basis.append(element)
         leads.append(lead)
         buckets.setdefault(pos, []).append((j, exp, coeff))
-        reps.append(rep)
 
-    ngens = len(items)
-    for i, g in enumerate(items):
-        add(g, FreeModuleElement(nvars, ngens, {(i, (0,) * nvars): Fraction(1)}) if track else None)
+    for g in items:
+        add(g)
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
@@ -359,13 +322,9 @@ def groebner_basis(gens, order, track=False):
             continue
         qi, qj = _quot(L, ei), _quot(L, ej)
         spoly = basis[i].mul_term(qi, Fraction(1) / ci) - basis[j].mul_term(qj, Fraction(1) / cj)
-        rem, quot = _reduce(spoly.terms, buckets, basis, order, track)
+        rem = _reduce(spoly.terms, buckets, basis, order)
         if rem:
-            rep = None
-            if track:
-                rep = _subtract_multiples(reps[i].mul_term(qi, Fraction(1) / ci)
-                                          - reps[j].mul_term(qj, Fraction(1) / cj), quot, reps)
-            add(FreeModuleElement(nvars, rank, rem), rep)
+            add(FreeModuleElement(nvars, rank, rem))
 
     # minimal basis: drop each element whose lead another lead divides (of
     # equal leads the first stays)
@@ -374,22 +333,18 @@ def groebner_basis(gens, order, track=False):
                        for t, et, _c2 in buckets[pk])]
     basis = [basis[k] for k in keep]
     leads = [leads[k] for k in keep]
-    reps = [reps[k] for k in keep]
     buckets = _buckets(leads)
     # tail reduction to the unique reduced basis; the leads never change, and
     # no element's own lead divides a monomial below it
     for i, (mono, coeff) in enumerate(leads):
         tail = {m: c for m, c in basis[i].terms.items() if m != mono}
-        rem, quot = _reduce(tail, buckets, basis, order, track)
-        if track:
-            reps[i] = _subtract_multiples(reps[i], quot, reps)
+        rem = _reduce(tail, buckets, basis, order)
         basis[i] = FreeModuleElement(nvars, rank, {mono: coeff, **rem})
 
     # monic, deterministic ordering
     by_lead = sorted(range(len(basis)), key=lambda k: order.key(leads[k][0]), reverse=True)
     elements = [basis[k].scale(Fraction(1) / leads[k][1]) for k in by_lead]
-    out_reps = [reps[k].scale(Fraction(1) / leads[k][1]) for k in by_lead] if track else None
-    return GroebnerBasis(order, elements, out_reps, nvars, rank)
+    return GroebnerBasis(order, elements, nvars, rank)
 
 
 # -- ideals ---------------------------------------------------------------
@@ -410,13 +365,13 @@ class Ideal:
             return TermOrder("grevlex")
         return TermOrder("wgrevlex", self.weights)
 
-    def groebner(self, order=None, track=False):
+    def groebner(self, order=None):
         order = order or self.default_order()
-        key = (order.kind, order.weights, order.module, track)
+        key = (order.kind, order.weights, order.module)
         if key not in self._gb:
             if not self.gens:
                 raise PreconditionError("zero ideal has no Groebner basis here")
-            self._gb[key] = groebner_basis(self.gens, order, track=track)
+            self._gb[key] = groebner_basis(self.gens, order)
         return self._gb[key]
 
     def is_zero(self):
@@ -436,11 +391,8 @@ class Ideal:
         """(is member, coefficients over the original generators or None)."""
         if self.is_zero():
             return f.is_zero(), [] if f.is_zero() else None
-        gb = self.groebner(track=True)
-        lift = gb.lift(FreeModuleElement.from_poly(f))
-        if lift is None:
-            return False, None
-        return True, lift
+        lift = lifts(self.gens, [f], self.default_order())[0]
+        return lift is not None, lift
 
     def is_unit(self):
         if self.is_zero():
@@ -532,32 +484,56 @@ class Ideal:
         return f"Ideal({self.gens!r})"
 
 
+def _augmented_basis(vectors, order):
+    """Groebner basis of the rows (v_i, e_i) in A^(r+s), r the rank of the
+    v_i and s their number, under the position-over-term form of order."""
+    nvars = vectors[0].nvars
+    r = vectors[0].rank
+    augmented = []
+    for i, v in enumerate(vectors):
+        terms = dict(v.terms)
+        terms[(r + i, (0,) * nvars)] = Fraction(1)
+        augmented.append(FreeModuleElement(nvars, r + len(vectors), terms))
+    return groebner_basis(augmented, TermOrder(order.kind, order.weights, module="pot"))
+
+
 def syzygies(vectors):
     """Generating set of the syzygy module of the given elements of A^r.
 
     Each returned element s (rank = len(vectors)) satisfies sum s_i v_i = 0.
+    Position over term eliminates the first r positions, so the basis
+    elements that live in the last s positions generate the syzygies.
     """
-    vecs = []
-    for v in vectors:
-        if isinstance(v, Polynomial):
-            v = FreeModuleElement.from_poly(v)
-        vecs.append(v)
+    vecs = _as_elements(vectors)
     if not vecs:
         return []
-    nvars = vecs[0].nvars
     r = vecs[0].rank
-    s = len(vecs)
-    augmented = []
-    for i, v in enumerate(vecs):
-        terms = {(pos, exp): c for (pos, exp), c in v.terms.items()}
-        terms[(r + i, (0,) * nvars)] = Fraction(1)
-        augmented.append(FreeModuleElement(nvars, r + s, terms))
-    order = TermOrder("grevlex", module="pot")
-    gb = groebner_basis(augmented, order)
+    positions = list(range(r, r + len(vecs)))
+    gb = _augmented_basis(vecs, TermOrder("grevlex"))
+    return [e.project(positions) for e in gb.elements
+            if all(pos >= r for pos, _exp in e.terms)]
+
+
+def lifts(gens, targets, order):
+    """For each target, polynomials q with sum q_i gens[i] = target, or None
+    if the target is not in the submodule the gens generate.
+
+    (t, 0) is congruent to (0, -q) modulo the rows (g_i, e_i) exactly when
+    sum q_i g_i = t.  Position over term makes the basis eliminate the first
+    r positions, so t is a member iff the normal form of (t, 0) has no term
+    there, and then its negated tail is a lift.
+    """
+    gens = _as_elements(gens)
+    r = gens[0].rank
+    positions = list(range(r, r + len(gens)))
+    gb = _augmented_basis(gens, order)
     out = []
-    for e in gb.elements:
-        if all(pos >= r for pos, _exp in e.terms):
-            out.append(e.project(list(range(r, r + s))))
+    for t in _as_elements(targets):
+        rem = gb.normal_form(FreeModuleElement(gb.nvars, gb.rank, t.terms))
+        if any(pos < r for pos, _exp in rem.terms):
+            out.append(None)
+        else:
+            out.append((-rem).project(positions).to_polys())
     return out
 
 

@@ -70,29 +70,24 @@ class LieAlgebra:
         prods = [self.bracket(a, b) for a in basis_a for b in basis_b]
         return linalg.row_space_basis([p for p in prods if any(p)])
 
+    def _series(self, derived, lower):
+        """Dimensions of g, [g,g] = derived, ... until 0 or a repeat; the next
+        term is [g, current] if lower (lower central series), else
+        [current, current] (derived series)."""
+        whole = linalg.identity(self.dim)
+        dims = [self.dim, len(derived)]
+        current = derived
+        while dims[-1] and dims[-1] != dims[-2]:
+            current = self._bracket_span(whole if lower else current, current)
+            dims.append(len(current))
+        return dims
+
     def derived_series(self):
         """Dimensions [dim D^0, dim D^1, ...] until 0 or a repeat."""
-        current = linalg.identity(self.dim)
-        dims = [self.dim]
-        while True:
-            nxt = self._bracket_span(current, current)
-            d = len(nxt)
-            dims.append(d)
-            if d == 0 or d == dims[-2]:
-                return dims
-            current = nxt
+        return self._series(self.derived_subalgebra_basis(), lower=False)
 
     def lower_central_series(self):
-        whole = linalg.identity(self.dim)
-        current = whole
-        dims = [self.dim]
-        while True:
-            nxt = self._bracket_span(whole, current)
-            d = len(nxt)
-            dims.append(d)
-            if d == 0 or d == dims[-2]:
-                return dims
-            current = nxt
+        return self._series(self.derived_subalgebra_basis(), lower=True)
 
     def is_solvable(self):
         chain = self.derived_series()
@@ -108,46 +103,56 @@ class LieAlgebra:
         return self._bracket_span(linalg.identity(self.dim), linalg.identity(self.dim))
 
     # -- Killing form ----------------------------------------------------
+    def _ads(self):
+        """ad(e_j) for each basis vector e_j."""
+        return [self.ad(col) for col in linalg.identity(self.dim)]
+
+    @staticmethod
+    def _killing(ads):
+        return [[linalg.trace(linalg.mat_mul(a, b)) for b in ads] for a in ads]
+
     def killing_matrix(self):
-        ads = [self.ad(col) for col in linalg.identity(self.dim)]
-        return [[linalg.trace(linalg.mat_mul(ads[i], ads[j])) for j in range(self.dim)]
-                for i in range(self.dim)]
+        return self._killing(self._ads())
 
     def killing_rank(self):
         return linalg.rank(self.killing_matrix())
 
     def radical(self):
         """(dimension, basis) of {x : kappa(x, [g,g]) = 0}."""
-        basis = self._killing_orthogonal_of_derived(self.killing_matrix())
+        basis = self._killing_orthogonal(self.killing_matrix(), self.derived_subalgebra_basis())
         return len(basis), basis
 
-    def _killing_orthogonal_of_derived(self, kappa):
-        rows = [linalg.mat_vec(kappa, b) for b in self.derived_subalgebra_basis()]
-        return linalg.kernel_basis(rows) if rows else linalg.identity(self.dim)
+    @staticmethod
+    def _killing_orthogonal(kappa, derived):
+        rows = [linalg.mat_vec(kappa, b) for b in derived]
+        return linalg.kernel_basis(rows) if rows else linalg.identity(len(kappa))
 
     def is_solvable_cartan(self):
         return self.radical()[0] == self.dim
 
-    def center_dim(self):
+    @staticmethod
+    def _center_dim(ads):
         # x central iff ad(e_j) applied to x is 0 for all j
-        stacked = []
-        for j in range(self.dim):
-            basis_vec = [Fraction(0)] * self.dim
-            basis_vec[j] = Fraction(1)
-            stacked.extend(self.ad(basis_vec))
-        return len(linalg.kernel_basis(stacked)) if stacked else self.dim
+        stacked = [row for a in ads for row in a]
+        return len(linalg.kernel_basis(stacked)) if stacked else len(ads)
+
+    def center_dim(self):
+        return self._center_dim(self._ads())
 
     def fingerprint(self):
-        derived = self.derived_series()
-        kappa = self.killing_matrix()
+        # the ad matrices and [g, g] are built once and shared
+        ads = self._ads()
+        derived = self.derived_subalgebra_basis()
+        kappa = self._killing(ads)
+        series = self._series(derived, lower=False)
         return {
             "dim": self.dim,
-            "derived_series": derived,
-            "lower_central_series": self.lower_central_series(),
+            "derived_series": series,
+            "lower_central_series": self._series(derived, lower=True),
             "killing_rank": linalg.rank(kappa),
-            "radical_dim": len(self._killing_orthogonal_of_derived(kappa)),
-            "center_dim": self.center_dim(),
-            "solvable": derived[-1] == 0,
+            "radical_dim": len(self._killing_orthogonal(kappa, derived)),
+            "center_dim": self._center_dim(ads),
+            "solvable": series[-1] == 0,
         }
 
     def to_json(self):
@@ -258,7 +263,7 @@ def _graded_nakayama(dm):
     kept, degrees, forms = [], [], []
     for c in seen:
         d = _module_degree(c, weights)
-        nf = gb.normal_form(c)[0]
+        nf = gb.normal_form(c)
         same = [f for f, e in zip(forms, degrees) if e == d]
         if _span_coordinates(same, nf) is None:
             kept.append(c)
@@ -298,7 +303,7 @@ def fibre_lie_algebra(dm, require_origin=True):
     brackets = {}
     for i in range(m):
         for j in range(i + 1, m):
-            nf = gb.normal_form(basis[i].bracket(basis[j]).to_vector())[0]
+            nf = gb.normal_form(basis[i].bracket(basis[j]).to_vector())
             d = degrees[i] + degrees[j]
             same = [k for k in range(m) if degrees[k] == d]
             sol = _span_coordinates([forms[k] for k in same], nf)

@@ -204,7 +204,7 @@ def analyze_singularity(spec, mode="tangent", series_depth=8):
     solvable = None
     basis_derivations = None
     if quasi and target.is_quasi_homogeneous():
-        fibre, basis_derivations = fibre_lie_algebra(dm)
+        fibre, basis_derivations = fibre_lie_algebra(dm, require_origin=logarithmic)
         fingerprint = fibre.fingerprint()
         solvable = fibre.is_solvable()
 
@@ -239,8 +239,10 @@ def analyze_singularity(spec, mode="tangent", series_depth=8):
         series = graded_report.series
         dimension = graded_report.dimension
         multiplicity = graded_report.multiplicity
-    elif fibre is not None and not solvable:
-        # m-adic length series through the Levi of the fibre acting on m/m^2
+    elif fibre is not None and not solvable and logarithmic:
+        # m-adic length series through the Levi of the fibre acting on m/m^2;
+        # that action needs fields vanishing at the origin.  A field that
+        # moves the origin makes a singular point non-isolated (below).
         cov = _sl2_covariant_path(fibre, basis_derivations, max(series_depth, 12))
         if cov is not None:
             dims, series = cov

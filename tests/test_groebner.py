@@ -7,7 +7,7 @@ import pytest
 
 from algebroids.errors import PreconditionError
 from algebroids.groebner import (FreeModuleElement, Ideal, TermOrder,
-                                 groebner_basis, module_span_contains,
+                                 groebner_basis, lifts, module_span_contains,
                                  modules_equal, syzygies)
 from algebroids.poly import Polynomial, parse_poly
 
@@ -46,7 +46,7 @@ def test_groebner_idempotent():
 
 def test_normal_form_and_membership():
     gb, _ = gb_polys([P("x^2 + y^2"), P("x*y")])
-    rem, _ = gb.normal_form(P("x^2"))
+    rem = gb.normal_form(P("x^2"))
     assert rem.to_poly() == P("-y^2")
     assert not gb.contains(FreeModuleElement.from_poly(P("x^2")))
     assert gb.contains(FreeModuleElement.from_poly(P("y^3")))
@@ -137,7 +137,7 @@ def test_colength_against_linear_algebra():
 
 
 def test_syzygies_koszul():
-    for f, g in [(P("x"), P("y")), (P("x^2 + 1"), P("y^3"))]:
+    for f, g in [(P("x"), P("y")), (P("x^2 + 1"), P("y^3")), (P("x"), P("x^2 - y"))]:
         syz = syzygies([f, g])
         for s in syz:
             polys = s.to_polys()
@@ -176,7 +176,7 @@ def test_ideal_power_and_product():
     assert m.power(0).is_unit()
 
 
-# -- the basis does not depend on pair order, tracking or generator order ----
+# -- lifts, and a basis independent of pair order and generator order ------
 
 XYZ = ("x", "y", "z")
 
@@ -225,26 +225,26 @@ MODULE_CASES = ([[FreeModuleElement.from_poly(parse_poly(s, XYZ))
 @pytest.mark.parametrize("module", ["top", "pot"])
 @pytest.mark.parametrize("gens", MODULE_CASES)
 def test_tracked_module_basis_reps_and_lift(gens, module):
+    # lifts of random members reproduce them; a random element is lifted
+    # exactly when the Groebner basis of the gens contains it
     order = TermOrder("grevlex", module=module)
-    gb = groebner_basis(gens, order, track=True)
-    assert len(gb.reps) == len(gb.elements)
-    for element, rep in zip(gb.elements, gb.reps):
-        assert combination(gens, rep.to_polys()) == element
     rng = random.Random(3)
     nvars = gens[0].nvars
-    for _ in range(3):
-        f = combination(gens, [random_poly(rng, nvars) for _ in gens])
-        lift = gb.lift(f)
+    members = [combination(gens, [random_poly(rng, nvars) for _ in gens]) for _ in range(3)]
+    for f, lift in zip(members, lifts(gens, members, order)):
         assert lift is not None
         assert combination(gens, lift) == f
-
-
-@pytest.mark.parametrize("module", ["top", "pot"])
-@pytest.mark.parametrize("gens", MODULE_CASES)
-def test_tracking_leaves_elements_unchanged(gens, module):
-    order = TermOrder("grevlex", module=module)
-    assert (groebner_basis(gens, order, track=True).elements
-            == groebner_basis(gens, order).elements)
+    gb = groebner_basis(gens, order)
+    others = [FreeModuleElement.from_polys([random_poly(rng, nvars, terms=2)
+                                            for _ in range(gens[0].rank)])
+              for _ in range(6)]
+    others += [g + other for g, other in zip(gens, others)]
+    found = lifts(gens, others, order)
+    assert any(lift is None for lift in found)
+    for f, lift in zip(others, found):
+        assert (lift is not None) == gb.contains(f)
+        if lift is not None:
+            assert combination(gens, lift) == f
 
 
 @pytest.mark.parametrize("module", ["top", "pot"])

@@ -243,6 +243,20 @@ def test_cli_sl2_check(capsys):
     assert obj["half_factor_confirmed"] is False
 
 
+@pytest.mark.parametrize("text", ["vars: x, y, z\nideal: x*y\n",
+                                  "vars: x, y, z, w\nideal: x^2 + y*z\n"],
+                         ids=["xy", "quadric4"])
+def test_cli_analyze_field_moving_origin(tmp_path, capsys, text):
+    # d/dz resp. d/dw is tangent and does not vanish at the origin: the
+    # report says so instead of aborting, and certifies no series
+    path = write(tmp_path, "moving.txt", text)
+    assert main(["analyze", path, "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["logarithmic_at_origin"] is False
+    assert "series" not in obj
+    assert obj["series_note"] == "series out of scope (non-isolated)"
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = write(tmp_path, "bad.txt", "vars x y\n")
     assert main(["analyze", bad]) == 2
