@@ -3,7 +3,7 @@ series of monomial ideals, J-adic graded pieces, and dimension/multiplicity
 extraction from rational series."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .derivations import minimal_monomials, monomialize
 from .errors import PreconditionError
@@ -109,7 +109,7 @@ def equivariant_series_monomial(ideal, bound=12):
 
 
 class GradedPieceReport:
-    """Dimensions of J^i M / J^{i+1} M with a reconstructed series and the
+    """Dimensions of J^i / J^{i+1} with a reconstructed series and the
     (dimension, multiplicity) pair of the cumulative quasi-polynomial."""
 
     __slots__ = ("dims", "series", "quasi", "cumulative", "dimension",
@@ -142,32 +142,40 @@ class GradedPieceReport:
 
 
 def graded_pieces_series(j_ideal, m_spec="ring", depth=8, solvable_certificate=False):
-    """Series of the J-adic associated graded module sum dim(J^i M/J^{i+1} M) t^i.
+    """Series of the J-adic associated graded ring sum dim(J^i/J^{i+1}) t^i.
 
-    m_spec is "ring" for M = A or an Ideal for M an ideal of A.  Dimensions are
-    exact vector-space dimensions; they equal lengths under a solvability
-    certificate, otherwise the report carries a caveat.
+    m_spec must be "ring" (M = A).  When J is quasi-homogeneous, m-primary
+    and has exactly n = nvars minimal generators, they form a regular
+    sequence (height n = number of forms in a Cohen-Macaulay ring), so
+    gr_J(A) = (A/J)[y_1..y_n] (Matsumura, Thm 16.2) and the dims are proved:
+    l(A/J) C(i+n-1, n-1), with no power of J built.  Otherwise the dims are
+    colength differences of J^0..J^{depth+1} and the series is fitted to
+    them against (1-t)^mu, mu the minimal number of generators.  Dimensions
+    are exact vector-space dimensions; they equal lengths under a
+    solvability certificate, otherwise the report carries a caveat.
     """
-    if j_ideal.colength() is None:
+    if m_spec != "ring":
+        raise PreconditionError("only M = A is supported")
+    colength = j_ideal.colength()
+    if colength is None:
         raise PreconditionError("J not m-primary")
     minimal = j_ideal.minimal_generators()
     mu = len(minimal)
-    j_min = Ideal(j_ideal.nvars, minimal, j_ideal.weights)
-    dims = []
-    if m_spec == "ring":
-        modules = [j_min.power(i) for i in range(depth + 2)]
+    n = j_ideal.nvars
+    if mu == n and j_ideal.is_quasi_homogeneous():
+        counts = [colength * comb(i + n - 1, n - 1) for i in range(depth + 1)]
     else:
-        modules = [j_min.power(i).product(m_spec) for i in range(depth + 2)]
-    colengths = []
-    for mod in modules:
-        c = 0 if mod.is_unit() else mod.colength()
-        if c is None:
-            raise PreconditionError("J not m-primary")
-        colengths.append(c)
-    for i in range(depth + 1):
-        dims.append((i, colengths[i + 1] - colengths[i]))
-    prefix = SeriesPrefix([d for _i, d in dims])
-    series = reconstruct_rational(prefix, [(1, mu)])
+        j_min = Ideal(n, minimal, j_ideal.weights)
+        colengths = []
+        for i in range(depth + 2):
+            power = j_min.power(i)
+            c = 0 if power.is_unit() else power.colength()
+            if c is None:
+                raise PreconditionError("J not m-primary")
+            colengths.append(c)
+        counts = [b - a for a, b in zip(colengths, colengths[1:])]
+    dims = list(enumerate(counts))
+    series = reconstruct_rational(SeriesPrefix(counts), [(1, mu)])
     quasi = quasi_polynomial_of(series)
     cumulative = cumulative_quasi_polynomial(series)
     d, e = dimension_multiplicity(series)

@@ -86,18 +86,12 @@ class LieAlgebra:
         """Dimensions [dim D^0, dim D^1, ...] until 0 or a repeat."""
         return self._series(self.derived_subalgebra_basis(), lower=False)
 
-    def lower_central_series(self):
-        return self._series(self.derived_subalgebra_basis(), lower=True)
-
     def is_solvable(self):
         chain = self.derived_series()
         solvable = chain[-1] == 0
         if solvable != self.is_solvable_cartan():
             raise InconsistencyError("derived series and Cartan criterion disagree")
         return solvable
-
-    def is_nilpotent(self):
-        return self.lower_central_series()[-1] == 0
 
     def derived_subalgebra_basis(self):
         return self._bracket_span(linalg.identity(self.dim), linalg.identity(self.dim))

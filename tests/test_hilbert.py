@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from algebroids.derivations import jacobian_ideal
 from algebroids.errors import PreconditionError
 from algebroids.groebner import Ideal
 from algebroids.hilbert import (dimension_multiplicity,
@@ -120,6 +121,66 @@ def test_graded_pieces_round_trip():
         if i <= 6:
             assert expansion[i] == d
             assert report.quasi(i) == d or i < report.quasi.threshold
+
+
+def _power_dims(j, depth):
+    """dim J^i/J^{i+1} for i <= depth from the colengths of the powers of J:
+    the route that does not rest on J being a complete intersection."""
+    j = Ideal(j.nvars, j.minimal_generators(), j.weights)
+    colengths = [0] + [j.power(i).colength() for i in range(1, depth + 2)]
+    return [b - a for a, b in zip(colengths, colengths[1:])]
+
+
+def _ideal(gens, weights, order):
+    """The ideal of gens (text in x, y, z) with the variables in the given
+    order; weights are keyed by variable name."""
+    return Ideal(len(order), [P(g, order) for g in gens], [weights[v] for v in order])
+
+
+# Jacobian ideals of isolated singularities, each with its weights, and
+# complete intersections with a redundant or a linear generator
+COMPLETE_INTERSECTIONS = {
+    "D4": (None, "x^2*y + y^3", {"x": 1, "y": 1}),
+    "E6": (None, "x^2 + y^3 + z^4", {"x": 6, "y": 4, "z": 3}),
+    "E7": (None, "x^2 + y^3 + y*z^3", {"x": 9, "y": 6, "z": 4}),
+    "E8": (None, "x^2 + y^3 + z^5", {"x": 15, "y": 10, "z": 6}),
+    "fermat": (None, "x^3 + y^3 + z^3", {"x": 1, "y": 1, "z": 1}),
+    "cusp": (["x^2", "y"], None, {"x": 1, "y": 1}),
+    "maximal": (["x", "y", "z"], None, {"x": 1, "y": 1, "z": 1}),
+    "redundant": (["x^2", "y", "x^2 + y"], None, {"x": 1, "y": 2}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPLETE_INTERSECTIONS))
+def test_graded_pieces_complete_intersection_matches_powers(name):
+    gens, f, weights = COMPLETE_INTERSECTIONS[name]
+    names = "".join(weights)
+    for order in (names, names[::-1]):
+        if f is not None:
+            j = jacobian_ideal(_ideal([f], weights, order))
+        else:
+            j = _ideal(gens, weights, order)
+        assert len(j.minimal_generators()) == len(order)
+        report = graded_pieces_series(j, "ring", depth=6)
+        assert [d for _, d in report.dims] == _power_dims(j, 6)
+        assert report.series == RationalSeries([j.colength()], [(1, len(order))])
+
+
+def test_graded_pieces_more_generators_than_variables():
+    # (x^2, xy, y^2) = m^2 needs three generators in two variables: it is not
+    # a complete intersection and its pieces grow as 4i + 3, not 3(i + 1)
+    for order in ("xy", "yx"):
+        j = _ideal(["x^2", "x*y", "y^2"], {"x": 1, "y": 1}, order)
+        report = graded_pieces_series(j, "ring", depth=6)
+        dims = [d for _, d in report.dims]
+        assert dims == _power_dims(j, 6) == [4 * i + 3 for i in range(7)]
+        assert report.series.expand(6).as_ints() == dims
+
+
+def test_graded_pieces_rejects_module():
+    j = Ideal(2, [P("x", "xy"), P("y", "xy")])
+    with pytest.raises(PreconditionError):
+        graded_pieces_series(j, j)
 
 
 def test_graded_pieces_requires_primary():

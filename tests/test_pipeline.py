@@ -10,10 +10,12 @@ from algebroids import linalg
 from algebroids.cli import main
 from algebroids.derivations import tangent_derivations
 from algebroids.errors import ParseError, PreconditionError
+from algebroids.groebner import Ideal
 from algebroids.liealg import fibre_lie_algebra
 from algebroids.pipeline import (_levi_action, _sl2_covariant_path,
                                  analyze_singularity, analyze_toral,
                                  covariants_report, parse_input)
+from algebroids.poly import Polynomial
 from algebroids.repmod import polarize, sl2_isotypic, sym_power_basis
 from algebroids.series import RationalSeries
 
@@ -173,6 +175,21 @@ def test_toral_maximal_ideal():
     fp = report.fingerprint
     assert fp["dim"] == 4 and fp["derived_series"] == [4, 3, 3]
     assert report.series == RationalSeries([1], [(1, 2)])
+
+
+@pytest.mark.parametrize("text", ["vars: x, y\nideal: x; y\n",
+                                  "vars: x, y\nideal: x^2*y^3\n",
+                                  "vars: x, y, z\nideal: x*y*z\n"])
+def test_toral_series_matches_powers_of_maximal_ideal(text):
+    # with r = nvars the (r, 1) series is that of gr_m(A): compare it with
+    # the colengths of the powers of m, built independently
+    report = analyze_toral(parse_input(text))
+    n = len(report.varnames)
+    assert report.v_dimension == n
+    m = Ideal(n, [Polynomial.variable(n, i) for i in range(n)])
+    colengths = [0] + [m.power(i).colength() for i in range(1, 7)]
+    want = [b - a for a, b in zip(colengths, colengths[1:])]
+    assert report.series.expand(5).as_ints() == want
 
 
 def test_toral_rejects_non_monomial():
