@@ -352,13 +352,15 @@ def groebner_basis(gens, order):
 class Ideal:
     """Ideal of Q[x1..xn] with a weight vector for quasi-homogeneous work."""
 
-    __slots__ = ("nvars", "weights", "gens", "_gb")
+    __slots__ = ("nvars", "weights", "gens", "_gb", "_memo")
 
     def __init__(self, nvars, gens, weights=None):
         self.nvars = nvars
         self.weights = tuple(weights) if weights else (1,) * nvars
         self.gens = [g for g in gens if not g.is_zero()]
         self._gb = {}
+        # colength and minimal generators; gens is never mutated after this
+        self._memo = {}
 
     def default_order(self):
         if all(w == 1 for w in self.weights):
@@ -442,11 +444,15 @@ class Ideal:
 
     def colength(self):
         """Number of standard monomials, or None when infinite."""
-        sm = self.standard_monomials()
-        return None if sm is None else len(sm)
+        if "colength" not in self._memo:
+            sm = self.standard_monomials()
+            self._memo["colength"] = None if sm is None else len(sm)
+        return self._memo["colength"]
 
     def minimal_generators(self):
         """Prune generators lying in the ideal of the others (graded case exact)."""
+        if "minimal_generators" in self._memo:
+            return list(self._memo["minimal_generators"])
         kept = []
         remaining = list(self.gens)
         # examine generators from low degree upward
@@ -455,6 +461,7 @@ class Ideal:
             others = kept + remaining[i + 1 :]
             if not others or not Ideal(self.nvars, others, self.weights).contains(g):
                 kept.append(g)
+        self._memo["minimal_generators"] = tuple(kept)
         return kept
 
     def __add__(self, other):

@@ -16,32 +16,41 @@ from .series import partitions_in_rectangle
 class MatrixRep:
     """Action matrices rho(e_i), one per basis element of the algebra.
 
-    Bracket compatibility rho([x,y]) = [rho(x), rho(y)] is validated exactly
-    on construction.
+    Bracket compatibility rho([x,y]) = [rho(x), rho(y)] is checked exactly on
+    construction, on the sparse rows of the matrices.
     """
 
     __slots__ = ("algebra", "dim", "matrices")
 
-    def __init__(self, algebra, matrices, check=True):
+    def __init__(self, algebra, matrices):
         if len(matrices) != algebra.dim:
             raise ValueError("need one matrix per basis element")
         self.algebra = algebra
-        self.matrices = [[[Fraction(c) for c in row] for row in m] for m in matrices]
+        self.matrices = [[[c if type(c) is Fraction else Fraction(c) for c in row] for row in m]
+                         for m in matrices]
         self.dim = len(self.matrices[0]) if self.matrices else 0
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
+        # rows[k][r] = {col: entry} over the nonzero entries of row r of rho(e_k)
+        rows = [[{col: c for col, c in enumerate(row) if c} for row in m] for m in self.matrices]
         for i in range(self.algebra.dim):
             for j in range(i + 1, self.algebra.dim):
-                comm = linalg.mat_sub(linalg.mat_mul(self.matrices[i], self.matrices[j]),
-                                      linalg.mat_mul(self.matrices[j], self.matrices[i]))
-                expected = linalg.zeros(self.dim, self.dim)
-                for k, c in enumerate(self.algebra.basis_bracket(i, j)):
-                    if c:
-                        expected = linalg.mat_add(expected, linalg.mat_scale(self.matrices[k], c))
-                if comm != expected:
-                    raise AlgebroidError("matrices do not represent the bracket")
+                terms = [(rows[k], c) for k, c in enumerate(self.algebra.basis_bracket(i, j)) if c]
+                for r in range(self.dim):
+                    # row r of rho_i rho_j - rho_j rho_i - sum_k c_ij^k rho_k
+                    residual = {}
+                    for mid, a in rows[i][r].items():
+                        for col, b in rows[j][mid].items():
+                            residual[col] = residual.get(col, 0) + a * b
+                    for mid, a in rows[j][r].items():
+                        for col, b in rows[i][mid].items():
+                            residual[col] = residual.get(col, 0) - a * b
+                    for rho_k, c in terms:
+                        for col, b in rho_k[r].items():
+                            residual[col] = residual.get(col, 0) - c * b
+                    if any(residual.values()):
+                        raise AlgebroidError("matrices do not represent the bracket")
 
     def act(self, index, vec):
         return linalg.mat_vec(self.matrices[index], vec)

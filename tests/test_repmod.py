@@ -8,7 +8,7 @@ import pytest
 
 from algebroids import linalg
 from algebroids.errors import AlgebroidError, PreconditionError
-from algebroids.liealg import gl2, sl2
+from algebroids.liealg import gl2, lie_algebra_from_matrices, sl2
 from algebroids.repmod import (MatrixRep, binary_form_rep, cayley_sylvester,
                                covariant_dimension, decompose_sl2,
                                direct_sum_rep, invariants_dimension,
@@ -26,6 +26,77 @@ def test_matrix_rep_validation():
     bad = [linalg.identity(2) for _ in range(3)]
     with pytest.raises(AlgebroidError):
         MatrixRep(g, bad)
+
+
+def s6v3():
+    rep = sym_power_rep(binary_form_rep(3), 6)
+    assert rep.dim == 84
+    return rep
+
+
+def transposed(m):
+    return [list(col) for col in zip(*m)]
+
+
+def test_validation_accepts_s6v3_and_its_dual():
+    rep = s6v3()
+    MatrixRep(rep.algebra, rep.matrices)
+    # the dual -rho^T is a representation; rho^T is not, which pins the
+    # order of the products in the check
+    MatrixRep(rep.algebra, [linalg.mat_scale(transposed(m), -1) for m in rep.matrices])
+    with pytest.raises(AlgebroidError, match="do not represent the bracket"):
+        MatrixRep(rep.algebra, [transposed(m) for m in rep.matrices])
+
+
+def test_validation_rejects_negated_rep():
+    rep = s6v3()
+    with pytest.raises(AlgebroidError, match="do not represent the bracket"):
+        MatrixRep(rep.algebra, [linalg.mat_scale(m, -1) for m in rep.matrices])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_validation_rejects_one_flipped_entry(k):
+    rep = s6v3()
+    mats = [[list(row) for row in m] for m in rep.matrices]
+    m = mats[k]
+    n = rep.dim
+    if k == 0:
+        # H is diagonal: switch on an entry between two vectors of one weight,
+        # which leaves every diagonal entry of every residual zero
+        a, b = next((a, b) for a in range(n) for b in range(n)
+                    if a != b and m[a][a] == m[b][b])
+        m[a][b] = F(1)
+    else:
+        a, b = next((a, b) for a in range(n) for b in range(n) if a != b and m[a][b])
+        m[a][b] = -m[a][b]
+    with pytest.raises(AlgebroidError, match="do not represent the bracket"):
+        MatrixRep(rep.algebra, mats)
+
+
+def test_validation_with_several_structure_constants():
+    v3 = binary_form_rep(3)
+    change = [[F(1), F(1), F(0)], [Fraction(1, 2), F(0), F(-1)], [F(0), F(2), F(3)]]
+    mats = [linalg.mat_add(linalg.mat_add(linalg.mat_scale(v3.matrices[0], row[0]),
+                                          linalg.mat_scale(v3.matrices[1], row[1])),
+                           linalg.mat_scale(v3.matrices[2], row[2]))
+            for row in change]
+    g = lie_algebra_from_matrices(mats)
+    assert all(sum(1 for c in g.basis_bracket(i, j) if c) >= 2
+               for i, j in [(0, 1), (0, 2), (1, 2)])
+    rep = sym_power_rep(MatrixRep(g, mats), 6)
+    assert rep.dim == 84
+    with pytest.raises(AlgebroidError, match="do not represent the bracket"):
+        MatrixRep(sl2(), rep.matrices)
+
+
+def test_int_entries_become_fractions():
+    rep = binary_form_rep(3)
+    ints = [[[int(c) for c in row] for row in m] for m in rep.matrices]
+    again = MatrixRep(rep.algebra, ints)
+    assert again.matrices == rep.matrices
+    assert all(type(c) is Fraction for m in again.matrices for row in m for c in row)
+    # entries that already are Fractions are kept, not re-wrapped
+    assert MatrixRep(rep.algebra, rep.matrices).matrices[0][0][0] is rep.matrices[0][0][0]
 
 
 def test_binary_form_rep_weights():
