@@ -3,12 +3,11 @@ quasi-homogeneity detection, and monomial-ideal extraction."""
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 
 from . import linalg
 from .errors import PreconditionError
-from .groebner import (FreeModuleElement, Ideal, TermOrder,
-                       module_span_contains, modules_equal, syzygies)
+from .groebner import (FreeModuleElement, Ideal, TermOrder, groebner_basis,
+                       modules_equal, syzygies)
 from .poly import Polynomial, default_varnames, format_poly
 
 
@@ -94,13 +93,14 @@ class Derivation:
 class DerivationModule:
     """Finite generating set of derivations preserving a given ideal."""
 
-    __slots__ = ("nvars", "weights", "generators", "ideal")
+    __slots__ = ("nvars", "weights", "generators", "ideal", "_gb")
 
     def __init__(self, generators, ideal, verify=True):
         self.generators = [g for g in generators if not g.is_zero()]
         self.ideal = ideal
         self.nvars = ideal.nvars
         self.weights = ideal.weights
+        self._gb = None  # module Groebner basis, built on the first contains
         if verify:
             for delta in self.generators:
                 for f in ideal.gens:
@@ -116,7 +116,11 @@ class DerivationModule:
         return TermOrder("wgrevlex", self.weights, module="top")
 
     def contains(self, delta):
-        return module_span_contains(self.vectors(), delta.to_vector(), self.module_order())
+        if not self.generators:
+            return delta.is_zero()
+        if self._gb is None:
+            self._gb = groebner_basis(self.vectors(), self.module_order())
+        return self._gb.contains(delta.to_vector())
 
     def equals_generators(self, other_derivations):
         return modules_equal(self.vectors(), [d.to_vector() for d in other_derivations],
@@ -183,7 +187,7 @@ def krull_dimension(ideal):
     return 0
 
 
-def jacobian_ideal(ideal, height=None):
+def jacobian_ideal(ideal):
     """I plus all r x r minors of the Jacobian matrix, r = height of I.
 
     For a principal ideal this is the Tjurina ideal (f, df/dx_1, ...).
@@ -193,8 +197,7 @@ def jacobian_ideal(ideal, height=None):
     n = ideal.nvars
     fs = ideal.gens
     s = len(fs)
-    if height is None:
-        height = n - krull_dimension(ideal)
+    height = n - krull_dimension(ideal)
     if height < 1 or height > min(n, s):
         raise PreconditionError("height undetermined")
     jac = [[f.diff(i) for i in range(n)] for f in fs]  # s x n
@@ -223,9 +226,12 @@ def tjurina_ideal(f, weights=None):
     return Ideal(n, [f] + [f.diff(i) for i in range(n)], weights)
 
 
-def quasi_homogeneous_weights(f, max_degree=100):
-    """Positive integer weights w (gcd 1) and degree d with f quasi-homogeneous,
-    minimizing d; None when no positive solution exists."""
+def quasi_homogeneous_weights(f):
+    """Positive integer weights w (gcd 1) and degree d <= 100 with f
+    quasi-homogeneous, minimizing d; None when no positive solution exists.
+
+    The first feasible d has gcd(w, d) = 1: a common factor g would make
+    d/g feasible with w/g, and d/g was tried first."""
     if f.is_zero():
         raise PreconditionError("zero polynomial")
     n = f.nvars
@@ -235,11 +241,9 @@ def quasi_homogeneous_weights(f, max_degree=100):
         return None
     if f.is_homogeneous():
         return (1,) * n, f.degree()
-    for d in range(1, max_degree + 1):
+    for d in range(1, 101):
         sol = _positive_weight_solution(exps, used, n, d)
         if sol is not None:
-            if gcd(*sol, d) != 1:
-                continue
             return sol, d
     return None
 
@@ -307,8 +311,9 @@ def monomialize(ideal):
     monos = set()
     for g in ideal.gens:
         monos.update(g.terms)
-    minimal = minimal_monomials(monos)
-    candidate = Ideal(n, [Polynomial.monomial(n, e) for e in minimal], ideal.weights)
-    if candidate.equals(ideal):
-        return [Polynomial.monomial(n, e) for e in minimal]
+    # every term of every generator is divisible by a minimal monomial, so
+    # the ideal lies in the candidate and only the converse needs a check
+    candidate = [Polynomial.monomial(n, e) for e in minimal_monomials(monos)]
+    if all(ideal.contains(g) for g in candidate):
+        return candidate
     return None

@@ -464,9 +464,6 @@ class Ideal:
         self._memo["minimal_generators"] = tuple(kept)
         return kept
 
-    def __add__(self, other):
-        return Ideal(self.nvars, self.gens + other.gens, self.weights)
-
     def product(self, other):
         gens = [a * b for a in self.gens for b in other.gens]
         return Ideal(self.nvars, gens, self.weights)
@@ -542,16 +539,6 @@ def lifts(gens, targets, order):
         else:
             out.append((-rem).project(positions).to_polys())
     return out
-
-
-def module_span_contains(gens, element, order=None):
-    """Whether element lies in the submodule generated by gens."""
-    items = [g for g in gens if not g.is_zero()]
-    if not items:
-        return element.is_zero()
-    order = order or TermOrder("grevlex", module="top")
-    gb = groebner_basis(items, order)
-    return gb.contains(element)
 
 
 def modules_equal(gens_a, gens_b, order=None):

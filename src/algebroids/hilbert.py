@@ -112,15 +112,14 @@ class GradedPieceReport:
     """Dimensions of J^i / J^{i+1} with a reconstructed series and the
     (dimension, multiplicity) pair of the cumulative quasi-polynomial."""
 
-    __slots__ = ("dims", "series", "quasi", "cumulative", "dimension",
-                 "multiplicity", "lengths_certified", "caveat")
+    __slots__ = ("dims", "series", "quasi", "dimension", "multiplicity",
+                 "lengths_certified", "caveat")
 
-    def __init__(self, dims, series, quasi, cumulative, dimension, multiplicity,
+    def __init__(self, dims, series, quasi, dimension, multiplicity,
                  lengths_certified, caveat):
         self.dims = dims
         self.series = series
         self.quasi = quasi
-        self.cumulative = cumulative
         self.dimension = dimension
         self.multiplicity = multiplicity
         self.lengths_certified = lengths_certified
@@ -177,11 +176,9 @@ def graded_pieces_series(j_ideal, m_spec="ring", depth=8, solvable_certificate=F
     dims = list(enumerate(counts))
     series = reconstruct_rational(SeriesPrefix(counts), [(1, mu)])
     quasi = quasi_polynomial_of(series)
-    cumulative = cumulative_quasi_polynomial(series)
     d, e = dimension_multiplicity(series)
     caveat = None if solvable_certificate else "lengths reported as dimensions; requires solvable fibre"
-    return GradedPieceReport(dims, series, quasi, cumulative, d, e,
-                             solvable_certificate, caveat)
+    return GradedPieceReport(dims, series, quasi, d, e, solvable_certificate, caveat)
 
 
 def dimension_multiplicity(rs):

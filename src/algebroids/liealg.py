@@ -82,16 +82,8 @@ class LieAlgebra:
             dims.append(len(current))
         return dims
 
-    def derived_series(self):
-        """Dimensions [dim D^0, dim D^1, ...] until 0 or a repeat."""
-        return self._series(self.derived_subalgebra_basis(), lower=False)
-
     def is_solvable(self):
-        chain = self.derived_series()
-        solvable = chain[-1] == 0
-        if solvable != self.is_solvable_cartan():
-            raise InconsistencyError("derived series and Cartan criterion disagree")
-        return solvable
+        return self.fingerprint()["solvable"]
 
     def derived_subalgebra_basis(self):
         return self._bracket_span(linalg.identity(self.dim), linalg.identity(self.dim))
@@ -108,45 +100,30 @@ class LieAlgebra:
     def killing_matrix(self):
         return self._killing(self._ads())
 
-    def killing_rank(self):
-        return linalg.rank(self.killing_matrix())
-
-    def radical(self):
-        """(dimension, basis) of {x : kappa(x, [g,g]) = 0}."""
-        basis = self._killing_orthogonal(self.killing_matrix(), self.derived_subalgebra_basis())
-        return len(basis), basis
-
-    @staticmethod
-    def _killing_orthogonal(kappa, derived):
-        rows = [linalg.mat_vec(kappa, b) for b in derived]
-        return linalg.kernel_basis(rows) if rows else linalg.identity(len(kappa))
-
-    def is_solvable_cartan(self):
-        return self.radical()[0] == self.dim
-
-    @staticmethod
-    def _center_dim(ads):
-        # x central iff ad(e_j) applied to x is 0 for all j
-        stacked = [row for a in ads for row in a]
-        return len(linalg.kernel_basis(stacked)) if stacked else len(ads)
-
-    def center_dim(self):
-        return self._center_dim(self._ads())
-
     def fingerprint(self):
+        """Invariants of the algebra; solvability is certified twice, by the
+        derived series and by Cartan's criterion (radical = {x : kappa(x,
+        [g, g]) = 0} is everything)."""
         # the ad matrices and [g, g] are built once and shared
         ads = self._ads()
         derived = self.derived_subalgebra_basis()
         kappa = self._killing(ads)
         series = self._series(derived, lower=False)
+        rows = [linalg.mat_vec(kappa, b) for b in derived]
+        radical_dim = len(linalg.kernel_basis(rows)) if rows else self.dim
+        solvable = series[-1] == 0
+        if solvable != (radical_dim == self.dim):
+            raise InconsistencyError("derived series and Cartan criterion disagree")
+        # x is central iff ad(e_j) x = 0 for every j
+        stacked = [row for a in ads for row in a]
         return {
             "dim": self.dim,
             "derived_series": series,
             "lower_central_series": self._series(derived, lower=True),
             "killing_rank": linalg.rank(kappa),
-            "radical_dim": len(self._killing_orthogonal(kappa, derived)),
-            "center_dim": self._center_dim(ads),
-            "solvable": series[-1] == 0,
+            "radical_dim": radical_dim,
+            "center_dim": len(linalg.kernel_basis(stacked)) if stacked else self.dim,
+            "solvable": solvable,
         }
 
     def to_json(self):

@@ -91,8 +91,8 @@ class SingularityReport:
     __slots__ = ("varnames", "gens", "weights", "quasi_homogeneous", "mode",
                  "tangent_generators", "logarithmic_at_origin",
                  "jacobian_gens", "colength", "isolated", "fibre",
-                 "fingerprint", "solvable", "oracle_checks", "graded_report",
-                 "series", "series_note", "dimension", "multiplicity")
+                 "fingerprint", "solvable", "oracle_checks", "series",
+                 "series_note", "dimension", "multiplicity")
 
     def __init__(self, **kw):
         for slot in self.__slots__:
@@ -149,7 +149,7 @@ def _levi_action(algebra, basis_derivations):
     if len(derived) != 3:
         return None
     sub = span_lie_algebra(derived, lambda a, b: algebra.bracket(derived[a], derived[b]))
-    if sub.killing_rank() != 3:
+    if linalg.rank(sub.killing_matrix()) != 3:
         return None
     nvars = basis_derivations[0].nvars
     mats = []
@@ -208,7 +208,7 @@ def analyze_singularity(spec, mode="tangent", series_depth=8):
     if quasi and target.is_quasi_homogeneous():
         fibre, basis_derivations = fibre_lie_algebra(dm, require_origin=logarithmic)
         fingerprint = fibre.fingerprint()
-        solvable = fibre.is_solvable()
+        solvable = fingerprint["solvable"]
 
     oracle_checks = {}
     if solvable is not None:
@@ -232,15 +232,14 @@ def analyze_singularity(spec, mode="tangent", series_depth=8):
 
     series = None
     series_note = None
-    graded_report = None
     dimension = None
     multiplicity = None
     if solvable and isolated:
-        graded_report = graded_pieces_series(jac, "ring", depth=series_depth,
-                                             solvable_certificate=True)
-        series = graded_report.series
-        dimension = graded_report.dimension
-        multiplicity = graded_report.multiplicity
+        graded = graded_pieces_series(jac, "ring", depth=series_depth,
+                                      solvable_certificate=True)
+        series = graded.series
+        dimension = graded.dimension
+        multiplicity = graded.multiplicity
     elif fibre is not None and not solvable and logarithmic:
         # m-adic length series through the Levi of the fibre acting on m/m^2;
         # that action needs fields vanishing at the origin.  A field that
@@ -267,9 +266,8 @@ def analyze_singularity(spec, mode="tangent", series_depth=8):
         tangent_generators=dm.generators, logarithmic_at_origin=logarithmic,
         jacobian_gens=jac.minimal_generators(), colength=colength,
         isolated=isolated, fibre=fibre, fingerprint=fingerprint,
-        solvable=solvable, oracle_checks=oracle_checks,
-        graded_report=graded_report, series=series, series_note=series_note,
-        dimension=dimension, multiplicity=multiplicity)
+        solvable=solvable, oracle_checks=oracle_checks, series=series,
+        series_note=series_note, dimension=dimension, multiplicity=multiplicity)
 
 
 class ToralReport:
@@ -360,14 +358,14 @@ class CovariantReport:
         return out
 
 
-def covariants_report(d, depth, denominator=None):
+def covariants_report(d, depth):
     """Series of the covariant algebra of binary forms of degree d."""
     from .repmod import covariant_dimension
 
     if d > 6 or depth > 40:
         raise PreconditionError("desk scale exceeded (d <= 6, N <= 40)")
     dims = [covariant_dimension(n, d) for n in range(depth + 1)]
-    factors = denominator if denominator is not None else COVARIANT_DENOMINATORS.get(d)
+    factors = COVARIANT_DENOMINATORS.get(d)
     series = None
     quasi = None
     dim = mult = None

@@ -58,9 +58,6 @@ class Polynomial:
     def is_constant(self):
         return all(all(e == 0 for e in exp) for exp in self.terms)
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, Fraction(0))
 

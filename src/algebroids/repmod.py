@@ -52,9 +52,6 @@ class MatrixRep:
                     if any(residual.values()):
                         raise AlgebroidError("matrices do not represent the bracket")
 
-    def act(self, index, vec):
-        return linalg.mat_vec(self.matrices[index], vec)
-
     def __repr__(self):
         return f"MatrixRep(algebra dim {self.algebra.dim}, module dim {self.dim})"
 
@@ -168,40 +165,26 @@ def invariants_dimension(rep, nil):
 
 
 def weight_space_dims(h):
-    """Integer eigenvalue -> dim ker(H - e), with a diagonalizability check.
-
-    A diagonal H is read off directly; any other H is scanned by ranks."""
+    """Integer eigenvalue -> multiplicity of a diagonal H, read off the
+    diagonal; None when H is not diagonal."""
     n = len(h)
-    if all(not h[i][j] for i in range(n) for j in range(n) if i != j):
-        dims = {}
-        for i in range(n):
-            e = h[i][i]
-            if e.denominator != 1:
-                raise PreconditionError("H not rationally diagonalizable")
-            dims[int(e)] = dims.get(int(e), 0) + 1
-        return dict(sorted(dims.items()))
-    bound = 0
-    for row in h:
-        s = sum(abs(c) for c in row)
-        if s > bound:
-            bound = s
-    bound = int(bound) + 1
+    if any(h[i][j] for i in range(n) for j in range(n) if i != j):
+        return None
     dims = {}
-    total = 0
-    for e in range(-bound, bound + 1):
-        shifted = [[h[i][j] - (e if i == j else 0) for j in range(n)] for i in range(n)]
-        k = n - linalg.rank(shifted)
-        if k:
-            dims[e] = k
-            total += k
-    if total != n:
-        raise PreconditionError("H not rationally diagonalizable")
-    return dims
+    for i in range(n):
+        e = h[i][i]
+        if e.denominator != 1:
+            raise PreconditionError("H not rationally diagonalizable")
+        dims[int(e)] = dims.get(int(e), 0) + 1
+    return dict(sorted(dims.items()))
 
 
 def decompose_sl2(rep):
-    """Multiset {highest weight e: multiplicity} via weight-space dimensions."""
+    """Multiset {highest weight e: multiplicity}: weight-space dimensions
+    when H = rho(e_1) is diagonal, the Casimir (sl2_isotypic) otherwise."""
     dims = weight_space_dims(rep.matrices[0])
+    if dims is None:
+        return sl2_isotypic(rep)
     mults = {}
     for e in sorted(dims):
         if e < 0:

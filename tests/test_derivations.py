@@ -1,10 +1,12 @@
 """Tangential derivation modules, Jacobian ideals, weights, monomialization."""
 
 import random
+import sys
 
 from algebroids.derivations import (Derivation, jacobian_ideal, monomialize,
                                     quasi_homogeneous_weights,
                                     tangent_derivations, tjurina_ideal)
+from algebroids import groebner
 from algebroids.groebner import Ideal
 from algebroids.poly import Polynomial, parse_poly
 from algebroids import linalg
@@ -125,6 +127,40 @@ def test_contains_derivation_examples():
     assert dm2.contains(x_dx)
     linear = Ideal(3, [Polynomial.variable(3, 0), Polynomial.variable(3, 1)])
     assert tangent_derivations(linear).contains(Derivation.partial(3, 2))
+
+
+def count_bases(monkeypatch):
+    """Wrap groebner_basis in every module of the package that holds it;
+    returns the list that records one entry per call."""
+    calls = []
+    original = groebner.groebner_basis
+
+    def counted(gens, order):
+        calls.append(order)
+        return original(gens, order)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("algebroids") and getattr(mod, "groebner_basis", None) is original:
+            monkeypatch.setattr(mod, "groebner_basis", counted)
+    return calls
+
+
+def test_contains_builds_one_module_basis(monkeypatch):
+    n = 4
+    dm = tangent_derivations(Ideal(n, [Polynomial.variable(n, 0), Polynomial.variable(n, 1)]))
+    calls = count_bases(monkeypatch)
+    euler_parts = [Derivation([Polynomial.variable(n, j) if j == i else Polynomial.zero(n)
+                               for j in range(n)]) for i in range(n)]
+    assert all(dm.contains(d) for d in euler_parts)
+    assert [dm.contains(Derivation.partial(n, i)) for i in range(n)] == [False, False, True, True]
+    assert len(calls) == 1
+
+
+def test_monomialize_builds_one_basis(monkeypatch):
+    ideal = Ideal(3, [P("x^2*y + 2*x*y*z", "xyz"), P("x*y*z", "xyz")])
+    calls = count_bases(monkeypatch)
+    assert sorted(next(iter(g.terms)) for g in monomialize(ideal)) == [(1, 1, 1), (2, 1, 0)]
+    assert len(calls) == 1
 
 
 def brute_force_derivations(f, weights, bound):

@@ -22,19 +22,21 @@ def P(text, varnames):
 
 def test_abelian():
     g = abelian_lie_algebra(3)
-    assert g.derived_series() == [3, 0]
+    fp = g.fingerprint()
+    assert fp["derived_series"] == [3, 0]
     assert g.is_solvable()
-    assert g.center_dim() == 3
-    assert g.killing_rank() == 0
+    assert fp["center_dim"] == 3
+    assert fp["killing_rank"] == 0
 
 
 def test_sl2():
     g = sl2()
-    assert g.derived_series() == [3, 3]
+    fp = g.fingerprint()
+    assert fp["derived_series"] == [3, 3]
     assert not g.is_solvable()
-    assert g.killing_rank() == 3
-    assert g.radical()[0] == 0
-    assert g.center_dim() == 0
+    assert fp["killing_rank"] == 3
+    assert fp["radical_dim"] == 0
+    assert fp["center_dim"] == 0
 
 
 def test_gl2():

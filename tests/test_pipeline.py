@@ -11,7 +11,7 @@ from algebroids.cli import main
 from algebroids.derivations import tangent_derivations
 from algebroids.errors import ParseError, PreconditionError
 from algebroids.groebner import Ideal
-from algebroids.liealg import fibre_lie_algebra
+from algebroids.liealg import LieAlgebra, fibre_lie_algebra
 from algebroids.pipeline import (_levi_action, _sl2_covariant_path,
                                  analyze_singularity, analyze_toral,
                                  covariants_report, parse_input)
@@ -153,6 +153,21 @@ def test_analyze_fermat_tjurina_mode():
     assert report.series.expand(4).as_ints() == \
         RationalSeries([8], [(1, 3)]).expand(4).as_ints()
     assert (report.dimension, report.multiplicity) == (3, 8)
+
+
+def test_analyze_builds_ad_matrices_once(monkeypatch):
+    # solvability is read off the fingerprint, not recomputed beside it
+    calls = []
+    original = LieAlgebra._ads
+
+    def counted(self):
+        calls.append(self.dim)
+        return original(self)
+
+    monkeypatch.setattr(LieAlgebra, "_ads", counted)
+    report = analyze_singularity(parse_input(FERMAT), series_depth=4)
+    assert report.solvable
+    assert calls == [report.fibre.dim]
 
 
 def test_analyze_bad_mode():
