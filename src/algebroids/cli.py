@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 parse error, 3 precondition failure,
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -129,7 +130,9 @@ def cmd_sl2_check(args):
     print(json.dumps(out, indent=2, sort_keys=True))
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process and reused by every main call."""
     parser = argparse.ArgumentParser(prog="algebroids",
                                      description="Exact singularity and Lie algebroid analyses")
     sub = parser.add_subparsers(dest="command", required=True)

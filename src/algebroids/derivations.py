@@ -3,11 +3,12 @@ quasi-homogeneity detection, and monomial-ideal extraction."""
 
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 from . import linalg
 from .errors import PreconditionError
 from .groebner import (FreeModuleElement, Ideal, TermOrder, groebner_basis,
-                       modules_equal, syzygies)
+                       syzygies)
 from .poly import Polynomial, default_varnames, format_poly
 
 
@@ -41,10 +42,20 @@ class Derivation:
         return FreeModuleElement.from_polys(self.coefficients)
 
     def apply(self, f):
-        out = Polynomial.zero(self.nvars)
+        """sum_i a_i df/dx_i, accumulating c1 * c2 * e_i x^(a + e - 1_i) for
+        each term c1 x^a of a_i and c2 x^e of f with e_i > 0."""
+        terms = {}
         for i, a in enumerate(self.coefficients):
-            out = out + a * f.diff(i)
-        return out
+            for e, c2 in f.terms.items():
+                if not e[i]:
+                    continue
+                lowered = list(e)
+                lowered[i] -= 1
+                c = c2 * e[i]
+                for exp, c1 in a.terms.items():
+                    key = tuple(map(add, exp, lowered))
+                    terms[key] = terms.get(key, 0) + c1 * c
+        return Polynomial(self.nvars, terms)
 
     def bracket(self, other):
         """Lie bracket [self, other] as a Derivation."""
@@ -123,8 +134,13 @@ class DerivationModule:
         return self._gb.contains(delta.to_vector())
 
     def equals_generators(self, other_derivations):
-        return modules_equal(self.vectors(), [d.to_vector() for d in other_derivations],
-                             self.module_order())
+        """Equality of T with the module the other derivations generate: the
+        inclusion others in T reuses the cached basis of T."""
+        others = [d for d in other_derivations if not d.is_zero()]
+        if not others or not all(self.contains(d) for d in others):
+            return not others and not self.generators
+        gb = groebner_basis([d.to_vector() for d in others], self.module_order())
+        return all(gb.contains(v) for v in self.vectors())
 
     def all_vanish_at_origin(self):
         return all(g.vanishes_at_origin() for g in self.generators)

@@ -9,61 +9,67 @@ from .groebner import groebner_basis
 
 
 class LieAlgebra:
-    """Structure constants c_ij^k over Q; Jacobi identity validated exactly."""
+    """Structure constants c_ij^k over Q; Jacobi identity validated exactly.
 
-    __slots__ = ("dim", "brackets", "labels")
+    Every computation reads one sparse antisymmetric table (i, j) -> {k: c}
+    holding [e_i, e_j] = sum_k c e_k for both orders; zero brackets are absent.
+    """
+
+    __slots__ = ("dim", "brackets", "labels", "_table")
 
     def __init__(self, dim, brackets, labels=None):
         self.dim = dim
         self.brackets = {}
+        self._table = {}
         for (i, j), vec in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError("brackets must be given for i < j")
             vec = tuple(Fraction(c) for c in vec)
             if len(vec) != dim:
                 raise ValueError("structure constant arity mismatch")
-            if any(vec):
+            row = {k: c for k, c in enumerate(vec) if c}
+            if row:
                 self.brackets[(i, j)] = vec
+                self._table[(i, j)] = row
+                self._table[(j, i)] = {k: -c for k, c in row.items()}
         self.labels = list(labels) if labels else [f"e{i + 1}" for i in range(dim)]
         self._validate_jacobi()
 
     def basis_bracket(self, i, j):
-        if i == j:
-            return (Fraction(0),) * self.dim
-        if i < j:
-            return self.brackets.get((i, j), (Fraction(0),) * self.dim)
-        return tuple(-c for c in self.brackets.get((j, i), (Fraction(0),) * self.dim))
+        out = [Fraction(0)] * self.dim
+        for k, c in self._table.get((i, j), {}).items():
+            out[k] = c
+        return tuple(out)
 
     def bracket(self, u, v):
         out = [Fraction(0)] * self.dim
+        support = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
             if not a:
                 continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                for k, c in enumerate(self.basis_bracket(i, j)):
-                    out[k] += a * b * c
+            for j, b in support:
+                row = self._table.get((i, j))
+                if row:
+                    ab = a * b
+                    for k, c in row.items():
+                        out[k] += ab * c
         return out
 
     def _validate_jacobi(self):
+        """[[e_a, e_b], e_c] summed cyclically over every triple i < j < k,
+        as sum_m c_ab^m [e_m, e_c] on the sparse rows."""
+        table = self._table
         n = self.dim
-        basis = linalg.identity(n)
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    total = [Fraction(0)] * n
+                    total = {}
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.bracket(basis[a], basis[b])
-                        outer = self.bracket(inner, basis[c])
-                        total = [x + y for x, y in zip(total, outer)]
-                    if any(total):
+                        for m, x in table.get((a, b), {}).items():
+                            for t, y in table.get((m, c), {}).items():
+                                total[t] = total.get(t, 0) + x * y
+                    if any(total.values()):
                         raise AlgebroidError("Jacobi identity fails")
-
-    def ad(self, x):
-        """Matrix of ad(x) acting on column vectors."""
-        cols = [self.bracket(x, col) for col in linalg.identity(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
     # -- series ----------------------------------------------------------
     def _bracket_span(self, basis_a, basis_b):
@@ -86,28 +92,36 @@ class LieAlgebra:
         return self.fingerprint()["solvable"]
 
     def derived_subalgebra_basis(self):
-        return self._bracket_span(linalg.identity(self.dim), linalg.identity(self.dim))
+        return linalg.row_space_basis(list(self.brackets.values()))
 
-    # -- Killing form ----------------------------------------------------
+    # -- ad matrices and the Killing form --------------------------------
     def _ads(self):
-        """ad(e_j) for each basis vector e_j."""
-        return [self.ad(col) for col in linalg.identity(self.dim)]
-
-    @staticmethod
-    def _killing(ads):
-        return [[linalg.trace(linalg.mat_mul(a, b)) for b in ads] for a in ads]
+        """ad(e_j) for each basis vector e_j: ad(e_j)[k][i] = c_ji^k."""
+        ads = [linalg.zeros(self.dim, self.dim) for _ in range(self.dim)]
+        for (j, i), row in self._table.items():
+            for k, c in row.items():
+                ads[j][k][i] = c
+        return ads
 
     def killing_matrix(self):
-        return self._killing(self._ads())
+        """kappa_ab = tr(ad e_a ad e_b) = sum_{i,k} c_ak^i c_bi^k."""
+        n = self.dim
+        table = self._table
+        kappa = linalg.zeros(n, n)
+        for a in range(n):
+            for b in range(a, n):
+                kappa[a][b] = kappa[b][a] = sum(
+                    (x * table.get((b, i), {}).get(k, 0)
+                     for k in range(n) for i, x in table.get((a, k), {}).items()),
+                    Fraction(0))
+        return kappa
 
     def fingerprint(self):
         """Invariants of the algebra; solvability is certified twice, by the
         derived series and by Cartan's criterion (radical = {x : kappa(x,
         [g, g]) = 0} is everything)."""
-        # the ad matrices and [g, g] are built once and shared
-        ads = self._ads()
         derived = self.derived_subalgebra_basis()
-        kappa = self._killing(ads)
+        kappa = self.killing_matrix()
         series = self._series(derived, lower=False)
         rows = [linalg.mat_vec(kappa, b) for b in derived]
         radical_dim = len(linalg.kernel_basis(rows)) if rows else self.dim
@@ -115,7 +129,7 @@ class LieAlgebra:
         if solvable != (radical_dim == self.dim):
             raise InconsistencyError("derived series and Cartan criterion disagree")
         # x is central iff ad(e_j) x = 0 for every j
-        stacked = [row for a in ads for row in a]
+        stacked = [row for a in self._ads() for row in a if any(row)]
         return {
             "dim": self.dim,
             "derived_series": series,
@@ -257,8 +271,9 @@ def fibre_lie_algebra(dm, require_origin=True):
     require_origin enforces the vanishing-at-origin reduction used for
     singularity analyses; toral analyses pass False to keep constant fields.
     The class of [d_i, d_j] is homogeneous of degree deg d_i + deg d_j, so
-    its coordinates are one solve against the kept normal forms of that
-    degree; they are unique because the kept classes are a basis of T/mT.
+    the coordinates of all brackets of one degree come from one rref of
+    [kept normal forms of that degree | bracket normal forms]; they are unique
+    because the kept classes are a basis of T/mT.
     """
     from .derivations import Derivation
 
@@ -271,19 +286,26 @@ def fibre_lie_algebra(dm, require_origin=True):
         return LieAlgebra(0, {}), []
     basis = [Derivation.from_vector(v) for v in basis_vecs]
     m = len(basis)
-    brackets = {}
+    pairs_by_degree = {}
     for i in range(m):
         for j in range(i + 1, m):
-            nf = gb.normal_form(basis[i].bracket(basis[j]).to_vector())
-            d = degrees[i] + degrees[j]
-            same = [k for k in range(m) if degrees[k] == d]
-            sol = _span_coordinates([forms[k] for k in same], nf)
-            if sol is None:
-                raise AlgebroidError("bracket leaves the module (not a Lie algebroid?)")
+            pairs_by_degree.setdefault(degrees[i] + degrees[j], []).append((i, j))
+    brackets = {}
+    for d, pairs in pairs_by_degree.items():
+        same = [k for k in range(m) if degrees[k] == d]
+        columns = [forms[k] for k in same]
+        columns += [gb.normal_form(basis[i].bracket(basis[j]).to_vector()) for i, j in pairs]
+        monos = sorted({t for col in columns for t in col.terms})
+        red, pivots = linalg.rref([[col.terms.get(t, 0) for col in columns] for t in monos])
+        # the kept forms are independent, so a pivot past them is a bracket
+        # outside their span
+        if len(pivots) > len(same):
+            raise AlgebroidError("bracket leaves the module (not a Lie algebroid?)")
+        for p, pair in enumerate(pairs, start=len(same)):
             vec = [Fraction(0)] * m
-            for k, c in zip(same, sol):
-                vec[k] = c
-            brackets[(i, j)] = tuple(vec)
+            for row, k in zip(red, same):
+                vec[k] = row[p]
+            brackets[pair] = tuple(vec)
     labels = [f"d{i + 1}" for i in range(m)]
     algebra = LieAlgebra(m, brackets, labels)
     return algebra, basis

@@ -48,11 +48,7 @@ def mat_scale(a, c):
 
 
 def mat_vec(a, v):
-    return [sum((c * x for c, x in zip(row, v)), Fraction(0)) for row in a]
-
-
-def trace(a):
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+    return [sum((c * x for c, x in zip(row, v) if x), Fraction(0)) for row in a]
 
 
 def rref(rows):

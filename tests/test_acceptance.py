@@ -120,8 +120,8 @@ def test_criterion_4_whitney_umbrella(capsys):
 
 def test_criterion_5_quadrics(capsys):
     def check():
-        names = ["x1", "x2", "x3", "x4", "x5"]
-        for n in (3, 4, 5):
+        names = ["x1", "x2", "x3", "x4", "x5", "x6", "x7"]
+        for n in (3, 4, 5, 6, 7):
             f = sum((P(f"{v}^2", names[:n]) for v in names[:n]),
                     Polynomial.zero(n))
             algebra, _ = fibre_lie_algebra(tangent_derivations(Ideal(n, [f])))
@@ -129,7 +129,9 @@ def test_criterion_5_quadrics(capsys):
             assert fp["dim"] == 1 + n * (n - 1) // 2
             assert fp["radical_dim"] == 1
             assert not fp["solvable"]
-    report(capsys, 5, "quadrics n=3,4,5", check)
+            assert fp["killing_rank"] == comb(n, 2)
+            assert fp["center_dim"] == 1
+    report(capsys, 5, "quadrics n=3..7", check)
 
 
 def test_criterion_6_cubic_discriminant(capsys):

@@ -6,7 +6,7 @@ import sys
 from algebroids.derivations import (Derivation, jacobian_ideal, monomialize,
                                     quasi_homogeneous_weights,
                                     tangent_derivations, tjurina_ideal)
-from algebroids import groebner
+from algebroids import derivations, groebner
 from algebroids.groebner import Ideal
 from algebroids.poly import Polynomial, parse_poly
 from algebroids import linalg
@@ -73,6 +73,33 @@ def known_whitney_basis():
 def test_tangent_whitney_matches_known_basis():
     dm = tangent_derivations(whitney_ideal())
     assert dm.equals_generators(known_whitney_basis())
+
+
+def test_equals_generators_reuses_the_cached_basis(monkeypatch):
+    # others in T is read off the basis that contains already built; only
+    # the other family gets a basis of its own
+    dm = tangent_derivations(whitney_ideal())
+    basis = known_whitney_basis()
+    assert dm.contains(basis[0])
+    calls = []
+    original = groebner.groebner_basis
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "groebner_basis", counted)
+    monkeypatch.setattr(derivations, "groebner_basis", counted)
+    assert dm.equals_generators(basis)
+    assert calls == [len(basis)]
+
+
+def test_equals_generators_rejects_either_failed_inclusion():
+    dm = tangent_derivations(whitney_ideal())
+    basis = known_whitney_basis()
+    assert not dm.equals_generators(basis[:3])                             # T not in others
+    assert not dm.equals_generators(basis + [Derivation.partial(3, 0)])   # others not in T
+    assert not dm.equals_generators([])
 
 
 def test_tangent_quadric():

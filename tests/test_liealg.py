@@ -2,18 +2,20 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from algebroids import linalg
 from algebroids.derivations import (Derivation, DerivationModule,
                                    tangent_derivations)
 from algebroids.errors import AlgebroidError, PreconditionError
 from algebroids.groebner import Ideal, groebner_basis, lifts
-from algebroids.liealg import (LieAlgebra, abelian_lie_algebra,
-                               fibre_lie_algebra, gl2,
+from algebroids.liealg import (LieAlgebra, _graded_nakayama,
+                               abelian_lie_algebra, fibre_lie_algebra, gl2,
                                lie_algebra_from_matrices,
                                minimal_module_generators, sl2)
-from algebroids.poly import parse_poly
+from algebroids.poly import Polynomial, parse_poly
 
 
 def P(text, varnames):
@@ -101,13 +103,15 @@ def test_whitney_bracket_closure():
             assert dm.contains(basis[i].bracket(basis[j]))
 
 
+def quadric_dm(n):
+    names = [f"x{i + 1}" for i in range(n)]
+    f = sum((P(f"{v}^2", names) for v in names), Polynomial.zero(n))
+    return tangent_derivations(Ideal(n, [f]))
+
+
 def test_quadric_family():
-    names = ["x1", "x2", "x3", "x4", "x5"]
-    for n in (3, 4, 5):
-        f = sum((P(f"{v}^2", names[:n]) for v in names[:n]),
-                P("0", names[:n]))
-        dm = tangent_derivations(Ideal(n, [f]))
-        algebra, _ = fibre_lie_algebra(dm)
+    for n in (3, 4, 5, 6, 7):
+        algebra, _ = fibre_lie_algebra(quadric_dm(n))
         fp = algebra.fingerprint()
         so_dim = n * (n - 1) // 2
         assert fp["dim"] == 1 + so_dim
@@ -115,6 +119,76 @@ def test_quadric_family():
         assert not fp["solvable"]
         chain = fp["derived_series"]
         assert chain[-1] == so_dim
+        assert chain == [1 + so_dim, so_dim, so_dim]
+        # gl1 + so_n: kappa is nondegenerate on so_n, the Euler field is central
+        assert fp["killing_rank"] == comb(n, 2)
+        assert fp["center_dim"] == 1
+
+
+# -- the sparse kernel against dense routes ---------------------------------
+
+def _killing_by_products(g):
+    """tr(ad a * ad b), the ad matrices assembled from bracket columns."""
+    basis = linalg.identity(g.dim)
+    ads = []
+    for a in basis:
+        cols = [g.bracket(a, e) for e in basis]
+        ads.append([[cols[i][k] for i in range(g.dim)] for k in range(g.dim)])
+    return [[sum((linalg.mat_mul(x, y)[i][i] for i in range(g.dim)), Fraction(0))
+             for y in ads] for x in ads]
+
+
+@pytest.mark.parametrize("name", ["sl2", "gl2", "whitney", "quadric5"])
+def test_killing_matrix_is_trace_of_ad_products(name):
+    g = {"sl2": sl2, "gl2": gl2,
+         "whitney": lambda: fibre_lie_algebra(whitney_dm())[0],
+         "quadric5": lambda: fibre_lie_algebra(quadric_dm(5))[0]}[name]()
+    assert g.killing_matrix() == _killing_by_products(g)
+
+
+def _dense_jacobiator(dim, brackets, i, j, k):
+    def br(u, v):
+        out = [Fraction(0)] * dim
+        for (a, b), vec in brackets.items():
+            for t, c in enumerate(vec):
+                out[t] += (u[a] * v[b] - u[b] * v[a]) * c
+        return out
+
+    e = linalg.identity(dim)
+    total = [Fraction(0)] * dim
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        total = [x + y for x, y in zip(total, br(br(e[a], e[b]), e[c]))]
+    return total
+
+
+def test_jacobi_failure_on_one_triple_only():
+    # e1 is central; e2, e3, e4 carry the bracket of test_jacobi_validated
+    brackets = {(1, 2): (0, 0, 0, 1), (1, 3): (0, 0, 1, 0), (2, 3): (0, 0, 1, 0)}
+    failing = [(i, j, k) for i in range(4) for j in range(i + 1, 4)
+               for k in range(j + 1, 4) if any(_dense_jacobiator(4, brackets, i, j, k))]
+    assert failing == [(1, 2, 3)]
+    with pytest.raises(AlgebroidError, match="Jacobi"):
+        LieAlgebra(4, brackets)
+
+
+def test_fibre_solves_one_rref_per_bracket_degree(monkeypatch):
+    # every kept field of the quadric has degree 0, so its 21 brackets are
+    # one solve beside those of graded Nakayama
+    dm = quadric_dm(4)
+    calls = []
+    original = linalg.rref
+
+    def counted(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    _graded_nakayama(dm)
+    nakayama = len(calls)
+    calls.clear()
+    algebra, basis = fibre_lie_algebra(dm)
+    assert (algebra.dim, len(basis)) == (7, 7)
+    assert len(calls) == nakayama + 1
 
 
 def test_fingerprint_stable_under_generator_permutation():

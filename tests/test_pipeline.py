@@ -1,5 +1,6 @@
 """End-to-end reports and the command-line interface."""
 
+import argparse
 import itertools
 import json
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from algebroids import linalg
-from algebroids.cli import main
+from algebroids.cli import build_parser, main
 from algebroids.derivations import tangent_derivations
 from algebroids.errors import ParseError, PreconditionError
 from algebroids.groebner import Ideal
@@ -297,4 +298,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     nonmono = write(tmp_path, "nm.txt", "vars: x, y\nideal: (x + y)^2\n")
     assert main(["monomial", nonmono]) == 3
     assert main(["quasipoly", "--series", "{not json"]) == 2
+    capsys.readouterr()
+
+
+def test_cli_builds_its_parser_once(monkeypatch, capsys):
+    # the parser (nine subparsers) is built on the first main call only
+    made = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.cache_clear()
+    try:
+        assert main(["sl2-check", "--d", "2"]) == 0
+        assert main(["quasipoly", "--series", "{not json"]) == 2
+    finally:
+        build_parser.cache_clear()
+    assert made.count("algebroids") == 1
+    assert len(made) == 10
     capsys.readouterr()
