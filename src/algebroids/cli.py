@@ -73,12 +73,7 @@ def cmd_fibre(args):
     from .derivations import tangent_derivations
     from .liealg import fibre_lie_algebra
     spec = _read_spec(args.file)
-    weights = spec.weights
-    if weights is None and len(spec.gens) == 1:
-        from .derivations import quasi_homogeneous_weights
-        found = quasi_homogeneous_weights(spec.gens[0])
-        weights = found[0] if found else None
-    dm = tangent_derivations(spec.ideal(weights))
+    dm = tangent_derivations(spec.ideal(spec.inferred_weights()))
     algebra, _basis = fibre_lie_algebra(dm, require_origin=dm.all_vanish_at_origin())
     print(json.dumps(algebra.to_json(), indent=2, sort_keys=True))
 

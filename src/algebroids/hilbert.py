@@ -8,6 +8,7 @@ from math import comb, factorial
 from .derivations import minimal_monomials, monomialize
 from .errors import PreconditionError
 from .groebner import Ideal
+from .poly import monomials
 from .series import (CharacterSeries, RationalSeries, SeriesPrefix,
                      cumulative_quasi_polynomial, quasi_polynomial_of,
                      reconstruct_rational)
@@ -60,20 +61,11 @@ def hilbert_series_quotient(ideal):
 
 def _standard_monomial_characters(gens, weights, bound):
     """Map weighted degree -> {exponent: 1} over monomials outside the ideal."""
-    n = len(weights)
     coeffs = {}
-
-    def rec(i, exp, deg):
-        if i == n:
+    for deg in range(bound + 1):
+        for exp in monomials(weights, deg):
             if not any(all(a >= b for a, b in zip(exp, g)) for g in gens):
-                coeffs.setdefault(deg, {})[tuple(exp)] = 1
-            return
-        e = 0
-        while deg + e * weights[i] <= bound:
-            rec(i + 1, exp + [e], deg + e * weights[i])
-            e += 1
-
-    rec(0, [], 0)
+                coeffs.setdefault(deg, {})[exp] = 1
     return coeffs
 
 

@@ -2,10 +2,11 @@
 algebra extraction from derivation modules."""
 
 from fractions import Fraction
+from itertools import combinations, product
 
 from . import linalg
 from .errors import AlgebroidError, InconsistencyError, PreconditionError
-from .groebner import groebner_basis
+from .poly import monomials
 
 
 class LieAlgebra:
@@ -72,8 +73,8 @@ class LieAlgebra:
                         raise AlgebroidError("Jacobi identity fails")
 
     # -- series ----------------------------------------------------------
-    def _bracket_span(self, basis_a, basis_b):
-        prods = [self.bracket(a, b) for a in basis_a for b in basis_b]
+    def _bracket_span(self, pairs):
+        prods = [self.bracket(a, b) for a, b in pairs]
         return linalg.row_space_basis([p for p in prods if any(p)])
 
     def _series(self, derived, lower):
@@ -84,7 +85,10 @@ class LieAlgebra:
         dims = [self.dim, len(derived)]
         current = derived
         while dims[-1] and dims[-1] != dims[-2]:
-            current = self._bracket_span(whole if lower else current, current)
+            # [a, a] = 0 and [b, a] = -[a, b]: the derived series needs each
+            # unordered pair once
+            current = self._bracket_span(
+                product(whole, current) if lower else combinations(current, 2))
             dims.append(len(current))
         return dims
 
@@ -201,60 +205,45 @@ def lie_algebra_from_matrices(mats, labels=None):
 
 # -- fibre Lie algebra extraction -----------------------------------------
 
-def _homogeneous_generator_components(dm):
-    weights = dm.weights
-    out = []
-    for g in dm.generators:
-        vec = g.to_vector()
-        comps = vec.homogeneous_components(weights, shifts=[-w for w in weights])
-        out.extend(comps.values())
-    return out
+def _m_times(kept, degrees, d, weights):
+    """x^a k over the kept k with deg x^a = d - deg k > 0.  When the kept
+    fields generate T in every degree below d, these span (m*T)_d."""
+    return [k.mul_term(a) for k, e in zip(kept, degrees) if e < d
+            for a in monomials(weights, d - e)]
 
 
-def _module_degree(vec, weights):
-    degs = {sum(w * e for w, e in zip(weights, exp)) - weights[pos]
-            for (pos, exp) in vec.terms}
-    if len(degs) != 1:
-        raise AlgebroidError("inhomogeneous module element")
-    return degs.pop()
-
-
-def _span_coordinates(elements, target):
-    """Coordinates of the module element target in the Q-span of elements."""
-    monos = sorted({m for e in elements + [target] for m in e.terms})
-    return linalg.coordinates([[e.terms.get(m, 0) for m in monos] for e in elements],
-                              [target.terms.get(m, 0) for m in monos])
+def _column_rref(columns):
+    """rref of the matrix whose columns are the given module elements."""
+    index = {t: r for r, t in enumerate(sorted({t for col in columns for t in col.terms}))}
+    rows = [[0] * len(columns) for _ in index]
+    for c, col in enumerate(columns):
+        for t, x in col.terms.items():
+            rows[index[t]][c] = x
+    return linalg.rref(rows)
 
 
 def _graded_nakayama(dm):
-    """(Groebner basis of m*T, kept generators, their degrees, their normal
-    forms): graded Nakayama as a rank test in each degree of T/mT."""
+    """(kept generators, their degrees): graded Nakayama as one rref per
+    candidate degree d, from the lowest up.  The candidates of degree d
+    kept are the pivot columns of [(m*T)_d | candidates of degree d]: those
+    outside (m*T)_d + the span of the candidates before them."""
     weights = dm.weights
-    candidates = _homogeneous_generator_components(dm)
-    # deduplicate and sort by derivation degree, deterministically
-    seen = []
-    for c in candidates:
-        if c not in seen:
-            seen.append(c)
-    if not seen:
-        return None, [], [], []
-    seen.sort(key=lambda v: (_module_degree(v, weights), sorted(v.terms)))
-    n = dm.nvars
-    m_times = [c.mul_term(tuple(1 if t == j else 0 for t in range(n)))
-               for c in seen for j in range(n)]
-    gb = groebner_basis(m_times, dm.module_order())
-    # normal forms mod m*T are Q-linear and keep the degree, so c lies in
-    # <kept> + m*T iff NF(c) is in the span of the kept NFs of its degree
-    kept, degrees, forms = [], [], []
-    for c in seen:
-        d = _module_degree(c, weights)
-        nf = gb.normal_form(c)
-        same = [f for f, e in zip(forms, degrees) if e == d]
-        if _span_coordinates(same, nf) is None:
-            kept.append(c)
-            degrees.append(d)
-            forms.append(nf)
-    return gb, kept, degrees, forms
+    # the homogeneous components of the generators by degree; a repeated
+    # component is never a pivot
+    by_degree = {}
+    for g in dm.generators:
+        comps = g.to_vector().homogeneous_components(weights, shifts=[-w for w in weights])
+        for d, c in comps.items():
+            by_degree.setdefault(d, []).append(c)
+    kept, degrees = [], []
+    for d in sorted(by_degree):
+        same = sorted(by_degree[d], key=lambda v: sorted(v.terms))
+        span = _m_times(kept, degrees, d, weights)
+        for p in _column_rref(span + same)[1]:
+            if p >= len(span):
+                kept.append(same[p - len(span)])
+                degrees.append(d)
+    return kept, degrees
 
 
 def minimal_module_generators(dm):
@@ -262,7 +251,7 @@ def minimal_module_generators(dm):
     (graded Nakayama pruning)."""
     if not dm.ideal.is_quasi_homogeneous():
         raise PreconditionError("not quasi-homogeneous")
-    return _graded_nakayama(dm)[1]
+    return _graded_nakayama(dm)[0]
 
 
 def fibre_lie_algebra(dm, require_origin=True):
@@ -271,9 +260,9 @@ def fibre_lie_algebra(dm, require_origin=True):
     require_origin enforces the vanishing-at-origin reduction used for
     singularity analyses; toral analyses pass False to keep constant fields.
     The class of [d_i, d_j] is homogeneous of degree deg d_i + deg d_j, so
-    the coordinates of all brackets of one degree come from one rref of
-    [kept normal forms of that degree | bracket normal forms]; they are unique
-    because the kept classes are a basis of T/mT.
+    the coordinates of all brackets of one degree d come from one rref of
+    [(m*T)_d | kept fields of degree d | brackets]; they are unique because
+    the kept classes are a basis of T/mT.
     """
     from .derivations import Derivation
 
@@ -281,7 +270,7 @@ def fibre_lie_algebra(dm, require_origin=True):
         raise PreconditionError("not quasi-homogeneous")
     if require_origin and not dm.all_vanish_at_origin():
         raise PreconditionError("not logarithmic at origin")
-    gb, basis_vecs, degrees, forms = _graded_nakayama(dm)
+    basis_vecs, degrees = _graded_nakayama(dm)
     if not basis_vecs:
         return LieAlgebra(0, {}), []
     basis = [Derivation.from_vector(v) for v in basis_vecs]
@@ -292,18 +281,19 @@ def fibre_lie_algebra(dm, require_origin=True):
             pairs_by_degree.setdefault(degrees[i] + degrees[j], []).append((i, j))
     brackets = {}
     for d, pairs in pairs_by_degree.items():
+        span = _m_times(basis_vecs, degrees, d, dm.weights)
         same = [k for k in range(m) if degrees[k] == d]
-        columns = [forms[k] for k in same]
-        columns += [gb.normal_form(basis[i].bracket(basis[j]).to_vector()) for i, j in pairs]
-        monos = sorted({t for col in columns for t in col.terms})
-        red, pivots = linalg.rref([[col.terms.get(t, 0) for col in columns] for t in monos])
-        # the kept forms are independent, so a pivot past them is a bracket
-        # outside their span
-        if len(pivots) > len(same):
+        columns = span + [basis_vecs[k] for k in same]
+        columns += [basis[i].bracket(basis[j]).to_vector() for i, j in pairs]
+        red, pivots = _column_rref(columns)
+        # the kept fields are independent modulo (m*T)_d, so they are the
+        # last pivots, and a pivot past them is a bracket outside T
+        first = len(span) + len(same)
+        if pivots and pivots[-1] >= first:
             raise AlgebroidError("bracket leaves the module (not a Lie algebroid?)")
-        for p, pair in enumerate(pairs, start=len(same)):
+        for p, pair in enumerate(pairs, start=first):
             vec = [Fraction(0)] * m
-            for row, k in zip(red, same):
+            for row, k in zip(red[len(red) - len(same):], same):
                 vec[k] = row[p]
             brackets[pair] = tuple(vec)
     labels = [f"d{i + 1}" for i in range(m)]

@@ -5,6 +5,7 @@ Everything is small (desk scale), so plain Gaussian elimination is enough.
 """
 
 from fractions import Fraction
+from itertools import compress
 
 
 def zeros(n, m):
@@ -51,34 +52,44 @@ def mat_vec(a, v):
     return [sum((c * x for c, x in zip(row, v) if x), Fraction(0)) for row in a]
 
 
+def _subtract(target, c, row):
+    """target -= c * row, both dicts of nonzero entries."""
+    for j, x in row.items():
+        y = target.get(j, 0) - c * x
+        if y:
+            target[j] = y
+        else:
+            target.pop(j, None)
+
+
 def rref(rows):
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    mat = [list(row) for row in rows]
-    if not mat:
+    """Reduced row echelon form; returns (rref rows, pivot column list).
+
+    Rows are eliminated as dicts of their nonzero entries: each row is
+    reduced by the pivot rows found so far, and a new pivot is cleared from
+    the earlier rows, so the pivot rows stay reduced against each other."""
+    if not rows:
         return [], []
-    m = len(mat[0])
-    pivots = []
-    r = 0
-    for col in range(m):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
+    reduced = {}  # pivot column -> row with a 1 there and 0 in every other pivot
+    for row in rows:
+        new = {j: row[j] for j in compress(range(len(row)), row)}
+        for p in [j for j in new if j in reduced]:
+            _subtract(new, new[p], reduced[p])
+        if not new:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = Fraction(1) / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                c = mat[i][col]
-                mat[i] = [x - c * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+        col = min(new)
+        inv = Fraction(1) / new[col]
+        new = {j: x * inv for j, x in new.items()}
+        for other in reduced.values():
+            if col in other:
+                _subtract(other, other[col], new)
+        reduced[col] = new
+    pivots = sorted(reduced)
+    out = [[Fraction(0)] * len(rows[0]) for _ in pivots]
+    for dense, p in zip(out, pivots):
+        for j, x in reduced[p].items():
+            dense[j] = x
+    return out, pivots
 
 
 def rank(rows):

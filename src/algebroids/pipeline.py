@@ -38,6 +38,14 @@ class InputSpec:
         w = weights or self.weights
         return Ideal(len(self.varnames), self.gens, w)
 
+    def inferred_weights(self):
+        """The given weights, else the quasi-homogeneous weights of a single
+        generator, else all ones."""
+        if self.weights is not None:
+            return self.weights
+        found = quasi_homogeneous_weights(self.gens[0]) if len(self.gens) == 1 else None
+        return found[0] if found else (1,) * len(self.varnames)
+
 
 def parse_input(text):
     """Parse the `vars:` / `weights:` / `ideal:` line format."""
@@ -182,15 +190,8 @@ def analyze_singularity(spec, mode="tangent", series_depth=8):
     """Full singularity analysis of the ideal in an InputSpec."""
     if mode not in ("tangent", "tjurina-algebroid"):
         raise ParseError(f"unknown mode {mode!r}")
-    nvars = len(spec.varnames)
-    weights = spec.weights
-    if weights is None:
-        if len(spec.gens) == 1:
-            found = quasi_homogeneous_weights(spec.gens[0])
-            weights = found[0] if found else (1,) * nvars
-        else:
-            weights = (1,) * nvars
-    ideal = Ideal(nvars, spec.gens, weights)
+    weights = spec.inferred_weights()
+    ideal = spec.ideal(weights)
     quasi = ideal.is_quasi_homogeneous()
     jac = jacobian_ideal(ideal)
     colength = None if jac.is_unit() else jac.colength()

@@ -188,6 +188,14 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
 
+def monomials(weights, k):
+    """Exponent tuples of weighted degree k (positive weights), ascending."""
+    if not weights:
+        return [()] if k == 0 else []
+    return [(e,) + tail for e in range(k // weights[0] + 1)
+            for tail in monomials(weights[1:], k - e * weights[0])]
+
+
 # -- serialized grammar ---------------------------------------------------
 
 def default_varnames(nvars):

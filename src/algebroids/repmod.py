@@ -3,13 +3,12 @@ subspaces, sl2 weight theory, Cayley-Sylvester counts, block recognition,
 and the rank-one filtration of R (x) V_d over the sl2 algebroid on Q[x]."""
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from . import linalg
 from .errors import AlgebroidError, InconsistencyError, PreconditionError
 from .groebner import FreeModuleElement, TermOrder, groebner_basis, syzygies
 from .liealg import sl2
-from .poly import Polynomial
+from .poly import Polynomial, monomials
 from .series import partitions_in_rectangle
 
 
@@ -112,21 +111,9 @@ def binary_form_rep(d):
     return MatrixRep(sl2(), [h, x, y])
 
 
-def sym_power_basis(dim, n):
-    """Degree-n monomial exponent tuples in `dim` symbols, deterministic order."""
-    out = []
-    for combo in combinations_with_replacement(range(dim), n):
-        exp = [0] * dim
-        for i in combo:
-            exp[i] += 1
-        out.append(tuple(exp))
-    out.sort()
-    return out
-
-
 def polarize(m, basis):
     """Matrix of the derivation action of m on the monomials in basis (all of
-    one degree, e.g. sym_power_basis), by exact polarization."""
+    one degree, e.g. poly.monomials), by exact polarization."""
     index = {e: i for i, e in enumerate(basis)}
     out = linalg.zeros(len(basis), len(basis))
     for col, exp in enumerate(basis):
@@ -147,7 +134,7 @@ def polarize(m, basis):
 
 def sym_power_rep(rep, n):
     """Action on S^n(V) by exact polarization of the monomial basis."""
-    basis = sym_power_basis(rep.dim, n)
+    basis = monomials((1,) * rep.dim, n)
     return MatrixRep(rep.algebra, [polarize(m, basis) for m in rep.matrices])
 
 

@@ -1,12 +1,13 @@
 """Structure-constant Lie algebras and fibre Lie algebra extraction."""
 
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from algebroids import linalg
+from algebroids import groebner, linalg
 from algebroids.derivations import (Derivation, DerivationModule,
                                    tangent_derivations)
 from algebroids.errors import AlgebroidError, PreconditionError
@@ -191,6 +192,25 @@ def test_fibre_solves_one_rref_per_bracket_degree(monkeypatch):
     assert len(calls) == nakayama + 1
 
 
+def test_fibre_builds_no_groebner_basis(monkeypatch):
+    # on a prebuilt module, graded Nakayama and the bracket coordinates are
+    # linear algebra in each degree
+    dm = quadric_dm(5)
+    calls = []
+    original = groebner.groebner_basis
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("algebroids") and getattr(module, "groebner_basis", None) is original:
+            monkeypatch.setattr(module, "groebner_basis", counted)
+    algebra, _basis = fibre_lie_algebra(dm)
+    assert algebra.dim == 11
+    assert calls == []
+
+
 def test_fingerprint_stable_under_generator_permutation():
     rng = random.Random(13)
     dm = whitney_dm()
@@ -230,6 +250,11 @@ ORACLE_INPUTS = {
     "quadric3": ("xyz", ["x^2 + y^2 + z^2"], None, True),
     "fermat": ("xyz", ["x^3 + y^3 + z^3"], None, True),
     "toral": ("xyz", ["x", "y"], None, False),
+    "e7": ("xyz", ["x^3 + x*y^3 + z^2"], (6, 4, 9), True),
+    "e8": ("xyz", ["x^3 + y^5 + z^2"], (10, 6, 15), True),
+    "quadric5": ("abcde", ["a^2 + b^2 + c^2 + d^2 + e^2"], None, True),
+    # kept fields of degrees 0 and 4, so brackets land in degrees 4 and 8
+    "fermat6": ("xyzw", ["x^6 + y^6 + z^6 + w^6"], None, True),
 }
 # the same inputs with the sum of the first two generators appended, so that
 # some candidate is a combination of others of its degree
@@ -238,7 +263,7 @@ ORACLE_INPUTS.update({f"{name}+sum": data for name, data in list(ORACLE_INPUTS.i
 
 def _oracle_dm(name):
     names, gens, weights, _origin = ORACLE_INPUTS[name]
-    dm = tangent_derivations(Ideal(3, [P(g, names) for g in gens], weights))
+    dm = tangent_derivations(Ideal(len(names), [P(g, names) for g in gens], weights))
     if not name.endswith("+sum"):
         return dm
     first, second = dm.generators[:2]

@@ -1,5 +1,6 @@
 """Exact linear algebra helpers."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -41,3 +42,38 @@ def test_inverse():
 def test_inverse_singular():
     with pytest.raises(ValueError):
         linalg.inverse([F(1, 2), F(2, 4)])
+
+
+def _random_rows(rng, density, exact):
+    n, m = rng.randrange(0, 9), rng.randrange(1, 10)
+    rows = [[rng.randrange(-4, 5) if rng.random() < density else 0 for _ in range(m)]
+            for _ in range(n)]
+    if exact:
+        rows = [[Fraction(x, rng.randrange(1, 5)) for x in row] for row in rows]
+    if rows:
+        rows.append([0] * m)
+        rows.append(list(rows[rng.randrange(len(rows))]))
+        rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("density", [0.2, 1.0], ids=["sparse", "dense"])
+@pytest.mark.parametrize("exact", [False, True], ids=["int", "fraction"])
+def test_rref_shape_and_row_space(density, exact):
+    rng = random.Random(7)
+    for _ in range(150):
+        rows = _random_rows(rng, density, exact)
+        red, pivots = linalg.rref(rows)
+        assert len(red) == len(pivots)
+        assert pivots == sorted(set(pivots))
+        for i, (row, p) in enumerate(zip(red, pivots)):
+            assert all(isinstance(x, Fraction) for x in row)
+            assert all(x == 0 for x in row[:p]) and row[p] == 1
+            assert all(other[p] == 0 for k, other in enumerate(red) if k != i)
+        # every input row is the combination of the output rows read off its
+        # pivot entries, and the rank is the column rank: equal row spaces
+        for row in rows:
+            combo = [sum((row[p] * r[j] for r, p in zip(red, pivots)), Fraction(0))
+                     for j in range(len(row))]
+            assert combo == row
+        assert len(red) == linalg.rank([list(col) for col in zip(*rows)])

@@ -16,8 +16,8 @@ from algebroids.liealg import LieAlgebra, fibre_lie_algebra
 from algebroids.pipeline import (_levi_action, _sl2_covariant_path,
                                  analyze_singularity, analyze_toral,
                                  covariants_report, parse_input)
-from algebroids.poly import Polynomial
-from algebroids.repmod import polarize, sl2_isotypic, sym_power_basis
+from algebroids.poly import Polynomial, monomials
+from algebroids.repmod import polarize, sl2_isotypic
 from algebroids.series import RationalSeries
 
 WHITNEY = "vars: x, y, z\nweights: 1, 2, 2\nideal: z^2 - x^2*y\n"
@@ -118,7 +118,7 @@ def test_sl2_length_dims_match_nilpotent_kernel(text):
     assert nil is not None
     dims, _series = _sl2_covariant_path(fibre, basis, 12)
     for n in range(7):
-        monos = sym_power_basis(rep.dim, n)
+        monos = monomials((1,) * rep.dim, n)
         assert dims[n] == len(monos) - linalg.rank(polarize(nil, monos))
 
 

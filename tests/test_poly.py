@@ -1,12 +1,13 @@
 """Polynomial arithmetic, parsing and formatting."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from algebroids.errors import ParseError
-from algebroids.poly import Polynomial, format_poly, parse_poly
+from algebroids.poly import Polynomial, format_poly, monomials, parse_poly
 
 
 def P(text, varnames=("x", "y", "z")):
@@ -96,3 +97,11 @@ def test_pow():
     f = P("x + y", ("x", "y"))
     assert f ** 3 == P("x^3 + 3*x^2*y + 3*x*y^2 + y^3", ("x", "y"))
     assert f ** 0 == Polynomial.one(2)
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (3, 2, 2), (1, 4), (2,)])
+def test_monomials_are_the_ascending_box_filter(weights):
+    for k in range(-1, 9):
+        box = itertools.product(*(range(k // w + 1) for w in weights)) if k >= 0 else []
+        expected = [e for e in box if sum(w * a for w, a in zip(weights, e)) == k]
+        assert monomials(weights, k) == expected
