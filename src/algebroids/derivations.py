@@ -30,11 +30,6 @@ class Derivation:
         return cls(coeffs)
 
     @classmethod
-    def euler(cls, nvars, weights=None):
-        weights = weights or (1,) * nvars
-        return cls([Polynomial.variable(nvars, i) * weights[i] for i in range(nvars)])
-
-    @classmethod
     def from_vector(cls, vec):
         return cls(vec.to_polys())
 

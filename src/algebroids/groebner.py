@@ -4,14 +4,20 @@ Buchberger's algorithm with normal pair selection, the chain criterion, and
 the coprimality criterion (ideals only, where it is valid).  Syzygies and
 coefficient lifts over the original generators are both read off one basis
 of the augmented rows (v_i, e_i) under a position-over-term order.
+
+Minimal generators of graded objects need no basis: graded Nakayama reduces
+them to one rref per degree (_graded_nakayama), which serves quasi-homogeneous
+ideals here and derivation modules and their fibres in liealg.  An ideal that
+is not quasi-homogeneous keeps the greedy Groebner-membership pruning.
 """
 
 import heapq
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from . import linalg
 from .errors import PreconditionError
-from .poly import Polynomial
+from .poly import Polynomial, monomials
 
 
 class TermOrder:
@@ -389,13 +395,6 @@ class Ideal:
             return False
         return self.groebner().contains(FreeModuleElement.from_poly(f))
 
-    def member_lift(self, f):
-        """(is member, coefficients over the original generators or None)."""
-        if self.is_zero():
-            return f.is_zero(), [] if f.is_zero() else None
-        lift = lifts(self.gens, [f], self.default_order())[0]
-        return lift is not None, lift
-
     def is_unit(self):
         if self.is_zero():
             return False
@@ -450,19 +449,27 @@ class Ideal:
         return self._memo["colength"]
 
     def minimal_generators(self):
-        """Prune generators lying in the ideal of the others (graded case exact)."""
-        if "minimal_generators" in self._memo:
-            return list(self._memo["minimal_generators"])
-        kept = []
-        remaining = list(self.gens)
-        # examine generators from low degree upward
-        remaining.sort(key=lambda g: g.degree(self.weights))
-        for i, g in enumerate(remaining):
-            others = kept + remaining[i + 1 :]
-            if not others or not Ideal(self.nvars, others, self.weights).contains(g):
-                kept.append(g)
-        self._memo["minimal_generators"] = tuple(kept)
-        return kept
+        """A minimal generating subset of gens, by degree, then input order.
+
+        Quasi-homogeneous: graded Nakayama over the generators of each degree
+        in reverse input order.  Its pivot columns are the generators that the
+        greedy route (_greedy_minimal_generators) keeps.  With L = (m*J)_d,
+        greedy drops g_i iff g_i is in L + <kept before i> + <g after i>; the
+        reversed pivot rule drops g_i iff g_i is in L + <g after i>.  A kept
+        g_j with j < i is never needed: the smallest such j would itself lie
+        in L + <g after j> and have been dropped.  Otherwise the greedy route.
+        """
+        if "minimal_generators" not in self._memo:
+            if self.is_quasi_homogeneous():
+                kept, degrees = _graded_nakayama(
+                    [FreeModuleElement.from_poly(g) for g in reversed(self.gens)],
+                    self.weights, (0,))
+                last = len(self.gens) - 1
+                picked = sorted((d, last - k) for k, d in zip(kept, degrees))
+                self._memo["minimal_generators"] = tuple(self.gens[i] for _d, i in picked)
+            else:
+                self._memo["minimal_generators"] = tuple(_greedy_minimal_generators(self))
+        return list(self._memo["minimal_generators"])
 
     def product(self, other):
         gens = [a * b for a in self.gens for b in other.gens]
@@ -486,6 +493,62 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal({self.gens!r})"
+
+
+def _greedy_minimal_generators(ideal):
+    """Keep each generator, from low degree up, that the ideal of the kept
+    ones and the later ones does not contain: one Groebner basis each."""
+    kept = []
+    remaining = sorted(ideal.gens, key=lambda g: g.degree(ideal.weights))
+    for i, g in enumerate(remaining):
+        others = kept + remaining[i + 1 :]
+        if not others or not Ideal(ideal.nvars, others, ideal.weights).contains(g):
+            kept.append(g)
+    return kept
+
+
+# -- graded Nakayama --------------------------------------------------------
+
+def _m_times(kept, degrees, d, weights):
+    """x^a k over the kept k with deg x^a = d - deg k > 0.  When the kept
+    elements generate M in every degree below d, these span (m*M)_d."""
+    return [k.mul_term(a) for k, e in zip(kept, degrees) if e < d
+            for a in monomials(weights, d - e)]
+
+
+def _column_rref(columns):
+    """rref of the matrix whose columns are the given module elements."""
+    index = {t: r for r, t in enumerate(sorted({t for col in columns for t in col.terms}))}
+    rows = [[0] * len(columns) for _ in index]
+    for c, col in enumerate(columns):
+        for t, x in col.terms.items():
+            rows[index[t]][c] = x
+    return linalg.rref(rows)
+
+
+def _graded_nakayama(candidates, weights, shifts):
+    """(indices of the kept candidates, their degrees): graded Nakayama
+    (Eisenbud, Cor. 4.8) as one rref per candidate degree d, from the lowest
+    up.  Each candidate is a nonzero element homogeneous of degree
+    sum w_i e_i + shifts[pos] on its terms x^e at position pos.  The
+    candidates of degree d kept are the pivot columns of
+    [(m*M)_d | candidates of degree d in the given order]: those outside
+    (m*M)_d + the span of the candidates before them.  A repeated candidate
+    is never a pivot."""
+    by_degree = {}
+    for i, c in enumerate(candidates):
+        pos, exp = next(iter(c.terms))
+        d = sum(w * e for w, e in zip(weights, exp)) + shifts[pos]
+        by_degree.setdefault(d, []).append(i)
+    kept, degrees = [], []
+    for d in sorted(by_degree):
+        span = _m_times([candidates[k] for k in kept], degrees, d, weights)
+        same = by_degree[d]
+        for p in _column_rref(span + [candidates[i] for i in same])[1]:
+            if p >= len(span):
+                kept.append(same[p - len(span)])
+                degrees.append(d)
+    return kept, degrees
 
 
 def _augmented_basis(vectors, order):
@@ -539,15 +602,3 @@ def lifts(gens, targets, order):
         else:
             out.append((-rem).project(positions).to_polys())
     return out
-
-
-def modules_equal(gens_a, gens_b, order=None):
-    """Equality of the submodules generated by the two families."""
-    order = order or TermOrder("grevlex", module="top")
-    a = [g for g in gens_a if not g.is_zero()]
-    b = [g for g in gens_b if not g.is_zero()]
-    if not a or not b:
-        return not a and not b
-    gb_a = groebner_basis(a, order)
-    gb_b = groebner_basis(b, order)
-    return all(gb_b.contains(g) for g in a) and all(gb_a.contains(g) for g in b)

@@ -48,15 +48,7 @@ def hilbert_series_quotient(ideal):
     numerator = _monomial_numerator([tuple(e) for e in exps], weights)
     top = max(numerator) if numerator else 0
     coeffs = [numerator.get(k, 0) for k in range(top + 1)]
-    factors = []
-    for w in sorted(weights):
-        for i, (n, mult) in enumerate(factors):
-            if n == w:
-                factors[i] = (n, mult + 1)
-                break
-        else:
-            factors.append((w, 1))
-    return RationalSeries(coeffs, factors)
+    return RationalSeries(coeffs, [(w, 1) for w in weights])
 
 
 def _standard_monomial_characters(gens, weights, bound):

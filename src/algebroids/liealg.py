@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 from . import linalg
 from .errors import AlgebroidError, InconsistencyError, PreconditionError
-from .poly import monomials
+from .groebner import _column_rref, _graded_nakayama, _m_times
 
 
 class LieAlgebra:
@@ -154,10 +154,6 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, brackets={self.brackets})"
 
 
-def abelian_lie_algebra(n):
-    return LieAlgebra(n, {})
-
-
 def sl2():
     """Standard basis H, X, Y with [H,X]=2X, [H,Y]=-2Y, [X,Y]=H."""
     return LieAlgebra(3, {
@@ -165,16 +161,6 @@ def sl2():
         (0, 2): (0, 0, -2),
         (1, 2): (1, 0, 0),
     }, labels=["H", "X", "Y"])
-
-
-def gl2():
-    """Basis E11, E12, E21, E22 of 2x2 matrices."""
-    def unit(i, j):
-        m = linalg.zeros(2, 2)
-        m[i][j] = Fraction(1)
-        return m
-    basis = [unit(0, 0), unit(0, 1), unit(1, 0), unit(1, 1)]
-    return lie_algebra_from_matrices(basis, labels=["E11", "E12", "E21", "E22"])
 
 
 def span_lie_algebra(vectors, bracket, labels=None):
@@ -205,45 +191,17 @@ def lie_algebra_from_matrices(mats, labels=None):
 
 # -- fibre Lie algebra extraction -----------------------------------------
 
-def _m_times(kept, degrees, d, weights):
-    """x^a k over the kept k with deg x^a = d - deg k > 0.  When the kept
-    fields generate T in every degree below d, these span (m*T)_d."""
-    return [k.mul_term(a) for k, e in zip(kept, degrees) if e < d
-            for a in monomials(weights, d - e)]
-
-
-def _column_rref(columns):
-    """rref of the matrix whose columns are the given module elements."""
-    index = {t: r for r, t in enumerate(sorted({t for col in columns for t in col.terms}))}
-    rows = [[0] * len(columns) for _ in index]
-    for c, col in enumerate(columns):
-        for t, x in col.terms.items():
-            rows[index[t]][c] = x
-    return linalg.rref(rows)
-
-
-def _graded_nakayama(dm):
-    """(kept generators, their degrees): graded Nakayama as one rref per
-    candidate degree d, from the lowest up.  The candidates of degree d
-    kept are the pivot columns of [(m*T)_d | candidates of degree d]: those
-    outside (m*T)_d + the span of the candidates before them."""
+def _fibre_basis(dm):
+    """(kept fields as vectors, their degrees): graded Nakayama over the
+    homogeneous components of the generators, each degree's in the order of
+    their sorted terms."""
     weights = dm.weights
-    # the homogeneous components of the generators by degree; a repeated
-    # component is never a pivot
-    by_degree = {}
-    for g in dm.generators:
-        comps = g.to_vector().homogeneous_components(weights, shifts=[-w for w in weights])
-        for d, c in comps.items():
-            by_degree.setdefault(d, []).append(c)
-    kept, degrees = [], []
-    for d in sorted(by_degree):
-        same = sorted(by_degree[d], key=lambda v: sorted(v.terms))
-        span = _m_times(kept, degrees, d, weights)
-        for p in _column_rref(span + same)[1]:
-            if p >= len(span):
-                kept.append(same[p - len(span)])
-                degrees.append(d)
-    return kept, degrees
+    shifts = [-w for w in weights]
+    comps = sorted((c for g in dm.generators
+                    for c in g.to_vector().homogeneous_components(weights, shifts).values()),
+                   key=lambda v: sorted(v.terms))
+    kept, degrees = _graded_nakayama(comps, weights, shifts)
+    return [comps[k] for k in kept], degrees
 
 
 def minimal_module_generators(dm):
@@ -251,7 +209,7 @@ def minimal_module_generators(dm):
     (graded Nakayama pruning)."""
     if not dm.ideal.is_quasi_homogeneous():
         raise PreconditionError("not quasi-homogeneous")
-    return _graded_nakayama(dm)[0]
+    return _fibre_basis(dm)[0]
 
 
 def fibre_lie_algebra(dm, require_origin=True):
@@ -270,7 +228,7 @@ def fibre_lie_algebra(dm, require_origin=True):
         raise PreconditionError("not quasi-homogeneous")
     if require_origin and not dm.all_vanish_at_origin():
         raise PreconditionError("not logarithmic at origin")
-    basis_vecs, degrees = _graded_nakayama(dm)
+    basis_vecs, degrees = _fibre_basis(dm)
     if not basis_vecs:
         return LieAlgebra(0, {}), []
     basis = [Derivation.from_vector(v) for v in basis_vecs]

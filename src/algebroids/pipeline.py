@@ -194,7 +194,9 @@ def analyze_singularity(spec, mode="tangent", series_depth=8):
     ideal = spec.ideal(weights)
     quasi = ideal.is_quasi_homogeneous()
     jac = jacobian_ideal(ideal)
-    colength = None if jac.is_unit() else jac.colength()
+    # the reduced basis is unique, so it may start from the minimal generators
+    jac_min = Ideal(jac.nvars, jac.minimal_generators(), jac.weights)
+    colength = None if jac_min.is_unit() else jac_min.colength()
     isolated = colength is not None
     principal = len(ideal.gens) == 1
 
@@ -236,7 +238,7 @@ def analyze_singularity(spec, mode="tangent", series_depth=8):
     dimension = None
     multiplicity = None
     if solvable and isolated:
-        graded = graded_pieces_series(jac, "ring", depth=series_depth,
+        graded = graded_pieces_series(jac_min, "ring", depth=series_depth,
                                       solvable_certificate=True)
         series = graded.series
         dimension = graded.dimension
@@ -265,7 +267,7 @@ def analyze_singularity(spec, mode="tangent", series_depth=8):
         varnames=spec.varnames, gens=spec.gens, weights=weights,
         quasi_homogeneous=quasi, mode=mode,
         tangent_generators=dm.generators, logarithmic_at_origin=logarithmic,
-        jacobian_gens=jac.minimal_generators(), colength=colength,
+        jacobian_gens=jac_min.gens, colength=colength,
         isolated=isolated, fibre=fibre, fingerprint=fingerprint,
         solvable=solvable, oracle_checks=oracle_checks, series=series,
         series_note=series_note, dimension=dimension, multiplicity=multiplicity)

@@ -148,29 +148,6 @@ class Polynomial:
                 terms[tuple(newexp)] = c * exp[i]
         return Polynomial(self.nvars, terms)
 
-    def substitute(self, images):
-        """f(g_1, ..., g_n) for polynomials g_i over a common ring."""
-        if len(images) != self.nvars:
-            raise ValueError("need one image per variable")
-        nv = images[0].nvars
-        out = Polynomial.zero(nv)
-        for exp, c in self.terms.items():
-            term = Polynomial.constant(nv, c)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * images[i] ** e
-            out = out + term
-        return out
-
-    def evaluate(self, point):
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            v = c
-            for x, e in zip(point, exp):
-                v *= Fraction(x) ** e
-            total += v
-        return total
-
     # -- comparison ------------------------------------------------------
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -55,44 +55,6 @@ class MatrixRep:
         return f"MatrixRep(algebra dim {self.algebra.dim}, module dim {self.dim})"
 
 
-def trivial_rep(algebra, n):
-    return MatrixRep(algebra, [linalg.zeros(n, n) for _ in range(algebra.dim)])
-
-
-def direct_sum_rep(rep1, rep2):
-    if rep1.algebra is not rep2.algebra and rep1.algebra.dim != rep2.algebra.dim:
-        raise ValueError("summands must share the algebra")
-    n1, n2 = rep1.dim, rep2.dim
-    mats = []
-    for a, b in zip(rep1.matrices, rep2.matrices):
-        m = linalg.zeros(n1 + n2, n1 + n2)
-        for i in range(n1):
-            for j in range(n1):
-                m[i][j] = a[i][j]
-        for i in range(n2):
-            for j in range(n2):
-                m[n1 + i][n1 + j] = b[i][j]
-        mats.append(m)
-    return MatrixRep(rep1.algebra, mats)
-
-
-def tensor_rep(rep1, rep2):
-    """Action on V (x) W: rho(g) (x) 1 + 1 (x) rho(g)."""
-    n1, n2 = rep1.dim, rep2.dim
-    mats = []
-    for a, b in zip(rep1.matrices, rep2.matrices):
-        m = linalg.zeros(n1 * n2, n1 * n2)
-        for i in range(n1):
-            for j in range(n2):
-                row = i * n2 + j
-                for k in range(n1):
-                    m[row][k * n2 + j] += a[i][k]
-                for k in range(n2):
-                    m[row][i * n2 + k] += b[j][k]
-        mats.append(m)
-    return MatrixRep(rep1.algebra, mats)
-
-
 def binary_form_rep(d):
     """sl2 acting on binary forms of degree d; basis v_k = x^(d-k) y^k.
 

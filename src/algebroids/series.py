@@ -323,10 +323,7 @@ def integrate_characters(cs):
         num = [0] * (deg + 1)
         for s, _, p in cs.closed_terms:
             num[p] += s
-        factors = {}
-        for _, p in cs.closed_denominator:
-            factors[p] = factors.get(p, 0) + 1
-        closed = RationalSeries(num, sorted(factors.items()))
+        closed = RationalSeries(num, [(p, 1) for _, p in cs.closed_denominator])
     return prefix, closed
 
 

@@ -11,8 +11,7 @@ from math import comb
 from algebroids.derivations import (Derivation, monomialize,
                                     tangent_derivations)
 from algebroids.errors import InconsistencyError
-from algebroids.groebner import (Ideal, TermOrder, lifts,
-                                 modules_equal)
+from algebroids.groebner import Ideal, TermOrder, lifts
 from algebroids.hilbert import (dimension_multiplicity,
                                 equivariant_series_monomial,
                                 graded_pieces_series, hilbert_series_quotient)

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from algebroids import groebner
+from algebroids.derivations import jacobian_ideal
 from algebroids.errors import PreconditionError
 from algebroids.groebner import (FreeModuleElement, Ideal, TermOrder,
-                                 groebner_basis, lifts, modules_equal,
-                                 syzygies)
-from algebroids.poly import Polynomial, parse_poly
+                                 _greedy_minimal_generators, groebner_basis,
+                                 lifts, syzygies)
+from algebroids.poly import Polynomial, monomials, parse_poly
 
 
 def P(text, varnames=("x", "y")):
@@ -54,8 +56,8 @@ def test_normal_form_and_membership():
 
 def test_lift_reproduces_member():
     ideal = Ideal(2, [P("x^2 + y^2"), P("x*y")])
-    ok, lift = ideal.member_lift(P("y^3"))
-    assert ok
+    lift = lifts(ideal.gens, [P("y^3")], ideal.default_order())[0]
+    assert lift is not None
     total = sum((c * g for c, g in zip(lift, ideal.gens)), Polynomial.zero(2))
     assert total == P("y^3")
     # known identity: y^3 = y(x^2+y^2) - x(xy)
@@ -72,8 +74,8 @@ def test_membership_soundness_random():
             exp = (rng.randrange(3), rng.randrange(3))
             c = Fraction(rng.randrange(-5, 6))
             f = f + g * Polynomial.monomial(2, exp, c)
-        ok, lift = ideal.member_lift(f)
-        assert ok
+        lift = lifts(ideal.gens, [f], ideal.default_order())[0]
+        assert lift is not None
         total = sum((c * g for c, g in zip(lift, gens)), Polynomial.zero(2))
         assert total == f
 
@@ -158,14 +160,6 @@ def test_syzygies_whitney_columns():
             acc = acc + p * cols[i]
         assert acc.is_zero()
     assert len(syz) >= 4
-
-
-def test_modules_equal():
-    a = [FreeModuleElement.from_polys([P("x"), P("y")])]
-    b = [FreeModuleElement.from_polys([P("2*x"), P("2*y")])]
-    assert modules_equal(a, b)
-    c = [FreeModuleElement.from_polys([P("x"), P("0")])]
-    assert not modules_equal(a, c)
 
 
 def test_ideal_power_and_product():
@@ -281,3 +275,68 @@ def test_descending_key_reverses_key():
     for order in orders:
         assert (sorted(monos, key=order.descending_key)
                 == sorted(monos, key=order.key, reverse=True))
+
+
+# -- minimal generators: graded Nakayama against the greedy route ----------
+
+DET23 = ("abcdef", ["a*e - b*d", "a*f - c*d", "b*f - c*e"])
+
+
+def random_graded_ideal(rng, weights):
+    """Quasi-homogeneous generators with dependent ones among them: a
+    multiple of one generator plus another of the multiple's degree."""
+    nvars = len(weights)
+    gens = []
+    for _ in range(rng.randrange(2, 5)):
+        d = rng.randrange(min(weights), 5)
+        terms = rng.sample(monomials(weights, d), k=min(2, len(monomials(weights, d))))
+        gens.append(Polynomial(nvars, {e: rng.choice([-2, -1, 1, 3]) for e in terms}))
+    for _ in range(rng.randrange(1, 4)):
+        g, h = sorted(rng.sample(gens, 2), key=lambda f: f.degree(weights))
+        gap = h.degree(weights) - g.degree(weights)
+        if gap:
+            g = g * Polynomial.monomial(nvars, rng.choice(monomials(weights, gap)))
+        gens.append(g * rng.choice([1, 2]) + h)
+    rng.shuffle(gens)
+    return Ideal(nvars, gens, weights)
+
+
+def test_graded_minimal_generators_match_greedy_on_random_ideals():
+    rng = random.Random(29)
+    dropped = 0
+    for weights in [(1, 1, 1), (1, 2, 3)] * 20:
+        ideal = random_graded_ideal(rng, weights)
+        assert ideal.is_quasi_homogeneous()
+        kept = ideal.minimal_generators()
+        assert kept == _greedy_minimal_generators(ideal)
+        dropped += len(ideal.gens) - len(kept)
+    assert dropped >= 40
+
+
+def test_graded_minimal_generators_match_greedy_on_determinantal_jacobian():
+    names, gens = DET23
+    jac = jacobian_ideal(Ideal(len(names), [P(g, names) for g in gens]))
+    assert len(jac.gens) == 42
+    for order in (jac.gens, jac.gens[::-1]):
+        ideal = Ideal(jac.nvars, order)
+        kept = ideal.minimal_generators()
+        assert len(kept) == 21
+        assert kept == _greedy_minimal_generators(ideal)
+
+
+def test_minimal_generators_of_graded_ideal_build_no_groebner_basis(monkeypatch):
+    names, gens = DET23
+    jac = jacobian_ideal(Ideal(len(names), [P(g, names) for g in gens]))
+    calls = []
+    original = groebner.groebner_basis
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "groebner_basis", counted)
+    assert len(jac.minimal_generators()) == 21
+    assert calls == []
+    # an ideal that is not quasi-homogeneous takes the greedy route
+    assert Ideal(2, [P("x^2 + y^3"), P("x")]).minimal_generators() == [P("x"), P("x^2 + y^3")]
+    assert calls

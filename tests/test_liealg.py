@@ -9,11 +9,11 @@ import pytest
 
 from algebroids import groebner, linalg
 from algebroids.derivations import (Derivation, DerivationModule,
-                                   tangent_derivations)
+                                   jacobian_ideal, tangent_derivations)
 from algebroids.errors import AlgebroidError, PreconditionError
-from algebroids.groebner import Ideal, groebner_basis, lifts
-from algebroids.liealg import (LieAlgebra, _graded_nakayama,
-                               abelian_lie_algebra, fibre_lie_algebra, gl2,
+from algebroids.groebner import (Ideal, _greedy_minimal_generators,
+                                 groebner_basis, lifts)
+from algebroids.liealg import (LieAlgebra, fibre_lie_algebra,
                                lie_algebra_from_matrices,
                                minimal_module_generators, sl2)
 from algebroids.poly import Polynomial, parse_poly
@@ -23,8 +23,18 @@ def P(text, varnames):
     return parse_poly(text, list(varnames))
 
 
+def gl2():
+    """Basis E11, E12, E21, E22 of 2x2 matrices."""
+    units = []
+    for i, j in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        m = linalg.zeros(2, 2)
+        m[i][j] = Fraction(1)
+        units.append(m)
+    return lie_algebra_from_matrices(units, labels=["E11", "E12", "E21", "E22"])
+
+
 def test_abelian():
-    g = abelian_lie_algebra(3)
+    g = LieAlgebra(3, {})
     fp = g.fingerprint()
     assert fp["derived_series"] == [3, 0]
     assert g.is_solvable()
@@ -184,7 +194,7 @@ def test_fibre_solves_one_rref_per_bracket_degree(monkeypatch):
         return original(rows)
 
     monkeypatch.setattr(linalg, "rref", counted)
-    _graded_nakayama(dm)
+    minimal_module_generators(dm)
     nakayama = len(calls)
     calls.clear()
     algebra, basis = fibre_lie_algebra(dm)
@@ -300,6 +310,15 @@ def _oracle_minimal_generators(dm):
 def test_minimal_generators_match_groebner_membership(name):
     dm = _oracle_dm(name)
     assert minimal_module_generators(dm) == _oracle_minimal_generators(dm)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in ORACLE_INPUTS if not n.endswith("+sum")))
+def test_jacobian_minimal_generators_match_greedy(name):
+    names, gens, weights, _origin = ORACLE_INPUTS[name]
+    jac = jacobian_ideal(Ideal(len(names), [P(g, names) for g in gens], weights))
+    for order in (jac.gens, jac.gens[::-1]):
+        ideal = Ideal(jac.nvars, order, jac.weights)
+        assert ideal.minimal_generators() == _greedy_minimal_generators(ideal)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))

@@ -3,6 +3,7 @@
 import argparse
 import itertools
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,9 @@ SPLIT_QUADRIC = "vars: x, y, z\nideal: x^2 + y*z\n"
 FERMAT = "vars: x, y, z\nideal: x^3 + y^3 + z^3\n"
 DISCRIMINANT = ("vars: x, y, z, w\n"
                 "ideal: y^2*z^2 - 4*x*z^3 - 4*y^3*w + 18*x*y*z*w - 27*x^2*w^2\n")
+# the 2x2 minors of a generic 2x4 matrix [[a, b, c, d], [e, f, g, h]]
+DETERMINANTAL_2X4 = ("vars: a, b, c, d, e, f, g, h\n"
+                     "ideal: a*f - b*e; a*g - c*e; a*h - d*e; b*g - c*f; b*h - d*f; c*h - d*g\n")
 
 
 def test_parse_input():
@@ -78,6 +82,19 @@ def test_analyze_quadric():
     assert split.series == report.series
     assert (split.dimension, split.multiplicity) == \
         (report.dimension, report.multiplicity)
+
+
+def test_analyze_determinantal_2x4_is_desk_scale():
+    # 710 Jacobian candidates; the minimal generators come from one rref per
+    # degree (0.3 s on a 2-core VM; a Groebner basis per candidate ran past
+    # 100 s)
+    start = time.perf_counter()
+    report = analyze_singularity(parse_input(DETERMINANTAL_2X4))
+    elapsed = time.perf_counter() - start
+    assert len(report.jacobian_gens) == 86
+    assert report.fingerprint["dim"] == 19
+    assert len(report.tangent_generators) == 40
+    assert elapsed < 15
 
 
 # -- the sl2 length path against the matrix kernel -------------------------

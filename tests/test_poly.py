@@ -86,13 +86,6 @@ def test_homogeneous_components_sum():
         assert total == f
 
 
-def test_substitute_and_evaluate():
-    f = P("x^2 + y", ("x", "y"))
-    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    assert f.substitute([y, x]) == P("y^2 + x", ("x", "y"))
-    assert f.evaluate([Fraction(2), Fraction(-1)]) == 3
-
-
 def test_pow():
     f = P("x + y", ("x", "y"))
     assert f ** 3 == P("x^3 + 3*x^2*y + 3*x*y^2 + y^3", ("x", "y"))

@@ -8,17 +8,55 @@ import pytest
 
 from algebroids import linalg
 from algebroids.errors import AlgebroidError, PreconditionError
-from algebroids.liealg import gl2, lie_algebra_from_matrices, sl2
+from algebroids.liealg import lie_algebra_from_matrices, sl2
 from algebroids.repmod import (MatrixRep, binary_form_rep, cayley_sylvester,
                                covariant_dimension, decompose_sl2,
-                               direct_sum_rep, invariants_dimension,
-                               recognition_sl_blocks, sl2_algebroid_filtration,
-                               sl2_isotypic, sym_kernel_dims, sym_power_rep,
-                               tensor_rep, trivial_rep, weight_space_dims)
+                               invariants_dimension, recognition_sl_blocks,
+                               sl2_algebroid_filtration, sl2_isotypic,
+                               sym_kernel_dims, sym_power_rep,
+                               weight_space_dims)
 
 
 def F(x):
     return Fraction(x)
+
+
+def gl2():
+    """Basis E11, E12, E21, E22 of 2x2 matrices."""
+    units = []
+    for i, j in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        m = linalg.zeros(2, 2)
+        m[i][j] = F(1)
+        units.append(m)
+    return lie_algebra_from_matrices(units)
+
+
+def trivial_rep(algebra, n):
+    return MatrixRep(algebra, [linalg.zeros(n, n) for _ in range(algebra.dim)])
+
+
+def direct_sum_rep(rep1, rep2):
+    n1, n2 = rep1.dim, rep2.dim
+    mats = []
+    for a, b in zip(rep1.matrices, rep2.matrices):
+        mats.append([row + [F(0)] * n2 for row in a] + [[F(0)] * n1 + row for row in b])
+    return MatrixRep(rep1.algebra, mats)
+
+
+def tensor_rep(rep1, rep2):
+    """Action on V (x) W: rho(g) (x) 1 + 1 (x) rho(g)."""
+    n1, n2 = rep1.dim, rep2.dim
+    mats = []
+    for a, b in zip(rep1.matrices, rep2.matrices):
+        m = linalg.zeros(n1 * n2, n1 * n2)
+        for i in range(n1):
+            for j in range(n2):
+                for k in range(n1):
+                    m[i * n2 + j][k * n2 + j] += a[i][k]
+                for k in range(n2):
+                    m[i * n2 + j][i * n2 + k] += b[j][k]
+        mats.append(m)
+    return MatrixRep(rep1.algebra, mats)
 
 
 def test_matrix_rep_validation():
