@@ -2,7 +2,7 @@
 quasi-homogeneity detection, and monomial-ideal extraction."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import add
 
 from . import linalg
@@ -181,21 +181,24 @@ def tangent_derivations(ideal):
 def krull_dimension(ideal):
     """Krull dimension of A/I in the graded polynomial model.
 
-    Combinatorial dimension of the initial ideal: the largest set S of
-    variables such that no leading monomial is supported inside S.
+    The dimension of A/in(I) is the pole order at t = 1 of its Hilbert
+    series K(t, ..., t) / (1 - t)^n, so n minus the order of t = 1 as a root
+    of K(t, ..., t), K the K-polynomial of the initial ideal.
     """
     if ideal.is_zero():
         return ideal.nvars
-    if ideal.is_unit():
-        return -1
-    lts = ideal.leading_exponents()
-    n = ideal.nvars
-    for size in range(n, -1, -1):
-        for subset in combinations(range(n), size):
-            sset = set(subset)
-            if not any(all(e[i] == 0 or i in sset for i in range(n)) for e in lts):
-                return size
-    return 0
+    k = k_polynomial(ideal.leading_exponents(), ideal.nvars)
+    if not k:
+        return -1  # the unit ideal
+    coeffs = [0] * (max(map(sum, k)) + 1)
+    for exp, c in k.items():
+        coeffs[sum(exp)] += c
+    order = 0
+    while sum(coeffs) == 0:
+        # K = (1 - t) Q, and the coefficients of Q are the partial sums of K's
+        coeffs = list(accumulate(coeffs))[:-1]
+        order += 1
+    return ideal.nvars - order
 
 
 def jacobian_ideal(ideal):
@@ -311,6 +314,27 @@ def minimal_monomials(exps):
         if not any(all(a <= b for a, b in zip(m, e)) for m in out):
             out.append(e)
     return out
+
+
+def k_polynomial(exps, nvars):
+    """The K-polynomial of the monomial ideal I generated by x^e, e in exps:
+    the numerator of the multigraded Hilbert series K / prod (1 - x_i) of
+    A/I, as {exponent: nonzero integer coefficient}; empty for the unit
+    ideal.  Colon recursion K(I) = K(I') - x^m K(I' : x^m), with I = I' +
+    (x^m) and x^m a minimal generator of least degree (Bayer and Stillman,
+    J. Symbolic Comput. 1992)."""
+    gens = minimal_monomials(set(map(tuple, exps)))
+    if not gens:
+        return {(0,) * nvars: 1}
+    m, rest = gens[0], gens[1:]
+    if not any(m):
+        return {}
+    out = k_polynomial(rest, nvars)
+    colon = {tuple(max(e - f, 0) for e, f in zip(g, m)) for g in rest}
+    for exp, c in k_polynomial(colon, nvars).items():
+        key = tuple(map(add, exp, m))
+        out[key] = out.get(key, 0) - c
+    return {exp: c for exp, c in out.items() if c}
 
 
 def monomialize(ideal):

@@ -1,7 +1,8 @@
 """Groebner bases for ideals and submodules of free modules over Q[x1..xn].
 
 Buchberger's algorithm with normal pair selection, the chain criterion, and
-the coprimality criterion (ideals only, where it is valid).  Syzygies and
+the coprimality criterion (ideals only, where it is valid); a pair of
+single-term elements is skipped, as its S-polynomial is zero.  Syzygies and
 coefficient lifts over the original generators are both read off one basis
 of the augmented rows (v_i, e_i) under a position-over-term order.
 
@@ -13,7 +14,6 @@ is not quasi-homogeneous keeps the greedy Groebner-membership pruning.
 
 import heapq
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from . import linalg
 from .errors import PreconditionError
@@ -320,6 +320,9 @@ def groebner_basis(gens, order):
         # coprimality criterion (valid for ideals only)
         if rank == 1 and all(a == 0 or b == 0 for a, b in zip(ei, ej)):
             continue
+        # two terms have a zero S-polynomial: skip the chain test's basis scan
+        if len(basis[i].terms) == 1 and len(basis[j].terms) == 1:
+            continue
         L = _lcm_exp(ei, ej)
         # chain criterion
         if any(k != i and k != j and _divides(ek, L)
@@ -472,19 +475,19 @@ class Ideal:
         return list(self._memo["minimal_generators"])
 
     def product(self, other):
-        gens = [a * b for a in self.gens for b in other.gens]
+        """The ideal of the distinct products of a generator of each."""
+        gens = dict.fromkeys(a * b for a in self.gens for b in other.gens)
         return Ideal(self.nvars, gens, self.weights)
 
     def power(self, k):
-        if k == 0:
-            return Ideal(self.nvars, [Polynomial.one(self.nvars)], self.weights)
-        gens = []
-        for combo in combinations_with_replacement(self.gens, k):
-            g = combo[0]
-            for h in combo[1:]:
-                g = g * h
-            gens.append(g)
-        return Ideal(self.nvars, gens, self.weights)
+        """I^k as I^(k-1) * I.  A quasi-homogeneous power keeps only its
+        minimal generators after each step, found without a basis."""
+        out = Ideal(self.nvars, [Polynomial.one(self.nvars)], self.weights)
+        for _ in range(k):
+            out = out.product(self)
+            if out.is_quasi_homogeneous():
+                out = Ideal(self.nvars, out.minimal_generators(), self.weights)
+        return out
 
     def equals(self, other):
         mine = all(other.contains(g) for g in self.gens)

@@ -5,9 +5,8 @@ extraction from rational series."""
 from fractions import Fraction
 from math import comb, factorial
 
-from .derivations import minimal_monomials, monomialize
+from .derivations import k_polynomial, monomialize
 from .errors import PreconditionError
-from .groebner import Ideal
 from .poly import monomials
 from .series import (CharacterSeries, RationalSeries, SeriesPrefix,
                      cumulative_quasi_polynomial, quasi_polynomial_of,
@@ -18,26 +17,6 @@ def _wdeg(exp, weights):
     return sum(w * e for w, e in zip(weights, exp))
 
 
-def _monomial_numerator(gens, weights):
-    """Numerator coefficients of the Hilbert series of A/(monomial gens),
-    by the colon recursion K(I) = K(I') - t^deg(m) K(I':m)."""
-    gens = minimal_monomials(set(gens))
-    if not gens:
-        return {0: 1}
-    if any(all(e == 0 for e in g) for g in gens):
-        return {}
-    m = gens[0]
-    rest = gens[1:]
-    without = _monomial_numerator(rest, weights)
-    colon = minimal_monomials({tuple(max(e - f, 0) for e, f in zip(g, m)) for g in rest})
-    shifted = _monomial_numerator(colon, weights)
-    d = _wdeg(m, weights)
-    out = dict(without)
-    for k, c in shifted.items():
-        out[k + d] = out.get(k + d, 0) - c
-    return {k: c for k, c in out.items() if c}
-
-
 def hilbert_series_quotient(ideal):
     """Hilbert series of A/I for a weighted-homogeneous ideal I, with
     denominator prod (1 - t^{w_i})."""
@@ -45,9 +24,10 @@ def hilbert_series_quotient(ideal):
     if not ideal.is_quasi_homogeneous():
         raise PreconditionError("not homogeneous")
     exps = ideal.leading_exponents() if not ideal.is_zero() else []
-    numerator = _monomial_numerator([tuple(e) for e in exps], weights)
-    top = max(numerator) if numerator else 0
-    coeffs = [numerator.get(k, 0) for k in range(top + 1)]
+    k = k_polynomial(exps, ideal.nvars)
+    coeffs = [0] * (max((_wdeg(exp, weights) for exp in k), default=0) + 1)
+    for exp, c in k.items():
+        coeffs[_wdeg(exp, weights)] += c
     return RationalSeries(coeffs, [(w, 1) for w in weights])
 
 
@@ -64,8 +44,9 @@ def _standard_monomial_characters(gens, weights, bound):
 def equivariant_series_monomial(ideal, bound=12):
     """Torus-character Hilbert series of A/I for a monomial ideal I.
 
-    Closed form by inclusion-exclusion over generator subsets; explicit
-    coefficients through the bound by direct standard-monomial enumeration.
+    Closed form: the K-polynomial of I over prod (1 - x_i t^{w_i});
+    explicit coefficients through the bound by direct standard-monomial
+    enumeration.
     """
     weights = ideal.weights
     n = ideal.nvars
@@ -76,14 +57,8 @@ def equivariant_series_monomial(ideal, bound=12):
         if monos is None:
             raise PreconditionError("not monomial with respect to coordinate torus")
         gens = [next(iter(m.terms)) for m in monos]
-    if len(gens) > 15:
-        raise PreconditionError("too many generators")
-    closed_terms = []
-    for mask in range(1 << len(gens)):
-        subset = [gens[i] for i in range(len(gens)) if mask >> i & 1]
-        sign = -1 if bin(mask).count("1") % 2 else 1
-        lcm_exp = tuple(max(g[i] for g in subset) if subset else 0 for i in range(n))
-        closed_terms.append((sign, lcm_exp, _wdeg(lcm_exp, weights)))
+    closed_terms = [(c, exp, _wdeg(exp, weights))
+                    for exp, c in k_polynomial(gens, n).items()]
     closed_den = []
     for i in range(n):
         unit = tuple(1 if j == i else 0 for j in range(n))
@@ -131,7 +106,8 @@ def graded_pieces_series(j_ideal, m_spec="ring", depth=8, solvable_certificate=F
     and has exactly n = nvars minimal generators, they form a regular
     sequence (height n = number of forms in a Cohen-Macaulay ring), so
     gr_J(A) = (A/J)[y_1..y_n] (Matsumura, Thm 16.2) and the dims are proved:
-    l(A/J) C(i+n-1, n-1), with no power of J built.  Otherwise the dims are
+    l(A/J) C(i+n-1, n-1), the series l(A/J)/(1-t)^n, with no power of J
+    built.  Otherwise the dims are
     colength differences of J^0..J^{depth+1} and the series is fitted to
     them against (1-t)^mu, mu the minimal number of generators.  Dimensions
     are exact vector-space dimensions; they equal lengths under a
@@ -142,23 +118,22 @@ def graded_pieces_series(j_ideal, m_spec="ring", depth=8, solvable_certificate=F
     colength = j_ideal.colength()
     if colength is None:
         raise PreconditionError("J not m-primary")
-    minimal = j_ideal.minimal_generators()
-    mu = len(minimal)
+    mu = len(j_ideal.minimal_generators())
     n = j_ideal.nvars
     if mu == n and j_ideal.is_quasi_homogeneous():
         counts = [colength * comb(i + n - 1, n - 1) for i in range(depth + 1)]
+        series = RationalSeries([colength], [(1, n)])
     else:
-        j_min = Ideal(n, minimal, j_ideal.weights)
         colengths = []
         for i in range(depth + 2):
-            power = j_min.power(i)
+            power = j_ideal.power(i)
             c = 0 if power.is_unit() else power.colength()
             if c is None:
                 raise PreconditionError("J not m-primary")
             colengths.append(c)
         counts = [b - a for a, b in zip(colengths, colengths[1:])]
+        series = reconstruct_rational(SeriesPrefix(counts), [(1, mu)])
     dims = list(enumerate(counts))
-    series = reconstruct_rational(SeriesPrefix(counts), [(1, mu)])
     quasi = quasi_polynomial_of(series)
     d, e = dimension_multiplicity(series)
     caveat = None if solvable_certificate else "lengths reported as dimensions; requires solvable fibre"

@@ -200,7 +200,7 @@ def analyze_singularity(spec, mode="tangent", series_depth=8):
     isolated = colength is not None
     principal = len(ideal.gens) == 1
 
-    target = ideal if mode == "tangent" else jac
+    target = ideal if mode == "tangent" else jac_min
     dm = tangent_derivations(target)
     logarithmic = dm.all_vanish_at_origin()
 
@@ -237,31 +237,28 @@ def analyze_singularity(spec, mode="tangent", series_depth=8):
     series_note = None
     dimension = None
     multiplicity = None
+    cov = None
+    if fibre is not None and not solvable and logarithmic:
+        # m-adic length series through the Levi of the fibre acting on m/m^2;
+        # that action needs fields vanishing at the origin.  A field that
+        # moves the origin makes a singular point non-isolated (below).
+        cov = _sl2_covariant_path(fibre, basis_derivations, max(series_depth, 12))
     if solvable and isolated:
         graded = graded_pieces_series(jac_min, "ring", depth=series_depth,
                                       solvable_certificate=True)
         series = graded.series
         dimension = graded.dimension
         multiplicity = graded.multiplicity
-    elif fibre is not None and not solvable and logarithmic:
-        # m-adic length series through the Levi of the fibre acting on m/m^2;
-        # that action needs fields vanishing at the origin.  A field that
-        # moves the origin makes a singular point non-isolated (below).
-        cov = _sl2_covariant_path(fibre, basis_derivations, max(series_depth, 12))
-        if cov is not None:
-            dims, series = cov
-            if series is not None:
-                dimension, multiplicity = dimension_multiplicity(series)
-            else:
-                series_note = "length dims computed; no builtin denominator"
-        elif not isolated:
-            series_note = "series out of scope (non-isolated)"
+    elif cov is not None:
+        _dims, series = cov
+        if series is not None:
+            dimension, multiplicity = dimension_multiplicity(series)
         else:
-            series_note = "length not certified"
-    elif not isolated:
-        series_note = "series out of scope (non-isolated)"
-    else:
+            series_note = "length dims computed; no builtin denominator"
+    elif isolated:
         series_note = "length not certified"
+    else:
+        series_note = "series out of scope (non-isolated)"
 
     return SingularityReport(
         varnames=spec.varnames, gens=spec.gens, weights=weights,

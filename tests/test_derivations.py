@@ -2,9 +2,10 @@
 
 import random
 import sys
+from itertools import combinations
 
-from algebroids.derivations import (Derivation, jacobian_ideal, monomialize,
-                                    quasi_homogeneous_weights,
+from algebroids.derivations import (Derivation, jacobian_ideal, krull_dimension,
+                                    monomialize, quasi_homogeneous_weights,
                                     tangent_derivations, tjurina_ideal)
 from algebroids import derivations, groebner
 from algebroids.groebner import Ideal
@@ -290,3 +291,46 @@ def test_monomialize_random_small():
         out = monomialize(ideal)
         assert out is not None
         assert Ideal(nvars, out).equals(ideal)
+
+
+# -- Krull dimension from the K-polynomial against the variable subsets -----
+
+def subset_dimension(ideal):
+    """The largest set S of variables such that no leading monomial is
+    supported inside S: the combinatorial dimension of the initial ideal."""
+    if ideal.is_zero():
+        return ideal.nvars
+    if ideal.is_unit():
+        return -1
+    lts = ideal.leading_exponents()
+    n = ideal.nvars
+    for size in range(n, -1, -1):
+        for subset in combinations(range(n), size):
+            if not any(all(e[i] == 0 or i in subset for i in range(n)) for e in lts):
+                return size
+    return 0
+
+
+def random_ideal(rng, nvars, homogeneous):
+    gens = []
+    for _ in range(rng.randrange(1, 4)):
+        d = rng.randrange(1, 4)
+        terms = {}
+        for _ in range(rng.randrange(1, 4)):
+            exp = [0] * nvars
+            for _ in range(d if homogeneous else rng.randrange(d + 1)):
+                exp[rng.randrange(nvars)] += 1
+            terms[tuple(exp)] = rng.choice([-2, -1, 1, 3])
+        gens.append(Polynomial(nvars, terms))
+    return Ideal(nvars, gens)
+
+
+def test_krull_dimension_matches_variable_subset_search():
+    rng = random.Random(43)
+    seen = set()
+    for homogeneous in (True, False) * 30:
+        ideal = random_ideal(rng, rng.randrange(2, 5), homogeneous)
+        expected = subset_dimension(ideal)
+        assert krull_dimension(ideal) == expected
+        seen.add(expected)
+    assert {-1, 0, 1, 2, 3} <= seen

@@ -1,7 +1,11 @@
 """Groebner bases, normal forms, lifts, colength, and syzygies."""
 
 import random
+import time
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations_with_replacement
+from operator import mul
 
 import pytest
 
@@ -340,3 +344,26 @@ def test_minimal_generators_of_graded_ideal_build_no_groebner_basis(monkeypatch)
     # an ideal that is not quasi-homogeneous takes the greedy route
     assert Ideal(2, [P("x^2 + y^3"), P("x")]).minimal_generators() == [P("x"), P("x^2 + y^3")]
     assert calls
+
+
+# -- powers: pruned after each product ---------------------------------------
+
+def test_power_is_the_ideal_of_all_k_fold_products():
+    rng = random.Random(31)
+    for weights in [(1, 1, 1), (1, 2, 3)] * 3:
+        ideal = random_graded_ideal(rng, weights)
+        for k in (1, 2, 3):
+            products = [reduce(mul, combo)
+                        for combo in combinations_with_replacement(ideal.gens, k)]
+            power = ideal.power(k)
+            assert power.equals(Ideal(ideal.nvars, products, weights))
+            assert power.gens == power.minimal_generators()
+
+
+def test_power_of_coordinate_axes_jacobian_is_desk_scale():
+    # J = m^2: J^9 = m^18 has 190 monomials among its 2002 products of
+    # generators, and a basis of all the products ran past 60 s
+    j = jacobian_ideal(Ideal(3, [P(g, XYZ) for g in ("x*y", "y*z", "x*z")]))
+    start = time.perf_counter()
+    assert j.power(9).colength() == 1140  # C(20, 3), the colength of m^18
+    assert time.perf_counter() - start < 60

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -11,7 +12,7 @@ from algebroids.groebner import Ideal
 from algebroids.hilbert import (dimension_multiplicity,
                                 equivariant_series_monomial,
                                 graded_pieces_series, hilbert_series_quotient)
-from algebroids.poly import Polynomial, parse_poly
+from algebroids.poly import Polynomial, monomials, parse_poly
 from algebroids.series import (RationalSeries, integrate_characters)
 
 
@@ -86,6 +87,21 @@ def test_equivariant_integration_consistency_random():
         assert prefix.coeffs == rs.expand(12).coeffs
         if closed is not None:
             assert closed.expand(12).coeffs == rs.expand(12).coeffs
+
+
+def test_equivariant_closed_form_of_m6_matches_standard_monomials():
+    # m^6 in three variables has 28 generators
+    gens = [Polynomial.monomial(3, e) for e in monomials((1, 1, 1), 6)]
+    cs = equivariant_series_monomial(Ideal(3, gens), bound=10)
+    # K / prod (1 - x_i): the coefficient of x^a sums the c x^e with e <= a
+    for d in range(11):
+        for a in monomials((1, 1, 1), d):
+            expected = sum(c for c, e, _p in cs.closed_terms
+                           if all(x <= y for x, y in zip(e, a)))
+            assert cs.coefficient(d).get(a, 0) == expected
+    prefix, closed = integrate_characters(cs)
+    assert prefix.as_ints() == [comb(d + 2, 2) for d in range(6)] + [0] * 5
+    assert closed.expand(10).coeffs == prefix.coeffs
 
 
 def test_graded_pieces_cusp():

@@ -27,6 +27,8 @@ SPLIT_QUADRIC = "vars: x, y, z\nideal: x^2 + y*z\n"
 FERMAT = "vars: x, y, z\nideal: x^3 + y^3 + z^3\n"
 DISCRIMINANT = ("vars: x, y, z, w\n"
                 "ideal: y^2*z^2 - 4*x*z^3 - 4*y^3*w + 18*x*y*z*w - 27*x^2*w^2\n")
+# the three coordinate axes: the Jacobian ideal is m^2, 6 generators in 3 variables
+AXES = "vars: x, y, z\nideal: x*y; y*z; x*z\n"
 # the 2x2 minors of a generic 2x4 matrix [[a, b, c, d], [e, f, g, h]]
 DETERMINANTAL_2X4 = ("vars: a, b, c, d, e, f, g, h\n"
                      "ideal: a*f - b*e; a*g - c*e; a*h - d*e; b*g - c*f; b*h - d*f; c*h - d*g\n")
@@ -95,6 +97,15 @@ def test_analyze_determinantal_2x4_is_desk_scale():
     assert report.fingerprint["dim"] == 19
     assert len(report.tangent_generators) == 40
     assert elapsed < 15
+
+
+def test_analyze_coordinate_axes_by_pruned_powers():
+    # the series of J = m^2 is fitted to the colengths of J^0..J^11 against
+    # (1 - t)^6; with every product of generators kept, J^9 alone has 2002
+    report = analyze_singularity(parse_input(AXES), series_depth=10)
+    assert report.solvable and report.colength == 4
+    assert report.series == RationalSeries([4, 4], [(1, 3)])
+    assert (report.dimension, report.multiplicity) == (3, 8)
 
 
 # -- the sl2 length path against the matrix kernel -------------------------
