@@ -413,19 +413,18 @@ class Ideal:
         if self.is_unit():
             raise PreconditionError("unit ideal")
         lts = self.leading_exponents()
-        bounds = []
-        for i in range(self.nvars):
-            pure = [e[i] for e in lts if all(e[j] == 0 for j in range(self.nvars) if j != i)]
-            if not pure:
-                return None
-            bounds.append(min(pure))
         n = self.nvars
         # a lead whose last nonzero exponent sits at position i can divide
         # prefix + (e, 0, ...) only at level i: below that it would divide the
-        # prefix, which was already ruled out
+        # prefix, which was already ruled out.  by_last[i] holds the pairs
+        # (lt[:i], lt[i]) of those leads.
         by_last = [[] for _ in range(n)]
         for lt in lts:
-            by_last[max(j for j, a in enumerate(lt) if a)].append(lt)
+            i = max(j for j, a in enumerate(lt) if a)
+            by_last[i].append((lt[:i], lt[i]))
+        # finite iff every variable has a pure power among the leads
+        if not all(any(not any(head) for head, _a in by_last[i]) for i in range(n)):
+            return None
         out = []
 
         def rec(prefix):
@@ -433,13 +432,11 @@ class Ideal:
             if i == n:
                 out.append(tuple(prefix))
                 return
-            for e in range(bounds[i]):
-                exp = prefix + [e]
-                # standard monomials form an order ideal: a larger e is
-                # divisible too (_divides compares the first i + 1 places)
-                if any(_divides(lt, exp) for lt in by_last[i]):
-                    break
-                rec(exp)
+            # prefix + [e] is divisible by a lead of by_last[i] exactly when
+            # the lead's first i places divide the prefix and e >= lt[i]
+            # (a pure power of x_i always qualifies, so the bound is finite)
+            for e in range(min(a for head, a in by_last[i] if _divides(head, prefix))):
+                rec(prefix + [e])
 
         rec([])
         return sorted(out)

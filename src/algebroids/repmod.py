@@ -8,7 +8,7 @@ from . import linalg
 from .errors import AlgebroidError, InconsistencyError, PreconditionError
 from .groebner import FreeModuleElement, TermOrder, groebner_basis, syzygies
 from .liealg import sl2
-from .poly import Polynomial, monomials
+from .poly import monomials
 from .series import partitions_in_rectangle
 
 
@@ -305,60 +305,32 @@ def recognition_sl_blocks(matrices, dim=None):
 
 # -- Example 3.7: filtration of R (x) V_d over the sl2 algebroid -----------
 
-_ANCHOR = {
-    # polynomial coefficient of d/dx for H, X+, X- in Q[x]
-    "H": Polynomial(1, {(1,): Fraction(2)}),
-    "X+": Polynomial(1, {(2,): Fraction(1)}),
-    "X-": Polynomial(1, {(0,): Fraction(-1)}),
-}
-
-
-def _vec_diff(vec):
-    return FreeModuleElement.from_polys([p.diff(0) for p in vec.to_polys()])
-
-
-def _vec_matrix(mat, vec):
-    comps = vec.to_polys()
-    out = []
-    for i in range(len(comps)):
-        acc = Polynomial.zero(1)
-        for j, c in enumerate(comps):
-            if mat[i][j]:
-                acc = acc + c * mat[i][j]
-        out.append(acc)
-    return FreeModuleElement.from_polys(out)
+# anchor of H, X+, X-: (a, s) for the vector field a x^s d/dx on Q[x]
+_ANCHOR = {"H": (2, 1), "X+": (1, 2), "X-": (-1, 0)}
 
 
 def _algebroid_ops(d):
-    rep = binary_form_rep(d)
-    names = ["H", "X+", "X-"]
+    """H, X+, X- on Q[x] (x) V_d, as op(v) = anchor(v') + rho(op) v on the
+    terms of v, with rho = binary_form_rep(d) read by sparse columns."""
+    rank = d + 1
 
-    def make(idx, name):
-        mat = rep.matrices[idx]
-        anchor = _ANCHOR[name]
+    def make(mat, a, s):
+        cols = [[(r, mat[r][j]) for r in range(rank) if mat[r][j]] for j in range(rank)]
 
         def op(vec):
-            return _vec_diff(vec).mul_poly(anchor) + _vec_matrix(mat, vec)
+            out = {}
+            for (j, (k,)), c in vec.terms.items():
+                if k:
+                    mono = (j, (k - 1 + s,))
+                    out[mono] = out.get(mono, 0) + a * k * c
+                for r, m in cols[j]:
+                    out[(r, (k,))] = out.get((r, (k,)), 0) + m * c
+            return FreeModuleElement(1, rank, out)
 
         return op
 
-    return {name: make(i, name) for i, name in enumerate(names)}
-
-
-def _dg_closure(gens, ops, order):
-    """R-submodule closure under the algebroid operators."""
-    basis = [g for g in gens if not g.is_zero()]
-    while True:
-        gb = groebner_basis(basis, order)
-        extra = []
-        for b in basis:
-            for op in ops.values():
-                img = op(b)
-                if not img.is_zero() and not gb.contains(img):
-                    extra.append(img)
-        if not extra:
-            return basis, gb
-        basis = basis + extra
+    return {name: make(mat, *_ANCHOR[name])
+            for name, mat in zip(("H", "X+", "X-"), binary_form_rep(d).matrices)}
 
 
 def _module_rank(gb):
@@ -383,6 +355,15 @@ def sl2_algebroid_filtration(d):
     m_i = (X+ - (lambda_0 + 2(i-1)) x) m_{i-1}, certifies d+1 rank-one
     successive quotients, and records the observed scalar in the quotient
     relation X+ mu_i = c_i x mu_i.
+
+    The submodules are built top down, N_{d+1} = 0 and N_i = Q[x] m_i +
+    N_{i+1}, with one Groebner basis each.  Every operator satisfies
+    op(f v) = f op(v) + anchor(f') v, so a Q[x]-span is closed under the
+    operators once their images of its generators lie in it.  N_{i+1} is
+    closed already, so checking H, X+ and X- on m_i alone shows N_i closed.
+    m_{i+1} = X+ m_i - c x m_i lies in the closure of m_i, and so does
+    N_{i+1}, which by induction is the closure of m_{i+1}.  So N_i is exactly
+    the closure of m_i, and N_i / N_{i+1} is cyclic, generated by m_i.
     """
     if d < 0:
         raise PreconditionError("degree must be non-negative")
@@ -409,25 +390,22 @@ def sl2_algebroid_filtration(d):
             raise InconsistencyError("X- does not annihilate a filtration vector")
         if ops["H"](m_vec) != m_vec.mul_term((0,), w):
             raise InconsistencyError("H eigenvalue mismatch on a filtration vector")
-    submodules = []
-    for m_vec in vectors:
-        basis, gb = _dg_closure([m_vec], ops, order)
-        submodules.append((basis, gb))
-    ranks = [_module_rank(gb) for _basis, gb in submodules]
+    # gbs[i] is the basis of N_i = Q[x] m_i + ... + Q[x] m_d; gbs[d + 1] = None
+    gbs = [None] * (d + 2)
+    for i in range(d, -1, -1):
+        gb = groebner_basis(vectors[i:], order)
+        images = [op(vectors[i]) for op in ops.values()]
+        if not all(img.is_zero() or gb.contains(img) for img in images):
+            raise InconsistencyError("quotient is not cyclic")
+        gbs[i] = gb
+    ranks = [_module_rank(gb) for gb in gbs[:-1]]
     if ranks != [rank - i for i in range(d + 1)]:
         raise InconsistencyError("submodule ranks do not drop by one")
     # certify each quotient is free of rank one over Q[x]
     quotient_scalars = []
     for i in range(d + 1):
-        m_vec = vectors[i]
-        next_gens = submodules[i + 1][0] if i + 1 <= d else []
-        next_gb = submodules[i + 1][1] if i + 1 <= d else None
-        # cyclic: every generator of N_i lies in Q[x] m_i + N_{i+1}
-        cyc_gb = groebner_basis([m_vec] + next_gens, order)
-        for b in submodules[i][0]:
-            if not cyc_gb.contains(b):
-                raise InconsistencyError("quotient is not cyclic")
-        if next_gens and not _colon_ideal_is_zero(m_vec, next_gens):
+        m_vec, next_gb = vectors[i], gbs[i + 1]
+        if i < d and not _colon_ideal_is_zero(m_vec, vectors[i + 1:]):
             raise InconsistencyError("quotient has torsion")
         # observed scalar c with X+ m_i = c x m_i mod N_{i+1}
         image = ops["X+"](m_vec)

@@ -4,7 +4,7 @@ import random
 import time
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from operator import mul
 
 import pytest
@@ -93,6 +93,45 @@ def test_colength_examples():
     assert three.colength() is None
     with pytest.raises(PreconditionError, match="unit ideal"):
         Ideal(2, [P("x"), P("y"), P("1 - x*y")]).standard_monomials()
+
+
+def box_standard_monomials(ideal):
+    """Every exponent below the pure-power bounds that no lead divides;
+    None when some variable has no pure power among the leads."""
+    lts = ideal.leading_exponents()
+    n = ideal.nvars
+    bounds = []
+    for i in range(n):
+        pure = [lt[i] for lt in lts if not any(lt[:i] + lt[i + 1:])]
+        if not pure:
+            return None
+        bounds.append(min(pure))
+    box = product(*(range(b) for b in bounds))
+    return sorted(e for e in box if not any(all(a <= b for a, b in zip(lt, e)) for lt in lts))
+
+
+def test_standard_monomials_match_the_box_filter():
+    rng = random.Random(29)
+    seen = set()
+    for trial in range(60):
+        monomial = trial % 2 == 0
+        nvars = rng.randrange(1, 4)
+        gens = []
+        for i in range(nvars):
+            if rng.random() < 0.8:  # a pure power, so most ideals are finite
+                gens.append(Polynomial.variable(nvars, i, rng.randrange(1, 5)))
+        for _ in range(rng.randrange(1, 4)):
+            nterms = 1 if monomial else rng.randrange(2, 4)
+            terms = {tuple(rng.randrange(4) for _ in range(nvars)): rng.choice([-2, -1, 1, 3])
+                     for _ in range(nterms)}
+            gens.append(Polynomial(nvars, terms))
+        ideal = Ideal(nvars, [g for g in gens if not g.is_constant()])
+        if ideal.is_zero() or ideal.is_unit():
+            continue
+        expected = box_standard_monomials(ideal)
+        assert ideal.standard_monomials() == expected
+        seen.add((monomial, expected is None))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def brute_colength(gens, nvars, bound):

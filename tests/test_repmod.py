@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from algebroids import linalg
-from algebroids.errors import AlgebroidError, PreconditionError
+from algebroids import groebner, linalg, repmod
+from algebroids.errors import AlgebroidError, InconsistencyError, PreconditionError
+from algebroids.groebner import FreeModuleElement, TermOrder, groebner_basis
 from algebroids.liealg import lie_algebra_from_matrices, sl2
+from algebroids.poly import Polynomial
 from algebroids.repmod import (MatrixRep, binary_form_rep, cayley_sylvester,
                                covariant_dimension, decompose_sl2,
                                invariants_dimension, recognition_sl_blocks,
@@ -336,3 +338,154 @@ def test_filtration_scalar_observation():
     r1 = sl2_algebroid_filtration(1)
     assert r1["half_factor_confirmed"] is False
     assert r1["quotient_scalars"] == [Fraction(-1), Fraction(1)]
+
+
+# the closure route: operators through Polynomial, each submodule closed by
+# rebuilding its basis once per round
+
+# polynomial coefficient of d/dx for H, X+, X- in Q[x]
+ANCHOR = {
+    "H": Polynomial(1, {(1,): F(2)}),
+    "X+": Polynomial(1, {(2,): F(1)}),
+    "X-": Polynomial(1, {(0,): F(-1)}),
+}
+
+
+def vec_diff(vec):
+    return FreeModuleElement.from_polys([p.diff(0) for p in vec.to_polys()])
+
+
+def vec_matrix(mat, vec):
+    comps = vec.to_polys()
+    return FreeModuleElement.from_polys([
+        sum((c * mat[i][j] for j, c in enumerate(comps) if mat[i][j]), Polynomial.zero(1))
+        for i in range(len(comps))])
+
+
+def polynomial_ops(d):
+    return {name: (lambda vec, mat=mat, anchor=ANCHOR[name]:
+                   vec_diff(vec).mul_poly(anchor) + vec_matrix(mat, vec))
+            for name, mat in zip(("H", "X+", "X-"), binary_form_rep(d).matrices)}
+
+
+def dg_closure(gens, ops, order):
+    """Basis of the Q[x]-submodule closure of gens under the operators."""
+    basis = list(gens)
+    while True:
+        gb = groebner_basis(basis, order)
+        extra = [img for b in basis for img in (op(b) for op in ops.values())
+                 if not img.is_zero() and not gb.contains(img)]
+        if not extra:
+            return gb
+        basis = basis + extra
+
+
+def closure_filtration(d):
+    """The filtration's report and the basis of the closure of each m_i."""
+    ops = polynomial_ops(d)
+    order = TermOrder("grevlex", module="top")
+    vectors = [FreeModuleElement(1, d + 1, {(d, (0,)): F(1)})]
+    for i in range(1, d + 1):
+        prev = vectors[-1]
+        vectors.append(ops["X+"](prev) - prev.mul_term((1,), -d + 2 * (i - 1)))
+    weights = [-d + 2 * i for i in range(d + 1)]
+    closures = [dg_closure([m], ops, order) for m in vectors]
+    scalars = []
+    for i, (m, w) in enumerate(zip(vectors, weights)):
+        image = ops["X+"](m)
+        for cand in (F(w), Fraction(w, 2)):
+            residual = image - m.mul_term((1,), cand)
+            if residual.is_zero() or (i < d and closures[i + 1].contains(residual)):
+                scalars.append(cand)
+                break
+    report = {
+        "highest_vectors": vectors,
+        "weights": weights,
+        "ranks": [len({pos for (pos, _e), _c in gb.leads()}) for gb in closures],
+        "quotient_count": d + 1,
+        "quotient_scalars": scalars,
+        "half_factor_confirmed": all(c == Fraction(w, 2) for c, w in zip(scalars, weights)),
+    }
+    return report, closures
+
+
+@pytest.mark.parametrize("d", range(9))
+def test_filtration_matches_the_closure_route(monkeypatch, d):
+    built = []
+
+    def recorded(gens, order):
+        built.append(groebner_basis(gens, order))
+        return built[-1]
+
+    monkeypatch.setattr(repmod, "groebner_basis", recorded)
+    result = sl2_algebroid_filtration(d)
+    report, closures = closure_filtration(d)
+    assert result == report
+    # N_d, ..., N_0 are built in that order; N_i is the closure of m_i alone
+    assert [gb.elements for gb in reversed(built)] == [gb.elements for gb in closures]
+
+
+def test_algebroid_operators_match_the_polynomial_route():
+    rng = random.Random(41)
+    for d in range(7):
+        ops, reference = repmod._algebroid_ops(d), polynomial_ops(d)
+        for _ in range(6):
+            terms = {(rng.randrange(d + 1), (rng.randrange(5),)): F(rng.randrange(-4, 5))
+                     for _ in range(rng.randrange(1, 7))}
+            vec = FreeModuleElement(1, d + 1, terms)
+            for name in ("H", "X+", "X-"):
+                assert ops[name](vec) == reference[name](vec)
+
+
+def test_filtration_builds_one_basis_per_step(monkeypatch):
+    calls = []
+    original = groebner.groebner_basis
+
+    def counted(gens, order):
+        calls.append(order.module)
+        return original(gens, order)
+
+    monkeypatch.setattr(groebner, "groebner_basis", counted)
+    monkeypatch.setattr(repmod, "groebner_basis", counted)
+    sl2_algebroid_filtration(6)
+    # N_6, ..., N_0, then one syzygy basis (position over term) per torsion
+    # check: 13 in all
+    assert calls == ["top"] * 7 + ["pot"] * 6
+
+
+def faulty_ops(name, fault):
+    """_algebroid_ops with ops[name] replaced by fault(ops[name])."""
+    original = repmod._algebroid_ops
+
+    def ops(d):
+        out = original(d)
+        out[name] = fault(out[name])
+        return out
+
+    return ops
+
+
+def grows_on_top_weight(op):
+    # adds x v to vectors with a term at position 0; of the m_i only m_d has one
+    return lambda v: op(v) + v.mul_term((1,), int(any(pos == 0 for pos, _e in v.terms)))
+
+
+@pytest.mark.parametrize("name, fake, message", [
+    ("_algebroid_ops", faulty_ops("X+", lambda op: lambda v: v.mul_term((1,), -2)),
+     "filtration vector vanished"),
+    ("_algebroid_ops", faulty_ops("X-", lambda op: lambda v: v),
+     "X- does not annihilate"),
+    ("_algebroid_ops", faulty_ops("H", lambda op: lambda v: v.scale(0)),
+     "H eigenvalue mismatch"),
+    ("groebner_basis", lambda gens, order: groebner_basis(gens[:1], order),
+     "quotient is not cyclic"),
+    ("_module_rank", lambda gb: 1, "ranks do not drop by one"),
+    ("_colon_ideal_is_zero", lambda m_vec, gens: False, "quotient has torsion"),
+    ("_algebroid_ops", faulty_ops("X+", grows_on_top_weight),
+     "no scalar quotient relation"),
+])
+def test_filtration_raises_each_failed_check(monkeypatch, name, fake, message):
+    sl2_algebroid_filtration(2)
+    monkeypatch.setattr(repmod, name, fake)
+    with pytest.raises(InconsistencyError, match=message):
+        sl2_algebroid_filtration(2)
