@@ -165,28 +165,25 @@ def sl2():
 
 def span_lie_algebra(vectors, bracket, labels=None):
     """Structure constants of the span of linearly independent vectors,
-    closed under bracket(a, b), the bracket of vectors[a] and vectors[b]."""
+    closed under bracket(a, b), the bracket of vectors[a] and vectors[b].
+
+    One rref of [vectors | every bracket] solves for all the coordinates."""
+    k = len(vectors)
+    pairs = list(combinations(range(k), 2))
+    if not pairs:
+        return LieAlgebra(k, {}, labels)
+    targets = [bracket(a, b) for a, b in pairs]
+    red, pivots = linalg.rref([[v[t] for v in vectors] + [w[t] for w in targets]
+                               for t in range(len(targets[0]))])
+    if pivots and pivots[-1] >= k:
+        raise AlgebroidError("span is not closed under the bracket")
     brackets = {}
-    for a in range(len(vectors)):
-        for b in range(a + 1, len(vectors)):
-            sol = linalg.coordinates(vectors, bracket(a, b))
-            if sol is None:
-                raise AlgebroidError("span is not closed under the bracket")
-            brackets[(a, b)] = sol
-    return LieAlgebra(len(vectors), brackets, labels)
-
-
-def lie_algebra_from_matrices(mats, labels=None):
-    """Structure constants of a matrix Lie algebra spanned by the given
-    (linearly independent) matrices, closed under commutator."""
-    def flat(m):
-        return [c for row in m for c in row]
-
-    def commutator(a, b):
-        return flat(linalg.mat_sub(linalg.mat_mul(mats[a], mats[b]),
-                                   linalg.mat_mul(mats[b], mats[a])))
-
-    return span_lie_algebra([flat(m) for m in mats], commutator, labels)
+    for j, pair in enumerate(pairs):
+        sol = [Fraction(0)] * k
+        for row, p in zip(red, pivots):
+            sol[p] = row[k + j]
+        brackets[pair] = sol
+    return LieAlgebra(k, brackets, labels)
 
 
 # -- fibre Lie algebra extraction -----------------------------------------

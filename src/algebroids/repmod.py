@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import AlgebroidError, InconsistencyError, PreconditionError
-from .groebner import FreeModuleElement, TermOrder, groebner_basis, syzygies
+from .groebner import FreeModuleElement, TermOrder, groebner_basis
 from .liealg import sl2
 from .poly import monomials
 from .series import partitions_in_rectangle
@@ -221,86 +221,46 @@ def covariant_dimension(n, d):
 
 # -- recognition of sl-blocks ---------------------------------------------
 
-def _submodule_closure(matrices, vectors):
-    """Smallest subspace containing the vectors and stable under the matrices."""
-    basis = linalg.row_space_basis([v for v in vectors if any(v)])
-    while True:
-        extra = []
-        for b in basis:
-            for m in matrices:
-                img = linalg.mat_vec(m, b)
-                if any(img) and linalg.coordinates(basis, img) is None:
-                    extra.append(img)
-        if not extra:
-            return basis
-        basis = linalg.row_space_basis(basis + extra)
-
-
-def _minimal_submodule(matrices, dim):
-    """Minimal nonzero invariant subspace; deterministic tie-break by the
-    lexicographically smallest rref basis."""
-    candidates = list(linalg.identity(dim))
-    for m in matrices:
-        candidates.extend(linalg.kernel_basis(m))
-    best = None
-    for v in candidates:
-        if not any(v):
-            continue
-        sub = _submodule_closure(matrices, [v])
-        key = (len(sub), [[str(c) for c in row] for row in sub])
-        if best is None or key < best[0]:
-            best = (key, sub)
-    return best[1]
-
-
-def _quotient_action(matrices, sub, dim):
-    """Action matrices on V/sub in a completed basis."""
-    comp = []
-    basis = list(sub)
-    for v in linalg.identity(dim):
-        if linalg.coordinates(basis, v) is None:
-            comp.append(v)
-            basis = linalg.row_space_basis(basis + [v])
-    full = list(sub) + comp
-    # change of basis: columns of P are the chosen basis vectors
-    p = [[full[j][i] for j in range(dim)] for i in range(dim)]
-    p_inv = linalg.inverse(p)
-    k = len(sub)
-    q = len(comp)
-    out = []
-    for m in matrices:
-        conj = linalg.mat_mul(p_inv, linalg.mat_mul(m, p))
-        out.append([[conj[k + i][k + j] for j in range(q)] for i in range(q)])
-    return out, q
-
-
 def recognition_sl_blocks(matrices, dim=None):
-    """Composition-factor dimensions of V under the span of the given matrices,
-    the set F of factors of dimension >= 2, and whether the diagonal trace-zero
-    Cartan of sl(V) lies in the span (the recognition hypothesis)."""
+    """Composition-factor dimensions of V under the span of the given
+    matrices, bottom up, and the set F of factors of dimension >= 2.
+
+    Recognition hypothesis: the diagonal trace-zero Cartan of sl(V) lies in
+    the span; PreconditionError otherwise.  Under it the diagonal torus acts
+    on the coordinate lines with distinct characters, so every invariant
+    subspace is spanned by coordinate vectors (Humphreys, 20.1).  The factors
+    are then the strongly connected components of the graph with an edge
+    i -> k whenever some matrix has a nonzero entry in row k, column i.
+    Components are listed by the dimension of the submodule they generate,
+    then by their smallest coordinate, so each prefix spans a submodule."""
     if dim is None:
         dim = len(matrices[0])
     if dim > 10:
         raise PreconditionError("dimension too large")
     flat = [[m[i][j] for i in range(dim) for j in range(dim)] for m in matrices]
-    hypothesis = True
+    cartans = []
     for i in range(dim - 1):
-        cartan = linalg.zeros(dim, dim)
-        cartan[i][i] = Fraction(1)
-        cartan[i + 1][i + 1] = Fraction(-1)
-        target = [cartan[a][b] for a in range(dim) for b in range(dim)]
-        if linalg.coordinates(flat, target) is None:
-            hypothesis = False
-            break
-    factors = []
-    current = [list(map(list, m)) for m in matrices]
-    remaining = dim
-    while remaining > 0:
-        sub = _minimal_submodule(current, remaining)
-        factors.append(len(sub))
-        current, remaining = _quotient_action(current, sub, remaining)
-    f_set = sorted({n for n in factors if n >= 2})
-    return factors, f_set, hypothesis
+        h = [Fraction(0)] * (dim * dim)
+        h[i * dim + i], h[(i + 1) * dim + i + 1] = Fraction(1), Fraction(-1)
+        cartans.append(h)
+    if linalg.rank(flat + cartans) != linalg.rank(flat):
+        raise PreconditionError("recognition hypothesis fails: the diagonal trace-zero "
+                                "Cartan of sl(V) is not in the span")
+    succ = [{k for m in matrices for k in range(dim) if m[k][i]} for i in range(dim)]
+    # reach[i]: the coordinates spanning the submodule generated by e_i
+    reach = []
+    for i in range(dim):
+        seen, todo = {i}, [i]
+        while todo:
+            new = succ[todo.pop()] - seen
+            seen |= new
+            todo.extend(new)
+        reach.append(seen)
+    components = {min(comp): comp for comp in
+                  ({k for k in reach[i] if i in reach[k]} for i in range(dim))}
+    factors = [len(components[low]) for low in
+               sorted(components, key=lambda low: (len(reach[low]), low))]
+    return factors, sorted({n for n in factors if n >= 2})
 
 
 # -- Example 3.7: filtration of R (x) V_d over the sl2 algebroid -----------
@@ -338,15 +298,6 @@ def _module_rank(gb):
     return len({pos for (pos, _exp), _c in gb.leads()})
 
 
-def _colon_ideal_is_zero(m_vec, submodule_gens):
-    """True iff {q in Q[x] : q*m_vec in submodule} = 0."""
-    syz = syzygies([m_vec] + list(submodule_gens))
-    for s in syz:
-        if not s.component(0).is_zero():
-            return False
-    return True
-
-
 def sl2_algebroid_filtration(d):
     """Rank-one filtration of M = Q[x] (x) V_d under the transitive sl2
     algebroid with anchor H -> 2x d/dx, X+ -> x^2 d/dx, X- -> -d/dx.
@@ -364,6 +315,12 @@ def sl2_algebroid_filtration(d):
     m_{i+1} = X+ m_i - c x m_i lies in the closure of m_i, and so does
     N_{i+1}, which by induction is the closure of m_{i+1}.  So N_i is exactly
     the closure of m_i, and N_i / N_{i+1} is cyclic, generated by m_i.
+
+    The quotients are certified free of rank one by ranks alone.  Over the
+    domain Q[x] a nonzero q with q m_i in N_{i+1} would put m_i in the
+    fraction-field span of N_{i+1}, so rank N_i = rank N_{i+1}; the ranks
+    dropping by one at every step rules that out, and a cyclic torsion-free
+    module over Q[x] is free of rank one.
     """
     if d < 0:
         raise PreconditionError("degree must be non-negative")
@@ -401,12 +358,9 @@ def sl2_algebroid_filtration(d):
     ranks = [_module_rank(gb) for gb in gbs[:-1]]
     if ranks != [rank - i for i in range(d + 1)]:
         raise InconsistencyError("submodule ranks do not drop by one")
-    # certify each quotient is free of rank one over Q[x]
     quotient_scalars = []
     for i in range(d + 1):
         m_vec, next_gb = vectors[i], gbs[i + 1]
-        if i < d and not _colon_ideal_is_zero(m_vec, vectors[i + 1:]):
-            raise InconsistencyError("quotient has torsion")
         # observed scalar c with X+ m_i = c x m_i mod N_{i+1}
         image = ops["X+"](m_vec)
         scalar = None

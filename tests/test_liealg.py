@@ -14,13 +14,26 @@ from algebroids.errors import AlgebroidError, PreconditionError
 from algebroids.groebner import (Ideal, _greedy_minimal_generators,
                                  groebner_basis, lifts)
 from algebroids.liealg import (LieAlgebra, fibre_lie_algebra,
-                               lie_algebra_from_matrices,
-                               minimal_module_generators, sl2)
+                               minimal_module_generators, sl2,
+                               span_lie_algebra)
 from algebroids.poly import Polynomial, parse_poly
 
 
 def P(text, varnames):
     return parse_poly(text, list(varnames))
+
+
+def lie_algebra_from_matrices(mats, labels=None):
+    """Structure constants of a matrix Lie algebra spanned by the given
+    (linearly independent) matrices, closed under commutator."""
+    def flat(m):
+        return [c for row in m for c in row]
+
+    def commutator(a, b):
+        return flat(linalg.mat_sub(linalg.mat_mul(mats[a], mats[b]),
+                                   linalg.mat_mul(mats[b], mats[a])))
+
+    return span_lie_algebra([flat(m) for m in mats], commutator, labels)
 
 
 def gl2():
@@ -90,6 +103,34 @@ def test_lie_algebra_from_matrices():
            [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)]]]
     with pytest.raises(AlgebroidError):
         lie_algebra_from_matrices(bad)
+
+
+def test_span_lie_algebra_matches_one_solve_per_pair():
+    # random bases of gl3 and of its Borel: the one-rref structure constants
+    # against a separate coordinates() solve for every bracket
+    rng = random.Random(23)
+    for pairs in ([(i, j) for i in range(3) for j in range(3)],
+                  [(i, j) for i in range(3) for j in range(3) if i <= j]):
+        units = []
+        for i, j in pairs:
+            m = linalg.zeros(3, 3)
+            m[i][j] = Fraction(1)
+            units.append(m)
+        for _ in range(3):
+            while True:
+                change = [[Fraction(rng.randrange(-2, 3)) for _ in units] for _ in units]
+                if linalg.rank(change) == len(units):
+                    break
+            mats = [[[sum((c * u[r][s] for c, u in zip(row, units)), Fraction(0))
+                      for s in range(3)] for r in range(3)] for row in change]
+            g = lie_algebra_from_matrices(mats)
+            flat = [[c for row in m for c in row] for m in mats]
+            for a in range(len(mats)):
+                for b in range(a + 1, len(mats)):
+                    bracket = linalg.mat_sub(linalg.mat_mul(mats[a], mats[b]),
+                                             linalg.mat_mul(mats[b], mats[a]))
+                    target = [c for row in bracket for c in row]
+                    assert list(g.basis_bracket(a, b)) == linalg.coordinates(flat, target)
 
 
 def whitney_dm():

@@ -2,6 +2,7 @@
 and the rank-one filtration over the polynomial sl2 algebroid."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from algebroids import groebner, linalg, repmod
 from algebroids.errors import AlgebroidError, InconsistencyError, PreconditionError
 from algebroids.groebner import FreeModuleElement, TermOrder, groebner_basis
-from algebroids.liealg import lie_algebra_from_matrices, sl2
+from algebroids.liealg import sl2, span_lie_algebra
 from algebroids.poly import Polynomial
 from algebroids.repmod import (MatrixRep, binary_form_rep, cayley_sylvester,
                                covariant_dimension, decompose_sl2,
@@ -21,6 +22,19 @@ from algebroids.repmod import (MatrixRep, binary_form_rep, cayley_sylvester,
 
 def F(x):
     return Fraction(x)
+
+
+def lie_algebra_from_matrices(mats, labels=None):
+    """Structure constants of a matrix Lie algebra spanned by the given
+    (linearly independent) matrices, closed under commutator."""
+    def flat(m):
+        return [c for row in m for c in row]
+
+    def commutator(a, b):
+        return flat(linalg.mat_sub(linalg.mat_mul(mats[a], mats[b]),
+                                   linalg.mat_mul(mats[b], mats[a])))
+
+    return span_lie_algebra([flat(m) for m in mats], commutator, labels)
 
 
 def gl2():
@@ -260,15 +274,14 @@ def unit_matrix(n, i, j):
 
 def test_recognition_full_gl3():
     mats = [unit_matrix(3, i, j) for i in range(3) for j in range(3)]
-    factors, big, hypothesis = recognition_sl_blocks(mats, 3)
+    factors, big = recognition_sl_blocks(mats, 3)
     assert factors == [3]
     assert big == [3]
-    assert hypothesis
 
 
 def test_recognition_borel():
     mats = [unit_matrix(3, i, j) for i in range(3) for j in range(3) if i <= j]
-    factors, big, hypothesis = recognition_sl_blocks(mats, 3)
+    factors, big = recognition_sl_blocks(mats, 3)
     assert sorted(factors) == [1, 1, 1]
     assert big == []
 
@@ -294,10 +307,9 @@ def test_recognition_block_sum():
     bridge = linalg.zeros(5, 5)
     bridge[1][1], bridge[2][2] = F(1), F(-1)
     mats.append(bridge)
-    factors, big, hypothesis = recognition_sl_blocks(mats, 5)
+    factors, big = recognition_sl_blocks(mats, 5)
     assert sorted(factors) == [2, 3]
     assert sorted(big) == [2, 3]
-    assert hypothesis
 
 
 def test_recognition_permutation_invariant():
@@ -320,6 +332,163 @@ def test_recognition_permutation_invariant():
 def test_recognition_desk_cap():
     with pytest.raises(PreconditionError, match="dimension too large"):
         recognition_sl_blocks([linalg.zeros(11, 11)], 11)
+
+
+# the parent route, kept as the reference: close unit and kernel vectors
+# under the matrices, take the smallest closure as the bottom factor, and
+# recurse on the quotient
+
+def submodule_closure(matrices, vectors):
+    """Smallest subspace containing the vectors and stable under the matrices."""
+    basis = linalg.row_space_basis([v for v in vectors if any(v)])
+    while True:
+        extra = []
+        for b in basis:
+            for m in matrices:
+                img = linalg.mat_vec(m, b)
+                if any(img) and linalg.coordinates(basis, img) is None:
+                    extra.append(img)
+        if not extra:
+            return basis
+        basis = linalg.row_space_basis(basis + extra)
+
+
+def minimal_submodule(matrices, dim):
+    """Minimal nonzero invariant subspace among the closures of the unit
+    vectors and of the kernel vectors of the matrices."""
+    candidates = list(linalg.identity(dim))
+    for m in matrices:
+        candidates.extend(linalg.kernel_basis(m))
+    best = None
+    for v in candidates:
+        if not any(v):
+            continue
+        sub = submodule_closure(matrices, [v])
+        key = (len(sub), [[str(c) for c in row] for row in sub])
+        if best is None or key < best[0]:
+            best = (key, sub)
+    return best[1]
+
+
+def quotient_action(matrices, sub, dim):
+    """Action matrices on V/sub in a completed basis."""
+    comp = []
+    basis = list(sub)
+    for v in linalg.identity(dim):
+        if linalg.coordinates(basis, v) is None:
+            comp.append(v)
+            basis = linalg.row_space_basis(basis + [v])
+    full = list(sub) + comp
+    p = [[full[j][i] for j in range(dim)] for i in range(dim)]
+    p_inv = linalg.inverse(p)
+    k, q = len(sub), len(comp)
+    out = []
+    for m in matrices:
+        conj = linalg.mat_mul(p_inv, linalg.mat_mul(m, p))
+        out.append([[conj[k + i][k + j] for j in range(q)] for i in range(q)])
+    return out, q
+
+
+def closure_factors(matrices):
+    factors = []
+    current, remaining = matrices, len(matrices[0])
+    while remaining > 0:
+        sub = minimal_submodule(current, remaining)
+        factors.append(len(sub))
+        current, remaining = quotient_action(current, sub, remaining)
+    return factors
+
+
+def random_hypothesis_input(rng, dim):
+    """Every E_ii and one to three random sparse matrices."""
+    mats = [unit_matrix(dim, i, i) for i in range(dim)]
+    for _ in range(rng.randrange(1, 4)):
+        m = linalg.zeros(dim, dim)
+        for _ in range(rng.randrange(1, 2 * dim)):
+            m[rng.randrange(dim)][rng.randrange(dim)] = F(rng.choice([-3, -2, -1, 1, 2, 3]))
+        mats.append(m)
+    return mats
+
+
+def test_recognition_matches_the_closure_route():
+    rng = random.Random(14)
+    for _ in range(100):
+        mats = random_hypothesis_input(rng, rng.randrange(2, 7))
+        factors, big = recognition_sl_blocks(mats)
+        reference = closure_factors(mats)
+        assert sorted(factors) == sorted(reference)
+        assert big == sorted({n for n in reference if n >= 2})
+
+
+def test_recognition_invariant_under_monomial_conjugation():
+    # P = permutation times an invertible diagonal keeps the hypothesis
+    rng = random.Random(15)
+    for _ in range(40):
+        dim = rng.randrange(2, 7)
+        mats = random_hypothesis_input(rng, dim)
+        factors, big = recognition_sl_blocks(mats)
+        perm = list(range(dim))
+        rng.shuffle(perm)
+        scales = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randrange(1, 4))
+                  for _ in range(dim)]
+        p = linalg.zeros(dim, dim)
+        p_inv = linalg.zeros(dim, dim)
+        for i, pi in enumerate(perm):
+            p[pi][i] = scales[i]
+            p_inv[i][pi] = 1 / scales[i]
+        conj = [linalg.mat_mul(p_inv, linalg.mat_mul(m, p)) for m in mats]
+        again, big_again = recognition_sl_blocks(conj)
+        assert sorted(again) == sorted(factors)
+        assert big_again == big
+
+
+def invariant_coordinate_sets(mats, dim):
+    """Every set S of coordinates whose span is stable under the matrices."""
+    out = set()
+    for mask in range(1 << dim):
+        s = frozenset(i for i in range(dim) if mask >> i & 1)
+        if all(not m[k][i] for m in mats for i in s for k in range(dim) if k not in s):
+            out.add(s)
+    return out
+
+
+def test_recognition_prefixes_span_submodules():
+    # brute force over coordinate subsets: some chain 0 = S_0 < ... < S_r = V
+    # of invariant coordinate spans, each step a minimal one, has
+    # |S_j - S_{j-1}| = factors[j-1] in the order returned
+    rng = random.Random(16)
+    for _ in range(60):
+        dim = rng.randrange(2, 7)
+        mats = random_hypothesis_input(rng, dim)
+        factors, _big = recognition_sl_blocks(mats)
+        invariant = invariant_coordinate_sets(mats, dim)
+        chains = {frozenset()}
+        for size in factors:
+            chains = {t for s in chains for t in invariant
+                      if s < t and len(t - s) == size
+                      and not any(s < u < t for u in invariant)}
+            assert chains
+        assert frozenset(range(dim)) in chains
+
+
+@pytest.mark.parametrize("mats", [
+    [[[F(2), F(0)], [F(0), F(3)]]],
+    # the same operator in the basis (1, 1), (1, -1)
+    [[[Fraction(5, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(5, 2)]]],
+])
+def test_recognition_refuses_inputs_outside_the_hypothesis(mats):
+    with pytest.raises(PreconditionError, match="recognition hypothesis"):
+        recognition_sl_blocks(mats)
+
+
+def test_recognition_borel_gl10_is_fast():
+    mats = [unit_matrix(10, i, j) for i in range(10) for j in range(10) if i <= j]
+    assert len(mats) == 55
+    start = time.perf_counter()
+    factors, big = recognition_sl_blocks(mats)
+    assert time.perf_counter() - start < 1
+    assert factors == [1] * 10
+    assert big == []
 
 
 # -- the polynomial sl2 algebroid ----------------------------------------
@@ -448,9 +617,8 @@ def test_filtration_builds_one_basis_per_step(monkeypatch):
     monkeypatch.setattr(groebner, "groebner_basis", counted)
     monkeypatch.setattr(repmod, "groebner_basis", counted)
     sl2_algebroid_filtration(6)
-    # N_6, ..., N_0, then one syzygy basis (position over term) per torsion
-    # check: 13 in all
-    assert calls == ["top"] * 7 + ["pot"] * 6
+    # N_6, ..., N_0 and nothing else: the ranks certify the quotients free
+    assert calls == ["top"] * 7
 
 
 def faulty_ops(name, fault):
@@ -480,7 +648,6 @@ def grows_on_top_weight(op):
     ("groebner_basis", lambda gens, order: groebner_basis(gens[:1], order),
      "quotient is not cyclic"),
     ("_module_rank", lambda gb: 1, "ranks do not drop by one"),
-    ("_colon_ideal_is_zero", lambda m_vec, gens: False, "quotient has torsion"),
     ("_algebroid_ops", faulty_ops("X+", grows_on_top_weight),
      "no scalar quotient relation"),
 ])
