@@ -2,7 +2,8 @@
 quasi-homogeneity detection, and monomial-ideal extraction."""
 
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
+from math import lcm
 from operator import add
 
 from . import linalg
@@ -255,55 +256,32 @@ def quasi_homogeneous_weights(f):
         return None
     if f.is_homogeneous():
         return (1,) * n, f.degree()
+    # alpha . w = d over the used variables is w = d u + sum a_j k_j, with u
+    # solving alpha . u = 1 and k_j the kernel basis (k_j is 1 at the j-th
+    # free coordinate, where u is 0); unused variables get weight 1.  Both
+    # are scaled by their common denominator, so w = (d U + sum a_j K_j) / scale
+    rows = [[Fraction(e[i]) for i in used] + [Fraction(1)] for e in exps]
+    u = linalg.solve(rows, len(used))[0]
+    if u is None:
+        return None
+    kernel = linalg.kernel_basis([row[:-1] for row in rows])
+    scale = lcm(*(x.denominator for v in [u] + kernel for x in v))
+    u = [int(x * scale) for x in u]
+    kernel = [[int(x * scale) for x in k] for k in kernel]
     for d in range(1, 101):
-        sol = _positive_weight_solution(exps, used, n, d)
-        if sol is not None:
-            return sol, d
+        found = []
+        for a in product(range(1, d + 1), repeat=len(kernel)):
+            w = [d * x for x in u]
+            for c, k in zip(a, kernel):
+                w = [x + c * y for x, y in zip(w, k)]
+            if all(x > 0 and x % scale == 0 for x in w):
+                found.append(tuple(x // scale for x in w))
+        if found:
+            full = [1] * n
+            for i, x in zip(used, min(found)):
+                full[i] = x
+            return tuple(full), d
     return None
-
-
-def _positive_weight_solution(exps, used, n, d):
-    # solve alpha . w = d over the used variables; unused variables get weight 1
-    m = len(used)
-    rows = [[Fraction(e[i]) for i in used] for e in exps]
-    rhs = [Fraction(d)] * len(exps)
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    red, pivots = linalg.rref(aug)
-    if m in pivots:
-        return None
-    free = [j for j in range(m) if j not in pivots]
-    best = None
-
-    def assemble(assignment):
-        w = [None] * m
-        for idx, j in enumerate(free):
-            w[j] = Fraction(assignment[idx])
-        for i, p in enumerate(pivots):
-            val = red[i][m]
-            for j in free:
-                val -= red[i][j] * w[j]
-            w[p] = val
-        if all(x > 0 and x.denominator == 1 for x in w):
-            return tuple(int(x) for x in w)
-        return None
-
-    def rec(idx, assignment):
-        nonlocal best
-        if idx == len(free):
-            w = assemble(assignment)
-            if w is not None and (best is None or w < best):
-                best = w
-            return
-        for v in range(1, d + 1):
-            rec(idx + 1, assignment + [v])
-
-    rec(0, [])
-    if best is None:
-        return None
-    full = [1] * n
-    for idx, i in enumerate(used):
-        full[i] = best[idx]
-    return tuple(full)
 
 
 def minimal_monomials(exps):

@@ -516,14 +516,15 @@ def _m_times(kept, degrees, d, weights):
             for a in monomials(weights, d - e)]
 
 
-def _column_rref(columns):
-    """rref of the matrix whose columns are the given module elements."""
+def _column_rows(columns):
+    """Rows of the matrix whose columns are the given module elements, one
+    row per term that occurs."""
     index = {t: r for r, t in enumerate(sorted({t for col in columns for t in col.terms}))}
     rows = [[0] * len(columns) for _ in index]
     for c, col in enumerate(columns):
         for t, x in col.terms.items():
             rows[index[t]][c] = x
-    return linalg.rref(rows)
+    return rows
 
 
 def _graded_nakayama(candidates, weights, shifts):
@@ -544,7 +545,7 @@ def _graded_nakayama(candidates, weights, shifts):
     for d in sorted(by_degree):
         span = _m_times([candidates[k] for k in kept], degrees, d, weights)
         same = by_degree[d]
-        for p in _column_rref(span + [candidates[i] for i in same])[1]:
+        for p in linalg.rref(_column_rows(span + [candidates[i] for i in same]))[1]:
             if p >= len(span):
                 kept.append(same[p - len(span)])
                 degrees.append(d)

@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 from . import linalg
 from .errors import AlgebroidError, InconsistencyError, PreconditionError
-from .groebner import _column_rref, _graded_nakayama, _m_times
+from .groebner import _column_rows, _graded_nakayama, _m_times
 
 
 class LieAlgebra:
@@ -167,22 +167,17 @@ def span_lie_algebra(vectors, bracket, labels=None):
     """Structure constants of the span of linearly independent vectors,
     closed under bracket(a, b), the bracket of vectors[a] and vectors[b].
 
-    One rref of [vectors | every bracket] solves for all the coordinates."""
+    One linalg.solve against the vectors gives every bracket's coordinates."""
     k = len(vectors)
     pairs = list(combinations(range(k), 2))
     if not pairs:
         return LieAlgebra(k, {}, labels)
     targets = [bracket(a, b) for a, b in pairs]
-    red, pivots = linalg.rref([[v[t] for v in vectors] + [w[t] for w in targets]
-                               for t in range(len(targets[0]))])
-    if pivots and pivots[-1] >= k:
+    solutions = linalg.solve([[v[t] for v in vectors] + [w[t] for w in targets]
+                              for t in range(len(targets[0]))], k)
+    if None in solutions:
         raise AlgebroidError("span is not closed under the bracket")
-    brackets = {}
-    for j, pair in enumerate(pairs):
-        sol = [Fraction(0)] * k
-        for row, p in zip(red, pivots):
-            sol[p] = row[k + j]
-        brackets[pair] = sol
+    brackets = dict(zip(pairs, solutions))
     return LieAlgebra(k, brackets, labels)
 
 
@@ -215,9 +210,9 @@ def fibre_lie_algebra(dm, require_origin=True):
     require_origin enforces the vanishing-at-origin reduction used for
     singularity analyses; toral analyses pass False to keep constant fields.
     The class of [d_i, d_j] is homogeneous of degree deg d_i + deg d_j, so
-    the coordinates of all brackets of one degree d come from one rref of
-    [(m*T)_d | kept fields of degree d | brackets]; they are unique because
-    the kept classes are a basis of T/mT.
+    the coordinates of all brackets of one degree d come from one solve
+    against [(m*T)_d | kept fields of degree d]; those on the kept fields are
+    unique because the kept classes are a basis of T/mT.
     """
     from .derivations import Derivation
 
@@ -239,17 +234,15 @@ def fibre_lie_algebra(dm, require_origin=True):
         span = _m_times(basis_vecs, degrees, d, dm.weights)
         same = [k for k in range(m) if degrees[k] == d]
         columns = span + [basis_vecs[k] for k in same]
+        first = len(columns)
         columns += [basis[i].bracket(basis[j]).to_vector() for i, j in pairs]
-        red, pivots = _column_rref(columns)
-        # the kept fields are independent modulo (m*T)_d, so they are the
-        # last pivots, and a pivot past them is a bracket outside T
-        first = len(span) + len(same)
-        if pivots and pivots[-1] >= first:
-            raise AlgebroidError("bracket leaves the module (not a Lie algebroid?)")
-        for p, pair in enumerate(pairs, start=first):
+        # a degree without terms has only zero brackets, which stay absent
+        for pair, x in zip(pairs, linalg.solve(_column_rows(columns), first)):
+            if x is None:
+                raise AlgebroidError("bracket leaves the module (not a Lie algebroid?)")
             vec = [Fraction(0)] * m
-            for row, k in zip(red[len(red) - len(same):], same):
-                vec[k] = row[p]
+            for k, c in zip(same, x[len(span):]):
+                vec[k] = c
             brackets[pair] = tuple(vec)
     labels = [f"d{i + 1}" for i in range(m)]
     algebra = LieAlgebra(m, brackets, labels)

@@ -1,7 +1,10 @@
 """Exact linear algebra over Q.
 
 Matrices are lists of lists of Fraction; vectors are lists of Fraction.
-Everything is small (desk scale), so plain Gaussian elimination is enough.
+Everything is small (desk scale), so plain Gaussian elimination is enough:
+one sparse rref, from which rank, kernel_basis, row_space_basis and solve
+read their answers.  Every coordinate vector the library needs (structure
+constants, weights, inverses, interpolation) comes from solve.
 """
 
 from fractions import Fraction
@@ -113,27 +116,25 @@ def kernel_basis(rows):
     return basis
 
 
-def inverse(a):
-    """A^-1 from one elimination of [A | I]; ValueError when A is singular."""
-    n = len(a)
-    red, pivots = rref([list(row) + unit for row, unit in zip(a, identity(n))])
-    if pivots[:n] != list(range(n)):
-        raise ValueError("singular matrix")
-    return [row[n:] for row in red]
-
-
 def row_space_basis(rows):
     return rref(rows)[0]
 
 
-def coordinates(vectors, target):
-    """x with sum_k x[k] * vectors[k] == target, or None when target lies
-    outside the span (unique when the vectors are linearly independent)."""
-    k = len(vectors)
-    red, pivots = rref([[v[t] for v in vectors] + [b] for t, b in enumerate(target)])
-    if k in pivots:
-        return None
-    x = [Fraction(0)] * k
-    for row, p in zip(red, pivots):
-        x[p] = row[k]
-    return x
+def solve(rows, k):
+    """One rref of the augmented matrix [A | b_1 | b_2 ...]: the first k
+    columns of rows are A, each later column a target b.  For each target,
+    in order, the x with A x = b whose free coordinates are 0, or None when
+    b lies outside the column span of A; [] when rows is empty."""
+    red, pivots = rref(rows)
+    # rows whose pivot lies past A read 0 = b_i: b is in the span iff each is 0
+    split = sum(p < k for p in pivots)
+    out = []
+    for t in range(k, len(rows[0]) if rows else k):
+        if any(row[t] for row in red[split:]):
+            out.append(None)
+            continue
+        x = [Fraction(0)] * k
+        for row, p in zip(red, pivots[:split]):
+            x[p] = row[t]
+        out.append(x)
+    return out

@@ -154,9 +154,11 @@ def sl2_isotypic(rep):
     form kappa; C acts on V_k as k(k+2)/8, so non-split forms need no
     rational nilpotent (Humphreys, 6.2 and 7)."""
     kappa = rep.algebra.killing_matrix()
-    if len(kappa) != 3 or linalg.rank(kappa) != 3:
+    dim = len(kappa)
+    # column j of kappa^-1 solves kappa x = e_j, and kappa is symmetric
+    kappa_inv = linalg.solve([row + unit for row, unit in zip(kappa, linalg.identity(dim))], dim)
+    if dim != 3 or None in kappa_inv:
         raise PreconditionError("not a form of sl2")
-    kappa_inv = linalg.inverse(kappa)
     n = rep.dim
     casimir = linalg.zeros(n, n)
     for i in range(3):
@@ -237,13 +239,11 @@ def recognition_sl_blocks(matrices, dim=None):
         dim = len(matrices[0])
     if dim > 10:
         raise PreconditionError("dimension too large")
-    flat = [[m[i][j] for i in range(dim) for j in range(dim)] for m in matrices]
-    cartans = []
-    for i in range(dim - 1):
-        h = [Fraction(0)] * (dim * dim)
-        h[i * dim + i], h[(i + 1) * dim + i + 1] = Fraction(1), Fraction(-1)
-        cartans.append(h)
-    if linalg.rank(flat + cartans) != linalg.rank(flat):
+    # one row per entry (i, j): the matrices, then the targets E_cc - E_(c+1)(c+1)
+    rows = [[m[i][j] for m in matrices]
+            + [(i == j == c) - (i == j == c + 1) for c in range(dim - 1)]
+            for i in range(dim) for j in range(dim)]
+    if None in linalg.solve(rows, len(matrices)):
         raise PreconditionError("recognition hypothesis fails: the diagonal trace-zero "
                                 "Cartan of sl(V) is not in the span")
     succ = [{k for m in matrices for k in range(dim) if m[k][i]} for i in range(dim)]

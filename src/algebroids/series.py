@@ -229,8 +229,8 @@ class QuasiPolynomial:
 
 def _fit_polynomial(points):
     """Exact polynomial through (x, y) points, coefficient list ascending."""
-    powers = [[Fraction(x) ** j for x, _ in points] for j in range(len(points))]
-    sol = linalg.coordinates(powers, [Fraction(y) for _, y in points])
+    sol = linalg.solve([[Fraction(x) ** j for j in range(len(points))] + [Fraction(y)]
+                        for x, y in points], len(points))[0]
     if sol is None:
         raise AlgebroidError("polynomial fit failed")
     while sol and sol[-1] == 0:

@@ -9,7 +9,7 @@ from algebroids.derivations import (Derivation, jacobian_ideal, krull_dimension,
                                     tangent_derivations, tjurina_ideal)
 from algebroids import derivations, groebner
 from algebroids.groebner import Ideal
-from algebroids.poly import Polynomial, parse_poly
+from algebroids.poly import Polynomial, monomials, parse_poly
 from algebroids import linalg
 from fractions import Fraction
 
@@ -33,6 +33,115 @@ def test_quasi_homogeneous_weights():
     assert (w, d) == ((1, 2, 2), 4)
     f = P("x^3 + x*y^2", "xy")  # homogeneous
     assert quasi_homogeneous_weights(f) == ((1, 1), 3)
+    assert quasi_homogeneous_weights(P("x^2 + x^3", "xy")) is None
+
+
+# the parent's weight search, kept as the reference: one rref of
+# alpha . w = d per degree d, and a recursion over the free coordinates
+
+def _positive_weight_solution(exps, used, n, d):
+    m = len(used)
+    aug = [[Fraction(e[i]) for i in used] + [Fraction(d)] for e in exps]
+    red, pivots = linalg.rref(aug)
+    if m in pivots:
+        return None
+    free = [j for j in range(m) if j not in pivots]
+    best = None
+
+    def assemble(assignment):
+        w = [None] * m
+        for idx, j in enumerate(free):
+            w[j] = Fraction(assignment[idx])
+        for i, p in enumerate(pivots):
+            val = red[i][m]
+            for j in free:
+                val -= red[i][j] * w[j]
+            w[p] = val
+        if all(x > 0 and x.denominator == 1 for x in w):
+            return tuple(int(x) for x in w)
+        return None
+
+    def rec(idx, assignment):
+        nonlocal best
+        if idx == len(free):
+            w = assemble(assignment)
+            if w is not None and (best is None or w < best):
+                best = w
+            return
+        for v in range(1, d + 1):
+            rec(idx + 1, assignment + [v])
+
+    rec(0, [])
+    if best is None:
+        return None
+    full = [1] * n
+    for idx, i in enumerate(used):
+        full[i] = best[idx]
+    return tuple(full)
+
+
+def reference_weights(f):
+    n = f.nvars
+    exps = sorted(f.terms)
+    used = [i for i in range(n) if any(e[i] for e in exps)]
+    if not used:
+        return None
+    if f.is_homogeneous():
+        return (1,) * n, f.degree()
+    for d in range(1, 101):
+        sol = _positive_weight_solution(exps, used, n, d)
+        if sol is not None:
+            return sol, d
+    return None
+
+
+WEIGHT_INPUTS = [
+    ("x^2 + y^2*z + z^3", "xyz"),            # D4
+    ("x^2 + y^3 + z^4", "xyz"),              # E6
+    ("x^2 + y^3 + y*z^3", "xyz"),            # E7
+    ("x^2 + y^3 + z^5", "xyz"),              # E8
+    ("z^2 - x^2*y", "xyz"),                  # Whitney umbrella
+    ("x*y + z^3", "xyz"),
+    ("x^3*y + y^3*z + z^3*x", "xyz"),        # Klein quartic
+    ("x*y^2 + y^5 + z^7", "xyz"),
+]
+
+
+def test_weights_match_the_reference_search():
+    for text, names in WEIGHT_INPUTS:
+        f = P(text, names)
+        assert quasi_homogeneous_weights(f) == reference_weights(f), text
+
+
+def test_weights_match_the_reference_search_with_free_directions():
+    # fewer independent exponents than used variables: the weight system
+    # keeps a free direction.  Even cases take monomials of one weighted
+    # degree, so positive weights exist; odd cases take random exponents
+    # with one free direction, where they may not
+    rng = random.Random(31)
+    checked = 0
+    while checked < 24:
+        n = rng.choice([3, 4])
+        if checked % 2 == 0:
+            pool = list(monomials([rng.randrange(1, 4) for _ in range(n)], rng.randrange(3, 9)))
+            exps = rng.sample(pool, min(len(pool), rng.randrange(2, n)))
+        else:
+            exps = list({tuple(rng.randrange(0, 5) for _ in range(n)) for _ in range(n - 1)})
+        f = Polynomial(n, {e: rng.choice([-2, -1, 1, 3]) for e in exps})
+        used = [i for i in range(n) if any(e[i] for e in exps)]
+        free = len(used) - linalg.rank([[e[i] for i in used] for e in exps])
+        if f.is_homogeneous() or not free or (checked % 2 and free > 1):
+            continue
+        assert quasi_homogeneous_weights(f) == reference_weights(f), exps
+        checked += 1
+
+
+def test_weights_without_rational_solution_skip_the_degree_loop(monkeypatch):
+    # 2w = 1 and 3w = 1 have no common solution, for any degree
+    def enumerate_(*args, **kwargs):
+        raise AssertionError("entered the degree loop")
+
+    monkeypatch.setattr(derivations, "product", enumerate_)
     assert quasi_homogeneous_weights(P("x^2 + x^3", "xy")) is None
 
 

@@ -107,7 +107,7 @@ def test_lie_algebra_from_matrices():
 
 def test_span_lie_algebra_matches_one_solve_per_pair():
     # random bases of gl3 and of its Borel: the one-rref structure constants
-    # against a separate coordinates() solve for every bracket
+    # against a separate linalg.solve for every bracket
     rng = random.Random(23)
     for pairs in ([(i, j) for i in range(3) for j in range(3)],
                   [(i, j) for i in range(3) for j in range(3) if i <= j]):
@@ -130,7 +130,8 @@ def test_span_lie_algebra_matches_one_solve_per_pair():
                     bracket = linalg.mat_sub(linalg.mat_mul(mats[a], mats[b]),
                                              linalg.mat_mul(mats[b], mats[a]))
                     target = [c for row in bracket for c in row]
-                    assert list(g.basis_bracket(a, b)) == linalg.coordinates(flat, target)
+                    rows = [[f[t] for f in flat] + [target[t]] for t in range(9)]
+                    assert list(g.basis_bracket(a, b)) == linalg.solve(rows, len(flat))[0]
 
 
 def whitney_dm():
@@ -241,6 +242,17 @@ def test_fibre_solves_one_rref_per_bracket_degree(monkeypatch):
     algebra, basis = fibre_lie_algebra(dm)
     assert (algebra.dim, len(basis)) == (7, 7)
     assert len(calls) == nakayama + 1
+
+
+def test_fibre_rejects_a_bracket_outside_the_module():
+    # y d/dx and x d/dy do not span a module closed under the bracket:
+    # [y dx, x dy] = y dy - x dx has no coordinates on them modulo m*T
+    x, y = (Polynomial.variable(2, i) for i in range(2))
+    zero = Polynomial.zero(2)
+    dm = DerivationModule([Derivation([y, zero]), Derivation([zero, x])],
+                          Ideal(2, [x * y]), verify=False)
+    with pytest.raises(AlgebroidError, match="bracket leaves the module"):
+        fibre_lie_algebra(dm)
 
 
 def test_fibre_builds_no_groebner_basis(monkeypatch):

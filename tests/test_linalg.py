@@ -12,36 +12,55 @@ def F(*xs):
     return [Fraction(x) for x in xs]
 
 
+def augmented(vectors, *targets):
+    """Rows of [vectors as columns | targets as columns]."""
+    return [[v[t] for v in vectors] + [b[t] for b in targets]
+            for t in range(len(targets[0]))]
+
+
 def test_coordinates_in_span():
     vectors = [F(1, 0, 1), F(0, 1, 1)]
-    x = linalg.coordinates(vectors, F(2, -3, -1))
-    assert x == F(2, -3)
+    assert linalg.solve(augmented(vectors, F(2, -3, -1)), 2) == [F(2, -3)]
 
 
 def test_coordinates_outside_span():
-    assert linalg.coordinates([F(1, 0, 1), F(0, 1, 1)], F(0, 0, 1)) is None
+    assert linalg.solve(augmented([F(1, 0, 1), F(0, 1, 1)], F(0, 0, 1)), 2) == [None]
 
 
 def test_coordinates_dependent_vectors_give_a_solution():
     vectors = [F(1, 2), F(2, 4)]
-    x = linalg.coordinates(vectors, F(3, 6))
+    [x] = linalg.solve(augmented(vectors, F(3, 6)), 2)
     assert [sum(c * v[t] for c, v in zip(x, vectors)) for t in range(2)] == F(3, 6)
+    # the free coordinate is 0
+    assert x == F(3, 0)
 
 
 def test_coordinates_empty_vectors():
-    assert linalg.coordinates([], F(0, 0)) == []
-    assert linalg.coordinates([], F(0, 1)) is None
+    # no coefficient columns
+    assert linalg.solve([F(0), F(0)], 0) == [[]]
+    assert linalg.solve([F(0), F(1)], 0) == [None]
+
+
+def test_solve_several_targets_in_one_call():
+    vectors = [F(1, 0, 1), F(0, 1, 1)]
+    targets = [F(2, -3, -1), F(0, 0, 1), F(0, 0, 0), F(0, 0, 1), F(1, 1, 2)]
+    assert linalg.solve(augmented(vectors, *targets), 2) == [
+        F(2, -3), None, F(0, 0), None, F(1, 1)]
 
 
 def test_inverse():
+    # column j of a^-1 solves a x = e_j
     a = [F(2, 1, 0), F(0, 1, 3), F(1, 0, 1)]
-    assert linalg.mat_mul(a, linalg.inverse(a)) == linalg.identity(3)
-    assert linalg.inverse([]) == []
+    cols = linalg.solve([row + unit for row, unit in zip(a, linalg.identity(3))], 3)
+    assert linalg.mat_mul(a, [list(row) for row in zip(*cols)]) == linalg.identity(3)
+    assert linalg.solve([], 0) == []
 
 
 def test_inverse_singular():
-    with pytest.raises(ValueError):
-        linalg.inverse([F(1, 2), F(2, 4)])
+    # a singular matrix misses some unit target
+    a = [F(1, 2), F(2, 4)]
+    cols = linalg.solve([row + unit for row, unit in zip(a, linalg.identity(2))], 2)
+    assert None in cols
 
 
 def _random_rows(rng, density, exact):
@@ -77,3 +96,28 @@ def test_rref_shape_and_row_space(density, exact):
                      for j in range(len(row))]
             assert combo == row
         assert len(red) == linalg.rank([list(col) for col in zip(*rows)])
+
+
+def test_solve_property():
+    # every returned x satisfies A x = b, and None comes back exactly when
+    # appending b raises the rank
+    rng = random.Random(11)
+    found = {True: 0, False: 0}
+    for _ in range(300):
+        rows = _random_rows(rng, rng.choice([0.3, 1.0]), rng.random() < 0.5)
+        if not rows:
+            continue
+        m = len(rows[0])
+        k = rng.randrange(0, m + 1)
+        solutions = linalg.solve(rows, k)
+        assert len(solutions) == m - k
+        coeffs = [row[:k] for row in rows]
+        rank = linalg.rank(coeffs)
+        for t, x in enumerate(solutions, start=k):
+            b = [row[t] for row in rows]
+            raises = linalg.rank([c + [y] for c, y in zip(coeffs, b)]) > rank
+            assert (x is None) == raises
+            if x is not None:
+                assert linalg.mat_vec(coeffs, x) == b
+            found[raises] += 1
+    assert min(found.values()) > 100

@@ -184,7 +184,7 @@ def test_weight_space_dims_non_diagonal_h():
     for i in range(n - 1):
         p[i][i + 1] = F(i + 1)
     p[0][n - 1] = Fraction(-1, 2)
-    p_inv = linalg.inverse(p)
+    p_inv = inverse(p)
     conj = MatrixRep(rep.algebra,
                      [linalg.mat_mul(p_inv, linalg.mat_mul(m, p)) for m in rep.matrices])
     h = conj.matrices[0]
@@ -338,6 +338,18 @@ def test_recognition_desk_cap():
 # under the matrices, take the smallest closure as the bottom factor, and
 # recurse on the quotient
 
+def coordinates(vectors, target):
+    """x with sum_k x[k] vectors[k] == target, or None outside the span."""
+    rows = [[v[t] for v in vectors] + [b] for t, b in enumerate(target)]
+    return linalg.solve(rows, len(vectors))[0]
+
+
+def inverse(a):
+    """a^-1, its columns solved against the unit targets."""
+    cols = linalg.solve([row + unit for row, unit in zip(a, linalg.identity(len(a)))], len(a))
+    return [list(row) for row in zip(*cols)]
+
+
 def submodule_closure(matrices, vectors):
     """Smallest subspace containing the vectors and stable under the matrices."""
     basis = linalg.row_space_basis([v for v in vectors if any(v)])
@@ -346,7 +358,7 @@ def submodule_closure(matrices, vectors):
         for b in basis:
             for m in matrices:
                 img = linalg.mat_vec(m, b)
-                if any(img) and linalg.coordinates(basis, img) is None:
+                if any(img) and coordinates(basis, img) is None:
                     extra.append(img)
         if not extra:
             return basis
@@ -375,12 +387,12 @@ def quotient_action(matrices, sub, dim):
     comp = []
     basis = list(sub)
     for v in linalg.identity(dim):
-        if linalg.coordinates(basis, v) is None:
+        if coordinates(basis, v) is None:
             comp.append(v)
             basis = linalg.row_space_basis(basis + [v])
     full = list(sub) + comp
     p = [[full[j][i] for j in range(dim)] for i in range(dim)]
-    p_inv = linalg.inverse(p)
+    p_inv = inverse(p)
     k, q = len(sub), len(comp)
     out = []
     for m in matrices:
