@@ -177,8 +177,7 @@ def span_lie_algebra(vectors, bracket, labels=None):
                               for t in range(len(targets[0]))], k)
     if None in solutions:
         raise AlgebroidError("span is not closed under the bracket")
-    brackets = dict(zip(pairs, solutions))
-    return LieAlgebra(k, brackets, labels)
+    return LieAlgebra(k, dict(zip(pairs, solutions)), labels)
 
 
 # -- fibre Lie algebra extraction -----------------------------------------
