@@ -269,16 +269,19 @@ def quasi_homogeneous_weights(f):
     u = [int(x * scale) for x in u]
     kernel = [[int(x * scale) for x in k] for k in kernel]
     for d in range(1, 101):
-        found = []
+        base = [d * x for x in u]
+        best = None
         for a in product(range(1, d + 1), repeat=len(kernel)):
-            w = [d * x for x in u]
+            w = base
             for c, k in zip(a, kernel):
                 w = [x + c * y for x, y in zip(w, k)]
             if all(x > 0 and x % scale == 0 for x in w):
-                found.append(tuple(x // scale for x in w))
-        if found:
+                w = tuple(x // scale for x in w)
+                if best is None or w < best:
+                    best = w
+        if best is not None:
             full = [1] * n
-            for i, x in zip(used, min(found)):
+            for i, x in zip(used, best):
                 full[i] = x
             return tuple(full), d
     return None

@@ -235,7 +235,8 @@ def fibre_lie_algebra(dm, require_origin=True):
         columns = span + [basis_vecs[k] for k in same]
         first = len(columns)
         columns += [basis[i].bracket(basis[j]).to_vector() for i, j in pairs]
-        # a degree without terms has only zero brackets, which stay absent
+        # columns without terms give no rows and solve returns []: every
+        # bracket of such a degree is zero and stays absent
         for pair, x in zip(pairs, linalg.solve(_column_rows(columns), first)):
             if x is None:
                 raise AlgebroidError("bracket leaves the module (not a Lie algebroid?)")

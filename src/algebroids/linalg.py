@@ -124,7 +124,9 @@ def solve(rows, k):
     """One rref of the augmented matrix [A | b_1 | b_2 ...]: the first k
     columns of rows are A, each later column a target b.  For each target,
     in order, the x with A x = b whose free coordinates are 0, or None when
-    b lies outside the column span of A; [] when rows is empty."""
+    b lies outside the column span of A.  With no rows there are no columns
+    to count the targets by, so the result is []: a caller whose system can
+    be empty (every target then 0, solved by x = 0) handles that itself."""
     red, pivots = rref(rows)
     # rows whose pivot lies past A read 0 = b_i: b is in the span iff each is 0
     split = sum(p < k for p in pivots)

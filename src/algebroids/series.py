@@ -229,6 +229,8 @@ class QuasiPolynomial:
 
 def _fit_polynomial(points):
     """Exact polynomial through (x, y) points, coefficient list ascending."""
+    if not points:
+        return []
     sol = linalg.solve([[Fraction(x) ** j for j in range(len(points))] + [Fraction(y)]
                         for x, y in points], len(points))[0]
     if sol is None:

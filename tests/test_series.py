@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from algebroids.errors import AlgebroidError
+from algebroids.hilbert import dimension_multiplicity
 from algebroids.series import (CharacterSeries, QuasiPolynomial,
                                RationalSeries, SemigroupSpec, SeriesPrefix,
                                cumulative_quasi_polynomial, expand_series,
@@ -117,6 +118,15 @@ def test_quasi_polynomial_covariant_cubic():
 def test_quasi_polynomial_zero():
     qp = quasi_polynomial_of(RationalSeries([], [(1, 2)]))
     assert qp.is_zero()
+
+
+def test_quasi_polynomial_of_a_polynomial_series():
+    # no denominator factors: no pole, so the fit has no points to pass through
+    rs = RationalSeries([1, 2], [])
+    qp = quasi_polynomial_of(rs)
+    assert (qp.period, qp.residues, qp.threshold) == (1, [[]], 2)
+    assert [qp(n) for n in range(2, 6)] == [0] * 4
+    assert dimension_multiplicity(rs) == (0, Fraction(3))
 
 
 def test_quasi_polynomial_matches_expansion_random():
