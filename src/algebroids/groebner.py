@@ -153,10 +153,10 @@ class FreeModuleElement:
         return FreeModuleElement(self.nvars, self.rank, {m: c * v for m, v in self.terms.items()})
 
     def mul_term(self, exp, coeff=1):
-        coeff = Fraction(coeff)
+        coeff = None if coeff == 1 else Fraction(coeff)  # 1 only shifts the exponents
         terms = {}
         for (pos, e), c in self.terms.items():
-            terms[(pos, tuple(a + b for a, b in zip(e, exp)))] = c * coeff
+            terms[(pos, tuple(a + b for a, b in zip(e, exp)))] = c if coeff is None else c * coeff
         return FreeModuleElement(self.nvars, self.rank, terms)
 
     def mul_poly(self, p):

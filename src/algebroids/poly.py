@@ -130,6 +130,9 @@ class Polynomial:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
+        if len(self.terms) == 1:
+            (exp, c), = self.terms.items()
+            return Polynomial(self.nvars, {tuple(k * a for a in exp): c ** k})
         out = Polynomial.one(self.nvars)
         base = self
         while k:

@@ -12,30 +12,60 @@ from .poly import monomials
 from .series import partitions_in_rectangle
 
 
+def _exact(c):
+    """c as an int when it is integral, as a Fraction otherwise."""
+    if type(c) is not int and type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class MatrixRep:
     """Action matrices rho(e_i), one per basis element of the algebra.
 
+    A matrix is given dense, as a list of rows, or as sparse rows {col: entry}
+    (polarize writes these).  The state is rows[k][r], the nonzero entries of
+    row r of rho(e_k), each an int when integral and a Fraction otherwise.
+    Dense input is kept with Fraction entries; otherwise the dense `matrices`
+    are filled from the rows when first read.
+
     Bracket compatibility rho([x,y]) = [rho(x), rho(y)] is checked exactly on
-    construction, on the sparse rows of the matrices.
+    construction, for every pair of basis elements and every row.
     """
 
-    __slots__ = ("algebra", "dim", "matrices")
+    __slots__ = ("algebra", "dim", "rows", "_matrices")
 
     def __init__(self, algebra, matrices):
         if len(matrices) != algebra.dim:
             raise ValueError("need one matrix per basis element")
         self.algebra = algebra
-        self.matrices = [[[c if type(c) is Fraction else Fraction(c) for c in row] for row in m]
+        self.dim = len(matrices[0]) if matrices else 0
+        if self.dim and isinstance(matrices[0][0], dict):
+            self._matrices = None
+            self.rows = [[{col: _exact(c) for col, c in row.items() if c} for row in m]
                          for m in matrices]
-        self.dim = len(self.matrices[0]) if self.matrices else 0
+        else:
+            self._matrices = [[[c if type(c) is Fraction else Fraction(c) for c in row]
+                               for row in m] for m in matrices]
+            self.rows = [[{col: _exact(c) for col, c in enumerate(row) if c} for row in m]
+                         for m in self._matrices]
         self._validate()
 
+    @property
+    def matrices(self):
+        if self._matrices is None:
+            self._matrices = [[[Fraction(0)] * self.dim for _ in m] for m in self.rows]
+            for mat, m in zip(self._matrices, self.rows):
+                for out, row in zip(mat, m):
+                    for col, c in row.items():
+                        out[col] = Fraction(c)
+        return self._matrices
+
     def _validate(self):
-        # rows[k][r] = {col: entry} over the nonzero entries of row r of rho(e_k)
-        rows = [[{col: c for col, c in enumerate(row) if c} for row in m] for m in self.matrices]
+        rows = self.rows
         for i in range(self.algebra.dim):
             for j in range(i + 1, self.algebra.dim):
-                terms = [(rows[k], c) for k, c in enumerate(self.algebra.basis_bracket(i, j)) if c]
+                terms = [(rows[k], _exact(c))
+                         for k, c in enumerate(self.algebra.basis_bracket(i, j)) if c]
                 for r in range(self.dim):
                     # row r of rho_i rho_j - rho_j rho_i - sum_k c_ij^k rho_k
                     residual = {}
@@ -73,31 +103,29 @@ def binary_form_rep(d):
     return MatrixRep(sl2(), [h, x, y])
 
 
-def polarize(m, basis):
-    """Matrix of the derivation action of m on the monomials in basis (all of
-    one degree, e.g. poly.monomials), by exact polarization."""
-    index = {e: i for i, e in enumerate(basis)}
-    out = linalg.zeros(len(basis), len(basis))
+def polarize(rows, basis):
+    """Sparse rows {col: entry} of the derivation action of m, given by its
+    sparse rows, on the monomials in basis (all of one degree, e.g.
+    poly.monomials), by exact polarization."""
+    index = {e: r for r, e in enumerate(basis)}
+    out = [{} for _ in basis]
     for col, exp in enumerate(basis):
-        for i, e_i in enumerate(exp):
-            if e_i == 0:
-                continue
-            # replace one factor v_i by m(v_i) = sum_k m[k][i] v_k
-            for k in range(len(m)):
-                c = m[k][i]
-                if not c:
-                    continue
-                new = list(exp)
-                new[i] -= 1
-                new[k] += 1
-                out[index[tuple(new)]][col] += e_i * c
+        for k, row in enumerate(rows):
+            for i, c in row.items():
+                if exp[i]:
+                    # replace one factor v_i by its image term m[k][i] v_k
+                    new = list(exp)
+                    new[i] -= 1
+                    new[k] += 1
+                    target = out[index[tuple(new)]]
+                    target[col] = target.get(col, 0) + exp[i] * c
     return out
 
 
 def sym_power_rep(rep, n):
     """Action on S^n(V) by exact polarization of the monomial basis."""
     basis = monomials((1,) * rep.dim, n)
-    return MatrixRep(rep.algebra, [polarize(m, basis) for m in rep.matrices])
+    return MatrixRep(rep.algebra, [polarize(rows, basis) for rows in rep.rows])
 
 
 def invariants_dimension(rep, nil):
@@ -114,15 +142,14 @@ def invariants_dimension(rep, nil):
 
 
 def weight_space_dims(h):
-    """Integer eigenvalue -> multiplicity of a diagonal H, read off the
-    diagonal; None when H is not diagonal."""
-    n = len(h)
-    if any(h[i][j] for i in range(n) for j in range(n) if i != j):
+    """Integer eigenvalue -> multiplicity of a diagonal H given by its sparse
+    rows {col: entry}, read off the diagonal; None when H is not diagonal."""
+    if any(col != r for r, row in enumerate(h) for col in row):
         return None
     dims = {}
-    for i in range(n):
-        e = h[i][i]
-        if e.denominator != 1:
+    for r, row in enumerate(h):
+        e = row.get(r, 0)
+        if e != int(e):
             raise PreconditionError("H not rationally diagonalizable")
         dims[int(e)] = dims.get(int(e), 0) + 1
     return dict(sorted(dims.items()))
@@ -131,7 +158,7 @@ def weight_space_dims(h):
 def decompose_sl2(rep):
     """Multiset {highest weight e: multiplicity}: weight-space dimensions
     when H = rho(e_1) is diagonal, the Casimir (sl2_isotypic) otherwise."""
-    dims = weight_space_dims(rep.matrices[0])
+    dims = weight_space_dims(rep.rows[0])
     if dims is None:
         return sl2_isotypic(rep)
     mults = {}
@@ -214,11 +241,9 @@ def cayley_sylvester(n, d, e):
 
 
 def covariant_dimension(n, d):
-    """Number of irreducible summands of S^n(V_d) = dim C^n_d."""
-    total = 0
-    for e in range(n * d % 2, n * d + 1, 2):
-        total += cayley_sylvester(n, d, e)
-    return total
+    """Number of irreducible summands of S^n(V_d) = dim C^n_d: the
+    Cayley-Sylvester sum over e telescopes to p(n,d;floor(nd/2))."""
+    return partitions_in_rectangle(n * d // 2, d, n)
 
 
 # -- recognition of sl-blocks ---------------------------------------------

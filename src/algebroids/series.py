@@ -10,7 +10,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import linalg
-from .errors import AlgebroidError, PreconditionError
+from .errors import AlgebroidError, ParseError, PreconditionError
 
 
 @lru_cache(maxsize=None)
@@ -122,7 +122,17 @@ class RationalSeries:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["numerator"], [(f["n"], f["mult"]) for f in obj["denominator"]])
+        """Inverse of to_json; ParseError on JSON of any other shape."""
+        try:
+            num, den = obj["numerator"], obj["denominator"]
+            factors = [(f["n"], f["mult"]) for f in den]
+            entries = num + [x for f in factors for x in f]
+        except (KeyError, TypeError):
+            entries = None
+        if entries is None or type(den) is not list or any(type(c) is not int for c in entries):
+            raise ParseError('series JSON must be {"numerator": [int, ...], '
+                             '"denominator": [{"n": int, "mult": int}, ...]}')
+        return cls(num, factors)
 
     def __repr__(self):
         den = "".join(f"(1-t^{n})^{d}" if d > 1 else f"(1-t^{n})" for n, d in self.factors)

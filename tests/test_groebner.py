@@ -205,6 +205,16 @@ def test_syzygies_whitney_columns():
     assert len(syz) >= 4
 
 
+def test_mul_term_matches_mul_poly():
+    v = FreeModuleElement(2, 2, {(0, (1, 0)): Fraction(3, 2), (1, (0, 2)): Fraction(-1)})
+    for exp in [(0, 0), (2, 1)]:
+        for coeff in [1, Fraction(1), Fraction(-2, 3), 0]:
+            shifted = v.mul_term(exp, coeff)
+            assert shifted == v.mul_poly(Polynomial.monomial(2, exp, coeff))
+            assert all(type(c) is Fraction for c in shifted.terms.values())
+    assert v.mul_term((1, 1)).terms == {(0, (2, 1)): Fraction(3, 2), (1, (1, 3)): Fraction(-1)}
+
+
 def test_ideal_power_and_product():
     m = Ideal(2, [P("x"), P("y")])
     sq = m.power(2)

@@ -145,9 +145,11 @@ def test_sl2_length_dims_match_nilpotent_kernel(text):
     nil = _rational_nilpotent(rep.matrices)
     assert nil is not None
     dims, _series = _sl2_covariant_path(fibre, basis, 12)
+    nil_rows = [{j: c for j, c in enumerate(row) if c} for row in nil]
     for n in range(7):
         monos = monomials((1,) * rep.dim, n)
-        assert dims[n] == len(monos) - linalg.rank(polarize(nil, monos))
+        image = [[row.get(j, 0) for j in range(len(monos))] for row in polarize(nil_rows, monos)]
+        assert dims[n] == len(monos) - linalg.rank(image)
 
 
 def test_compact_quadric_has_no_rational_nilpotent():
@@ -326,6 +328,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     nonmono = write(tmp_path, "nm.txt", "vars: x, y\nideal: (x + y)^2\n")
     assert main(["monomial", nonmono]) == 3
     assert main(["quasipoly", "--series", "{not json"]) == 2
+    # well-formed JSON of the wrong shape is a parse error too
+    for series in ['{"numerator":[1],"denominator":[[1,3]]}', '{"numerator":"x"}',
+                   '{"numerator":[1.5],"denominator":[]}']:
+        assert main(["quasipoly", "--series", series]) == 2
     capsys.readouterr()
 
 

@@ -90,6 +90,14 @@ def test_pow():
     f = P("x + y", ("x", "y"))
     assert f ** 3 == P("x^3 + 3*x^2*y + 3*x*y^2 + y^3", ("x", "y"))
     assert f ** 0 == Polynomial.one(2)
+    # a single term: exponents scaled, coefficient powered, as by repeated products
+    for g in [P("x", ("x", "y")), P("-2/3*x^2*y", ("x", "y")), P("5", ("x", "y"))]:
+        prod = Polynomial.one(2)
+        for k in range(6):
+            assert g ** k == prod
+            prod = prod * g
+    assert Polynomial.zero(2) ** 0 == Polynomial.one(2)
+    assert Polynomial.zero(2) ** 3 == Polynomial.zero(2)
 
 
 @pytest.mark.parametrize("weights", [(1, 1, 1), (3, 2, 2), (1, 4), (2,)])

@@ -11,7 +11,7 @@ from algebroids import groebner, linalg, repmod
 from algebroids.errors import AlgebroidError, InconsistencyError, PreconditionError
 from algebroids.groebner import FreeModuleElement, TermOrder, groebner_basis
 from algebroids.liealg import sl2, span_lie_algebra
-from algebroids.poly import Polynomial
+from algebroids.poly import Polynomial, monomials
 from algebroids.repmod import (MatrixRep, binary_form_rep, cayley_sylvester,
                                covariant_dimension, decompose_sl2,
                                invariants_dimension, recognition_sl_blocks,
@@ -109,6 +109,51 @@ def test_validation_rejects_negated_rep():
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
+def test_validation_rejects_one_changed_sparse_entry(k):
+    # rows given sparse: doubling the first nonzero entry of any one row of
+    # rho(e_k) breaks the bracket, so every row must be checked
+    rep = s6v3()
+    for r in range(rep.dim):
+        if not rep.rows[k][r]:
+            continue
+        rows = [list(m) for m in rep.rows]
+        col, c = next(iter(rep.rows[k][r].items()))
+        rows[k][r] = {**rep.rows[k][r], col: 2 * c}
+        with pytest.raises(AlgebroidError, match="do not represent the bracket"):
+            MatrixRep(rep.algebra, rows)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_validation_checks_every_pair(k):
+    # rho(e_k) + 1 leaves every commutator as it was and breaks only the
+    # relation with e_k on its right: [X, Y] = H, [H, X] = 2X or [H, Y] = -2Y
+    rep = s6v3()
+    mats = [linalg.mat_add(m, linalg.identity(rep.dim)) if i == k else m
+            for i, m in enumerate(rep.matrices)]
+    rows = [list(m) for m in rep.rows]
+    rows[k] = [{**row, r: row.get(r, 0) + 1} for r, row in enumerate(rep.rows[k])]
+    for given in (mats, rows):
+        with pytest.raises(AlgebroidError, match="do not represent the bracket"):
+            MatrixRep(rep.algebra, given)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_validation_checks_every_row(k):
+    # on V_0 + V_1 + V_0 + V_2 + V_0 a nonzero diagonal entry at a trivial
+    # summand (row 0, 3 or 7) breaks the bracket in that row alone
+    rep = binary_form_rep(0)
+    for d in (1, 0, 2, 0):
+        rep = direct_sum_rep(rep, binary_form_rep(d))
+    for t in (0, 3, 7):
+        mats = [[list(row) for row in m] for m in rep.matrices]
+        mats[k][t][t] = F(1)
+        rows = [[{j: c for j, c in enumerate(row) if c} for row in m] for m in mats]
+        for given in (mats, rows):
+            with pytest.raises(AlgebroidError, match="do not represent the bracket"):
+                MatrixRep(rep.algebra, given)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
 def test_validation_rejects_one_flipped_entry(k):
     rep = s6v3()
     mats = [[list(row) for row in m] for m in rep.matrices]
@@ -153,6 +198,54 @@ def test_int_entries_become_fractions():
     assert MatrixRep(rep.algebra, rep.matrices).matrices[0][0][0] is rep.matrices[0][0][0]
 
 
+def dense_polarize(m, basis):
+    """Reference: the derivation action of the dense matrix m on the
+    monomials in basis, as a dense matrix, one factor replaced at a time."""
+    index = {e: i for i, e in enumerate(basis)}
+    out = linalg.zeros(len(basis), len(basis))
+    for col, exp in enumerate(basis):
+        for i, e_i in enumerate(exp):
+            for k in range(len(m)):
+                if e_i and m[k][i]:
+                    new = list(exp)
+                    new[i] -= 1
+                    new[k] += 1
+                    out[index[tuple(new)]][col] += e_i * m[k][i]
+    return out
+
+
+def conjugated_v2():
+    """V_2 in a rational, non-integral basis: H is not diagonal."""
+    v2 = binary_form_rep(2)
+    p = [[F(1), Fraction(1, 2), F(0)], [F(0), F(1), Fraction(-1, 3)], [F(2), F(0), F(1)]]
+    p_inv = inverse(p)
+    return MatrixRep(v2.algebra, [linalg.mat_mul(p_inv, linalg.mat_mul(m, p))
+                                  for m in v2.matrices])
+
+
+def test_sym_power_matches_dense_polarization():
+    for rep, n in [(binary_form_rep(3), 6), (binary_form_rep(6), 3), (binary_form_rep(0), 2),
+                   (conjugated_v2(), 3), (binary_form_rep(2), 0)]:
+        power = sym_power_rep(rep, n)
+        basis = monomials((1,) * rep.dim, n)
+        assert power.matrices == [dense_polarize(m, basis) for m in rep.matrices]
+        assert all(type(c) is Fraction for m in power.matrices for row in m for c in row)
+        # the rows hold ints where integral, and read back as the same matrices
+        assert all(type(c) is int or c.denominator > 1
+                   for m in power.rows for row in m for c in row.values())
+        assert MatrixRep(power.algebra, power.rows).matrices == power.matrices
+
+
+def test_sym_power_of_a_non_integral_v2_decomposes_like_v2():
+    conj = conjugated_v2()
+    assert any(type(c) is Fraction for m in conj.rows for row in m for c in row.values())
+    assert weight_space_dims(conj.rows[0]) is None
+    for n in range(1, 4):
+        power = sym_power_rep(conj, n)
+        assert any(type(c) is Fraction for m in power.rows for row in m for c in row.values())
+        assert decompose_sl2(power) == decompose_sl2(sym_power_rep(binary_form_rep(2), n))
+
+
 def test_binary_form_rep_weights():
     rep = binary_form_rep(3)
     h = rep.matrices[0]
@@ -189,13 +282,13 @@ def test_weight_space_dims_non_diagonal_h():
                      [linalg.mat_mul(p_inv, linalg.mat_mul(m, p)) for m in rep.matrices])
     h = conj.matrices[0]
     assert any(h[i][j] for i in range(n) for j in range(n) if i != j)
-    assert weight_space_dims(h) is None
+    assert weight_space_dims(conj.rows[0]) is None
     assert decompose_sl2(conj) == decompose_sl2(rep) == {4: 1, 0: 1}
 
 
 def test_weight_space_dims_diagonal_non_integer():
     with pytest.raises(PreconditionError, match="not rationally diagonalizable"):
-        weight_space_dims([[F(1), F(0)], [F(0), Fraction(1, 2)]])
+        weight_space_dims([{0: F(1)}, {1: Fraction(1, 2)}])
 
 
 def test_sl2_isotypic_matches_weight_decomposition():
@@ -255,6 +348,13 @@ def test_covariant_dimension():
     assert [covariant_dimension(n, 2) for n in range(6)] == [1, 1, 2, 2, 3, 3]
     assert covariant_dimension(4, 3) == 5
     assert covariant_dimension(0, 6) == 1
+
+
+def test_covariant_dimension_is_the_cayley_sylvester_sum():
+    for n in range(41):
+        for d in range(7):
+            assert covariant_dimension(n, d) == sum(cayley_sylvester(n, d, e)
+                                                    for e in range(n * d + 1))
 
 
 def test_covariant_dimension_equals_invariants_of_raising():
