@@ -1,7 +1,6 @@
 """Tangential derivation modules T(I), Jacobian/Tjurina ideals,
 quasi-homogeneity detection, and monomial-ideal extraction."""
 
-from fractions import Fraction
 from itertools import accumulate, combinations, product
 from math import lcm
 from operator import add
@@ -260,7 +259,7 @@ def quasi_homogeneous_weights(f):
     # solving alpha . u = 1 and k_j the kernel basis (k_j is 1 at the j-th
     # free coordinate, where u is 0); unused variables get weight 1.  Both
     # are scaled by their common denominator, so w = (d U + sum a_j K_j) / scale
-    rows = [[Fraction(e[i]) for i in used] + [Fraction(1)] for e in exps]
+    rows = [[e[i] for i in used] + [1] for e in exps]
     u = linalg.solve(rows, len(used))[0]
     if u is None:
         return None

@@ -2,9 +2,10 @@
 
 Buchberger's algorithm with normal pair selection, the chain criterion, and
 the coprimality criterion (ideals only, where it is valid); a pair of
-single-term elements is skipped, as its S-polynomial is zero.  Syzygies and
-coefficient lifts over the original generators are both read off one basis
-of the augmented rows (v_i, e_i) under a position-over-term order.
+single-term elements is never formed, as its S-polynomial is zero.  It runs
+fraction free on primitive int vectors; only the returned basis is monic.
+Syzygies and coefficient lifts over the original generators are both read off
+one basis of the augmented rows (v_i, e_i) under a position-over-term order.
 
 Minimal generators of graded objects need no basis: graded Nakayama reduces
 them to one rref per degree (_graded_nakayama), which serves quasi-homogeneous
@@ -14,10 +15,11 @@ is not quasi-homogeneous keeps the greedy Groebner-membership pruning.
 
 import heapq
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import linalg
 from .errors import PreconditionError
-from .poly import Polynomial, monomials
+from .poly import Polynomial, _exact, monomials
 
 
 class TermOrder:
@@ -88,8 +90,8 @@ class FreeModuleElement:
         clean = {}
         if terms:
             for (pos, exp), c in terms.items():
-                if type(c) is not Fraction:
-                    c = Fraction(c)
+                if type(c) is not int:
+                    c = _exact(c)
                 if c:
                     clean[(pos, tuple(exp))] = c
         self.terms = clean
@@ -121,9 +123,6 @@ class FreeModuleElement:
     def is_zero(self):
         return not self.terms
 
-    def component(self, pos):
-        return Polynomial(self.nvars, {exp: c for (p, exp), c in self.terms.items() if p == pos})
-
     def project(self, positions):
         """Restrict to the given positions, renumbered 0..len-1."""
         remap = {p: i for i, p in enumerate(positions)}
@@ -136,24 +135,24 @@ class FreeModuleElement:
     def __add__(self, other):
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + c
+            terms[mono] = terms.get(mono, 0) + c
         return FreeModuleElement(self.nvars, self.rank, terms)
 
     def __sub__(self, other):
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) - c
+            terms[mono] = terms.get(mono, 0) - c
         return FreeModuleElement(self.nvars, self.rank, terms)
 
     def __neg__(self):
         return FreeModuleElement(self.nvars, self.rank, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         return FreeModuleElement(self.nvars, self.rank, {m: c * v for m, v in self.terms.items()})
 
     def mul_term(self, exp, coeff=1):
-        coeff = None if coeff == 1 else Fraction(coeff)  # 1 only shifts the exponents
+        coeff = None if coeff == 1 else _exact(coeff)  # 1 only shifts the exponents
         terms = {}
         for (pos, e), c in self.terms.items():
             terms[(pos, tuple(a + b for a, b in zip(e, exp)))] = c if coeff is None else c * coeff
@@ -206,16 +205,31 @@ def _buckets(leads):
     return out
 
 
+def _integral(terms):
+    """(d, d * terms) for the least positive int d that makes every coefficient an int."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+
+
+def _primitive(terms, lead):
+    """The multiple of the terms with coprime int coefficients, positive at lead."""
+    ints = _integral(terms)[1]
+    g = gcd(*ints.values())
+    return {m: c // (g if ints[lead] > 0 else -g) for m, c in ints.items()}
+
+
 def _reduce(terms, buckets, elements, order):
-    """Full normal form of the terms modulo the elements.
+    """Full normal form of the terms modulo int elements with positive leading
+    coefficients, fraction free: (rem, s), rem the int terms of s > 0 times it.
 
     buckets maps a module position to the leading terms of the elements there
     (see _buckets).  Pending monomials wait in a heap, largest first; a
     reduction step only creates monomials below the one it removes, so a
-    popped monomial is final.  Returns the remainder as a terms dict.
+    popped monomial is final.  A step cancels c x^e against a lead l x^f as
+    (l/g) (everything) - (c/g) x^(e-f) (element), g = gcd(c, l).
     """
     key = order.descending_key
-    work = dict(terms)
+    scale, work = _integral(terms)
     heap = [(key(m), m) for m in work]
     heapq.heapify(heap)
     rem = {}
@@ -231,8 +245,13 @@ def _reduce(terms, buckets, elements, order):
         else:
             rem[mono] = coeff
             continue
+        g = gcd(coeff, lcoeff)
+        up, factor = lcoeff // g, coeff // g
+        if up != 1:
+            scale *= up
+            work = {m: c * up for m, c in work.items()}
+            rem = {m: c * up for m, c in rem.items()}
         qexp = _quot(exp, lexp)
-        factor = coeff / lcoeff
         for (p2, e2), c2 in elements[idx].terms.items():
             m2 = (p2, tuple(a + b for a, b in zip(e2, qexp)))
             if m2 == mono:  # the leading term, cancelled by construction
@@ -247,31 +266,35 @@ def _reduce(terms, buckets, elements, order):
                     work[m2] = nv
                 else:
                     del work[m2]
-    return rem
+    return rem, scale
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis; elements monic, auto-reduced, sorted."""
+    """Reduced Groebner basis; elements monic, auto-reduced, sorted.  It is
+    built from, and reduces by, their primitive int multiples."""
 
-    __slots__ = ("order", "elements", "nvars", "rank", "_leads", "_buckets")
+    __slots__ = ("order", "elements", "nvars", "rank", "_leads", "_buckets", "_primitive")
 
-    def __init__(self, order, elements, nvars, rank):
+    def __init__(self, order, primitive, nvars, rank):
         self.order = order
-        self.elements = elements
         self.nvars = nvars
         self.rank = rank
-        self._leads = tuple(e.leading(order) for e in elements)
-        self._buckets = _buckets(self._leads)
+        self._primitive = primitive
+        leads = [e.leading(order) for e in primitive]
+        self._buckets = _buckets(leads)
+        self._leads = tuple((mono, 1) for mono, _c in leads)
+        self.elements = [e if c == 1 else e.scale(Fraction(1, c))
+                         for e, (_m, c) in zip(primitive, leads)]
 
     def leads(self):
         return self._leads
 
     def normal_form(self, f):
-        """Remainder of f modulo the basis."""
+        """Remainder of f modulo the basis, reduced as an int multiple of f."""
         if isinstance(f, Polynomial):
             f = FreeModuleElement.from_poly(f)
-        rem = _reduce(f.terms, self._buckets, self.elements, self.order)
-        return FreeModuleElement(self.nvars, self.rank, rem)
+        rem, scale = _reduce(f.terms, self._buckets, self._primitive, self.order)
+        return FreeModuleElement(self.nvars, self.rank, {m: Fraction(c, scale) for m, c in rem.items()})
 
     def contains(self, f):
         return self.normal_form(f).is_zero()
@@ -283,7 +306,8 @@ def _as_elements(vectors):
 
 
 def groebner_basis(gens, order):
-    """Reduced Groebner basis of the given polynomials or module elements."""
+    """Reduced Groebner basis of the given polynomials or module elements, kept
+    fraction free as primitive int vectors with positive leading coefficients."""
     items = [g for g in _as_elements(gens) if not g.is_zero()]
     if not items:
         raise PreconditionError("no nonzero generators")
@@ -299,18 +323,21 @@ def groebner_basis(gens, order):
     pairs = []  # heap of (order.key((pos, lcm)), i, j): normal selection
     done = set()
 
-    def add(element):
+    def add(terms):
         j = len(basis)
-        lead = element.leading(order)
-        (pos, exp), coeff = lead
+        mono = max(terms, key=order.key)
+        element = FreeModuleElement(nvars, rank, _primitive(terms, mono))
+        (pos, exp), coeff = lead = mono, element.terms[mono]
         for i, lexp, _c in buckets.get(pos, ()):
-            heapq.heappush(pairs, (order.key((pos, _lcm_exp(lexp, exp))), i, j))
+            # two single terms have a zero S-polynomial: no pair
+            if len(terms) > 1 or len(basis[i].terms) > 1:
+                heapq.heappush(pairs, (order.key((pos, _lcm_exp(lexp, exp))), i, j))
         basis.append(element)
         leads.append(lead)
         buckets.setdefault(pos, []).append((j, exp, coeff))
 
     for g in items:
-        add(g)
+        add(g.terms)
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
@@ -320,20 +347,17 @@ def groebner_basis(gens, order):
         # coprimality criterion (valid for ideals only)
         if rank == 1 and all(a == 0 or b == 0 for a, b in zip(ei, ej)):
             continue
-        # two terms have a zero S-polynomial: skip the chain test's basis scan
-        if len(basis[i].terms) == 1 and len(basis[j].terms) == 1:
-            continue
         L = _lcm_exp(ei, ej)
         # chain criterion
         if any(k != i and k != j and _divides(ek, L)
                and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
                for k, ek, _c in buckets[p]):
             continue
-        qi, qj = _quot(L, ei), _quot(L, ej)
-        spoly = basis[i].mul_term(qi, Fraction(1) / ci) - basis[j].mul_term(qj, Fraction(1) / cj)
-        rem = _reduce(spoly.terms, buckets, basis, order)
+        g = gcd(ci, cj)  # cofactors of the leads keep the S-polynomial integral
+        spoly = basis[i].mul_term(_quot(L, ei), cj // g) - basis[j].mul_term(_quot(L, ej), ci // g)
+        rem = _reduce(spoly.terms, buckets, basis, order)[0]
         if rem:
-            add(FreeModuleElement(nvars, rank, rem))
+            add(rem)
 
     # minimal basis: drop each element whose lead another lead divides (of
     # equal leads the first stays)
@@ -343,17 +367,14 @@ def groebner_basis(gens, order):
     basis = [basis[k] for k in keep]
     leads = [leads[k] for k in keep]
     buckets = _buckets(leads)
-    # tail reduction to the unique reduced basis; the leads never change, and
-    # no element's own lead divides a monomial below it
-    for i, (mono, coeff) in enumerate(leads):
-        tail = {m: c for m, c in basis[i].terms.items() if m != mono}
-        rem = _reduce(tail, buckets, basis, order)
-        basis[i] = FreeModuleElement(nvars, rank, {mono: coeff, **rem})
-
-    # monic, deterministic ordering
+    # tail reduction to the unique reduced basis, modulo the minimal basis: the
+    # leads never change, and no element's own lead divides a monomial below it
+    reduced = []
+    for element, (mono, coeff) in zip(basis, leads):
+        rem, scale = _reduce({m: c for m, c in element.terms.items() if m != mono}, buckets, basis, order)
+        reduced.append(FreeModuleElement(nvars, rank, _primitive({mono: coeff * scale, **rem}, mono)))
     by_lead = sorted(range(len(basis)), key=lambda k: order.key(leads[k][0]), reverse=True)
-    elements = [basis[k].scale(Fraction(1) / leads[k][1]) for k in by_lead]
-    return GroebnerBasis(order, elements, nvars, rank)
+    return GroebnerBasis(order, [reduced[k] for k in by_lead], nvars, rank)
 
 
 # -- ideals ---------------------------------------------------------------
@@ -560,7 +581,7 @@ def _augmented_basis(vectors, order):
     augmented = []
     for i, v in enumerate(vectors):
         terms = dict(v.terms)
-        terms[(r + i, (0,) * nvars)] = Fraction(1)
+        terms[(r + i, (0,) * nvars)] = 1
         augmented.append(FreeModuleElement(nvars, r + len(vectors), terms))
     return groebner_basis(augmented, TermOrder(order.kind, order.weights, module="pot"))
 

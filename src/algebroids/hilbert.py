@@ -2,7 +2,6 @@
 series of monomial ideals, J-adic graded pieces, and dimension/multiplicity
 extraction from rational series."""
 
-from fractions import Fraction
 from math import comb, factorial
 
 from .derivations import k_polynomial, monomialize
@@ -149,7 +148,7 @@ def dimension_multiplicity(rs):
     the coefficient quasi-polynomial carries (d, e) directly.
     """
     if not rs.numerator:
-        return 0, Fraction(0)
+        return 0, 0
     coeff_qp = quasi_polynomial_of(rs)
     genuinely_periodic = any(p != coeff_qp.residues[0] for p in coeff_qp.residues)
     if genuinely_periodic:
@@ -158,6 +157,6 @@ def dimension_multiplicity(rs):
         qp = cumulative_quasi_polynomial(rs)
     d = qp.degree
     if d < 0:
-        return 0, Fraction(0)
+        return 0, 0
     e = factorial(d) * qp.leading_coefficient()
     return d, e

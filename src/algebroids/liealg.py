@@ -1,12 +1,12 @@
 """Finite-dimensional Lie algebras by structure constants, and fibre Lie
 algebra extraction from derivation modules."""
 
-from fractions import Fraction
 from itertools import combinations, product
 
 from . import linalg
 from .errors import AlgebroidError, InconsistencyError, PreconditionError
 from .groebner import _column_rows, _graded_nakayama, _m_times
+from .poly import _exact
 
 
 class LieAlgebra:
@@ -25,7 +25,7 @@ class LieAlgebra:
         for (i, j), vec in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError("brackets must be given for i < j")
-            vec = tuple(Fraction(c) for c in vec)
+            vec = tuple(_exact(c) for c in vec)
             if len(vec) != dim:
                 raise ValueError("structure constant arity mismatch")
             row = {k: c for k, c in enumerate(vec) if c}
@@ -37,13 +37,13 @@ class LieAlgebra:
         self._validate_jacobi()
 
     def basis_bracket(self, i, j):
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for k, c in self._table.get((i, j), {}).items():
             out[k] = c
         return tuple(out)
 
     def bracket(self, u, v):
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         support = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
             if not a:
@@ -117,7 +117,7 @@ class LieAlgebra:
                 kappa[a][b] = kappa[b][a] = sum(
                     (x * table.get((b, i), {}).get(k, 0)
                      for k in range(n) for i, x in table.get((a, k), {}).items()),
-                    Fraction(0))
+                    0)
         return kappa
 
     def fingerprint(self):
@@ -240,7 +240,7 @@ def fibre_lie_algebra(dm, require_origin=True):
         for pair, x in zip(pairs, linalg.solve(_column_rows(columns), first)):
             if x is None:
                 raise AlgebroidError("bracket leaves the module (not a Lie algebroid?)")
-            vec = [Fraction(0)] * m
+            vec = [0] * m
             for k, c in zip(same, x[len(span):]):
                 vec[k] = c
             brackets[pair] = tuple(vec)

@@ -1,6 +1,7 @@
 """Exact linear algebra over Q.
 
-Matrices are lists of lists of Fraction; vectors are lists of Fraction.
+Matrices are lists of rows and vectors are lists of ints and Fractions; the
+rref rows, kernels and solutions hold ints where integral (poly._exact).
 Everything is small (desk scale), so plain Gaussian elimination is enough:
 one sparse rref, from which rank, kernel_basis, row_space_basis and solve
 read their answers.  Every coordinate vector the library needs (structure
@@ -10,15 +11,17 @@ constants, weights, inverses, interpolation) comes from solve.
 from fractions import Fraction
 from itertools import compress
 
+from .poly import _exact
+
 
 def zeros(n, m):
-    return [[Fraction(0)] * m for _ in range(n)]
+    return [[0] * m for _ in range(n)]
 
 
 def identity(n):
     mat = zeros(n, n)
     for i in range(n):
-        mat[i][i] = Fraction(1)
+        mat[i][i] = 1
     return mat
 
 
@@ -47,12 +50,12 @@ def mat_add(a, b):
 
 
 def mat_scale(a, c):
-    c = Fraction(c)
+    c = _exact(c)
     return [[c * x for x in row] for row in a]
 
 
 def mat_vec(a, v):
-    return [sum((c * x for c, x in zip(row, v) if x), Fraction(0)) for row in a]
+    return [sum((c * x for c, x in zip(row, v) if x), 0) for row in a]
 
 
 def _subtract(target, c, row):
@@ -81,17 +84,18 @@ def rref(rows):
         if not new:
             continue
         col = min(new)
-        inv = Fraction(1) / new[col]
-        new = {j: x * inv for j, x in new.items()}
+        if new[col] != 1:
+            inv = Fraction(1) / new[col]
+            new = {j: _exact(x * inv) for j, x in new.items()}
         for other in reduced.values():
             if col in other:
                 _subtract(other, other[col], new)
         reduced[col] = new
     pivots = sorted(reduced)
-    out = [[Fraction(0)] * len(rows[0]) for _ in pivots]
+    out = [[0] * len(rows[0]) for _ in pivots]
     for dense, p in zip(out, pivots):
         for j, x in reduced[p].items():
-            dense[j] = x
+            dense[j] = _exact(x)
     return out, pivots
 
 
@@ -108,8 +112,8 @@ def kernel_basis(rows):
     free = [j for j in range(m) if j not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * m
-        v[f] = Fraction(1)
+        v = [0] * m
+        v[f] = 1
         for i, p in enumerate(pivots):
             v[p] = -red[i][f]
         basis.append(v)
@@ -135,7 +139,7 @@ def solve(rows, k):
         if any(row[t] for row in red[split:]):
             out.append(None)
             continue
-        x = [Fraction(0)] * k
+        x = [0] * k
         for row, p in zip(red, pivots[:split]):
             x[p] = row[t]
         out.append(x)

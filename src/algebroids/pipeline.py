@@ -1,8 +1,6 @@
 """End-to-end analyses: singularity reports, toral reports, covariant series
 reports, and the shared input-file format."""
 
-from fractions import Fraction
-
 from . import linalg
 from .derivations import (Derivation, jacobian_ideal, monomialize,
                           quasi_homogeneous_weights, tangent_derivations)
@@ -324,7 +322,7 @@ def analyze_toral(spec):
             if field.apply(g) != g * exp[i]:
                 scalar_ok = False
     series = RationalSeries([1], [(1, r)]) if r else RationalSeries([1], [])
-    d, e = dimension_multiplicity(series) if r else (0, Fraction(1))
+    d, e = dimension_multiplicity(series) if r else (0, 1)
     if (d, e) != (r, 1):
         raise InconsistencyError("CONTRADICTS-PAPER: toral multiplicity is not 1")
     return ToralReport(
@@ -362,8 +360,8 @@ def covariants_report(d, depth):
     """Series of the covariant algebra of binary forms of degree d."""
     from .repmod import covariant_dimension
 
-    if d > 6 or depth > 40:
-        raise PreconditionError("desk scale exceeded (d <= 6, N <= 40)")
+    if not (0 <= d <= 6 and 0 <= depth <= 40):
+        raise PreconditionError("outside desk scale (need 0 <= d <= 6, 0 <= N <= 40)")
     dims = [covariant_dimension(n, d) for n in range(depth + 1)]
     factors = COVARIANT_DENOMINATORS.get(d)
     series = None

@@ -1,6 +1,7 @@
 """Multivariate polynomials with exact rational coefficients.
 
-Terms are stored as a map from exponent tuples to nonzero Fractions.  Weights
+Terms are stored as a map from exponent tuples to nonzero coefficients, each
+an int when integral and a Fraction otherwise, never a float (_exact).  Weights
 for quasi-homogeneous gradings are *not* stored on the polynomial itself; they
 travel with the ambient ring data (Ideal, term orders) and are passed to the
 degree helpers where needed.
@@ -10,7 +11,12 @@ from fractions import Fraction
 
 from .errors import ParseError
 
-Expvec = tuple
+
+def _exact(c):
+    """c as an int when it is integral, as a Fraction otherwise."""
+    if type(c) is not int and type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class Polynomial:
@@ -21,8 +27,8 @@ class Polynomial:
         clean = {}
         if terms:
             for exp, coeff in terms.items():
-                c = Fraction(coeff)
-                if c != 0:
+                c = _exact(coeff)
+                if c:
                     if len(exp) != nvars:
                         raise ValueError("exponent arity mismatch")
                     clean[tuple(exp)] = c
@@ -35,7 +41,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def one(cls, nvars):
@@ -45,11 +51,11 @@ class Polynomial:
     def variable(cls, nvars, i, power=1):
         exp = [0] * nvars
         exp[i] = power
-        return cls(nvars, {tuple(exp): Fraction(1)})
+        return cls(nvars, {tuple(exp): 1})
 
     @classmethod
     def monomial(cls, nvars, exp, coeff=1):
-        return cls(nvars, {tuple(exp): Fraction(coeff)})
+        return cls(nvars, {tuple(exp): coeff})
 
     # -- predicates ------------------------------------------------------
     def is_zero(self):
@@ -59,7 +65,7 @@ class Polynomial:
         return all(all(e == 0 for e in exp) for exp in self.terms)
 
     def constant_term(self):
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return self.terms.get((0,) * self.nvars, 0)
 
     # -- degrees ---------------------------------------------------------
     def degree(self, weights=None):
@@ -99,7 +105,7 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
+            terms[exp] = terms.get(exp, 0) + c
         return Polynomial(self.nvars, terms)
 
     __radd__ = __add__
@@ -108,21 +114,21 @@ class Polynomial:
         return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Polynomial) else Polynomial.constant(self.nvars, -Fraction(other)))
+        return self + (-other if isinstance(other, Polynomial) else Polynomial.constant(self.nvars, -other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _exact(other)
             return Polynomial(self.nvars, {e: c * v for e, v in self.terms.items()})
         self._check(other)
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
+                terms[exp] = terms.get(exp, 0) + c1 * c2
         return Polynomial(self.nvars, terms)
 
     __rmul__ = __mul__

@@ -8,15 +8,8 @@ from . import linalg
 from .errors import AlgebroidError, InconsistencyError, PreconditionError
 from .groebner import FreeModuleElement, TermOrder, groebner_basis
 from .liealg import sl2
-from .poly import monomials
+from .poly import _exact, monomials
 from .series import partitions_in_rectangle
-
-
-def _exact(c):
-    """c as an int when it is integral, as a Fraction otherwise."""
-    if type(c) is not int and type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 class MatrixRep:
@@ -39,6 +32,10 @@ class MatrixRep:
             raise ValueError("need one matrix per basis element")
         self.algebra = algebra
         self.dim = len(matrices[0]) if matrices else 0
+        if not all(len(m) == self.dim and all(
+                max(row, default=-1) < self.dim if isinstance(row, dict) else len(row) == self.dim
+                for row in m) for m in matrices):
+            raise ValueError("action matrices must be square and of one size")
         if self.dim and isinstance(matrices[0][0], dict):
             self._matrices = None
             self.rows = [[{col: _exact(c) for col, c in row.items() if c} for row in m]
@@ -358,7 +355,7 @@ def sl2_algebroid_filtration(d):
     def times_x(vec, scalar=1):
         return vec.mul_term(x_shift, scalar)
 
-    lowest = FreeModuleElement(1, rank, {(d, (0,)): Fraction(1)})
+    lowest = FreeModuleElement(1, rank, {(d, (0,)): 1})
     vectors = [lowest]
     for i in range(1, d + 1):
         prev = vectors[-1]

@@ -211,7 +211,7 @@ def test_mul_term_matches_mul_poly():
         for coeff in [1, Fraction(1), Fraction(-2, 3), 0]:
             shifted = v.mul_term(exp, coeff)
             assert shifted == v.mul_poly(Polynomial.monomial(2, exp, coeff))
-            assert all(type(c) is Fraction for c in shifted.terms.values())
+            assert all(type(c) is int or c.denominator > 1 for c in shifted.terms.values())
     assert v.mul_term((1, 1)).terms == {(0, (2, 1)): Fraction(3, 2), (1, (1, 3)): Fraction(-1)}
 
 
@@ -407,6 +407,22 @@ def test_power_is_the_ideal_of_all_k_fold_products():
             power = ideal.power(k)
             assert power.equals(Ideal(ideal.nvars, products, weights))
             assert power.gens == power.minimal_generators()
+
+
+def test_monomial_basis_forms_no_pairs(monkeypatch):
+    # two single terms have a zero S-polynomial, so a monomial ideal's basis
+    # never forms a pair (each pair's lcm is taken when it is formed)
+    formed = []
+    lcm_exp = groebner._lcm_exp
+    monkeypatch.setattr(groebner, "_lcm_exp", lambda a, b: formed.append(1) or lcm_exp(a, b))
+    gens = [Polynomial.monomial(3, e) for e in monomials((1, 1, 1), 6)]
+    gens += [P("x^2*y", XYZ), P("x^7", XYZ), P("3*y*z", XYZ)]
+    gb = groebner_basis(gens, TermOrder("grevlex"))
+    assert formed == []
+    # the minimal generators: y*z, x^2*y and the sextics outside (y*z, x^2*y)
+    sextics = [e for e in monomials((1, 1, 1), 6) if not (e[1] and e[2] or e[0] >= 2 and e[1])]
+    assert {e.to_poly() for e in gb.elements} == (
+        {P("y*z", XYZ), P("x^2*y", XYZ)} | {Polynomial.monomial(3, e) for e in sextics})
 
 
 def test_power_of_coordinate_axes_jacobian_is_desk_scale():

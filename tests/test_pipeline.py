@@ -335,6 +335,27 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["--degree", "-1", "--depth", "3"],
+                                  ["--degree", "2", "--depth", "-3"],
+                                  ["--degree", "7", "--depth", "3"]],
+                         ids=["negative-degree", "negative-depth", "degree-7"])
+def test_cli_covariant_outside_desk_scale_exits_3(capsys, argv):
+    assert main(["covariant"] + argv) == 3
+    err = capsys.readouterr().err
+    assert "precondition failure" in err and "0 <= d <= 6, 0 <= N <= 40" in err
+
+
+def test_cli_analyze_coordinate_axes_at_depth_10(tmp_path, capsys):
+    # m^2 and its powers are monomial ideals, whose bases form no pairs
+    # (0.9 s through the CLI on a 2-core VM; 2.0 s when every pair was formed)
+    path = write(tmp_path, "axes.txt", AXES)
+    start = time.perf_counter()
+    assert main(["analyze", path, "--series-depth", "10", "--json"]) == 0
+    elapsed = time.perf_counter() - start
+    assert json.loads(capsys.readouterr().out)["series"]["numerator"] == [4, -8, 0, 8, -4]
+    assert elapsed < 10
+
+
 def test_cli_builds_its_parser_once(monkeypatch, capsys):
     # the parser (nine subparsers) is built on the first main call only
     made = []

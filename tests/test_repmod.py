@@ -82,6 +82,17 @@ def test_matrix_rep_validation():
         MatrixRep(g, bad)
 
 
+@pytest.mark.parametrize("shapes", [[(2, 2), (2, 2), (3, 3)], [(2, 3)] * 3],
+                         ids=["sizes-differ", "not-square"])
+def test_matrix_rep_rejects_bad_shapes(shapes):
+    # zero matrices satisfy every bracket, so only the shape check can refuse them
+    with pytest.raises(ValueError, match="square and of one size"):
+        MatrixRep(sl2(), [linalg.zeros(n, m) for n, m in shapes])
+    sparse = [[{j: 0 for j in range(m)} for _ in range(n)] for n, m in shapes]
+    with pytest.raises(ValueError, match="square and of one size"):
+        MatrixRep(sl2(), sparse)
+
+
 def s6v3():
     rep = sym_power_rep(binary_form_rep(3), 6)
     assert rep.dim == 84
