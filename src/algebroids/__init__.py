@@ -15,9 +15,9 @@ from .derivations import (Derivation, DerivationModule, jacobian_ideal,
                           tangent_derivations, tjurina_ideal)
 from .liealg import LieAlgebra, fibre_lie_algebra, sl2
 from .repmod import (MatrixRep, binary_form_rep, cayley_sylvester,
-                     covariant_dimension, decompose_sl2, invariants_dimension,
-                     recognition_sl_blocks, sl2_algebroid_filtration,
-                     sym_power_rep)
+                     covariant_dimension, covariant_dimensions, decompose_sl2,
+                     invariants_dimension, recognition_sl_blocks,
+                     sl2_algebroid_filtration, sym_power_rep)
 from .hilbert import (GradedPieceReport, dimension_multiplicity,
                       equivariant_series_monomial, graded_pieces_series,
                       hilbert_series_quotient)

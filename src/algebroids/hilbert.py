@@ -6,10 +6,9 @@ from math import comb, factorial
 
 from .derivations import k_polynomial, monomialize
 from .errors import PreconditionError
-from .poly import monomials
+from .poly import _exact, monomials
 from .series import (CharacterSeries, RationalSeries, SeriesPrefix,
-                     cumulative_quasi_polynomial, quasi_polynomial_of,
-                     reconstruct_rational)
+                     quasi_polynomial_of, reconstruct_rational)
 
 
 def _wdeg(exp, weights):
@@ -134,29 +133,32 @@ def graded_pieces_series(j_ideal, m_spec="ring", depth=8, solvable_certificate=F
         series = reconstruct_rational(SeriesPrefix(counts), [(1, mu)])
     dims = list(enumerate(counts))
     quasi = quasi_polynomial_of(series)
-    d, e = dimension_multiplicity(series)
+    d, e = dimension_multiplicity(series, quasi)
     caveat = None if solvable_certificate else "lengths reported as dimensions; requires solvable fibre"
     return GradedPieceReport(dims, series, quasi, d, e, solvable_certificate, caveat)
 
 
-def dimension_multiplicity(rs):
+def dimension_multiplicity(rs, coeff_qp=None):
     """(d, e) of a length series: the length function grows like (e/d!) n^d.
 
     When the coefficient function of rs is an honest polynomial the series
     is read as a graded-pieces series and the Hilbert-Samuel function is its
     cumulative sum; when it is genuinely periodic (a covariant-type series)
-    the coefficient quasi-polynomial carries (d, e) directly.
+    the coefficient quasi-polynomial carries (d, e) directly.  coeff_qp is
+    quasi_polynomial_of(rs) when the caller has already fitted it.
     """
     if not rs.numerator:
         return 0, 0
-    coeff_qp = quasi_polynomial_of(rs)
-    genuinely_periodic = any(p != coeff_qp.residues[0] for p in coeff_qp.residues)
-    if genuinely_periodic:
-        qp = coeff_qp
-    else:
-        qp = cumulative_quasi_polynomial(rs)
-    d = qp.degree
-    if d < 0:
-        return 0, 0
-    e = factorial(d) * qp.leading_coefficient()
-    return d, e
+    if coeff_qp is None:
+        coeff_qp = quasi_polynomial_of(rs)
+    poly = coeff_qp.residues[0]
+    if any(p != poly for p in coeff_qp.residues):
+        d = coeff_qp.degree
+        return d, _exact(factorial(d) * coeff_qp.leading_coefficient())
+    if poly:
+        # sum_{i<=n} of a n^k + ... is a n^(k+1)/(k+1) + ...
+        k = len(poly) - 1
+        return k + 1, _exact(factorial(k) * poly[-1])
+    # the coefficients vanish from the numerator's degree on: the partial
+    # sums are eventually the constant sum of the first ones
+    return 0, sum(rs.expand(rs.numerator_degree).coeffs)

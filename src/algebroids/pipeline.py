@@ -9,7 +9,7 @@ from .groebner import Ideal
 from .hilbert import dimension_multiplicity, graded_pieces_series
 from .liealg import fibre_lie_algebra, span_lie_algebra
 from .poly import Polynomial, format_poly, parse_poly
-from .repmod import MatrixRep, sl2_isotypic, sym_kernel_dims
+from .repmod import MatrixRep, covariant_dimensions, sl2_isotypic, sym_kernel_dims
 from .series import (RationalSeries, SeriesPrefix, quasi_polynomial_of,
                      reconstruct_rational)
 
@@ -358,11 +358,9 @@ class CovariantReport:
 
 def covariants_report(d, depth):
     """Series of the covariant algebra of binary forms of degree d."""
-    from .repmod import covariant_dimension
-
     if not (0 <= d <= 6 and 0 <= depth <= 40):
         raise PreconditionError("outside desk scale (need 0 <= d <= 6, 0 <= N <= 40)")
-    dims = [covariant_dimension(n, d) for n in range(depth + 1)]
+    dims = covariant_dimensions(d, depth)
     factors = COVARIANT_DENOMINATORS.get(d)
     series = None
     quasi = None
@@ -370,5 +368,5 @@ def covariants_report(d, depth):
     if factors is not None:
         series = reconstruct_rational(SeriesPrefix(dims), factors)
         quasi = quasi_polynomial_of(series)
-        dim, mult = dimension_multiplicity(series)
+        dim, mult = dimension_multiplicity(series, quasi)
     return CovariantReport(d, depth, dims, series, quasi, dim, mult)

@@ -237,10 +237,34 @@ def cayley_sylvester(n, d, e):
     return partitions_in_rectangle(m, d, n) - partitions_in_rectangle(m - 1, d, n)
 
 
+def covariant_dimensions(d, depth):
+    """[dim C^n_d for n = 0..depth], C^n_d the covariants of degree n of the
+    binary d-ic: the number of irreducible summands of S^n(V_d).  The
+    Cayley-Sylvester sum over e telescopes to p(n,d;floor(nd/2)), the middle
+    coefficient of the Gaussian binomial [n+d, d]_q (Sylvester 1878), built
+    on int coefficient lists by [n+d, d] = [n-1+d, d] (1 - q^(n+d)) / (1 - q^n)."""
+    if d < 0 or depth < 0:
+        raise ValueError("arguments must be non-negative")
+    # both steps are triangular (a term depends only on terms of lower
+    # degree), so the list stops at degree nd, the degree of [n+d, d], or at
+    # the last middle degree read, whichever is lower
+    keep = depth * d // 2
+    gauss = [1]
+    dims = [1]
+    for n in range(1, depth + 1):
+        top = min(n * d, keep)
+        gauss += [0] * (top + 1 - len(gauss))
+        for k in range(top, n + d - 1, -1):
+            gauss[k] -= gauss[k - n - d]
+        for k in range(n, top + 1):
+            gauss[k] += gauss[k - n]
+        dims.append(gauss[n * d // 2])
+    return dims
+
+
 def covariant_dimension(n, d):
-    """Number of irreducible summands of S^n(V_d) = dim C^n_d: the
-    Cayley-Sylvester sum over e telescopes to p(n,d;floor(nd/2))."""
-    return partitions_in_rectangle(n * d // 2, d, n)
+    """dim C^n_d, the last entry of covariant_dimensions(d, n)."""
+    return covariant_dimensions(d, n)[-1]
 
 
 # -- recognition of sl-blocks ---------------------------------------------

@@ -11,6 +11,7 @@ from math import lcm
 
 from . import linalg
 from .errors import AlgebroidError, ParseError, PreconditionError
+from .poly import _exact
 
 
 @lru_cache(maxsize=None)
@@ -27,12 +28,13 @@ def partitions_in_rectangle(m, d, n):
 
 
 class SeriesPrefix:
-    """Coefficients 0..N of a formal power series."""
+    """Coefficients 0..N of a formal power series, each an int when
+    integral and a Fraction otherwise (poly._exact)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = [Fraction(c) for c in coeffs]
+        self.coeffs = [_exact(c) for c in coeffs]
 
     @property
     def bound(self):
@@ -51,15 +53,12 @@ class SeriesPrefix:
         return SeriesPrefix(self.coeffs[: n + 1])
 
     def as_ints(self):
-        out = []
-        for c in self.coeffs:
-            if c.denominator != 1:
-                raise AlgebroidError("expansion coefficient is not an integer")
-            out.append(c.numerator)
-        return out
+        if any(type(c) is not int for c in self.coeffs):
+            raise AlgebroidError("expansion coefficient is not an integer")
+        return list(self.coeffs)
 
     def __repr__(self):
-        return f"SeriesPrefix({self.as_ints() if all(c.denominator == 1 for c in self.coeffs) else self.coeffs})"
+        return f"SeriesPrefix({self.coeffs})"
 
 
 class RationalSeries:
@@ -68,8 +67,15 @@ class RationalSeries:
     __slots__ = ("numerator", "factors")
 
     def __init__(self, numerator, factors):
-        # numerator: coefficient list (index = power of t), integers
-        num = [int(c) for c in numerator]
+        # numerator: coefficient list (index = power of t) of ints; an
+        # integral Fraction is taken as its int, anything else is refused
+        num = []
+        for c in numerator:
+            if type(c) is not int:
+                if not isinstance(c, (int, Fraction)) or c.denominator != 1:
+                    raise PreconditionError(f"series numerator coefficient {c!r} is not an integer")
+                c = int(c)
+            num.append(c)
         while num and num[-1] == 0:
             num.pop()
         self.numerator = num
@@ -143,10 +149,8 @@ def expand_series(rs, bound):
     """Coefficients 0..bound of the expansion of rs; exact."""
     if bound < 0:
         raise PreconditionError("bound must be >= 0")
-    coeffs = [Fraction(0)] * (bound + 1)
-    for k, c in enumerate(rs.numerator):
-        if k <= bound:
-            coeffs[k] = Fraction(c)
+    coeffs = rs.numerator[: bound + 1]
+    coeffs += [0] * (bound + 1 - len(coeffs))
     for n, d in rs.factors:
         for _ in range(d):
             for k in range(n, bound + 1):
@@ -161,23 +165,19 @@ def reconstruct_rational(prefix, factors):
     terminate early enough to certify the numerator.
     """
     rs_probe = RationalSeries([1], factors)
-    den = rs_probe.denominator_poly()
+    den = [(j, c) for j, c in enumerate(rs_probe.denominator_poly()) if c]
+    coeffs = prefix.coeffs
     bound = prefix.bound
-    prod = [Fraction(0)] * (bound + 1)
-    for k in range(bound + 1):
-        total = Fraction(0)
-        for j, c in enumerate(den):
-            if j <= k:
-                total += c * prefix[k - j]
-        prod[k] = total
+    prod = [sum(c * coeffs[k - j] for j, c in den if j <= k) for k in range(bound + 1)]
     cutoff = bound - rs_probe.denominator_degree
-    if cutoff < 0 or any(prod[k] != 0 for k in range(cutoff + 1, bound + 1)):
+    if cutoff < 0 or any(prod[cutoff + 1:]):
         raise AlgebroidError("no stabilization")
     num = prod[: cutoff + 1]
-    for c in num:
-        if c.denominator != 1:
-            raise AlgebroidError("no stabilization")
-    rs = RationalSeries([c.numerator for c in num], factors)
+    # a Fraction in the prefix leaves a Fraction here, even an integral one;
+    # such a prefix is never the expansion of an integer numerator
+    if any(type(c) is not int for c in num):
+        raise AlgebroidError("no stabilization")
+    rs = RationalSeries(num, factors)
     if rs.expand(bound).coeffs != prefix.coeffs:
         raise AlgebroidError("no stabilization")
     return rs
@@ -194,15 +194,17 @@ class QuasiPolynomial:
         self.period = period
         self.residues = []
         for poly in residues:
-            coeffs = [Fraction(c) for c in poly]
+            coeffs = [_exact(c) for c in poly]
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
             self.residues.append(coeffs)
         self.threshold = threshold
 
     def __call__(self, n):
-        poly = self.residues[n % self.period]
-        return sum((c * Fraction(n) ** k for k, c in enumerate(poly)), Fraction(0))
+        value = 0
+        for c in reversed(self.residues[n % self.period]):
+            value = value * n + c
+        return _exact(value)
 
     @property
     def degree(self):
@@ -213,8 +215,8 @@ class QuasiPolynomial:
         """The common top-degree coefficient; error if residues disagree."""
         d = self.degree
         if d < 0:
-            return Fraction(0)
-        leads = {(p[d] if len(p) == d + 1 else Fraction(0)) for p in self.residues}
+            return 0
+        leads = {(p[d] if len(p) == d + 1 else 0) for p in self.residues}
         if len(leads) != 1:
             raise AlgebroidError("ill-defined leading term")
         return leads.pop()
@@ -241,7 +243,7 @@ def _fit_polynomial(points):
     """Exact polynomial through (x, y) points, coefficient list ascending."""
     if not points:
         return []
-    sol = linalg.solve([[Fraction(x) ** j for j in range(len(points))] + [Fraction(y)]
+    sol = linalg.solve([[x ** j for j in range(len(points))] + [y]
                         for x, y in points], len(points))[0]
     if sol is None:
         raise AlgebroidError("polynomial fit failed")
@@ -258,23 +260,24 @@ def quasi_polynomial_of(rs):
     max_deg = rs.pole_count - 1
     n0 = rs.numerator_degree + 1
     need = n0 + period * (max_deg + 1) + 2 * period
-    prefix = rs.expand(need)
+    prefix = rs.expand(need).coeffs
     residues = []
     for r in range(period):
         start = n0 + ((r - n0) % period)
-        xs = [start + period * j for j in range(max_deg + 1)]
-        poly = _fit_polynomial([(x, prefix[x]) for x in xs])
+        poly = _fit_polynomial([(x, prefix[x])
+                                for x in range(start, start + period * (max_deg + 1), period)])
+        # check the whole class by Horner on the integer numerators of the
+        # residue over their common denominator
+        den = lcm(*[c.denominator for c in poly])
+        nums = [c.numerator * (den // c.denominator) for c in poly]
+        for n in range(start, need + 1, period):
+            value = 0
+            for c in reversed(nums):
+                value = value * n + c
+            if value != den * prefix[n]:
+                raise AlgebroidError("quasi-polynomial fit did not verify")
         residues.append(poly)
-    qp = QuasiPolynomial(period, residues, n0)
-    for n in range(n0, need + 1):
-        if qp(n) != prefix[n]:
-            raise AlgebroidError("quasi-polynomial fit did not verify")
-    return qp
-
-
-def cumulative_quasi_polynomial(rs):
-    """Quasi-polynomial of the partial sums sum_{i<=n} coefficient(i)."""
-    return quasi_polynomial_of(rs.with_extra_factor(1))
+    return QuasiPolynomial(period, residues, n0)
 
 
 # -- torus-character series ----------------------------------------------
@@ -324,10 +327,10 @@ def integrate_characters(cs):
     Returns (SeriesPrefix, RationalSeries or None); the closed series is
     produced whenever the input carries a closed form.
     """
-    coeffs = [Fraction(0)] * (cs.bound + 1)
+    coeffs = [0] * (cs.bound + 1)
     for n, lc in cs.coeffs.items():
         if 0 <= n <= cs.bound:
-            coeffs[n] = Fraction(sum(lc.values()))
+            coeffs[n] = sum(lc.values())
     prefix = SeriesPrefix(coeffs)
     closed = None
     if cs.has_closed_form():

@@ -15,6 +15,8 @@ from algebroids.groebner import (FreeModuleElement, TermOrder, groebner_basis,
 from algebroids.liealg import LieAlgebra, fibre_lie_algebra
 from algebroids.pipeline import parse_input
 from algebroids.poly import Polynomial
+from algebroids.series import (RationalSeries, SeriesPrefix, expand_series,
+                               quasi_polynomial_of, reconstruct_rational)
 
 # -- the reference: Buchberger over Q with monic S-polynomials and reductions
 
@@ -258,6 +260,30 @@ def test_constructors_store_the_one_form():
                        (1, 2): (Fraction(1), 0, 0)})
     assert all(all_canonical(vec) for vec in g.brackets.values())
     assert all(all_canonical(row.values()) for row in g._table.values())
+    prefix = SeriesPrefix([Fraction(4, 2), 3, Fraction(1, 3), 0.5])
+    assert prefix.coeffs == [2, 3, Fraction(1, 3), Fraction(1, 2)]
+    assert all_canonical(prefix.coeffs) and all_canonical(prefix.truncate(2).coeffs)
+
+
+def test_series_outputs_are_canonical():
+    rng = random.Random(31)
+    for _ in range(30):
+        num = [rng.randrange(-3, 4) for _ in range(rng.randrange(1, 4))]
+        factors = [(1, rng.randrange(1, 3))] + [(n, 1) for n in (2, 3, 4) if rng.random() < 0.4]
+        rs = RationalSeries(num, factors)
+        bound = rs.numerator_degree + rs.denominator_degree + 4
+        prefix = expand_series(rs, bound)
+        assert all(type(c) is int for c in prefix.coeffs)
+        back = reconstruct_rational(SeriesPrefix([Fraction(c) for c in prefix.coeffs]), factors)
+        assert all(type(c) is int for c in back.numerator)
+        assert back.expand(bound).coeffs == prefix.coeffs
+        qp = quasi_polynomial_of(rs)
+        assert all(all_canonical(poly) for poly in qp.residues)
+        assert all_canonical(qp(n) for n in range(qp.threshold, qp.threshold + 8))
+    # the cubic covariants: residues n^2/8 + n/2 + (1, 3/8, 1/2, 3/8)
+    qp = quasi_polynomial_of(RationalSeries([1, -1, 1], [(1, 2), (4, 1)]))
+    assert qp.residues[0] == [1, Fraction(1, 2), Fraction(1, 8)]
+    assert all(all_canonical(poly) for poly in qp.residues)
 
 
 FIBRE_INPUTS = [

@@ -19,7 +19,7 @@ from algebroids.pipeline import (_levi_action, _sl2_covariant_path,
                                  covariants_report, parse_input)
 from algebroids.poly import Polynomial, monomials
 from algebroids.repmod import polarize, sl2_isotypic
-from algebroids.series import RationalSeries
+from algebroids.series import RationalSeries, partitions_in_rectangle
 
 WHITNEY = "vars: x, y, z\nweights: 1, 2, 2\nideal: z^2 - x^2*y\n"
 QUADRIC = "vars: x, y, z\nideal: x^2 + y^2 + z^2\n"
@@ -249,6 +249,12 @@ def test_covariants_report_degree_1_and_2():
     r2 = covariants_report(2, 12)
     assert r2.dims == [n // 2 + 1 for n in range(13)]
     assert r2.series == RationalSeries([1], [(1, 1), (2, 1)])
+
+
+def test_covariants_report_dims_are_the_partition_counts():
+    for d in range(7):
+        assert covariants_report(d, 40).dims == [partitions_in_rectangle(n * d // 2, d, n)
+                                                 for n in range(41)]
 
 
 def test_covariants_report_determinism():

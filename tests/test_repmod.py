@@ -13,11 +13,13 @@ from algebroids.groebner import FreeModuleElement, TermOrder, groebner_basis
 from algebroids.liealg import sl2, span_lie_algebra
 from algebroids.poly import Polynomial, monomials
 from algebroids.repmod import (MatrixRep, binary_form_rep, cayley_sylvester,
-                               covariant_dimension, decompose_sl2,
+                               covariant_dimension, covariant_dimensions,
+                               decompose_sl2,
                                invariants_dimension, recognition_sl_blocks,
                                sl2_algebroid_filtration, sl2_isotypic,
                                sym_kernel_dims, sym_power_rep,
                                weight_space_dims)
+from algebroids.series import partitions_in_rectangle
 
 
 def F(x):
@@ -362,10 +364,18 @@ def test_covariant_dimension():
 
 
 def test_covariant_dimension_is_the_cayley_sylvester_sum():
-    for n in range(41):
-        for d in range(7):
-            assert covariant_dimension(n, d) == sum(cayley_sylvester(n, d, e)
-                                                    for e in range(n * d + 1))
+    # the Gaussian-binomial recurrence against the two partition-count routes
+    for d in range(7):
+        dims = covariant_dimensions(d, 40)
+        assert len(dims) == 41
+        for n, dim in enumerate(dims):
+            assert dim == sum(cayley_sylvester(n, d, e) for e in range(n * d + 1))
+            assert dim == partitions_in_rectangle(n * d // 2, d, n)
+        assert covariant_dimension(40, d) == dims[40]
+    with pytest.raises(ValueError):
+        covariant_dimensions(-1, 3)
+    with pytest.raises(ValueError):
+        covariant_dimension(-1, 3)
 
 
 def test_covariant_dimension_equals_invariants_of_raising():

@@ -2,18 +2,19 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
-from algebroids.errors import AlgebroidError
+from algebroids import series
+from algebroids.errors import AlgebroidError, PreconditionError
 from algebroids.hilbert import dimension_multiplicity
+from algebroids.pipeline import covariants_report
 from algebroids.series import (CharacterSeries, QuasiPolynomial,
                                RationalSeries, SemigroupSpec, SeriesPrefix,
-                               cumulative_quasi_polynomial, expand_series,
-                               gamma_restriction, integrate_characters,
-                               partitions_in_rectangle, quasi_polynomial_of,
-                               reconstruct_rational)
+                               expand_series, gamma_restriction,
+                               integrate_characters, partitions_in_rectangle,
+                               quasi_polynomial_of, reconstruct_rational)
 
 
 # -- partitions ----------------------------------------------------------
@@ -69,6 +70,14 @@ def test_expand_examples():
     assert expand_series(RationalSeries([], [(1, 2)]), 4).as_ints() == [0] * 5
 
 
+def test_numerator_accepts_only_integers():
+    assert RationalSeries([Fraction(4, 2), 3, 0], [(1, 1)]).numerator == [2, 3]
+    assert type(RationalSeries([Fraction(4, 2)], [(1, 1)]).numerator[0]) is int
+    for bad in (Fraction(1, 2), 2.5, 2.0, "1"):
+        with pytest.raises(PreconditionError, match="not an integer"):
+            RationalSeries([1, bad], [(1, 1)])
+
+
 def test_reconstruct_examples():
     ones = SeriesPrefix([1] * 10)
     rs = reconstruct_rational(ones, [(1, 1)])
@@ -77,6 +86,9 @@ def test_reconstruct_examples():
     prefix = SeriesPrefix([n // 2 + 1 for n in range(12)])
     with pytest.raises(AlgebroidError, match="no stabilization"):
         reconstruct_rational(prefix, [(1, 3)])
+    # 1/(2(1 - t)) has no integer numerator over 1 - t
+    with pytest.raises(AlgebroidError, match="no stabilization"):
+        reconstruct_rational(SeriesPrefix([Fraction(1, 2)] * 10), [(1, 1)])
 
 
 def test_reconstruct_round_trip_random():
@@ -129,6 +141,13 @@ def test_quasi_polynomial_of_a_polynomial_series():
     assert dimension_multiplicity(rs) == (0, Fraction(3))
 
 
+def test_quasi_polynomial_fit_is_checked_on_every_coefficient(monkeypatch):
+    # a fit through the first point only: right at n = 1, wrong from n = 2
+    monkeypatch.setattr(series, "_fit_polynomial", lambda points: [points[0][1]])
+    with pytest.raises(AlgebroidError, match="did not verify"):
+        quasi_polynomial_of(RationalSeries([1], [(1, 2)]))
+
+
 def test_quasi_polynomial_matches_expansion_random():
     rng = random.Random(41)
     for _ in range(25):
@@ -144,11 +163,62 @@ def test_quasi_polynomial_matches_expansion_random():
             assert qp(n) == prefix[n]
 
 
+# -- dimension and multiplicity against a cumulative fit -----------------
+
+def cumulative_quasi_polynomial(rs):
+    """Quasi-polynomial of the partial sums sum_{i<=n} coefficient(i): a
+    second fit, of rs/(1 - t)."""
+    return quasi_polynomial_of(rs.with_extra_factor(1))
+
+
+def oracle_dimension_multiplicity(rs):
+    """(d, e) from the top term of the cumulative quasi-polynomial, or of
+    the coefficient one when that is genuinely periodic."""
+    if not rs.numerator:
+        return 0, 0
+    qp = quasi_polynomial_of(rs)
+    if all(p == qp.residues[0] for p in qp.residues):
+        qp = cumulative_quasi_polynomial(rs)
+    d = qp.degree
+    if d < 0:
+        return 0, 0
+    return d, factorial(d) * qp.leading_coefficient()
+
+
 def test_cumulative_quasi_polynomial():
     rs = RationalSeries([2], [(1, 2)])  # coefficients 2(n+1)
     cum = cumulative_quasi_polynomial(rs)
     for n in range(20):
         assert cum(n) == (n + 1) * (n + 2)
+
+
+def dimension_multiplicity_cases():
+    covariant = [covariants_report(d, 40).series for d in range(4)]
+    free = [RationalSeries([l], [(1, n)]) for l in (1, 2, 5) for n in (1, 2, 3, 4)]
+    toral = [RationalSeries([1], [(1, r)] if r else []) for r in range(5)]
+    rng = random.Random(43)
+    shapes = [RationalSeries([rng.randrange(-3, 4) for _ in range(rng.randrange(1, 4))],
+                             [(1, rng.randrange(1, 3))] + [(n, 1) for n in (2, 3) if rng.random() < 0.4])
+              for _ in range(20)]
+    return (covariant + free + toral + shapes
+            + [RationalSeries([1, -1], [(1, 1)]), RationalSeries([], [(1, 2)]),
+               RationalSeries([1, 2], [])])
+
+
+def test_dimension_multiplicity_matches_the_cumulative_fit():
+    for rs in dimension_multiplicity_cases():
+        try:
+            want = oracle_dimension_multiplicity(rs)
+        except AlgebroidError as exc:
+            with pytest.raises(AlgebroidError, match=str(exc)):
+                dimension_multiplicity(rs)
+            continue
+        assert dimension_multiplicity(rs) == want, rs
+        assert dimension_multiplicity(rs, quasi_polynomial_of(rs)) == want, rs
+    assert oracle_dimension_multiplicity(RationalSeries([1, -1], [(1, 1)])) == (0, 1)
+    assert dimension_multiplicity(RationalSeries([1, -1], [(1, 1)])) == (0, 1)
+    assert dimension_multiplicity(RationalSeries([1, -2, 1], [(1, 1)])) == (0, 0)
+    assert dimension_multiplicity(covariants_report(3, 40).series) == (2, Fraction(1, 4))
 
 
 # -- character series ----------------------------------------------------
