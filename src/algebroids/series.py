@@ -186,25 +186,32 @@ def reconstruct_rational(prefix, factors):
 class QuasiPolynomial:
     """Period p, one rational-coefficient polynomial per residue class."""
 
-    __slots__ = ("period", "residues", "threshold")
+    __slots__ = ("period", "residues", "threshold", "_scaled")
 
     def __init__(self, period, residues, threshold=0):
         if period < 1 or len(residues) != period:
             raise ValueError("need one residue polynomial per class")
         self.period = period
         self.residues = []
+        # each residue as integer numerators over their common denominator,
+        # so that evaluation runs on ints
+        self._scaled = []
         for poly in residues:
             coeffs = [_exact(c) for c in poly]
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
             self.residues.append(coeffs)
+            den = lcm(*[c.denominator for c in coeffs])
+            self._scaled.append((den, [c.numerator * (den // c.denominator) for c in coeffs]))
         self.threshold = threshold
 
     def __call__(self, n):
+        den, nums = self._scaled[n % self.period]
         value = 0
-        for c in reversed(self.residues[n % self.period]):
+        for c in reversed(nums):
             value = value * n + c
-        return _exact(value)
+        q, r = divmod(value, den)
+        return Fraction(value, den) if r else q
 
     @property
     def degree(self):
@@ -264,20 +271,13 @@ def quasi_polynomial_of(rs):
     residues = []
     for r in range(period):
         start = n0 + ((r - n0) % period)
-        poly = _fit_polynomial([(x, prefix[x])
-                                for x in range(start, start + period * (max_deg + 1), period)])
-        # check the whole class by Horner on the integer numerators of the
-        # residue over their common denominator
-        den = lcm(*[c.denominator for c in poly])
-        nums = [c.numerator * (den // c.denominator) for c in poly]
-        for n in range(start, need + 1, period):
-            value = 0
-            for c in reversed(nums):
-                value = value * n + c
-            if value != den * prefix[n]:
-                raise AlgebroidError("quasi-polynomial fit did not verify")
-        residues.append(poly)
-    return QuasiPolynomial(period, residues, n0)
+        residues.append(_fit_polynomial([(x, prefix[x]) for x in
+                                         range(start, start + period * (max_deg + 1), period)]))
+    qp = QuasiPolynomial(period, residues, n0)
+    for n in range(n0, need + 1):
+        if qp(n) != prefix[n]:
+            raise AlgebroidError("quasi-polynomial fit did not verify")
+    return qp
 
 
 # -- torus-character series ----------------------------------------------

@@ -15,8 +15,8 @@ from algebroids.groebner import (FreeModuleElement, TermOrder, groebner_basis,
 from algebroids.liealg import LieAlgebra, fibre_lie_algebra
 from algebroids.pipeline import parse_input
 from algebroids.poly import Polynomial
-from algebroids.series import (RationalSeries, SeriesPrefix, expand_series,
-                               quasi_polynomial_of, reconstruct_rational)
+from algebroids.series import (QuasiPolynomial, RationalSeries, SeriesPrefix,
+                               expand_series, quasi_polynomial_of, reconstruct_rational)
 
 # -- the reference: Buchberger over Q with monic S-polynomials and reductions
 
@@ -284,6 +284,12 @@ def test_series_outputs_are_canonical():
     qp = quasi_polynomial_of(RationalSeries([1, -1, 1], [(1, 2), (4, 1)]))
     assert qp.residues[0] == [1, Fraction(1, 2), Fraction(1, 8)]
     assert all(all_canonical(poly) for poly in qp.residues)
+    # evaluation off the integral values: n/2 + 1/3 on odd n, 3n^2/4 on even n
+    qp = QuasiPolynomial(2, [[0, 0, Fraction(3, 4)], [Fraction(1, 3), Fraction(1, 2)]])
+    values = [qp(n) for n in range(-3, 5)]
+    assert values == [Fraction(-7, 6), 3, Fraction(-1, 6), 0, Fraction(5, 6), 3,
+                      Fraction(11, 6), 12]
+    assert all_canonical(values)
 
 
 FIBRE_INPUTS = [

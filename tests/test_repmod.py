@@ -371,7 +371,7 @@ def test_covariant_dimension_is_the_cayley_sylvester_sum():
         for n, dim in enumerate(dims):
             assert dim == sum(cayley_sylvester(n, d, e) for e in range(n * d + 1))
             assert dim == partitions_in_rectangle(n * d // 2, d, n)
-        assert covariant_dimension(40, d) == dims[40]
+            assert covariant_dimension(n, d) == dim
     with pytest.raises(ValueError):
         covariant_dimensions(-1, 3)
     with pytest.raises(ValueError):
