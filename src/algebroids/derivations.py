@@ -128,15 +128,6 @@ class DerivationModule:
             self._gb = groebner_basis(self.vectors(), self.module_order())
         return self._gb.contains(delta.to_vector())
 
-    def equals_generators(self, other_derivations):
-        """Equality of T with the module the other derivations generate: the
-        inclusion others in T reuses the cached basis of T."""
-        others = [d for d in other_derivations if not d.is_zero()]
-        if not others or not all(self.contains(d) for d in others):
-            return not others and not self.generators
-        gb = groebner_basis([d.to_vector() for d in others], self.module_order())
-        return all(gb.contains(v) for v in self.vectors())
-
     def all_vanish_at_origin(self):
         return all(g.vanishes_at_origin() for g in self.generators)
 

@@ -158,24 +158,9 @@ class FreeModuleElement:
             terms[(pos, tuple(a + b for a, b in zip(e, exp)))] = c if coeff is None else c * coeff
         return FreeModuleElement(self.nvars, self.rank, terms)
 
-    def mul_poly(self, p):
-        out = FreeModuleElement(self.nvars, self.rank)
-        for exp, c in p.terms.items():
-            out = out + self.mul_term(exp, c)
-        return out
-
     def leading(self, order):
         mono = max(self.terms, key=order.key)
         return mono, self.terms[mono]
-
-    def is_homogeneous(self, weights=None):
-        degs = set()
-        for (_, exp), _c in self.terms.items():
-            if weights is None:
-                degs.add(sum(exp))
-            else:
-                degs.add(sum(w * e for w, e in zip(weights, exp)))
-        return len(degs) <= 1
 
     def homogeneous_components(self, weights=None, shifts=None):
         parts = {}
@@ -506,11 +491,6 @@ class Ideal:
             if out.is_quasi_homogeneous():
                 out = Ideal(self.nvars, out.minimal_generators(), self.weights)
         return out
-
-    def equals(self, other):
-        mine = all(other.contains(g) for g in self.gens)
-        theirs = all(self.contains(g) for g in other.gens)
-        return mine and theirs
 
     def __repr__(self):
         return f"Ideal({self.gens!r})"

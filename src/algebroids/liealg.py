@@ -92,9 +92,6 @@ class LieAlgebra:
             dims.append(len(current))
         return dims
 
-    def is_solvable(self):
-        return self.fingerprint()["solvable"]
-
     def derived_subalgebra_basis(self):
         return linalg.row_space_basis(list(self.brackets.values()))
 

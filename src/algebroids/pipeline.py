@@ -360,8 +360,11 @@ def covariants_report(d, depth):
     """Series of the covariant algebra of binary forms of degree d."""
     if not (0 <= d <= 6 and 0 <= depth <= 40):
         raise PreconditionError("outside desk scale (need 0 <= d <= 6, 0 <= N <= 40)")
-    dims = covariant_dimensions(d, depth)
     factors = COVARIANT_DENOMINATORS.get(d)
+    # the series depends on d alone: fit it on a prefix of twice the
+    # denominator's degree at least, long enough to certify its numerator
+    fit_depth = depth if factors is None else max(depth, 2 * sum(n * m for n, m in factors))
+    dims = covariant_dimensions(d, fit_depth)
     series = None
     quasi = None
     dim = mult = None
@@ -369,4 +372,4 @@ def covariants_report(d, depth):
         series = reconstruct_rational(SeriesPrefix(dims), factors)
         quasi = quasi_polynomial_of(series)
         dim, mult = dimension_multiplicity(series, quasi)
-    return CovariantReport(d, depth, dims, series, quasi, dim, mult)
+    return CovariantReport(d, depth, dims[:depth + 1], series, quasi, dim, mult)

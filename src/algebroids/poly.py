@@ -87,13 +87,6 @@ class Polynomial:
             return sum(exp)
         return sum(w * e for w, e in zip(weights, exp))
 
-    def homogeneous_components(self, weights=None):
-        """Map weighted degree -> homogeneous part."""
-        parts = {}
-        for exp, c in self.terms.items():
-            parts.setdefault(self._wdeg(exp, weights), {})[exp] = c
-        return {d: Polynomial(self.nvars, t) for d, t in sorted(parts.items())}
-
     # -- arithmetic ------------------------------------------------------
     def _check(self, other):
         if self.nvars != other.nvars:

@@ -9,7 +9,6 @@ from .errors import AlgebroidError, InconsistencyError, PreconditionError
 from .groebner import FreeModuleElement, TermOrder, groebner_basis
 from .liealg import sl2
 from .poly import _exact, monomials
-from .series import partitions_in_rectangle
 
 
 class MatrixRep:
@@ -227,39 +226,47 @@ def sym_kernel_dims(mults, depth):
     return [ch.get(0, 0) + ch.get(1, 0) for ch in chars]
 
 
+def _gaussian_binomials(d, depth, top):
+    """For n = 0..depth, the int coefficients of degree <= top of the
+    Gaussian binomial [n+d, d]_q, by [n+d, d] = [n-1+d, d] (1 - q^(n+d)) /
+    (1 - q^n); one list, updated in place and yielded once per n.  Both
+    steps are triangular (a term depends only on terms of lower degree), so
+    the list stops at degree min(nd, top), nd being the degree of [n+d, d]."""
+    gauss = [1]
+    yield gauss
+    for n in range(1, depth + 1):
+        high = min(n * d, top)
+        gauss += [0] * (high + 1 - len(gauss))
+        for k in range(high, n + d - 1, -1):
+            gauss[k] -= gauss[k - n - d]
+        for k in range(n, high + 1):
+            gauss[k] += gauss[k - n]
+        yield gauss
+
+
 def cayley_sylvester(n, d, e):
-    """[S^n(S^d V) : V_e] = p(n,d;(nd-e)/2) - p(n,d;(nd-e)/2 - 1)."""
+    """[S^n(S^d V) : V_e] = g[m] - g[m-1] for m = (nd - e)/2 and g the
+    coefficients of the Gaussian binomial [n+d, d]_q, whose coefficient of
+    q^m counts the partitions of m into at most n parts of size at most d."""
     if n < 0 or d < 0 or e < 0:
         raise ValueError("arguments must be non-negative")
     if (n * d - e) % 2 or n * d - e < 0:
         return 0
     m = (n * d - e) // 2
-    return partitions_in_rectangle(m, d, n) - partitions_in_rectangle(m - 1, d, n)
+    for gauss in _gaussian_binomials(d, n, m):
+        pass
+    return gauss[m] - (gauss[m - 1] if m else 0)
 
 
 def covariant_dimensions(d, depth):
     """[dim C^n_d for n = 0..depth], C^n_d the covariants of degree n of the
     binary d-ic: the number of irreducible summands of S^n(V_d).  The
-    Cayley-Sylvester sum over e telescopes to p(n,d;floor(nd/2)), the middle
-    coefficient of the Gaussian binomial [n+d, d]_q (Sylvester 1878), built
-    on int coefficient lists by [n+d, d] = [n-1+d, d] (1 - q^(n+d)) / (1 - q^n)."""
+    Cayley-Sylvester sum over e telescopes to the middle coefficient, of
+    q^floor(nd/2), of the Gaussian binomial [n+d, d]_q (Sylvester 1878)."""
     if d < 0 or depth < 0:
         raise ValueError("arguments must be non-negative")
-    # both steps are triangular (a term depends only on terms of lower
-    # degree), so the list stops at degree nd, the degree of [n+d, d], or at
-    # the last middle degree read, whichever is lower
-    keep = depth * d // 2
-    gauss = [1]
-    dims = [1]
-    for n in range(1, depth + 1):
-        top = min(n * d, keep)
-        gauss += [0] * (top + 1 - len(gauss))
-        for k in range(top, n + d - 1, -1):
-            gauss[k] -= gauss[k - n - d]
-        for k in range(n, top + 1):
-            gauss[k] += gauss[k - n]
-        dims.append(gauss[n * d // 2])
-    return dims
+    return [gauss[n * d // 2]
+            for n, gauss in enumerate(_gaussian_binomials(d, depth, depth * d // 2))]
 
 
 def covariant_dimension(n, d):

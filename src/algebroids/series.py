@@ -6,7 +6,6 @@ one residue polynomial per class mod the period.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from . import linalg
@@ -14,17 +13,14 @@ from .errors import AlgebroidError, ParseError, PreconditionError
 from .poly import _exact
 
 
-@lru_cache(maxsize=None)
-def partitions_in_rectangle(m, d, n):
-    """Number of partitions of m with at most n parts, each part at most d."""
-    if d < 0 or n < 0:
-        raise ValueError("rectangle sides must be non-negative")
-    if m < 0 or m > n * d:
-        return 0
-    if m == 0:
-        return 1
-    # split on whether some part equals d
-    return partitions_in_rectangle(m, d - 1, n) + partitions_in_rectangle(m - d, d, n - 1)
+def _integer(c, what):
+    """c as an int when it is an int or an integral Fraction; anything else
+    is refused rather than truncated."""
+    if type(c) is not int:
+        if not isinstance(c, (int, Fraction)) or c.denominator != 1:
+            raise PreconditionError(f"{what} {c!r} is not an integer")
+        c = int(c)
+    return c
 
 
 class SeriesPrefix:
@@ -49,14 +45,6 @@ class SeriesPrefix:
     def __eq__(self, other):
         return isinstance(other, SeriesPrefix) and self.coeffs == other.coeffs
 
-    def truncate(self, n):
-        return SeriesPrefix(self.coeffs[: n + 1])
-
-    def as_ints(self):
-        if any(type(c) is not int for c in self.coeffs):
-            raise AlgebroidError("expansion coefficient is not an integer")
-        return list(self.coeffs)
-
     def __repr__(self):
         return f"SeriesPrefix({self.coeffs})"
 
@@ -67,15 +55,8 @@ class RationalSeries:
     __slots__ = ("numerator", "factors")
 
     def __init__(self, numerator, factors):
-        # numerator: coefficient list (index = power of t) of ints; an
-        # integral Fraction is taken as its int, anything else is refused
-        num = []
-        for c in numerator:
-            if type(c) is not int:
-                if not isinstance(c, (int, Fraction)) or c.denominator != 1:
-                    raise PreconditionError(f"series numerator coefficient {c!r} is not an integer")
-                c = int(c)
-            num.append(c)
+        # numerator: coefficient list (index = power of t) of ints
+        num = [_integer(c, "series numerator coefficient") for c in numerator]
         while num and num[-1] == 0:
             num.pop()
         self.numerator = num
@@ -111,9 +92,6 @@ class RationalSeries:
 
     def expand(self, bound):
         return expand_series(self, bound)
-
-    def with_extra_factor(self, n, d=1):
-        return RationalSeries(self.numerator, list(self.factors) + [(n, d)])
 
     def __eq__(self, other):
         if not isinstance(other, RationalSeries):
@@ -292,23 +270,20 @@ class CharacterSeries:
         self.rank = rank
         self.coeffs = {}
         for n, lc in coeffs.items():
-            clean = {tuple(chi): int(c) for chi, c in lc.items() if c != 0}
+            clean = {tuple(chi): _integer(c, "character coefficient")
+                     for chi, c in lc.items() if c != 0}
             if clean:
                 self.coeffs[n] = clean
         self.bound = bound
         # closed_terms: list of (coeff, chi, tpow); closed_denominator: list of (chi, tpow)
-        self.closed_terms = [(int(s), tuple(chi), int(p)) for s, chi, p in closed_terms] if closed_terms else None
-        self.closed_denominator = [(tuple(chi), int(p)) for chi, p in closed_denominator] if closed_denominator else None
+        self.closed_terms = [(_integer(s, "closed-form coefficient"), tuple(chi),
+                              _integer(p, "closed-form power of t"))
+                             for s, chi, p in closed_terms] if closed_terms else None
+        self.closed_denominator = [(tuple(chi), _integer(p, "closed-form power of t"))
+                                   for chi, p in closed_denominator] if closed_denominator else None
 
     def has_closed_form(self):
         return self.closed_terms is not None and self.closed_denominator is not None
-
-    def coefficient(self, n):
-        return dict(self.coeffs.get(n, {}))
-
-    def truncate(self, n):
-        return CharacterSeries(self.rank, {k: v for k, v in self.coeffs.items() if k <= n},
-                               min(self.bound, n), self.closed_terms, self.closed_denominator)
 
     def support(self):
         chars = set()
@@ -401,13 +376,17 @@ def gamma_restriction(cs, gamma):
     """Filter a CharacterSeries to characters in the subsemigroup gamma.
 
     Returns (restricted series, condition report dict).  The noetherianity
-    condition Gamma + Gamma^c subset Gamma^c is checked exhaustively on the
-    support found through the series bound, and reported as verified-to-bound.
+    condition Gamma + Gamma^c subset Gamma^c is checked on every pair of the
+    support found through the series bound whose sum gamma can test within
+    its own bound; the report counts the other pairs as unchecked.  With any
+    unchecked pair and no violation the condition is undecided (None), and
+    nothing is verified to the bound.
     """
     inside, outside = set(), set()
     for chi in cs.support():
         (inside if gamma.contains(chi) else outside).add(chi)
     violations = []
+    unchecked = 0
     for g in inside:
         for c in outside:
             s = tuple(a + b for a, b in zip(g, c))
@@ -415,11 +394,13 @@ def gamma_restriction(cs, gamma):
                 if gamma.contains(s):
                     violations.append((g, c))
             except PreconditionError:
-                pass
+                unchecked += 1
     restricted = CharacterSeries(
         cs.rank,
         {n: {chi: v for chi, v in lc.items() if chi in inside} for n, lc in cs.coeffs.items()},
         cs.bound)
-    report = {"verified_to_bound": cs.bound, "condition_holds_on_support": not violations,
-              "violations": violations}
+    holds = False if violations else (None if unchecked else True)
+    report = {"verified_to_bound": None if unchecked else cs.bound,
+              "condition_holds_on_support": holds, "violations": violations,
+              "unchecked_pairs": unchecked}
     return restricted, report

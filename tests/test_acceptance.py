@@ -26,6 +26,8 @@ from algebroids.series import (RationalSeries, SemigroupSpec,
                                gamma_restriction, integrate_characters,
                                quasi_polynomial_of)
 
+from oracles import same_ideal, same_module
+
 
 def report(capsys, num, desc, fn):
     try:
@@ -96,7 +98,7 @@ def test_criterion_4_whitney_umbrella(capsys):
                   Derivation([x, zero, z]),
                   Derivation([zero, 2 * z, x * x]),
                   Derivation([z, zero, x * y])]
-        assert dm.equals_generators(deltas)
+        assert same_module(dm, deltas)
         # fibre structure constants in exactly this basis: express each
         # bracket over the four generators and take constant terms
         order = TermOrder("wgrevlex", (1, 2, 2), module="top")
@@ -112,8 +114,9 @@ def test_criterion_4_whitney_umbrella(capsys):
         assert fibre_bracket(1, 3) == (0, 0, 0, 0)
         assert fibre_bracket(2, 3) == (0, 0, 0, 0)   # [d3, d4] = x d1 in m T(I)
         algebra, _ = fibre_lie_algebra(dm)
-        assert algebra.fingerprint()["derived_series"] == [4, 2, 0]
-        assert algebra.is_solvable()
+        fp = algebra.fingerprint()
+        assert fp["derived_series"] == [4, 2, 0]
+        assert fp["solvable"]
     report(capsys, 4, "Whitney umbrella", check)
 
 
@@ -218,7 +221,7 @@ def test_criterion_10_monomialize_suite(capsys):
             ideal = Ideal(nvars, gens)
             out = monomialize(ideal)
             assert out is not None
-            assert Ideal(nvars, out).equals(ideal)
+            assert same_ideal(Ideal(nvars, out), ideal)
             again = monomialize(Ideal(nvars, out))
             assert sorted(p.sorted_terms() for p in again) == \
                 sorted(p.sorted_terms() for p in out)

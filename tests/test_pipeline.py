@@ -19,7 +19,9 @@ from algebroids.pipeline import (_levi_action, _sl2_covariant_path,
                                  covariants_report, parse_input)
 from algebroids.poly import Polynomial, monomials
 from algebroids.repmod import polarize, sl2_isotypic
-from algebroids.series import RationalSeries, partitions_in_rectangle
+from algebroids.series import RationalSeries
+
+from oracles import partitions_in_rectangle
 
 WHITNEY = "vars: x, y, z\nweights: 1, 2, 2\nideal: z^2 - x^2*y\n"
 QUADRIC = "vars: x, y, z\nideal: x^2 + y^2 + z^2\n"
@@ -124,7 +126,7 @@ def _rational_nilpotent(mats):
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             candidates.append(linalg.mat_add(mats[i], mats[j]))
-            candidates.append(linalg.mat_sub(mats[i], mats[j]))
+            candidates.append(linalg.mat_add(mats[i], linalg.mat_scale(mats[j], -1)))
     for m in candidates:
         if any(any(row) for row in m) and _is_nilpotent(m):
             return m
@@ -181,8 +183,8 @@ def test_analyze_fermat_tjurina_mode():
     assert report.solvable
     assert report.oracle_checks.get("jacobian_algebroid_solvable") is True
     assert report.series is not None
-    assert report.series.expand(4).as_ints() == \
-        RationalSeries([8], [(1, 3)]).expand(4).as_ints()
+    assert report.series.expand(4).coeffs == \
+        RationalSeries([8], [(1, 3)]).expand(4).coeffs
     assert (report.dimension, report.multiplicity) == (3, 8)
 
 
@@ -235,7 +237,7 @@ def test_toral_series_matches_powers_of_maximal_ideal(text):
     m = Ideal(n, [Polynomial.variable(n, i) for i in range(n)])
     colengths = [0] + [m.power(i).colength() for i in range(1, 7)]
     want = [b - a for a, b in zip(colengths, colengths[1:])]
-    assert report.series.expand(5).as_ints() == want
+    assert report.series.expand(5).coeffs == want
 
 
 def test_toral_rejects_non_monomial():
@@ -255,6 +257,27 @@ def test_covariants_report_dims_are_the_partition_counts():
     for d in range(7):
         assert covariants_report(d, 40).dims == [partitions_in_rectangle(n * d // 2, d, n)
                                                  for n in range(41)]
+
+
+def test_covariants_report_series_does_not_depend_on_the_depth():
+    # the series depends on d alone; it used to be fitted on the requested
+    # prefix, which left "no stabilization" at small depths
+    for d in range(4):
+        full = covariants_report(d, 40)
+        for depth in range(41):
+            report = covariants_report(d, depth)
+            assert report.series == full.series
+            assert report.dims == full.dims[:depth + 1]
+            assert (report.dimension, report.multiplicity) == (full.dimension, full.multiplicity)
+
+
+@pytest.mark.parametrize("d, depth", [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (3, 0), (3, 5),
+                                      (3, 7)])
+def test_cli_covariant_at_small_depth(capsys, d, depth):
+    assert main(["covariant", "--degree", str(d), "--depth", str(depth), "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["dims"] == covariants_report(d, 40).dims[:depth + 1]
+    assert obj["series"] is not None
 
 
 def test_covariants_report_determinism():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from algebroids.errors import ParseError
+from algebroids.groebner import FreeModuleElement
 from algebroids.poly import Polynomial, format_poly, monomials, parse_poly
 
 
@@ -78,9 +79,10 @@ def test_homogeneous_components_sum():
     rng = random.Random(19)
     for _ in range(10):
         f = random_poly(rng)
-        parts = f.homogeneous_components()
+        parts = FreeModuleElement.from_poly(f).homogeneous_components()
         total = Polynomial.zero(3)
-        for d, g in parts.items():
+        for d, part in parts.items():
+            (g,) = part.to_polys()
             assert g.is_homogeneous() and g.degree() == d
             total = total + g
         assert total == f

@@ -19,7 +19,8 @@ from algebroids.repmod import (MatrixRep, binary_form_rep, cayley_sylvester,
                                sl2_algebroid_filtration, sl2_isotypic,
                                sym_kernel_dims, sym_power_rep,
                                weight_space_dims)
-from algebroids.series import partitions_in_rectangle
+
+from oracles import partitions_in_rectangle
 
 
 def F(x):
@@ -33,8 +34,8 @@ def lie_algebra_from_matrices(mats, labels=None):
         return [c for row in m for c in row]
 
     def commutator(a, b):
-        return flat(linalg.mat_sub(linalg.mat_mul(mats[a], mats[b]),
-                                   linalg.mat_mul(mats[b], mats[a])))
+        ab, ba = flat(linalg.mat_mul(mats[a], mats[b])), flat(linalg.mat_mul(mats[b], mats[a]))
+        return [x - y for x, y in zip(ab, ba)]
 
     return span_lie_algebra([flat(m) for m in mats], commutator, labels)
 
@@ -338,6 +339,18 @@ def test_cayley_sylvester_examples():
         for d in range(1, 6):
             assert cayley_sylvester(n, d, n * d) == 1
     assert cayley_sylvester(2, 2, 3) == 0  # parity
+
+
+def test_cayley_sylvester_is_a_difference_of_partition_counts():
+    # the Gaussian-binomial coefficients against the partition recursion,
+    # past the top weight nd and at both parities
+    for d in range(7):
+        for n in range(25):
+            for e in range(n * d + 3):
+                m, odd = divmod(n * d - e, 2)
+                want = 0 if odd or m < 0 else \
+                    partitions_in_rectangle(m, d, n) - partitions_in_rectangle(m - 1, d, n)
+                assert cayley_sylvester(n, d, e) == want
 
 
 def test_cayley_sylvester_vs_matrices_small():
@@ -666,7 +679,8 @@ def vec_matrix(mat, vec):
 
 def polynomial_ops(d):
     return {name: (lambda vec, mat=mat, anchor=ANCHOR[name]:
-                   vec_diff(vec).mul_poly(anchor) + vec_matrix(mat, vec))
+                   FreeModuleElement.from_polys([anchor * p for p in vec_diff(vec).to_polys()])
+                   + vec_matrix(mat, vec))
             for name, mat in zip(("H", "X+", "X-"), binary_form_rep(d).matrices)}
 
 

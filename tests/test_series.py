@@ -8,16 +8,20 @@ import pytest
 
 from algebroids import series
 from algebroids.errors import AlgebroidError, PreconditionError
-from algebroids.hilbert import dimension_multiplicity
+from algebroids.groebner import Ideal
+from algebroids.hilbert import dimension_multiplicity, equivariant_series_monomial
+from algebroids.poly import Polynomial
 from algebroids.pipeline import covariants_report
 from algebroids.series import (CharacterSeries, QuasiPolynomial,
                                RationalSeries, SemigroupSpec, SeriesPrefix,
                                expand_series, gamma_restriction,
-                               integrate_characters, partitions_in_rectangle,
-                               quasi_polynomial_of, reconstruct_rational)
+                               integrate_characters, quasi_polynomial_of,
+                               reconstruct_rational)
+
+from oracles import partitions_in_rectangle
 
 
-# -- partitions ----------------------------------------------------------
+# -- partitions: the oracle of the covariant counts -------------------------
 
 def brute_partitions(m, d, n):
     """Partitions of m with at most n parts, each part at most d."""
@@ -64,10 +68,10 @@ def test_partitions_symmetry_and_column_sum():
 
 def test_expand_examples():
     rs = RationalSeries([1], [(1, 1), (2, 1)])
-    assert expand_series(rs, 5).as_ints() == [1, 1, 2, 2, 3, 3]
+    assert expand_series(rs, 5).coeffs == [1, 1, 2, 2, 3, 3]
     rs = RationalSeries([1], [(1, 3)])
-    assert expand_series(rs, 3).as_ints() == [1, 3, 6, 10]
-    assert expand_series(RationalSeries([], [(1, 2)]), 4).as_ints() == [0] * 5
+    assert expand_series(rs, 3).coeffs == [1, 3, 6, 10]
+    assert expand_series(RationalSeries([], [(1, 2)]), 4).coeffs == [0] * 5
 
 
 def test_numerator_accepts_only_integers():
@@ -168,7 +172,7 @@ def test_quasi_polynomial_matches_expansion_random():
 def cumulative_quasi_polynomial(rs):
     """Quasi-polynomial of the partial sums sum_{i<=n} coefficient(i): a
     second fit, of rs/(1 - t)."""
-    return quasi_polynomial_of(rs.with_extra_factor(1))
+    return quasi_polynomial_of(RationalSeries(rs.numerator, list(rs.factors) + [(1, 1)]))
 
 
 def oracle_dimension_multiplicity(rs):
@@ -236,16 +240,18 @@ def xy_quotient_series(bound):
 def test_integrate_characters():
     cs = xy_quotient_series(8)
     prefix, closed = integrate_characters(cs)
-    assert prefix.as_ints() == [1, 2, 2, 2, 2, 2, 2, 2, 2]
+    assert prefix.coeffs == [1, 2, 2, 2, 2, 2, 2, 2, 2]
     assert closed is not None
     assert closed.expand(8).coeffs == prefix.coeffs  # (1+t)/(1-t)
 
 
 def test_integrate_commutes_with_truncation():
     cs = xy_quotient_series(8)
-    a, _ = integrate_characters(cs.truncate(5))
+    head = CharacterSeries(cs.rank, {n: lc for n, lc in cs.coeffs.items() if n <= 5}, 5,
+                           cs.closed_terms, cs.closed_denominator)
+    a, _ = integrate_characters(head)
     b, _ = integrate_characters(cs)
-    assert a.truncate(5).coeffs[:6] == b.truncate(5).coeffs[:6]
+    assert a.coeffs == b.coeffs[:6]
 
 
 def polynomial_ring_series(bound):
@@ -272,7 +278,45 @@ def test_gamma_restriction_diagonal():
     assert report["condition_holds_on_support"]
     prefix, _ = integrate_characters(restricted)
     # only the diagonal monomials (xy)^a survive: 1/(1-t^2)
-    assert prefix.as_ints() == [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
+    assert prefix.coeffs == [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
+
+
+@pytest.mark.parametrize("gens, violations, holds", [
+    ([(2, 0), (3, 0), (0, 1)], 1424, False),
+    ([(2, 0), (0, 1)], 0, None)], ids=["violated", "undecided"])
+def test_gamma_restriction_counts_the_pairs_it_cannot_check(gens, violations, holds):
+    # Q[x,y]/(x^3) through degree 40: 80 characters x^a y^b in gamma (a even)
+    # and 40 outside (a = 1); 272 of the 3200 sums lie past gamma's
+    # membership bound of 64, so the condition is never reported as holding
+    cs = equivariant_series_monomial(Ideal(2, [Polynomial.monomial(2, (3, 0))]), bound=40)
+    _, report = gamma_restriction(cs, SemigroupSpec(2, gens))
+    assert report["unchecked_pairs"] == 272
+    assert len(report["violations"]) == violations
+    assert report["condition_holds_on_support"] is holds
+    assert report["verified_to_bound"] is None
+
+
+def test_gamma_restriction_reports_a_full_check():
+    cs = polynomial_ring_series(10)
+    _, report = gamma_restriction(cs, SemigroupSpec(2, [(1, 1)]))
+    assert report["unchecked_pairs"] == 0
+    assert report["verified_to_bound"] == 10
+
+
+def test_character_series_accepts_only_integers():
+    cs = CharacterSeries(1, {0: {(0,): Fraction(4, 2)}, 1: {(1,): Fraction(0)}}, 1,
+                         closed_terms=[(Fraction(2, 2), (0,), Fraction(0))],
+                         closed_denominator=[((1,), Fraction(3, 3))])
+    assert cs.coeffs == {0: {(0,): 2}} and type(cs.coeffs[0][(0,)]) is int
+    assert cs.closed_terms == [(1, (0,), 0)] and cs.closed_denominator == [((1,), 1)]
+    (s, _, p), (_, q) = cs.closed_terms[0], cs.closed_denominator[0]
+    assert type(s) is type(p) is type(q) is int
+    for bad in (Fraction(1, 2), 2.5):
+        for coeffs, terms, den in [({0: {(0,): bad}}, None, None),
+                                   ({}, [(bad, (0,), 0)], [((1,), 1)]),
+                                   ({}, [(1, (0,), 0)], [((1,), bad)])]:
+            with pytest.raises(PreconditionError, match="not an integer"):
+                CharacterSeries(1, coeffs, 1, terms, den)
 
 
 def test_semigroup_membership():
