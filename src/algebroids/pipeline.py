@@ -361,9 +361,11 @@ def covariants_report(d, depth):
     if not (0 <= d <= 6 and 0 <= depth <= 40):
         raise PreconditionError("outside desk scale (need 0 <= d <= 6, 0 <= N <= 40)")
     factors = COVARIANT_DENOMINATORS.get(d)
-    # the series depends on d alone: fit it on a prefix of twice the
-    # denominator's degree at least, long enough to certify its numerator
-    fit_depth = depth if factors is None else max(depth, 2 * sum(n * m for n, m in factors))
+    fit_depth = depth
+    if factors is not None:
+        # the series depends on d alone: fit it on at least twice the
+        # denominator's degree, enough to certify its numerator at any depth
+        fit_depth = max(depth, 2 * RationalSeries([1], factors).denominator_degree)
     dims = covariant_dimensions(d, fit_depth)
     series = None
     quasi = None

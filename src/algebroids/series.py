@@ -376,11 +376,10 @@ def gamma_restriction(cs, gamma):
     """Filter a CharacterSeries to characters in the subsemigroup gamma.
 
     Returns (restricted series, condition report dict).  The noetherianity
-    condition Gamma + Gamma^c subset Gamma^c is checked on every pair of the
-    support found through the series bound whose sum gamma can test within
-    its own bound; the report counts the other pairs as unchecked.  With any
-    unchecked pair and no violation the condition is undecided (None), and
-    nothing is verified to the bound.
+    condition Gamma + Gamma^c subset Gamma^c is checked on the support found
+    through the series bound.  Pairs whose sum lies past gamma's own bound are
+    counted as unchecked; while any is, nothing is verified to the bound and
+    the condition is undecided (None) unless a violation was found.
     """
     inside, outside = set(), set()
     for chi in cs.support():

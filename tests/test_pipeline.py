@@ -271,8 +271,8 @@ def test_covariants_report_series_does_not_depend_on_the_depth():
             assert (report.dimension, report.multiplicity) == (full.dimension, full.multiplicity)
 
 
-@pytest.mark.parametrize("d, depth", [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (3, 0), (3, 5),
-                                      (3, 7)])
+@pytest.mark.parametrize("d, depth", [(0, 0), (1, 0)] + [(2, n) for n in range(3)]
+                         + [(3, n) for n in range(8)])
 def test_cli_covariant_at_small_depth(capsys, d, depth):
     assert main(["covariant", "--degree", str(d), "--depth", str(depth), "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
