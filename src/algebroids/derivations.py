@@ -9,7 +9,7 @@ from . import linalg
 from .errors import PreconditionError
 from .groebner import (FreeModuleElement, Ideal, TermOrder, groebner_basis,
                        syzygies)
-from .poly import Polynomial, default_varnames, format_poly
+from .poly import Polynomial, default_varnames, format_poly, minimal_monomials, wdeg
 
 
 class Derivation:
@@ -117,9 +117,7 @@ class DerivationModule:
         return [g.to_vector() for g in self.generators]
 
     def module_order(self):
-        if all(w == 1 for w in self.weights):
-            return TermOrder("grevlex", module="top")
-        return TermOrder("wgrevlex", self.weights, module="top")
+        return TermOrder("grevlex", self.weights, module="top")
 
     def contains(self, delta):
         if not self.generators:
@@ -176,14 +174,9 @@ def krull_dimension(ideal):
     series K(t, ..., t) / (1 - t)^n, so n minus the order of t = 1 as a root
     of K(t, ..., t), K the K-polynomial of the initial ideal.
     """
-    if ideal.is_zero():
-        return ideal.nvars
-    k = k_polynomial(ideal.leading_exponents(), ideal.nvars)
-    if not k:
+    coeffs = _k_polynomial_in_t(ideal)
+    if not coeffs:
         return -1  # the unit ideal
-    coeffs = [0] * (max(map(sum, k)) + 1)
-    for exp, c in k.items():
-        coeffs[sum(exp)] += c
     order = 0
     while sum(coeffs) == 0:
         # K = (1 - t) Q, and the coefficients of Q are the partial sums of K's
@@ -277,16 +270,6 @@ def quasi_homogeneous_weights(f):
     return None
 
 
-def minimal_monomials(exps):
-    """The exponents that no other one divides, by increasing total degree
-    (ties in the iteration order of exps)."""
-    out = []
-    for e in sorted(exps, key=sum):
-        if not any(all(a <= b for a, b in zip(m, e)) for m in out):
-            out.append(e)
-    return out
-
-
 def k_polynomial(exps, nvars):
     """The K-polynomial of the monomial ideal I generated by x^e, e in exps:
     the numerator of the multigraded Hilbert series K / prod (1 - x_i) of
@@ -306,6 +289,17 @@ def k_polynomial(exps, nvars):
         key = tuple(map(add, exp, m))
         out[key] = out.get(key, 0) - c
     return {exp: c for exp, c in out.items() if c}
+
+
+def _k_polynomial_in_t(ideal, weights=None):
+    """Coefficient list of K(t^w_1, ..., t^w_n), K the K-polynomial of the
+    initial ideal of the ideal and w the weights (all ones when None); empty
+    for the unit ideal."""
+    k = k_polynomial(ideal.leading_exponents() if not ideal.is_zero() else [], ideal.nvars)
+    coeffs = [0] * (max((wdeg(exp, weights) for exp in k), default=-1) + 1)
+    for exp, c in k.items():
+        coeffs[wdeg(exp, weights)] += c
+    return coeffs
 
 
 def monomialize(ideal):

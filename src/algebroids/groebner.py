@@ -19,13 +19,15 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import PreconditionError
-from .poly import Polynomial, _exact, monomials
+from .poly import Polynomial, _exact, divides, minimal_monomials, monomials, wdeg
 
 
 class TermOrder:
-    """Total order on (weighted) monomials, extended to module monomials.
+    """Total order on monomials, extended to module monomials.
 
-    kind: "grevlex", "lex", or "wgrevlex" (weighted graded reverse lex).
+    kind: "grevlex" (graded reverse lex, graded by the weighted degree when
+    positive weights are given) or "lex".  Unit weights are stored as None,
+    so they give the same order and the same keys as no weights.
     module: "top" (term over position) or "pot" (position over term);
     lower positions are considered larger in either flavour.
     """
@@ -33,22 +35,18 @@ class TermOrder:
     __slots__ = ("kind", "weights", "module")
 
     def __init__(self, kind="grevlex", weights=None, module="top"):
-        if kind not in ("grevlex", "lex", "wgrevlex"):
+        if kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown term order {kind!r}")
-        if kind == "wgrevlex" and weights is None:
-            raise ValueError("weighted order needs weights")
+        if weights and not all(w > 0 for w in weights):
+            raise ValueError("term order weights must be positive")
         self.kind = kind
-        self.weights = tuple(weights) if weights else None
+        self.weights = tuple(weights) if weights and any(w != 1 for w in weights) else None
         self.module = module
 
     def mono_key(self, exp):
         if self.kind == "lex":
             return (exp,)
-        if self.kind == "wgrevlex":
-            deg = sum(w * e for w, e in zip(self.weights, exp))
-        else:
-            deg = sum(exp)
-        return (deg, tuple(-e for e in reversed(exp)))
+        return (wdeg(exp, self.weights), tuple(-e for e in reversed(exp)))
 
     def key(self, mono):
         pos, exp = mono
@@ -62,13 +60,8 @@ class TermOrder:
         if self.kind == "lex":
             flat = tuple(-e for e in exp)
         else:
-            deg = sum(exp) if self.kind == "grevlex" else sum(w * e for w, e in zip(self.weights, exp))
-            flat = (-deg,) + exp[::-1]
+            flat = (-wdeg(exp, self.weights),) + exp[::-1]
         return (pos,) + flat if self.module == "pot" else flat + (pos,)
-
-
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
 
 
 def _quot(b, a):
@@ -165,7 +158,7 @@ class FreeModuleElement:
     def homogeneous_components(self, weights=None, shifts=None):
         parts = {}
         for (pos, exp), c in self.terms.items():
-            d = sum(exp) if weights is None else sum(w * e for w, e in zip(weights, exp))
+            d = wdeg(exp, weights)
             if shifts is not None:
                 d += shifts[pos]
             parts.setdefault(d, {})[(pos, exp)] = c
@@ -225,7 +218,7 @@ def _reduce(terms, buckets, elements, order):
             continue
         pos, exp = mono
         for idx, lexp, lcoeff in buckets.get(pos, ()):
-            if _divides(lexp, exp):
+            if divides(lexp, exp):
                 break
         else:
             rem[mono] = coeff
@@ -334,7 +327,7 @@ def groebner_basis(gens, order):
             continue
         L = _lcm_exp(ei, ej)
         # chain criterion
-        if any(k != i and k != j and _divides(ek, L)
+        if any(k != i and k != j and divides(ek, L)
                and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
                for k, ek, _c in buckets[p]):
             continue
@@ -344,11 +337,13 @@ def groebner_basis(gens, order):
         if rem:
             add(rem)
 
-    # minimal basis: drop each element whose lead another lead divides (of
-    # equal leads the first stays)
-    keep = [k for k, ((pk, ek), _c) in enumerate(leads)
-            if not any(t != k and _divides(et, ek) and (et != ek or t < k)
-                       for t, et, _c2 in buckets[pk])]
+    # minimal basis: at each position, the elements whose leads are minimal
+    # (of equal leads the first stays)
+    keep = []
+    for bucket in buckets.values():
+        first = {exp: k for k, exp, _c in reversed(bucket)}
+        keep += [first[exp] for exp in minimal_monomials(first)]
+    keep.sort()
     basis = [basis[k] for k in keep]
     leads = [leads[k] for k in keep]
     buckets = _buckets(leads)
@@ -372,15 +367,15 @@ class Ideal:
     def __init__(self, nvars, gens, weights=None):
         self.nvars = nvars
         self.weights = tuple(weights) if weights else (1,) * nvars
+        if len(self.weights) != nvars or not all(type(w) is int and w > 0 for w in self.weights):
+            raise ValueError(f"need one positive int weight per variable, got {self.weights}")
         self.gens = [g for g in gens if not g.is_zero()]
         self._gb = {}
         # colength and minimal generators; gens is never mutated after this
         self._memo = {}
 
     def default_order(self):
-        if all(w == 1 for w in self.weights):
-            return TermOrder("grevlex")
-        return TermOrder("wgrevlex", self.weights)
+        return TermOrder("grevlex", self.weights)
 
     def groebner(self, order=None):
         order = order or self.default_order()
@@ -441,7 +436,7 @@ class Ideal:
             # prefix + [e] is divisible by a lead of by_last[i] exactly when
             # the lead's first i places divide the prefix and e >= lt[i]
             # (a pure power of x_i always qualifies, so the bound is finite)
-            for e in range(min(a for head, a in by_last[i] if _divides(head, prefix))):
+            for e in range(min(a for head, a in by_last[i] if divides(head, prefix))):
                 rec(prefix + [e])
 
         rec([])
@@ -540,7 +535,7 @@ def _graded_nakayama(candidates, weights, shifts):
     by_degree = {}
     for i, c in enumerate(candidates):
         pos, exp = next(iter(c.terms))
-        d = sum(w * e for w, e in zip(weights, exp)) + shifts[pos]
+        d = wdeg(exp, weights) + shifts[pos]
         by_degree.setdefault(d, []).append(i)
     kept, degrees = [], []
     for d in sorted(by_degree):

@@ -4,15 +4,11 @@ extraction from rational series."""
 
 from math import comb, factorial
 
-from .derivations import k_polynomial, monomialize
+from .derivations import _k_polynomial_in_t, k_polynomial, monomialize
 from .errors import PreconditionError
-from .poly import _exact, monomials
+from .poly import _exact, divides, monomials, wdeg
 from .series import (CharacterSeries, RationalSeries, SeriesPrefix,
                      quasi_polynomial_of, reconstruct_rational)
-
-
-def _wdeg(exp, weights):
-    return sum(w * e for w, e in zip(weights, exp))
 
 
 def hilbert_series_quotient(ideal):
@@ -21,12 +17,7 @@ def hilbert_series_quotient(ideal):
     weights = ideal.weights
     if not ideal.is_quasi_homogeneous():
         raise PreconditionError("not homogeneous")
-    exps = ideal.leading_exponents() if not ideal.is_zero() else []
-    k = k_polynomial(exps, ideal.nvars)
-    coeffs = [0] * (max((_wdeg(exp, weights) for exp in k), default=0) + 1)
-    for exp, c in k.items():
-        coeffs[_wdeg(exp, weights)] += c
-    return RationalSeries(coeffs, [(w, 1) for w in weights])
+    return RationalSeries(_k_polynomial_in_t(ideal, weights), [(w, 1) for w in weights])
 
 
 def _standard_monomial_characters(gens, weights, bound):
@@ -34,7 +25,7 @@ def _standard_monomial_characters(gens, weights, bound):
     coeffs = {}
     for deg in range(bound + 1):
         for exp in monomials(weights, deg):
-            if not any(all(a >= b for a, b in zip(exp, g)) for g in gens):
+            if not any(divides(g, exp) for g in gens):
                 coeffs.setdefault(deg, {})[exp] = 1
     return coeffs
 
@@ -55,7 +46,7 @@ def equivariant_series_monomial(ideal, bound=12):
         if monos is None:
             raise PreconditionError("not monomial with respect to coordinate torus")
         gens = [next(iter(m.terms)) for m in monos]
-    closed_terms = [(c, exp, _wdeg(exp, weights))
+    closed_terms = [(c, exp, wdeg(exp, weights))
                     for exp, c in k_polynomial(gens, n).items()]
     closed_den = []
     for i in range(n):

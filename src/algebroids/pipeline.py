@@ -46,22 +46,30 @@ class InputSpec:
 
 
 def parse_input(text):
-    """Parse the `vars:` / `weights:` / `ideal:` line format."""
+    """Parse the `vars:` / `weights:` / `ideal:` line format.  Each key occurs
+    once; a `#` starts a comment that runs to the end of its line."""
     varnames = None
     weights = None
     ideal_text = None
+    seen = set()
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if ":" not in line:
             raise ParseError(f"expected 'key: value', got {line!r}")
         key, _, value = line.partition(":")
         key = key.strip().lower()
+        if key in seen:
+            raise ParseError(f"repeated {key!r} declaration")
+        seen.add(key)
         if key == "vars":
             varnames = [v.strip() for v in value.split(",") if v.strip()]
             if not varnames:
                 raise ParseError("empty vars declaration")
+            for i, name in enumerate(varnames):
+                if name in varnames[:i]:
+                    raise ParseError(f"repeated variable {name!r}")
         elif key == "weights":
             try:
                 weights = tuple(int(v.strip()) for v in value.split(","))
@@ -188,6 +196,8 @@ def analyze_singularity(spec, mode="tangent", series_depth=8):
     """Full singularity analysis of the ideal in an InputSpec."""
     if mode not in ("tangent", "tjurina-algebroid"):
         raise ParseError(f"unknown mode {mode!r}")
+    if series_depth < 0:
+        raise PreconditionError(f"series depth must be >= 0, got {series_depth}")
     weights = spec.inferred_weights()
     ideal = spec.ideal(weights)
     quasi = ideal.is_quasi_homogeneous()

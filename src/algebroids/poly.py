@@ -3,13 +3,34 @@
 Terms are stored as a map from exponent tuples to nonzero coefficients, each
 an int when integral and a Fraction otherwise, never a float (_exact).  Weights
 for quasi-homogeneous gradings are *not* stored on the polynomial itself; they
-travel with the ambient ring data (Ideal, term orders) and are passed to the
-degree helpers where needed.
+travel with the ambient ring data (Ideal, term orders) and are passed to wdeg,
+the one weighted degree every module uses, where needed.
 """
 
 from fractions import Fraction
+from operator import le, mul
 
 from .errors import ParseError
+
+
+def wdeg(exp, weights=None):
+    """Weighted degree sum w_i e_i of x^exp; its total degree when weights is None."""
+    return sum(exp) if weights is None else sum(map(mul, weights, exp))
+
+
+def divides(a, b):
+    """Whether x^a divides x^b."""
+    return all(map(le, a, b))
+
+
+def minimal_monomials(exps):
+    """The exponents that no other one divides, by increasing total degree
+    (ties in the iteration order of exps)."""
+    out = []
+    for e in sorted(exps, key=sum):
+        if not any(divides(m, e) for m in out):
+            out.append(e)
+    return out
 
 
 def _exact(c):
@@ -70,22 +91,10 @@ class Polynomial:
     # -- degrees ---------------------------------------------------------
     def degree(self, weights=None):
         """Max weighted degree of the terms; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        if weights is None:
-            return max(sum(exp) for exp in self.terms)
-        return max(sum(w * e for w, e in zip(weights, exp)) for exp in self.terms)
+        return max((wdeg(exp, weights) for exp in self.terms), default=-1)
 
     def is_homogeneous(self, weights=None):
-        if not self.terms:
-            return True
-        degs = {self._wdeg(exp, weights) for exp in self.terms}
-        return len(degs) == 1
-
-    def _wdeg(self, exp, weights):
-        if weights is None:
-            return sum(exp)
-        return sum(w * e for w, e in zip(weights, exp))
+        return len({wdeg(exp, weights) for exp in self.terms}) <= 1
 
     # -- arithmetic ------------------------------------------------------
     def _check(self, other):

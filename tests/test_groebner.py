@@ -327,11 +327,40 @@ def test_descending_key_reverses_key():
     rng = random.Random(1)
     monos = {(rng.randrange(3), tuple(rng.randrange(4) for _ in range(3))) for _ in range(60)}
     orders = [TermOrder(kind, weights, module)
-              for kind, weights in (("grevlex", None), ("lex", None), ("wgrevlex", (1, 2, 3)))
+              for kind, weights in (("grevlex", None), ("lex", None), ("grevlex", (1, 2, 3)))
               for module in ("top", "pot")]
     for order in orders:
         assert (sorted(monos, key=order.descending_key)
                 == sorted(monos, key=order.key, reverse=True))
+
+
+def test_unit_weights_are_the_unweighted_order():
+    rng = random.Random(26)
+    monos = [(rng.randrange(3), tuple(rng.randrange(4) for _ in range(3))) for _ in range(60)]
+    for module in ("top", "pot"):
+        unit, plain = TermOrder("grevlex", (1, 1, 1), module), TermOrder("grevlex", module=module)
+        for key in ("key", "descending_key"):
+            assert ([getattr(unit, key)(m) for m in monos]
+                    == [getattr(plain, key)(m) for m in monos])
+    ideal = Ideal(3, [P("x^2 - y*z", "xyz"), P("y^3 - x*z^2", "xyz")], (1, 1, 1))
+    gb = ideal.groebner(TermOrder("grevlex", (1, 1, 1)))
+    assert ideal.groebner(TermOrder("grevlex")) is gb and ideal.groebner() is gb
+    assert len(ideal._gb) == 1
+
+
+def test_term_orders_and_ideals_reject_bad_weights():
+    with pytest.raises(ValueError, match="unknown term order"):
+        TermOrder("wgrevlex", (1, 2, 3))
+    # a weight <= 0 makes no well-order
+    for weights in [(1, 0, -1), (-1, 2, 3)]:
+        with pytest.raises(ValueError):
+            TermOrder("grevlex", weights)
+    # (2, 1) on three variables used to be truncated by zip, and made
+    # x*z + y^2 quasi-homogeneous
+    f = P("x*z + y^2", "xyz")
+    for weights in [(2, 1), (1, 1, 1, 1), (1, 0, 1), (1, -2, 1), (1, Fraction(1, 2), 1)]:
+        with pytest.raises(ValueError):
+            Ideal(3, [f], weights)
 
 
 # -- minimal generators: graded Nakayama against the greedy route ----------

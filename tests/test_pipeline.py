@@ -5,6 +5,7 @@ import itertools
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +54,21 @@ def test_parse_input_errors():
                 "vars: x\nweights: 0\nideal: x\n"):
         with pytest.raises(ParseError):
             parse_input(bad)
+    # a repeated key or variable is named, where the last line used to win
+    for bad, name in (("vars: x\nvars: y\nideal: x\n", "vars"),
+                      ("vars: x\nweights: 1\nweights: 2\nideal: x\n", "weights"),
+                      ("vars: x, y\nideal: x^2\nideal: y^3\n", "ideal"),
+                      ("vars: x, y, x\nideal: x^2\n", "x")):
+        with pytest.raises(ParseError, match=f"repeated.*'{name}'"):
+            parse_input(bad)
+
+
+def test_parse_input_reads_the_readme_example():
+    # README's input block carries trailing comments; it is the Whitney spec
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("Input files use a small line format:\n\n```\n")[1].split("```")[0]
+    spec, whitney = parse_input(block), parse_input(WHITNEY)
+    assert (spec.varnames, spec.weights, spec.gens) == (whitney.varnames, whitney.weights, whitney.gens)
 
 
 def test_analyze_whitney():
@@ -362,6 +378,11 @@ def test_cli_exit_codes(tmp_path, capsys):
                    '{"numerator":[1.5],"denominator":[]}']:
         assert main(["quasipoly", "--series", series]) == 2
     capsys.readouterr()
+    # a negative series depth is refused before any work (it used to give the
+    # Fermat cubic a series, and the axes "no stabilization")
+    for name, text, depth in (("fermat.txt", FERMAT, "-3"), ("axes.txt", AXES, "-1")):
+        assert main(["analyze", write(tmp_path, name, text), "--series-depth", depth]) == 3
+        assert "series depth must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["--degree", "-1", "--depth", "3"],

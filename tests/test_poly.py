@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from algebroids.errors import ParseError
-from algebroids.groebner import FreeModuleElement
-from algebroids.poly import Polynomial, format_poly, monomials, parse_poly
+from algebroids.groebner import FreeModuleElement, TermOrder
+from algebroids.poly import Polynomial, format_poly, monomials, parse_poly, wdeg
 
 
 def P(text, varnames=("x", "y", "z")):
@@ -86,6 +86,28 @@ def test_homogeneous_components_sum():
             assert g.is_homogeneous() and g.degree() == d
             total = total + g
         assert total == f
+
+
+@pytest.mark.parametrize("weights", [None, (1, 1, 1), (3, 2, 2)])
+def test_term_degrees_agree(weights):
+    # each term's degree, read through wdeg, Polynomial.degree and
+    # is_homogeneous, homogeneous_components and TermOrder.mono_key
+    rng = random.Random(26)
+    order = TermOrder("grevlex", weights)
+    for _ in range(20):
+        v = FreeModuleElement.from_polys([random_poly(rng), random_poly(rng)])
+        parts = v.homogeneous_components(weights)
+        component = {m: d for d, part in parts.items() for m in part.terms}
+        degree = {}
+        for pos, exp in v.terms:
+            d = degree[exp] = sum(w * e for w, e in zip(weights or (1, 1, 1), exp))
+            term = Polynomial.monomial(3, exp, 2)
+            assert wdeg(exp, weights) == d == term.degree(weights) == component[(pos, exp)]
+            assert order.mono_key(exp)[0] == d and term.is_homogeneous(weights)
+        for g in v.to_polys() + [q for part in parts.values() for q in part.to_polys()]:
+            degrees = {degree[exp] for exp in g.terms}
+            assert g.degree(weights) == max(degrees, default=-1)
+            assert g.is_homogeneous(weights) == (len(degrees) <= 1)
 
 
 def test_pow():
