@@ -292,9 +292,9 @@ def k_polynomial(exps, nvars):
 
 
 def _k_polynomial_in_t(ideal, weights=None):
-    """Coefficient list of K(t^w_1, ..., t^w_n), K the K-polynomial of the
-    initial ideal of the ideal and w the weights (all ones when None); empty
-    for the unit ideal."""
+    """Coefficient list of K(t^w_1, ..., t^w_n), K the K-polynomial of in(I)
+    (1 for the zero ideal) and w the weights (all ones when None); empty for
+    the unit ideal."""
     k = k_polynomial(ideal.leading_exponents() if not ideal.is_zero() else [], ideal.nvars)
     coeffs = [0] * (max((wdeg(exp, weights) for exp in k), default=-1) + 1)
     for exp, c in k.items():
