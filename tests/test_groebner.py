@@ -355,8 +355,8 @@ def test_term_orders_and_ideals_reject_bad_weights():
     for weights in [(1, 0, -1), (-1, 2, 3)]:
         with pytest.raises(ValueError):
             TermOrder("grevlex", weights)
-    # (2, 1) on three variables used to be truncated by zip, and made
-    # x*z + y^2 quasi-homogeneous
+    # one positive int weight per variable: truncated to the first two
+    # variables, (2, 1) would make x*z + y^2 quasi-homogeneous
     f = P("x*z + y^2", "xyz")
     for weights in [(2, 1), (1, 1, 1, 1), (1, 0, 1), (1, -2, 1), (1, Fraction(1, 2), 1)]:
         with pytest.raises(ValueError):

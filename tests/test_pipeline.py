@@ -54,7 +54,7 @@ def test_parse_input_errors():
                 "vars: x\nweights: 0\nideal: x\n"):
         with pytest.raises(ParseError):
             parse_input(bad)
-    # a repeated key or variable is named, where the last line used to win
+    # a repeated key or variable is refused and named, not overwritten
     for bad, name in (("vars: x\nvars: y\nideal: x\n", "vars"),
                       ("vars: x\nweights: 1\nweights: 2\nideal: x\n", "weights"),
                       ("vars: x, y\nideal: x^2\nideal: y^3\n", "ideal"),
@@ -378,8 +378,8 @@ def test_cli_exit_codes(tmp_path, capsys):
                    '{"numerator":[1.5],"denominator":[]}']:
         assert main(["quasipoly", "--series", series]) == 2
     capsys.readouterr()
-    # a negative series depth is refused before any work (it used to give the
-    # Fermat cubic a series, and the axes "no stabilization")
+    # a negative series depth is refused before any work, on an input with a
+    # series and on one whose series is fitted
     for name, text, depth in (("fermat.txt", FERMAT, "-3"), ("axes.txt", AXES, "-1")):
         assert main(["analyze", write(tmp_path, name, text), "--series-depth", depth]) == 3
         assert "series depth must be >= 0" in capsys.readouterr().err
