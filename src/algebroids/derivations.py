@@ -3,13 +3,12 @@ quasi-homogeneity detection, and monomial-ideal extraction."""
 
 from itertools import accumulate, combinations, product
 from math import lcm
-from operator import add
 
 from . import linalg
 from .errors import PreconditionError
 from .groebner import (FreeModuleElement, Ideal, TermOrder, groebner_basis,
                        syzygies)
-from .poly import Polynomial, default_varnames, format_poly, minimal_monomials, wdeg
+from .poly import Polynomial, default_varnames, format_poly, minimal_monomials, mono_mul, wdeg
 
 
 class Derivation:
@@ -48,7 +47,7 @@ class Derivation:
                 lowered[i] -= 1
                 c = c2 * e[i]
                 for exp, c1 in a.terms.items():
-                    key = tuple(map(add, exp, lowered))
+                    key = mono_mul(exp, lowered)
                     terms[key] = terms.get(key, 0) + c1 * c
         return Polynomial(self.nvars, terms)
 
@@ -66,20 +65,19 @@ class Derivation:
     def vanishes_at_origin(self):
         return all(c.constant_term() == 0 for c in self.coefficients)
 
-    def linear_part_matrix(self):
-        """Operator matrix of the induced action on m/m^2 in the basis x_1..x_n.
+    def linear_part_rows(self):
+        """Sparse rows {col: entry} of the induced action on m/m^2 in the
+        basis x_1..x_n.
 
-        delta(x_i) = a_i, whose linear part is sum_j c_ij x_j; column i of the
-        returned matrix holds (c_i1, ..., c_in).
+        delta(x_i) = a_i, whose linear part is sum_j c_ij x_j; column i holds
+        (c_i1, ..., c_in), so row j is {i: c_ij}.
         """
-        n = self.nvars
-        mat = linalg.zeros(n, n)
+        rows = [{} for _ in range(self.nvars)]
         for i, a in enumerate(self.coefficients):
             for exp, c in a.terms.items():
                 if sum(exp) == 1:
-                    j = exp.index(1)
-                    mat[j][i] = c
-        return mat
+                    rows[exp.index(1)][i] = c
+        return rows
 
     def __eq__(self, other):
         return isinstance(other, Derivation) and self.coefficients == other.coefficients
@@ -286,7 +284,7 @@ def k_polynomial(exps, nvars):
     out = k_polynomial(rest, nvars)
     colon = {tuple(max(e - f, 0) for e, f in zip(g, m)) for g in rest}
     for exp, c in k_polynomial(colon, nvars).items():
-        key = tuple(map(add, exp, m))
+        key = mono_mul(exp, m)
         out[key] = out.get(key, 0) - c
     return {exp: c for exp, c in out.items() if c}
 

@@ -19,15 +19,16 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import PreconditionError
-from .poly import Polynomial, _exact, divides, minimal_monomials, monomials, wdeg
+from .poly import Polynomial, _exact, divides, minimal_monomials, mono_mul, monomials, wdeg
 
 
 class TermOrder:
     """Total order on monomials, extended to module monomials.
 
     kind: "grevlex" (graded reverse lex, graded by the weighted degree when
-    positive weights are given) or "lex".  Unit weights are stored as None,
-    so they give the same order and the same keys as no weights.
+    positive weights are given) or "lex".  Unit weights, and any weights
+    under lex, which ignores them, are stored as None, so they give the same
+    order and the same keys as no weights.
     module: "top" (term over position) or "pot" (position over term);
     lower positions are considered larger in either flavour.
     """
@@ -40,7 +41,8 @@ class TermOrder:
         if weights and not all(w > 0 for w in weights):
             raise ValueError("term order weights must be positive")
         self.kind = kind
-        self.weights = tuple(weights) if weights and any(w != 1 for w in weights) else None
+        self.weights = (tuple(weights) if kind == "grevlex" and weights
+                        and any(w != 1 for w in weights) else None)
         self.module = module
 
     def mono_key(self, exp):
@@ -148,7 +150,7 @@ class FreeModuleElement:
         coeff = None if coeff == 1 else _exact(coeff)  # 1 only shifts the exponents
         terms = {}
         for (pos, e), c in self.terms.items():
-            terms[(pos, tuple(a + b for a, b in zip(e, exp)))] = c if coeff is None else c * coeff
+            terms[(pos, mono_mul(e, exp))] = c if coeff is None else c * coeff
         return FreeModuleElement(self.nvars, self.rank, terms)
 
     def leading(self, order):
@@ -231,7 +233,7 @@ def _reduce(terms, buckets, elements, order):
             rem = {m: c * up for m, c in rem.items()}
         qexp = _quot(exp, lexp)
         for (p2, e2), c2 in elements[idx].terms.items():
-            m2 = (p2, tuple(a + b for a, b in zip(e2, qexp)))
+            m2 = (p2, mono_mul(e2, qexp))
             if m2 == mono:  # the leading term, cancelled by construction
                 continue
             old = work.get(m2)

@@ -13,10 +13,11 @@ class LieAlgebra:
     """Structure constants c_ij^k over Q; Jacobi identity validated exactly.
 
     Every computation reads one sparse antisymmetric table (i, j) -> {k: c}
-    holding [e_i, e_j] = sum_k c e_k for both orders; zero brackets are absent.
+    holding [e_i, e_j] = sum_k c e_k for both orders; zero brackets are
+    absent.  The adjoint action rows (_ads) are built once, on construction.
     """
 
-    __slots__ = ("dim", "brackets", "labels", "_table")
+    __slots__ = ("dim", "brackets", "labels", "_table", "_ad")
 
     def __init__(self, dim, brackets, labels=None):
         self.dim = dim
@@ -34,6 +35,7 @@ class LieAlgebra:
                 self._table[(i, j)] = row
                 self._table[(j, i)] = {k: -c for k, c in row.items()}
         self.labels = list(labels) if labels else [f"e{i + 1}" for i in range(dim)]
+        self._ad = self._ads()
         self._validate_jacobi()
 
     def basis_bracket(self, i, j):
@@ -57,20 +59,10 @@ class LieAlgebra:
         return out
 
     def _validate_jacobi(self):
-        """[[e_a, e_b], e_c] summed cyclically over every triple i < j < k,
-        as sum_m c_ab^m [e_m, e_c] on the sparse rows."""
-        table = self._table
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    total = {}
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for m, x in table.get((a, b), {}).items():
-                            for t, y in table.get((m, c), {}).items():
-                                total[t] = total.get(t, 0) + x * y
-                    if any(total.values()):
-                        raise AlgebroidError("Jacobi identity fails")
+        """The Jacobi identity, as ad[e_i, e_j] = [ad e_i, ad e_j]: the
+        adjoint rows represent the bracket (the table is antisymmetric)."""
+        if not represents(self, self._ad):
+            raise AlgebroidError("Jacobi identity fails")
 
     # -- series ----------------------------------------------------------
     def _bracket_span(self, pairs):
@@ -95,26 +87,25 @@ class LieAlgebra:
     def derived_subalgebra_basis(self):
         return linalg.row_space_basis(list(self.brackets.values()))
 
-    # -- ad matrices and the Killing form --------------------------------
+    # -- adjoint rows and the Killing form -------------------------------
     def _ads(self):
-        """ad(e_j) for each basis vector e_j: ad(e_j)[k][i] = c_ji^k."""
-        ads = [linalg.zeros(self.dim, self.dim) for _ in range(self.dim)]
+        """Sparse action rows of ad(e_j) for each basis vector e_j: row k of
+        ad(e_j) is {i: c_ji^k}."""
+        ads = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
         for (j, i), row in self._table.items():
             for k, c in row.items():
                 ads[j][k][i] = c
         return ads
 
     def killing_matrix(self):
-        """kappa_ab = tr(ad e_a ad e_b) = sum_{i,k} c_ak^i c_bi^k."""
-        n = self.dim
-        table = self._table
-        kappa = linalg.zeros(n, n)
-        for a in range(n):
-            for b in range(a, n):
+        """kappa_ab = tr(ad e_a ad e_b), read off the adjoint rows."""
+        ad = self._ad
+        kappa = linalg.zeros(self.dim, self.dim)
+        for a in range(self.dim):
+            for b in range(a, self.dim):
                 kappa[a][b] = kappa[b][a] = sum(
-                    (x * table.get((b, i), {}).get(k, 0)
-                     for k in range(n) for i, x in table.get((a, k), {}).items()),
-                    0)
+                    (x * ad[b][mid].get(r, 0) for r, row in enumerate(ad[a])
+                     for mid, x in row.items()), 0)
         return kappa
 
     def fingerprint(self):
@@ -130,7 +121,8 @@ class LieAlgebra:
         if solvable != (radical_dim == self.dim):
             raise InconsistencyError("derived series and Cartan criterion disagree")
         # x is central iff ad(e_j) x = 0 for every j
-        stacked = [row for a in self._ads() for row in a if any(row)]
+        stacked = [[row.get(i, 0) for i in range(self.dim)]
+                   for a in self._ad for row in a if row]
         return {
             "dim": self.dim,
             "derived_series": series,
@@ -149,6 +141,36 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, brackets={self.brackets})"
+
+
+def represents(algebra, rows):
+    """Whether the sparse action rows rows[k][r] = {col: entry} of rho(e_k)
+    satisfy rho([e_i, e_j]) = [rho(e_i), rho(e_j)], checked exactly for
+    every pair i < j and every row r (a row empty in rho_i, rho_j and every
+    rho_k of the bracket has a zero residual)."""
+    table = algebra._table
+    live = [{r for r, row in enumerate(m) if row} for m in rows]
+    for i in range(algebra.dim):
+        rho_i = rows[i]
+        for j in range(i + 1, algebra.dim):
+            rho_j = rows[j]
+            bracket = table.get((i, j), {})
+            terms = [(rows[k], c) for k, c in bracket.items()]
+            for r in live[i].union(live[j], *(live[k] for k in bracket)):
+                # row r of rho_i rho_j - rho_j rho_i - sum_k c_ij^k rho_k
+                residual = {}
+                for mid, a in rho_i[r].items():
+                    for col, b in rho_j[mid].items():
+                        residual[col] = residual.get(col, 0) + a * b
+                for mid, a in rho_j[r].items():
+                    for col, b in rho_i[mid].items():
+                        residual[col] = residual.get(col, 0) - a * b
+                for rho_k, c in terms:
+                    for col, b in rho_k[r].items():
+                        residual[col] = residual.get(col, 0) - c * b
+                if any(residual.values()):
+                    return False
+    return True
 
 
 def sl2():

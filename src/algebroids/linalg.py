@@ -25,31 +25,6 @@ def identity(n):
     return mat
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
-    return out
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    c = _exact(c)
-    return [[c * x for x in row] for row in a]
-
-
 def mat_vec(a, v):
     return [sum((c * x for c, x in zip(row, v) if x), 0) for row in a]
 

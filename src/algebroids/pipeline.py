@@ -8,7 +8,7 @@ from .errors import InconsistencyError, ParseError, PreconditionError
 from .groebner import Ideal
 from .hilbert import dimension_multiplicity, graded_pieces_series
 from .liealg import fibre_lie_algebra, span_lie_algebra
-from .poly import Polynomial, format_poly, parse_poly
+from .poly import Polynomial, _Tokens, format_poly, parse_poly
 from .repmod import MatrixRep, covariant_dimensions, sl2_isotypic, sym_kernel_dims
 from .series import (RationalSeries, SeriesPrefix, quasi_polynomial_of,
                      reconstruct_rational)
@@ -68,6 +68,9 @@ def parse_input(text):
             if not varnames:
                 raise ParseError("empty vars declaration")
             for i, name in enumerate(varnames):
+                # a name the polynomial grammar cannot read as one variable
+                if _Tokens(name).toks != [("name", name)]:
+                    raise ParseError(f"bad variable name {name!r}")
                 if name in varnames[:i]:
                     raise ParseError(f"repeated variable {name!r}")
         elif key == "weights":
@@ -165,14 +168,16 @@ def _levi_action(algebra, basis_derivations):
     sub = span_lie_algebra(derived, lambda a, b: algebra.bracket(derived[a], derived[b]))
     if linalg.rank(sub.killing_matrix()) != 3:
         return None
-    nvars = basis_derivations[0].nvars
+    parts = [delta.linear_part_rows() for delta in basis_derivations]
     mats = []
     for coeffs in derived:
-        mat = linalg.zeros(nvars, nvars)
-        for c, delta in zip(coeffs, basis_derivations):
+        rows = [{} for _ in range(basis_derivations[0].nvars)]
+        for c, part in zip(coeffs, parts):
             if c:
-                mat = linalg.mat_add(mat, linalg.mat_scale(delta.linear_part_matrix(), c))
-        mats.append(mat)
+                for out, row in zip(rows, part):
+                    for col, x in row.items():
+                        out[col] = out.get(col, 0) + c * x
+        mats.append(rows)
     return MatrixRep(sub, mats)
 
 

@@ -4,11 +4,12 @@ Terms are stored as a map from exponent tuples to nonzero coefficients, each
 an int when integral and a Fraction otherwise, never a float (_exact).  Weights
 for quasi-homogeneous gradings are *not* stored on the polynomial itself; they
 travel with the ambient ring data (Ideal, term orders) and are passed to wdeg,
-the one weighted degree every module uses, where needed.
+the one weighted degree every module uses, where needed; mono_mul is the
+one monomial product.
 """
 
 from fractions import Fraction
-from operator import le, mul
+from operator import add, le, mul
 
 from .errors import ParseError
 
@@ -16,6 +17,11 @@ from .errors import ParseError
 def wdeg(exp, weights=None):
     """Weighted degree sum w_i e_i of x^exp; its total degree when weights is None."""
     return sum(exp) if weights is None else sum(map(mul, weights, exp))
+
+
+def mono_mul(a, b):
+    """The exponent of x^a x^b."""
+    return tuple(map(add, a, b))
 
 
 def divides(a, b):
@@ -129,7 +135,7 @@ class Polynomial:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = mono_mul(e1, e2)
                 terms[exp] = terms.get(exp, 0) + c1 * c2
         return Polynomial(self.nvars, terms)
 

@@ -7,24 +7,23 @@ from fractions import Fraction
 from . import linalg
 from .errors import AlgebroidError, InconsistencyError, PreconditionError
 from .groebner import FreeModuleElement, TermOrder, groebner_basis
-from .liealg import sl2
+from .liealg import represents, sl2
 from .poly import _exact, monomials
 
 
 class MatrixRep:
     """Action matrices rho(e_i), one per basis element of the algebra.
 
-    A matrix is given dense, as a list of rows, or as sparse rows {col: entry}
-    (polarize writes these).  The state is rows[k][r], the nonzero entries of
-    row r of rho(e_k), each an int when integral and a Fraction otherwise.
-    Dense input is kept with Fraction entries; otherwise the dense `matrices`
-    are filled from the rows when first read.
+    A matrix is given dense, as a list of rows, or as sparse rows {col: entry}.
+    The state is rows[k][r] alone, the nonzero entries of row r of rho(e_k),
+    each an int when integral and a Fraction otherwise; `matrices` is a dense
+    view with Fraction entries, built from the rows on each read.
 
     Bracket compatibility rho([x,y]) = [rho(x), rho(y)] is checked exactly on
     construction, for every pair of basis elements and every row.
     """
 
-    __slots__ = ("algebra", "dim", "rows", "_matrices")
+    __slots__ = ("algebra", "dim", "rows")
 
     def __init__(self, algebra, matrices):
         if len(matrices) != algebra.dim:
@@ -35,47 +34,23 @@ class MatrixRep:
                 max(row, default=-1) < self.dim if isinstance(row, dict) else len(row) == self.dim
                 for row in m) for m in matrices):
             raise ValueError("action matrices must be square and of one size")
-        if self.dim and isinstance(matrices[0][0], dict):
-            self._matrices = None
-            self.rows = [[{col: _exact(c) for col, c in row.items() if c} for row in m]
-                         for m in matrices]
-        else:
-            self._matrices = [[[c if type(c) is Fraction else Fraction(c) for c in row]
-                               for row in m] for m in matrices]
-            self.rows = [[{col: _exact(c) for col, c in enumerate(row) if c} for row in m]
-                         for m in self._matrices]
+        self.rows = [[{col: _exact(c) for col, c in
+                       (row.items() if isinstance(row, dict) else enumerate(row)) if c}
+                      for row in m] for m in matrices]
         self._validate()
 
     @property
     def matrices(self):
-        if self._matrices is None:
-            self._matrices = [[[Fraction(0)] * self.dim for _ in m] for m in self.rows]
-            for mat, m in zip(self._matrices, self.rows):
-                for out, row in zip(mat, m):
-                    for col, c in row.items():
-                        out[col] = Fraction(c)
-        return self._matrices
+        out = [[[Fraction(0)] * self.dim for _ in m] for m in self.rows]
+        for mat, m in zip(out, self.rows):
+            for dense, row in zip(mat, m):
+                for col, c in row.items():
+                    dense[col] = Fraction(c)
+        return out
 
     def _validate(self):
-        rows = self.rows
-        for i in range(self.algebra.dim):
-            for j in range(i + 1, self.algebra.dim):
-                terms = [(rows[k], _exact(c))
-                         for k, c in enumerate(self.algebra.basis_bracket(i, j)) if c]
-                for r in range(self.dim):
-                    # row r of rho_i rho_j - rho_j rho_i - sum_k c_ij^k rho_k
-                    residual = {}
-                    for mid, a in rows[i][r].items():
-                        for col, b in rows[j][mid].items():
-                            residual[col] = residual.get(col, 0) + a * b
-                    for mid, a in rows[j][r].items():
-                        for col, b in rows[i][mid].items():
-                            residual[col] = residual.get(col, 0) - a * b
-                    for rho_k, c in terms:
-                        for col, b in rho_k[r].items():
-                            residual[col] = residual.get(col, 0) - c * b
-                    if any(residual.values()):
-                        raise AlgebroidError("matrices do not represent the bracket")
+        if not represents(self.algebra, self.rows):
+            raise AlgebroidError("matrices do not represent the bracket")
 
     def __repr__(self):
         return f"MatrixRep(algebra dim {self.algebra.dim}, module dim {self.dim})"
@@ -84,18 +59,14 @@ class MatrixRep:
 def binary_form_rep(d):
     """sl2 acting on binary forms of degree d; basis v_k = x^(d-k) y^k.
 
-    H v_k = (d-2k) v_k, X v_k = k v_{k-1}, Y v_k = (d-k) v_{k+1}.
+    H v_k = (d-2k) v_k, X v_k = k v_{k-1}, Y v_k = (d-k) v_{k+1}, as sparse
+    rows: row k of H holds d-2k at column k, row k-1 of X holds k and row
+    k+1 of Y holds d-k, both at column k.
     """
     n = d + 1
-    h = linalg.zeros(n, n)
-    x = linalg.zeros(n, n)
-    y = linalg.zeros(n, n)
-    for k in range(n):
-        h[k][k] = Fraction(d - 2 * k)
-        if k > 0:
-            x[k - 1][k] = Fraction(k)
-        if k < d:
-            y[k + 1][k] = Fraction(d - k)
+    h = [{k: d - 2 * k} for k in range(n)]
+    x = [{k + 1: k + 1} for k in range(d)] + [{}]
+    y = [{}] + [{k: d - k} for k in range(d)]
     return MatrixRep(sl2(), [h, x, y])
 
 
@@ -128,9 +99,9 @@ def invariants_dimension(rep, nil):
     """Common kernel of the listed action matrices (basis indices or explicit
     matrices); returns (dimension, kernel basis)."""
     stacked = []
+    dense = rep.matrices
     for item in nil:
-        m = rep.matrices[item] if isinstance(item, int) else item
-        stacked.extend(m)
+        stacked.extend(dense[item] if isinstance(item, int) else item)
     if not stacked:
         return rep.dim, linalg.identity(rep.dim)
     basis = linalg.kernel_basis(stacked)
@@ -171,31 +142,40 @@ def decompose_sl2(rep):
     return mults
 
 
-def sl2_isotypic(rep):
-    """Multiset {k: multiplicity of V_k} of a module over a Q-form of sl2,
-    read off the Casimir C = sum (kappa^-1)_ij rho_i rho_j of the Killing
-    form kappa; C acts on V_k as k(k+2)/8, so non-split forms need no
-    rational nilpotent (Humphreys, 6.2 and 7)."""
+def _casimir(rep):
+    """Sparse rows of the Casimir C = sum (kappa^-1)_ij rho_i rho_j of a
+    module over a Q-form of sl2, kappa its Killing form."""
     kappa = rep.algebra.killing_matrix()
     dim = len(kappa)
     # column j of kappa^-1 solves kappa x = e_j, and kappa is symmetric
     kappa_inv = linalg.solve([row + unit for row, unit in zip(kappa, linalg.identity(dim))], dim)
     if dim != 3 or None in kappa_inv:
         raise PreconditionError("not a form of sl2")
-    n = rep.dim
-    casimir = linalg.zeros(n, n)
+    casimir = [{} for _ in range(rep.dim)]
     for i in range(3):
         for j in range(3):
-            if kappa_inv[i][j]:
-                prod = linalg.mat_mul(rep.matrices[i], rep.matrices[j])
-                casimir = linalg.mat_add(casimir, linalg.mat_scale(prod, kappa_inv[i][j]))
+            c = kappa_inv[i][j]
+            if c:
+                for out, row in zip(casimir, rep.rows[i]):
+                    for mid, a in row.items():
+                        for col, b in rep.rows[j][mid].items():
+                            out[col] = out.get(col, 0) + c * a * b
+    return casimir
+
+
+def sl2_isotypic(rep):
+    """Multiset {k: multiplicity of V_k} of a module over a Q-form of sl2,
+    read off the Casimir C (_casimir); C acts on V_k as k(k+2)/8, so
+    non-split forms need no rational nilpotent (Humphreys, 6.2 and 7)."""
+    casimir = _casimir(rep)
+    n = rep.dim
     mults = {}
     filled = 0
     for k in range(n):
         if filled == n:
             break
         shift = Fraction(k * (k + 2), 8)
-        shifted = [[c - (shift if i == j else 0) for j, c in enumerate(row)]
+        shifted = [[row.get(j, 0) - (shift if i == j else 0) for j in range(n)]
                    for i, row in enumerate(casimir)]
         kernel = n - linalg.rank(shifted)
         if kernel % (k + 1):
@@ -327,8 +307,11 @@ def _algebroid_ops(d):
     terms of v, with rho = binary_form_rep(d) read by sparse columns."""
     rank = d + 1
 
-    def make(mat, a, s):
-        cols = [[(r, mat[r][j]) for r in range(rank) if mat[r][j]] for j in range(rank)]
+    def make(rows, a, s):
+        cols = [[] for _ in range(rank)]
+        for r, row in enumerate(rows):
+            for j, m in row.items():
+                cols[j].append((r, m))
 
         def op(vec):
             out = {}
@@ -342,8 +325,8 @@ def _algebroid_ops(d):
 
         return op
 
-    return {name: make(mat, *_ANCHOR[name])
-            for name, mat in zip(("H", "X+", "X-"), binary_form_rep(d).matrices)}
+    return {name: make(rows, *_ANCHOR[name])
+            for name, rows in zip(("H", "X+", "X-"), binary_form_rep(d).rows)}
 
 
 def _module_rank(gb):

@@ -1,6 +1,7 @@
 """Second routes the tests check the library against: a partition count by
-its own recursion, and equality of ideals and of derivation modules as
-inclusion both ways."""
+its own recursion, equality of ideals and of derivation modules as
+inclusion both ways, dense matrix products, and the Jacobi identity on
+every triple of a structure table."""
 
 from functools import lru_cache
 
@@ -33,3 +34,34 @@ def same_module(dm, derivations):
         return not others and not dm.generators
     gb = groebner_basis([d.to_vector() for d in others], dm.module_order())
     return all(gb.contains(v) for v in dm.vectors())
+
+
+def mat_mul(a, b):
+    """Dense product of two matrices given as lists of rows."""
+    return [[sum((x * row[j] for x, row in zip(ai, b)), 0) for j in range(len(b[0]))]
+            for ai in a]
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(a, c):
+    return [[c * x for x in row] for row in a]
+
+
+def jacobi_holds(table, n):
+    """Whether the antisymmetric sparse table (i, j) -> {k: c_ij^k} of an
+    n-dimensional algebra satisfies the Jacobi identity: the cyclic sum of
+    [[e_a, e_b], e_c] over every triple i < j < k vanishes."""
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                total = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, x in table.get((a, b), {}).items():
+                        for t, y in table.get((m, c), {}).items():
+                            total[t] = total.get(t, 0) + x * y
+                if any(total.values()):
+                    return False
+    return True

@@ -348,6 +348,15 @@ def test_unit_weights_are_the_unweighted_order():
     assert len(ideal._gb) == 1
 
 
+def test_lex_stores_no_weights():
+    # lex never reads weights, so it stores None and one order caches one basis
+    assert TermOrder("lex", (1, 2)).weights is None
+    ideal = Ideal(2, [P("x^2 - y", "xy")])
+    gb = ideal.groebner(TermOrder("lex", (1, 2)))
+    assert ideal.groebner(TermOrder("lex")) is gb
+    assert len(ideal._gb) == 1
+
+
 def test_term_orders_and_ideals_reject_bad_weights():
     with pytest.raises(ValueError, match="unknown term order"):
         TermOrder("wgrevlex", (1, 2, 3))

@@ -18,6 +18,8 @@ from algebroids.liealg import (LieAlgebra, fibre_lie_algebra,
                                span_lie_algebra)
 from algebroids.poly import Polynomial, parse_poly
 
+from oracles import jacobi_holds, mat_mul
+
 
 def P(text, varnames):
     return parse_poly(text, list(varnames))
@@ -30,7 +32,7 @@ def lie_algebra_from_matrices(mats, labels=None):
         return [c for row in m for c in row]
 
     def commutator(a, b):
-        ab, ba = flat(linalg.mat_mul(mats[a], mats[b])), flat(linalg.mat_mul(mats[b], mats[a]))
+        ab, ba = flat(mat_mul(mats[a], mats[b])), flat(mat_mul(mats[b], mats[a]))
         return [x - y for x, y in zip(ab, ba)]
 
     return span_lie_algebra([flat(m) for m in mats], commutator, labels)
@@ -127,8 +129,8 @@ def test_span_lie_algebra_matches_one_solve_per_pair():
             flat = [[c for row in m for c in row] for m in mats]
             for a in range(len(mats)):
                 for b in range(a + 1, len(mats)):
-                    ab = linalg.mat_mul(mats[a], mats[b])
-                    ba = linalg.mat_mul(mats[b], mats[a])
+                    ab = mat_mul(mats[a], mats[b])
+                    ba = mat_mul(mats[b], mats[a])
                     target = [x - y for ra, rb in zip(ab, ba) for x, y in zip(ra, rb)]
                     rows = [[f[t] for f in flat] + [target[t]] for t in range(9)]
                     assert list(g.basis_bracket(a, b)) == linalg.solve(rows, len(flat))[0]
@@ -187,7 +189,7 @@ def _killing_by_products(g):
     for a in basis:
         cols = [g.bracket(a, e) for e in basis]
         ads.append([[cols[i][k] for i in range(g.dim)] for k in range(g.dim)])
-    return [[sum((linalg.mat_mul(x, y)[i][i] for i in range(g.dim)), Fraction(0))
+    return [[sum((mat_mul(x, y)[i][i] for i in range(g.dim)), Fraction(0))
              for y in ads] for x in ads]
 
 
@@ -222,6 +224,50 @@ def test_jacobi_failure_on_one_triple_only():
     assert failing == [(1, 2, 3)]
     with pytest.raises(AlgebroidError, match="Jacobi"):
         LieAlgebra(4, brackets)
+
+
+def _table(brackets):
+    """The antisymmetric sparse table (i, j) -> {k: c} of brackets given for i < j."""
+    table = {}
+    for (i, j), vec in brackets.items():
+        row = {k: c for k, c in enumerate(vec) if c}
+        if row:
+            table[(i, j)] = row
+            table[(j, i)] = {k: -c for k, c in row.items()}
+    return table
+
+
+def _accepted(dim, brackets):
+    try:
+        LieAlgebra(dim, brackets)
+    except AlgebroidError:
+        return False
+    return True
+
+
+def test_jacobi_check_matches_the_triple_loop():
+    # the structure tables of four algebras in seeded random bases, then each
+    # with one constant changed: the check on the adjoint rows accepts
+    # exactly the tables the triple loop of the oracle accepts
+    rng = random.Random(11)
+    verdicts = []
+    for g in [sl2(), gl2(), fibre_lie_algebra(whitney_dm())[0],
+              fibre_lie_algebra(quadric_dm(4))[0]]:
+        n = g.dim
+        for _ in range(3):
+            change = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            while linalg.rank(change) < n:
+                change[rng.randrange(n)][rng.randrange(n)] += 1
+            h = span_lie_algebra(change, lambda a, b: g.bracket(change[a], change[b]))
+            assert jacobi_holds(_table(h.brackets), n)
+            brackets = dict(h.brackets)
+            pair = rng.choice([(i, j) for i in range(n) for j in range(i + 1, n)])
+            vec = list(brackets.get(pair, [0] * n))
+            vec[rng.randrange(n)] += rng.choice([-2, -1, 1, 2])
+            brackets[pair] = tuple(vec)
+            verdicts.append(jacobi_holds(_table(brackets), n))
+            assert _accepted(n, brackets) is verdicts[-1]
+    assert verdicts.count(False) >= 6
 
 
 def test_fibre_solves_one_rref_per_bracket_degree(monkeypatch):

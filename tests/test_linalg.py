@@ -7,6 +7,8 @@ import pytest
 
 from algebroids import linalg
 
+from oracles import mat_mul
+
 
 def F(*xs):
     return [Fraction(x) for x in xs]
@@ -52,7 +54,7 @@ def test_inverse():
     # column j of a^-1 solves a x = e_j
     a = [F(2, 1, 0), F(0, 1, 3), F(1, 0, 1)]
     cols = linalg.solve([row + unit for row, unit in zip(a, linalg.identity(3))], 3)
-    assert linalg.mat_mul(a, [list(row) for row in zip(*cols)]) == linalg.identity(3)
+    assert mat_mul(a, [list(row) for row in zip(*cols)]) == linalg.identity(3)
     assert linalg.solve([], 0) == []
 
 

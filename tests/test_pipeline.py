@@ -22,7 +22,7 @@ from algebroids.poly import Polynomial, monomials
 from algebroids.repmod import polarize, sl2_isotypic
 from algebroids.series import RationalSeries
 
-from oracles import partitions_in_rectangle
+from oracles import mat_add, mat_mul, mat_scale, partitions_in_rectangle
 
 WHITNEY = "vars: x, y, z\nweights: 1, 2, 2\nideal: z^2 - x^2*y\n"
 QUADRIC = "vars: x, y, z\nideal: x^2 + y^2 + z^2\n"
@@ -61,6 +61,8 @@ def test_parse_input_errors():
                       ("vars: x, y, x\nideal: x^2\n", "x")):
         with pytest.raises(ParseError, match=f"repeated.*'{name}'"):
             parse_input(bad)
+    with pytest.raises(ParseError, match="bad variable name '2y'"):
+        parse_input("vars: x, 2y\nideal: x^2\n")
 
 
 def test_parse_input_reads_the_readme_example():
@@ -131,7 +133,7 @@ def test_analyze_coordinate_axes_by_pruned_powers():
 def _is_nilpotent(m):
     power = m
     for _ in range(len(m)):
-        power = linalg.mat_mul(power, m)
+        power = mat_mul(power, m)
     return not any(any(row) for row in power)
 
 
@@ -141,8 +143,8 @@ def _rational_nilpotent(mats):
     candidates = list(mats)
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            candidates.append(linalg.mat_add(mats[i], mats[j]))
-            candidates.append(linalg.mat_add(mats[i], linalg.mat_scale(mats[j], -1)))
+            candidates.append(mat_add(mats[i], mats[j]))
+            candidates.append(mat_add(mats[i], mat_scale(mats[j], -1)))
     for m in candidates:
         if any(any(row) for row in m) and _is_nilpotent(m):
             return m
@@ -205,18 +207,27 @@ def test_analyze_fermat_tjurina_mode():
 
 
 def test_analyze_builds_ad_matrices_once(monkeypatch):
-    # solvability is read off the fingerprint, not recomputed beside it
+    # the adjoint rows are built once per algebra, on construction: the
+    # Jacobi check, the Killing form, the centre and solvability read them
     calls = []
     original = LieAlgebra._ads
 
     def counted(self):
-        calls.append(self.dim)
+        calls.append(self)
         return original(self)
 
     monkeypatch.setattr(LieAlgebra, "_ads", counted)
-    report = analyze_singularity(parse_input(FERMAT), series_depth=4)
-    assert report.solvable
-    assert calls == [report.fibre.dim]
+    # the discriminant's fibre is not solvable, so its Levi, a form of sl2,
+    # is a second algebra
+    for text, solvable in [(FERMAT, True), (DISCRIMINANT, False)]:
+        calls.clear()
+        report = analyze_singularity(parse_input(text), series_depth=4)
+        assert report.solvable is solvable
+        assert [g.dim for g in calls] == [report.fibre.dim] + [3] * (not solvable)
+        assert calls[0] is report.fibre
+        report.fibre.fingerprint()
+        report.fibre.killing_matrix()
+        assert len(calls) == len(set(map(id, calls))) == 1 + (not solvable)
 
 
 def test_analyze_bad_mode():
@@ -368,6 +379,10 @@ def test_cli_analyze_field_moving_origin(tmp_path, capsys, text):
 def test_cli_exit_codes(tmp_path, capsys):
     bad = write(tmp_path, "bad.txt", "vars x y\n")
     assert main(["analyze", bad]) == 2
+    # variable names the polynomial grammar cannot spell
+    for names in ("x, 2y", "x y", "x, y-1", "x, y.z"):
+        unnamed = write(tmp_path, "unnamed.txt", f"vars: {names}\nideal: x^2\n")
+        assert main(["analyze", unnamed, "--json"]) == 2
     missing = str(tmp_path / "nope.txt")
     assert main(["tangent", missing]) == 2
     nonmono = write(tmp_path, "nm.txt", "vars: x, y\nideal: (x + y)^2\n")

@@ -20,7 +20,7 @@ from algebroids.repmod import (MatrixRep, binary_form_rep, cayley_sylvester,
                                sym_kernel_dims, sym_power_rep,
                                weight_space_dims)
 
-from oracles import partitions_in_rectangle
+from oracles import mat_add, mat_mul, mat_scale, partitions_in_rectangle
 
 
 def F(x):
@@ -34,7 +34,7 @@ def lie_algebra_from_matrices(mats, labels=None):
         return [c for row in m for c in row]
 
     def commutator(a, b):
-        ab, ba = flat(linalg.mat_mul(mats[a], mats[b])), flat(linalg.mat_mul(mats[b], mats[a]))
+        ab, ba = flat(mat_mul(mats[a], mats[b])), flat(mat_mul(mats[b], mats[a]))
         return [x - y for x, y in zip(ab, ba)]
 
     return span_lie_algebra([flat(m) for m in mats], commutator, labels)
@@ -111,7 +111,7 @@ def test_validation_accepts_s6v3_and_its_dual():
     MatrixRep(rep.algebra, rep.matrices)
     # the dual -rho^T is a representation; rho^T is not, which pins the
     # order of the products in the check
-    MatrixRep(rep.algebra, [linalg.mat_scale(transposed(m), -1) for m in rep.matrices])
+    MatrixRep(rep.algebra, [mat_scale(transposed(m), -1) for m in rep.matrices])
     with pytest.raises(AlgebroidError, match="do not represent the bracket"):
         MatrixRep(rep.algebra, [transposed(m) for m in rep.matrices])
 
@@ -119,7 +119,7 @@ def test_validation_accepts_s6v3_and_its_dual():
 def test_validation_rejects_negated_rep():
     rep = s6v3()
     with pytest.raises(AlgebroidError, match="do not represent the bracket"):
-        MatrixRep(rep.algebra, [linalg.mat_scale(m, -1) for m in rep.matrices])
+        MatrixRep(rep.algebra, [mat_scale(m, -1) for m in rep.matrices])
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -142,7 +142,7 @@ def test_validation_checks_every_pair(k):
     # rho(e_k) + 1 leaves every commutator as it was and breaks only the
     # relation with e_k on its right: [X, Y] = H, [H, X] = 2X or [H, Y] = -2Y
     rep = s6v3()
-    mats = [linalg.mat_add(m, linalg.identity(rep.dim)) if i == k else m
+    mats = [mat_add(m, linalg.identity(rep.dim)) if i == k else m
             for i, m in enumerate(rep.matrices)]
     rows = [list(m) for m in rep.rows]
     rows[k] = [{**row, r: row.get(r, 0) + 1} for r, row in enumerate(rep.rows[k])]
@@ -189,9 +189,9 @@ def test_validation_rejects_one_flipped_entry(k):
 def test_validation_with_several_structure_constants():
     v3 = binary_form_rep(3)
     change = [[F(1), F(1), F(0)], [Fraction(1, 2), F(0), F(-1)], [F(0), F(2), F(3)]]
-    mats = [linalg.mat_add(linalg.mat_add(linalg.mat_scale(v3.matrices[0], row[0]),
-                                          linalg.mat_scale(v3.matrices[1], row[1])),
-                           linalg.mat_scale(v3.matrices[2], row[2]))
+    mats = [mat_add(mat_add(mat_scale(v3.matrices[0], row[0]),
+                                          mat_scale(v3.matrices[1], row[1])),
+                           mat_scale(v3.matrices[2], row[2]))
             for row in change]
     g = lie_algebra_from_matrices(mats)
     assert all(sum(1 for c in g.basis_bracket(i, j) if c) >= 2
@@ -208,8 +208,12 @@ def test_int_entries_become_fractions():
     again = MatrixRep(rep.algebra, ints)
     assert again.matrices == rep.matrices
     assert all(type(c) is Fraction for m in again.matrices for row in m for c in row)
-    # entries that already are Fractions are kept, not re-wrapped
-    assert MatrixRep(rep.algebra, rep.matrices).matrices[0][0][0] is rep.matrices[0][0][0]
+    # the rows are the only state: dense input gives the sparse rows, ints
+    # where integral, and each read of matrices builds a fresh dense view
+    assert MatrixRep(rep.algebra, rep.matrices).rows == rep.rows
+    assert all(type(c) is int for m in again.rows for row in m for c in row.values())
+    assert MatrixRep.__slots__ == ("algebra", "dim", "rows")
+    assert rep.matrices is not rep.matrices
 
 
 def dense_polarize(m, basis):
@@ -233,7 +237,7 @@ def conjugated_v2():
     v2 = binary_form_rep(2)
     p = [[F(1), Fraction(1, 2), F(0)], [F(0), F(1), Fraction(-1, 3)], [F(2), F(0), F(1)]]
     p_inv = inverse(p)
-    return MatrixRep(v2.algebra, [linalg.mat_mul(p_inv, linalg.mat_mul(m, p))
+    return MatrixRep(v2.algebra, [mat_mul(p_inv, mat_mul(m, p))
                                   for m in v2.matrices])
 
 
@@ -293,7 +297,7 @@ def test_weight_space_dims_non_diagonal_h():
     p[0][n - 1] = Fraction(-1, 2)
     p_inv = inverse(p)
     conj = MatrixRep(rep.algebra,
-                     [linalg.mat_mul(p_inv, linalg.mat_mul(m, p)) for m in rep.matrices])
+                     [mat_mul(p_inv, mat_mul(m, p)) for m in rep.matrices])
     h = conj.matrices[0]
     assert any(h[i][j] for i in range(n) for j in range(n) if i != j)
     assert weight_space_dims(conj.rows[0]) is None
@@ -313,6 +317,22 @@ def test_sl2_isotypic_matches_weight_decomposition():
     rep = direct_sum_rep(sym_power_rep(binary_form_rep(2), 2),
                          direct_sum_rep(binary_form_rep(3), binary_form_rep(0)))
     assert sl2_isotypic(rep) == decompose_sl2(rep) == {4: 1, 3: 1, 0: 2}
+
+
+def test_sparse_casimir_matches_dense_products():
+    # on S^3(V_2) in a non-integral basis H is not diagonal; the Casimir
+    # read off the sparse rows equals sum (kappa^-1)_ij rho_i rho_j formed
+    # by dense products
+    rep = sym_power_rep(conjugated_v2(), 3)
+    assert weight_space_dims(rep.rows[0]) is None
+    kappa_inv = inverse(rep.algebra.killing_matrix())
+    mats = rep.matrices
+    dense = linalg.zeros(rep.dim, rep.dim)
+    for i in range(3):
+        for j in range(3):
+            dense = mat_add(dense, mat_scale(mat_mul(mats[i], mats[j]), kappa_inv[i][j]))
+    assert [[row.get(j, 0) for j in range(rep.dim)] for row in repmod._casimir(rep)] == dense
+    assert sl2_isotypic(rep) == {6: 1, 2: 1}
 
 
 def test_sl2_isotypic_requires_sl2():
@@ -459,7 +479,7 @@ def test_recognition_permutation_invariant():
         pinv = linalg.zeros(3, 3)
         for i, pi in enumerate(perm):
             pinv[i][pi] = F(1)
-        conj = [linalg.mat_mul(p, linalg.mat_mul(m, pinv)) for m in mats]
+        conj = [mat_mul(p, mat_mul(m, pinv)) for m in mats]
         assert sorted(recognition_sl_blocks(conj, 3)[0]) == base
 
 
@@ -530,7 +550,7 @@ def quotient_action(matrices, sub, dim):
     k, q = len(sub), len(comp)
     out = []
     for m in matrices:
-        conj = linalg.mat_mul(p_inv, linalg.mat_mul(m, p))
+        conj = mat_mul(p_inv, mat_mul(m, p))
         out.append([[conj[k + i][k + j] for j in range(q)] for i in range(q)])
     return out, q
 
@@ -582,7 +602,7 @@ def test_recognition_invariant_under_monomial_conjugation():
         for i, pi in enumerate(perm):
             p[pi][i] = scales[i]
             p_inv[i][pi] = 1 / scales[i]
-        conj = [linalg.mat_mul(p_inv, linalg.mat_mul(m, p)) for m in mats]
+        conj = [mat_mul(p_inv, mat_mul(m, p)) for m in mats]
         again, big_again = recognition_sl_blocks(conj)
         assert sorted(again) == sorted(factors)
         assert big_again == big
