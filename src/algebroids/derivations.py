@@ -12,86 +12,96 @@ from .poly import Polynomial, default_varnames, format_poly, minimal_monomials, 
 
 
 class Derivation:
-    """Vector field sum a_i d/dx_i with polynomial coefficients."""
+    """Vector field sum a_i d/dx_i, held as its element of A^n: position i
+    holds the terms of a_i."""
 
-    __slots__ = ("nvars", "coefficients")
+    __slots__ = ("vector",)
 
     def __init__(self, coefficients):
-        self.coefficients = list(coefficients)
-        self.nvars = self.coefficients[0].nvars
-        if len(self.coefficients) != self.nvars:
+        self.vector = FreeModuleElement.from_polys(list(coefficients))
+        if self.vector.rank != self.nvars:
             raise ValueError("need one coefficient per variable")
+
+    @property
+    def nvars(self):
+        return self.vector.nvars
+
+    @property
+    def coefficients(self):
+        return self.vector.to_polys()
 
     @classmethod
     def partial(cls, nvars, i):
-        coeffs = [Polynomial.zero(nvars) for _ in range(nvars)]
-        coeffs[i] = Polynomial.one(nvars)
-        return cls(coeffs)
+        return cls.from_vector(FreeModuleElement(nvars, nvars, {(i, (0,) * nvars): 1}))
 
     @classmethod
     def from_vector(cls, vec):
-        return cls(vec.to_polys())
-
-    def to_vector(self):
-        return FreeModuleElement.from_polys(self.coefficients)
+        """The field whose element of A^n is vec, held without a copy."""
+        delta = cls.__new__(cls)
+        delta.vector = vec
+        return delta
 
     def apply(self, f):
-        """sum_i a_i df/dx_i, accumulating c1 * c2 * e_i x^(a + e - 1_i) for
-        each term c1 x^a of a_i and c2 x^e of f with e_i > 0."""
-        terms = {}
-        for i, a in enumerate(self.coefficients):
-            for e, c2 in f.terms.items():
-                if not e[i]:
-                    continue
-                lowered = list(e)
-                lowered[i] -= 1
-                c = c2 * e[i]
-                for exp, c1 in a.terms.items():
-                    key = mono_mul(exp, lowered)
-                    terms[key] = terms.get(key, 0) + c1 * c
-        return Polynomial(self.nvars, terms)
+        """sum_i a_i df/dx_i."""
+        if f.nvars != self.nvars:
+            raise ValueError("mixing polynomials from different rings")
+        terms = _derive(self.vector.terms, {(0, e): c for e, c in f.terms.items()}, {}, 1)
+        return Polynomial(self.nvars, {e: c for (_, e), c in terms.items()})
 
     def bracket(self, other):
-        """Lie bracket [self, other] as a Derivation."""
-        coeffs = []
-        for k in range(self.nvars):
-            c = self.apply(other.coefficients[k]) - other.apply(self.coefficients[k])
-            coeffs.append(c)
-        return Derivation(coeffs)
+        """[self, other], whose k-th coefficient is self(b_k) - other(a_k)."""
+        a, b = self.vector.terms, other.vector.terms
+        terms = _derive(b, a, _derive(a, b, {}, 1), -1)
+        return Derivation.from_vector(FreeModuleElement(self.nvars, self.nvars, terms))
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coefficients)
+        return not self.vector.terms
 
     def vanishes_at_origin(self):
-        return all(c.constant_term() == 0 for c in self.coefficients)
+        return all(any(exp) for _, exp in self.vector.terms)
 
     def linear_part_rows(self):
         """Sparse rows {col: entry} of the induced action on m/m^2 in the
-        basis x_1..x_n.
-
-        delta(x_i) = a_i, whose linear part is sum_j c_ij x_j; column i holds
-        (c_i1, ..., c_in), so row j is {i: c_ij}.
-        """
+        basis x_1..x_n: delta(x_i) = a_i has linear part sum_j c_ij x_j, so
+        column i holds (c_i1, ..., c_in) and row j is {i: c_ij}."""
         rows = [{} for _ in range(self.nvars)]
-        for i, a in enumerate(self.coefficients):
-            for exp, c in a.terms.items():
-                if sum(exp) == 1:
-                    rows[exp.index(1)][i] = c
+        for (i, exp), c in self.vector.terms.items():
+            if sum(exp) == 1:
+                rows[exp.index(1)][i] = c
         return rows
 
     def __eq__(self, other):
-        return isinstance(other, Derivation) and self.coefficients == other.coefficients
+        return isinstance(other, Derivation) and self.vector == other.vector
 
     def format(self, varnames=None):
         names = varnames or default_varnames(self.nvars)
-        parts = []
-        for name, c in zip(names, self.coefficients):
-            if not c.is_zero():
-                parts.append(f"({format_poly(c, names)})*d/d{name}")
-        return " + ".join(parts) if parts else "0"
+        parts = [f"({format_poly(c, names)})*d/d{name}"
+                 for name, c in zip(names, self.coefficients) if not c.is_zero()]
+        return " + ".join(parts) or "0"
 
     def __repr__(self):
         return f"Derivation({self.format()})"
+
+
+def _derive(field, terms, out, sign):
+    """out plus sign * delta(p_pos) at each position pos, for the terms
+    {(i, x^a): c} of delta = sum a_i d/dx_i and {(pos, x^e): c} of
+    sum p_pos e_pos: c1 x^a in a_i and c2 x^e with e_i > 0 add
+    sign * c1 * c2 * e_i x^(a + e - 1_i) at pos."""
+    by_var = {}
+    for (i, exp), c in field.items():
+        by_var.setdefault(i, []).append((exp, c if sign > 0 else -c))
+    for (pos, e), c2 in terms.items():
+        for i, a in by_var.items():
+            if not e[i]:
+                continue
+            lowered = list(e)
+            lowered[i] -= 1
+            c = c2 * e[i]
+            for exp, c1 in a:
+                key = (pos, mono_mul(exp, lowered))
+                out[key] = out.get(key, 0) + c1 * c
+    return out
 
 
 class DerivationModule:
@@ -111,9 +121,6 @@ class DerivationModule:
                     if not ideal.contains(delta.apply(f)):
                         raise PreconditionError("generator does not preserve the ideal")
 
-    def vectors(self):
-        return [g.to_vector() for g in self.generators]
-
     def module_order(self):
         return TermOrder("grevlex", self.weights, module="top")
 
@@ -121,8 +128,9 @@ class DerivationModule:
         if not self.generators:
             return delta.is_zero()
         if self._gb is None:
-            self._gb = groebner_basis(self.vectors(), self.module_order())
-        return self._gb.contains(delta.to_vector())
+            self._gb = groebner_basis([g.vector for g in self.generators],
+                                      self.module_order())
+        return self._gb.contains(delta.vector)
 
     def all_vanish_at_origin(self):
         return all(g.vanishes_at_origin() for g in self.generators)
@@ -145,14 +153,9 @@ def tangent_derivations(ideal):
     n = ideal.nvars
     fs = ideal.gens
     s = len(fs)
-    columns = []
-    for i in range(n):
-        columns.append(FreeModuleElement.from_polys([f.diff(i) for f in fs]))
-    for g in fs:
-        for j in range(s):
-            comps = [Polynomial.zero(n) for _ in range(s)]
-            comps[j] = g
-            columns.append(FreeModuleElement.from_polys(comps))
+    columns = [FreeModuleElement.from_polys([f.diff(i) for f in fs]) for i in range(n)]
+    columns += [FreeModuleElement(n, s, {(j, e): c for e, c in g.terms.items()})
+                for g in fs for j in range(s)]
     derivations = []
     seen = set()
     for syz in syzygies(columns):
@@ -161,8 +164,7 @@ def tangent_derivations(ideal):
             continue
         seen.add(proj)
         derivations.append(Derivation.from_vector(proj))
-    dm = DerivationModule(derivations, ideal, verify=True)
-    return dm
+    return DerivationModule(derivations, ideal, verify=True)
 
 
 def krull_dimension(ideal):

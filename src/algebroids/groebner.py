@@ -93,6 +93,8 @@ class FreeModuleElement:
 
     @classmethod
     def from_polys(cls, polys):
+        if len({p.nvars for p in polys}) != 1:
+            raise ValueError("need polynomials of one ring")
         nvars = polys[0].nvars
         terms = {}
         for pos, p in enumerate(polys):

@@ -38,12 +38,6 @@ class LieAlgebra:
         self._ad = self._ads()
         self._validate_jacobi()
 
-    def basis_bracket(self, i, j):
-        out = [0] * self.dim
-        for k, c in self._table.get((i, j), {}).items():
-            out[k] = c
-        return tuple(out)
-
     def bracket(self, u, v):
         out = [0] * self.dim
         support = [(j, b) for j, b in enumerate(v) if b]
@@ -208,7 +202,7 @@ def _fibre_basis(dm):
     weights = dm.weights
     shifts = [-w for w in weights]
     comps = sorted((c for g in dm.generators
-                    for c in g.to_vector().homogeneous_components(weights, shifts).values()),
+                    for c in g.vector.homogeneous_components(weights, shifts).values()),
                    key=lambda v: sorted(v.terms))
     kept, degrees = _graded_nakayama(comps, weights, shifts)
     return [comps[k] for k in kept], degrees
@@ -253,7 +247,7 @@ def fibre_lie_algebra(dm, require_origin=True):
         same = [k for k in range(m) if degrees[k] == d]
         columns = span + [basis_vecs[k] for k in same]
         first = len(columns)
-        columns += [basis[i].bracket(basis[j]).to_vector() for i, j in pairs]
+        columns += [basis[i].bracket(basis[j]).vector for i, j in pairs]
         # columns without terms give no rows and solve returns []: every
         # bracket of such a degree is zero and stays absent
         for pair, x in zip(pairs, linalg.solve(_column_rows(columns), first)):

@@ -91,9 +91,6 @@ class Polynomial:
     def is_constant(self):
         return all(all(e == 0 for e in exp) for exp in self.terms)
 
-    def constant_term(self):
-        return self.terms.get((0,) * self.nvars, 0)
-
     # -- degrees ---------------------------------------------------------
     def degree(self, weights=None):
         """Max weighted degree of the terms; -1 for the zero polynomial."""

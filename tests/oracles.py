@@ -1,11 +1,14 @@
 """Second routes the tests check the library against: a partition count by
 its own recursion, equality of ideals and of derivation modules as
-inclusion both ways, dense matrix products, and the Jacobi identity on
-every triple of a structure table."""
+inclusion both ways, dense matrix products, the Jacobi identity on every
+triple of a structure table, and a vector field's action and bracket on
+its coefficient Polynomials."""
 
 from functools import lru_cache
 
+from algebroids.derivations import Derivation
 from algebroids.groebner import groebner_basis
+from algebroids.poly import Polynomial, mono_mul
 
 
 @lru_cache(maxsize=None)
@@ -32,8 +35,8 @@ def same_module(dm, derivations):
     others = [d for d in derivations if not d.is_zero()]
     if not others or not all(dm.contains(d) for d in others):
         return not others and not dm.generators
-    gb = groebner_basis([d.to_vector() for d in others], dm.module_order())
-    return all(gb.contains(v) for v in dm.vectors())
+    gb = groebner_basis([d.vector for d in others], dm.module_order())
+    return all(gb.contains(g.vector) for g in dm.generators)
 
 
 def mat_mul(a, b):
@@ -65,3 +68,28 @@ def jacobi_holds(table, n):
                 if any(total.values()):
                     return False
     return True
+
+
+def apply_field(delta, f):
+    """sum_i a_i df/dx_i over the coefficient Polynomials a_i of delta,
+    accumulating c1 * c2 * e_i x^(a + e - 1_i) for each term c1 x^a of a_i
+    and c2 x^e of f with e_i > 0."""
+    terms = {}
+    for i, a in enumerate(delta.coefficients):
+        for e, c2 in f.terms.items():
+            if not e[i]:
+                continue
+            lowered = list(e)
+            lowered[i] -= 1
+            c = c2 * e[i]
+            for exp, c1 in a.terms.items():
+                key = mono_mul(exp, lowered)
+                terms[key] = terms.get(key, 0) + c1 * c
+    return Polynomial(delta.nvars, terms)
+
+
+def bracket_fields(delta, eta):
+    """[delta, eta] as the Derivation whose k-th coefficient is
+    delta(b_k) - eta(a_k), for delta = sum a_i d/dx_i and eta = sum b_i d/dx_i."""
+    return Derivation([apply_field(delta, b) - apply_field(eta, a)
+                       for a, b in zip(delta.coefficients, eta.coefficients)])

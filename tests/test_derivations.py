@@ -4,16 +4,18 @@ import random
 import sys
 from itertools import combinations
 
+import pytest
+
 from algebroids.derivations import (Derivation, jacobian_ideal, krull_dimension,
                                     monomialize, quasi_homogeneous_weights,
                                     tangent_derivations, tjurina_ideal)
 from algebroids import derivations, groebner
-from algebroids.groebner import Ideal
+from algebroids.groebner import FreeModuleElement, Ideal
 from algebroids.poly import Polynomial, monomials, parse_poly
 from algebroids import linalg
 from fractions import Fraction
 
-from oracles import same_ideal, same_module
+from oracles import apply_field, bracket_fields, same_ideal, same_module
 
 
 def P(text, varnames):
@@ -24,6 +26,54 @@ def euler(nvars, weights=None):
     """The Euler field sum w_i x_i d/dx_i."""
     weights = weights or (1,) * nvars
     return Derivation([Polynomial.variable(nvars, i) * weights[i] for i in range(nvars)])
+
+
+def test_fields_refuse_mixed_rings():
+    x = Polynomial.variable(2, 0)
+    z = Polynomial.variable(3, 2)
+    for polys in ([x, z], [z, x, z], []):
+        with pytest.raises(ValueError):
+            Derivation(polys)
+        with pytest.raises(ValueError):
+            FreeModuleElement.from_polys(polys)
+    with pytest.raises(ValueError):
+        Derivation.partial(2, 0).apply(Polynomial.variable(3, 0) * z)
+
+
+def random_field(rng, nvars, weights):
+    """A field sum a_i d/dx_i with Fraction coefficients: weighted-homogeneous
+    of a random degree when weights is given, unstructured otherwise, and zero
+    one time in six."""
+    if rng.randrange(6) == 0:
+        return Derivation([Polynomial.zero(nvars)] * nvars)
+    degree = rng.randrange(-1, 3)
+    coeffs = []
+    for i in range(nvars):
+        if weights is None:
+            exps = [tuple(rng.randrange(3) for _ in range(nvars)) for _ in range(3)]
+        else:
+            exps = monomials(weights, degree + weights[i])
+            exps = rng.sample(exps, min(2, len(exps)))
+        coeffs.append(Polynomial(nvars, {e: Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+                                         for e in exps}))
+    return Derivation(coeffs)
+
+
+@pytest.mark.parametrize("weights", [None, (1, 1, 1), (1, 2, 3)])
+def test_field_terms_match_the_polynomial_reference(weights):
+    rng = random.Random(2011)
+    for _ in range(25):
+        delta, eta, zeta = [random_field(rng, 3, weights) for _ in range(3)]
+        f = Polynomial(3, {tuple(rng.randrange(4) for _ in range(3)):
+                           Fraction(rng.randrange(-5, 6), rng.randrange(1, 3)) for _ in range(4)})
+        assert delta.apply(f) == apply_field(delta, f) == sum(
+            (a * f.diff(i) for i, a in enumerate(delta.coefficients)), Polynomial.zero(3))
+        bracket = delta.bracket(eta)
+        assert bracket == bracket_fields(delta, eta)
+        assert bracket.apply(f) == delta.apply(eta.apply(f)) - eta.apply(delta.apply(f))
+        jacobi = [a.bracket(b.bracket(c)).vector
+                  for a, b, c in ((delta, eta, zeta), (eta, zeta, delta), (zeta, delta, eta))]
+        assert (jacobi[0] + jacobi[1] + jacobi[2]).is_zero()
 
 
 def whitney_ideal():

@@ -308,5 +308,4 @@ def test_fibre_outputs_are_canonical(text):
     algebra, basis = fibre_lie_algebra(dm)
     assert all(all_canonical(vec) for vec in algebra.brackets.values())
     assert all(all_canonical(row.values()) for row in algebra._table.values())
-    assert all(all_canonical(c.terms.values()) for d in basis for c in d.coefficients)
-    assert all(all_canonical(c.terms.values()) for d in dm.generators for c in d.coefficients)
+    assert all(all_canonical(d.vector.terms.values()) for d in basis + dm.generators)

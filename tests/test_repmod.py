@@ -194,7 +194,8 @@ def test_validation_with_several_structure_constants():
                            mat_scale(v3.matrices[2], row[2]))
             for row in change]
     g = lie_algebra_from_matrices(mats)
-    assert all(sum(1 for c in g.basis_bracket(i, j) if c) >= 2
+    units = linalg.identity(3)
+    assert all(sum(1 for c in g.bracket(units[i], units[j]) if c) >= 2
                for i, j in [(0, 1), (0, 2), (1, 2)])
     rep = sym_power_rep(MatrixRep(g, mats), 6)
     assert rep.dim == 84
