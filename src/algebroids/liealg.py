@@ -12,33 +12,39 @@ from .poly import _exact
 class LieAlgebra:
     """Structure constants c_ij^k over Q; Jacobi identity validated exactly.
 
-    Every computation reads one sparse antisymmetric table (i, j) -> {k: c}
-    holding [e_i, e_j] = sum_k c e_k for both orders; zero brackets are
-    absent.  The adjoint action rows (_ads) are built once, on construction.
+    The constants are given as sparse rows {(i, j): {k: c}} for i < j,
+    [e_i, e_j] = sum_k c e_k, and kept as one antisymmetric table holding
+    the rows for both orders; zero constants and zero brackets are absent.
+    The adjoint action rows (_ads) are built once, on construction.
     """
 
-    __slots__ = ("dim", "brackets", "labels", "_table", "_ad")
+    __slots__ = ("dim", "labels", "_table", "_ad")
 
     def __init__(self, dim, brackets, labels=None):
         self.dim = dim
-        self.brackets = {}
+        self.labels = list(labels) if labels is not None else [f"e{i + 1}" for i in range(dim)]
+        if dim < 0 or len(self.labels) != dim:
+            raise ValueError("dim must be >= 0, with one label per basis vector")
         self._table = {}
-        for (i, j), vec in brackets.items():
-            if not (0 <= i < j < dim):
-                raise ValueError("brackets must be given for i < j")
-            vec = tuple(_exact(c) for c in vec)
-            if len(vec) != dim:
-                raise ValueError("structure constant arity mismatch")
-            row = {k: c for k, c in enumerate(vec) if c}
+        for (i, j), row in brackets.items():
+            if not (0 <= i < j < dim and all(0 <= k < dim for k in row)):
+                raise ValueError("brackets are rows {k: c} for 0 <= i < j < dim and 0 <= k < dim")
+            row = {k: _exact(c) for k, c in row.items() if c}
             if row:
-                self.brackets[(i, j)] = vec
                 self._table[(i, j)] = row
                 self._table[(j, i)] = {k: -c for k, c in row.items()}
-        self.labels = list(labels) if labels else [f"e{i + 1}" for i in range(dim)]
         self._ad = self._ads()
         self._validate_jacobi()
 
+    def _dense_rows(self):
+        """((i, j), [e_i, e_j] as a dense vector) for each nonzero bracket
+        with i < j, in sorted pair order."""
+        return [(pair, [row.get(k, 0) for k in range(self.dim)])
+                for pair, row in sorted(self._table.items()) if pair[0] < pair[1]]
+
     def bracket(self, u, v):
+        if len(u) != self.dim or len(v) != self.dim:
+            raise ValueError("bracket of two vectors of length dim")
         out = [0] * self.dim
         support = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
@@ -79,7 +85,7 @@ class LieAlgebra:
         return dims
 
     def derived_subalgebra_basis(self):
-        return linalg.row_space_basis(list(self.brackets.values()))
+        return linalg.row_space_basis([vec for _pair, vec in self._dense_rows()])
 
     # -- adjoint rows and the Killing form -------------------------------
     def _ads(self):
@@ -128,13 +134,12 @@ class LieAlgebra:
         }
 
     def to_json(self):
-        entries = []
-        for (i, j), vec in sorted(self.brackets.items()):
-            entries.append([i + 1, j + 1, [str(c) for c in vec]])
+        entries = [[i + 1, j + 1, [str(c) for c in vec]] for (i, j), vec in self._dense_rows()]
         return {"dim": self.dim, "brackets": entries, "labels": list(self.labels)}
 
     def __repr__(self):
-        return f"LieAlgebra(dim={self.dim}, brackets={self.brackets})"
+        rows = {pair: row for pair, row in self._table.items() if pair[0] < pair[1]}
+        return f"LieAlgebra(dim={self.dim}, brackets={rows})"
 
 
 def represents(algebra, rows):
@@ -169,11 +174,8 @@ def represents(algebra, rows):
 
 def sl2():
     """Standard basis H, X, Y with [H,X]=2X, [H,Y]=-2Y, [X,Y]=H."""
-    return LieAlgebra(3, {
-        (0, 1): (0, 2, 0),
-        (0, 2): (0, 0, -2),
-        (1, 2): (1, 0, 0),
-    }, labels=["H", "X", "Y"])
+    return LieAlgebra(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}},
+                      labels=["H", "X", "Y"])
 
 
 def span_lie_algebra(vectors, bracket, labels=None):
@@ -190,7 +192,8 @@ def span_lie_algebra(vectors, bracket, labels=None):
                               for t in range(len(targets[0]))], k)
     if None in solutions:
         raise AlgebroidError("span is not closed under the bracket")
-    return LieAlgebra(k, dict(zip(pairs, solutions)), labels)
+    return LieAlgebra(k, {pair: {t: c for t, c in enumerate(x) if c}
+                          for pair, x in zip(pairs, solutions)}, labels)
 
 
 # -- fibre Lie algebra extraction -----------------------------------------
@@ -253,10 +256,7 @@ def fibre_lie_algebra(dm, require_origin=True):
         for pair, x in zip(pairs, linalg.solve(_column_rows(columns), first)):
             if x is None:
                 raise AlgebroidError("bracket leaves the module (not a Lie algebroid?)")
-            vec = [0] * m
-            for k, c in zip(same, x[len(span):]):
-                vec[k] = c
-            brackets[pair] = tuple(vec)
+            brackets[pair] = {k: c for k, c in zip(same, x[len(span):]) if c}
     labels = [f"d{i + 1}" for i in range(m)]
     algebra = LieAlgebra(m, brackets, labels)
     return algebra, basis

@@ -1,8 +1,8 @@
 """Second routes the tests check the library against: a partition count by
 its own recursion, equality of ideals and of derivation modules as
-inclusion both ways, dense matrix products, the Jacobi identity on every
-triple of a structure table, and a vector field's action and bracket on
-its coefficient Polynomials."""
+inclusion both ways, dense matrix products, a Lie algebra's brackets as
+dense vectors, the Jacobi identity on every triple of a structure table,
+and a vector field's action and bracket on its coefficient Polynomials."""
 
 from functools import lru_cache
 
@@ -51,6 +51,13 @@ def mat_add(a, b):
 
 def mat_scale(a, c):
     return [[c * x for x in row] for row in a]
+
+
+def dense_brackets(algebra):
+    """{(i, j): [e_i, e_j] as a tuple of length dim} for the nonzero brackets
+    with i < j, read off the algebra's sparse table."""
+    return {(i, j): tuple(row.get(k, 0) for k in range(algebra.dim))
+            for (i, j), row in algebra._table.items() if i < j}
 
 
 def jacobi_holds(table, n):

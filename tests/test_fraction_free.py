@@ -18,6 +18,8 @@ from algebroids.poly import Polynomial
 from algebroids.series import (QuasiPolynomial, RationalSeries, SeriesPrefix,
                                expand_series, quasi_polynomial_of, reconstruct_rational)
 
+from oracles import dense_brackets
+
 # -- the reference: Buchberger over Q with monic S-polynomials and reductions
 
 
@@ -257,9 +259,9 @@ def test_constructors_store_the_one_form():
     assert all_canonical(p.terms.values()) and all_canonical((p * Fraction(3)).terms.values())
     v = FreeModuleElement(2, 1, {(0, (1, 0)): Fraction(6, 3), (0, (0, 1)): Fraction(1, 2)})
     assert all_canonical(v.terms.values()) and all_canonical(v.scale(Fraction(2)).terms.values())
-    g = LieAlgebra(3, {(0, 1): (0, Fraction(2), 0), (0, 2): (0, 0, Fraction(-2)),
-                       (1, 2): (Fraction(1), 0, 0)})
-    assert all(all_canonical(vec) for vec in g.brackets.values())
+    g = LieAlgebra(3, {(0, 1): {1: Fraction(2)}, (0, 2): {2: Fraction(-2)},
+                       (1, 2): {0: Fraction(1)}})
+    assert all(all_canonical(vec) for vec in dense_brackets(g).values())
     assert all(all_canonical(row.values()) for row in g._table.values())
     prefix = SeriesPrefix([Fraction(4, 2), 3, Fraction(1, 3), 0.5])
     assert prefix.coeffs == [2, 3, Fraction(1, 3), Fraction(1, 2)]
@@ -306,6 +308,6 @@ FIBRE_INPUTS = [
 def test_fibre_outputs_are_canonical(text):
     dm = tangent_derivations(parse_input(text).ideal())
     algebra, basis = fibre_lie_algebra(dm)
-    assert all(all_canonical(vec) for vec in algebra.brackets.values())
+    assert all(all_canonical(vec) for vec in dense_brackets(algebra).values())
     assert all(all_canonical(row.values()) for row in algebra._table.values())
     assert all(all_canonical(d.vector.terms.values()) for d in basis + dm.generators)

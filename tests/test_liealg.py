@@ -18,7 +18,7 @@ from algebroids.liealg import (LieAlgebra, fibre_lie_algebra,
                                span_lie_algebra)
 from algebroids.poly import Polynomial, parse_poly
 
-from oracles import jacobi_holds, mat_mul
+from oracles import dense_brackets, jacobi_holds, mat_mul
 
 
 def P(text, varnames):
@@ -80,7 +80,7 @@ def test_gl2():
 def test_jacobi_validated():
     # [e1,e2]=e3, [e1,e3]=e2, [e2,e3]=e2 violates Jacobi
     with pytest.raises(AlgebroidError):
-        LieAlgebra(3, {(0, 1): (0, 0, 1), (0, 2): (0, 1, 0), (1, 2): (0, 1, 0)})
+        LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {1: 1}, (1, 2): {1: 1}})
 
 
 def test_bracket_antisymmetry():
@@ -194,19 +194,23 @@ def _killing_by_products(g):
              for y in ads] for x in ads]
 
 
+def _named_algebra(name):
+    return {"sl2": sl2, "gl2": gl2,
+            "whitney": lambda: fibre_lie_algebra(whitney_dm())[0],
+            "quadric5": lambda: fibre_lie_algebra(quadric_dm(5))[0]}[name]()
+
+
 @pytest.mark.parametrize("name", ["sl2", "gl2", "whitney", "quadric5"])
 def test_killing_matrix_is_trace_of_ad_products(name):
-    g = {"sl2": sl2, "gl2": gl2,
-         "whitney": lambda: fibre_lie_algebra(whitney_dm())[0],
-         "quadric5": lambda: fibre_lie_algebra(quadric_dm(5))[0]}[name]()
+    g = _named_algebra(name)
     assert g.killing_matrix() == _killing_by_products(g)
 
 
 def _dense_jacobiator(dim, brackets, i, j, k):
     def br(u, v):
         out = [Fraction(0)] * dim
-        for (a, b), vec in brackets.items():
-            for t, c in enumerate(vec):
+        for (a, b), row in brackets.items():
+            for t, c in row.items():
                 out[t] += (u[a] * v[b] - u[b] * v[a]) * c
         return out
 
@@ -219,7 +223,7 @@ def _dense_jacobiator(dim, brackets, i, j, k):
 
 def test_jacobi_failure_on_one_triple_only():
     # e1 is central; e2, e3, e4 carry the bracket of test_jacobi_validated
-    brackets = {(1, 2): (0, 0, 0, 1), (1, 3): (0, 0, 1, 0), (2, 3): (0, 0, 1, 0)}
+    brackets = {(1, 2): {3: 1}, (1, 3): {2: 1}, (2, 3): {2: 1}}
     failing = [(i, j, k) for i in range(4) for j in range(i + 1, 4)
                for k in range(j + 1, 4) if any(_dense_jacobiator(4, brackets, i, j, k))]
     assert failing == [(1, 2, 3)]
@@ -228,7 +232,8 @@ def test_jacobi_failure_on_one_triple_only():
 
 
 def _table(brackets):
-    """The antisymmetric sparse table (i, j) -> {k: c} of brackets given for i < j."""
+    """The antisymmetric sparse table (i, j) -> {k: c} of dense brackets given
+    for i < j."""
     table = {}
     for (i, j), vec in brackets.items():
         row = {k: c for k, c in enumerate(vec) if c}
@@ -240,7 +245,7 @@ def _table(brackets):
 
 def _accepted(dim, brackets):
     try:
-        LieAlgebra(dim, brackets)
+        LieAlgebra(dim, {pair: dict(enumerate(vec)) for pair, vec in brackets.items()})
     except AlgebroidError:
         return False
     return True
@@ -260,8 +265,8 @@ def test_jacobi_check_matches_the_triple_loop():
             while linalg.rank(change) < n:
                 change[rng.randrange(n)][rng.randrange(n)] += 1
             h = span_lie_algebra(change, lambda a, b: g.bracket(change[a], change[b]))
-            assert jacobi_holds(_table(h.brackets), n)
-            brackets = dict(h.brackets)
+            brackets = dense_brackets(h)
+            assert jacobi_holds(_table(brackets), n)
             pair = rng.choice([(i, j) for i in range(n) for j in range(i + 1, n)])
             vec = list(brackets.get(pair, [0] * n))
             vec[rng.randrange(n)] += rng.choice([-2, -1, 1, 2])
@@ -349,6 +354,43 @@ def test_to_json_shape():
     for i, j, vec in obj["brackets"]:
         assert 1 <= i < j <= 3
         assert all(isinstance(c, str) for c in vec)
+
+
+@pytest.mark.parametrize("name", ["sl2", "gl2", "whitney", "quadric5"])
+def test_structure_constants_have_one_sparse_form(name):
+    # the stored rows hold no zero, there is no dense copy, and the rows read
+    # back out of to_json rebuild the same algebra
+    g = _named_algebra(name)
+    assert all(row and all(row.values()) for row in g._table.values())
+    assert not hasattr(g, "brackets")
+    obj = g.to_json()
+    rows = {(i - 1, j - 1): {k: Fraction(c) for k, c in enumerate(vec)}
+            for i, j, vec in obj["brackets"]}
+    assert LieAlgebra(obj["dim"], rows, obj["labels"]).to_json() == obj
+
+
+def test_constructor_refuses_malformed_input():
+    # a label count other than dim, a negative dim, a constant index outside
+    # [0, dim) (a negative one would wrap in the adjoint rows), a pair not
+    # given as i < j
+    for make in (lambda: LieAlgebra(3, {}, labels=["a"]),
+                 lambda: LieAlgebra(3, {}, labels=["a", "b", "c", "d"]),
+                 lambda: LieAlgebra(-1, {}),
+                 lambda: LieAlgebra(3, {(0, 1): {3: 1}}),
+                 lambda: LieAlgebra(3, {(0, 1): {-1: 1}}),
+                 lambda: LieAlgebra(3, {(1, 0): {2: 1}}),
+                 lambda: LieAlgebra(3, {(1, 1): {2: 1}})):
+        with pytest.raises(ValueError):
+            make()
+    assert LieAlgebra(0, {}).to_json() == {"dim": 0, "brackets": [], "labels": []}
+
+
+def test_bracket_refuses_vectors_of_another_length():
+    g = sl2()
+    for u, v in (([1, 0, 0], [0, 1]), ([1, 0, 0, 5], [0, 1, 0, 0])):
+        with pytest.raises(ValueError):
+            g.bracket(u, v)
+    assert g.bracket([1, 0, 0], [0, 1, 0]) == [0, 2, 0]
 
 
 # -- the per-candidate Groebner route, kept as an independent oracle -------
