@@ -42,6 +42,15 @@ QUASIPOLY_SERIES = [
     '{"numerator": [1], "denominator": [[1, 3]]}',
 ]
 
+# argparse's own output: help, a missing or unknown command, a missing or
+# malformed argument, and a stray word after a complete command
+PARSER_COMMANDS = [
+    [], ["--help"], ["bogus"],
+    ["analyze"], ["analyze", "--help"],
+    ["covariant", "--degree", "x"], ["sl2-check"],
+    ["covariant", "--degree", "2", "--depth", "3", "extra"],
+]
+
 
 def commands():
     """Every case's argv, input files named relative to inputs/."""
@@ -54,19 +63,30 @@ def commands():
             out.append(["covariant", "--degree", str(d), "--depth", str(depth), "--json"])
     out += [["quasipoly", "--series", s] for s in QUASIPOLY_SERIES]
     out += [["sl2-check", "--d", str(d)] for d in (0, 1, 2, 6, 10)]
-    return out
+    return out + PARSER_COMMANDS
 
 
 def run(argv):
-    """(exit code, stdout, stderr) of `algebroids argv`, run in inputs/."""
+    """(exit code, stdout, stderr) of `algebroids argv`, run in inputs/.
+
+    argparse exits through SystemExit, whose status is the exit code; help
+    text is wrapped at 80 columns, as on a terminal of that width."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
+    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
     os.chdir(HERE / "inputs")
+    os.environ["COLUMNS"] = "80"
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
     finally:
         os.chdir(cwd)
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     return code, stdout.getvalue(), stderr.getvalue()
 
 
