@@ -9,9 +9,15 @@ import functools
 import json
 import sys
 
+from .derivations import monomialize, tangent_derivations
 from .errors import AlgebroidError, InconsistencyError, ParseError, PreconditionError
+from .hilbert import hilbert_series_quotient
+from .liealg import fibre_lie_algebra
 from .pipeline import (analyze_singularity, analyze_toral, covariants_report,
                        parse_input)
+from .poly import format_poly
+from .repmod import sl2_algebroid_filtration
+from .series import RationalSeries, quasi_polynomial_of
 
 
 def _read_spec(path):
@@ -62,7 +68,6 @@ def cmd_toral(args):
 
 
 def cmd_tangent(args):
-    from .derivations import tangent_derivations
     spec = _read_spec(args.file)
     dm = tangent_derivations(spec.ideal())
     for delta in dm.generators:
@@ -70,17 +75,13 @@ def cmd_tangent(args):
 
 
 def cmd_fibre(args):
-    from .derivations import tangent_derivations
-    from .liealg import fibre_lie_algebra
     spec = _read_spec(args.file)
     dm = tangent_derivations(spec.ideal(spec.inferred_weights()))
     algebra, _basis = fibre_lie_algebra(dm, require_origin=dm.all_vanish_at_origin())
-    print(json.dumps(algebra.to_json(), indent=2, sort_keys=True))
+    _emit(algebra.to_json(), True)
 
 
 def cmd_monomial(args):
-    from .derivations import monomialize
-    from .poly import format_poly
     spec = _read_spec(args.file)
     monos = monomialize(spec.ideal())
     if monos is None:
@@ -90,10 +91,9 @@ def cmd_monomial(args):
 
 
 def cmd_hilbert(args):
-    from .hilbert import hilbert_series_quotient
     spec = _read_spec(args.file)
     rs = hilbert_series_quotient(spec.ideal())
-    print(json.dumps(rs.to_json(), indent=2, sort_keys=True))
+    _emit(rs.to_json(), True)
 
 
 def cmd_covariant(args):
@@ -102,18 +102,16 @@ def cmd_covariant(args):
 
 
 def cmd_quasipoly(args):
-    from .series import RationalSeries, quasi_polynomial_of
     try:
         obj = json.loads(args.series)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad series JSON: {exc}")
     rs = RationalSeries.from_json(obj)
     qp = quasi_polynomial_of(rs)
-    print(json.dumps(qp.to_json(), indent=2, sort_keys=True))
+    _emit(qp.to_json(), True)
 
 
 def cmd_sl2_check(args):
-    from .repmod import sl2_algebroid_filtration
     result = sl2_algebroid_filtration(args.d)
     out = {
         "quotient_count": result["quotient_count"],
@@ -122,63 +120,58 @@ def cmd_sl2_check(args):
         "quotient_scalars": [str(c) for c in result["quotient_scalars"]],
         "half_factor_confirmed": result["half_factor_confirmed"],
     }
-    print(json.dumps(out, indent=2, sort_keys=True))
+    _emit(out, True)
+
+
+FILE = ("file", {})
+JSON = ("--json", {"action": "store_true"})
+
+# name: (help, handler, arguments as (name or flag, keywords) of add_argument)
+COMMANDS = {
+    "analyze": ("full singularity report", cmd_analyze, [
+        FILE,
+        ("--mode", {"choices": ["tangent", "tjurina-algebroid"], "default": "tangent"}),
+        ("--series-depth", {"type": int, "default": 8}),
+        JSON]),
+    "toral": ("toral/monomial report", cmd_toral, [FILE, JSON]),
+    "tangent": ("print tangential derivation generators", cmd_tangent, [FILE]),
+    "fibre": ("fibre Lie algebra as JSON", cmd_fibre, [FILE]),
+    "monomial": ("minimal monomial generators", cmd_monomial, [FILE]),
+    "hilbert": ("Hilbert series of the quotient", cmd_hilbert, [FILE]),
+    "covariant": ("covariant algebra series of binary forms", cmd_covariant, [
+        ("--degree", {"type": int, "required": True}),
+        ("--depth", {"type": int, "default": 20}),
+        JSON]),
+    "quasipoly": ("quasi-polynomial of a rational series", cmd_quasipoly, [
+        ("--series", {"required": True, "help": "series JSON"})]),
+    "sl2-check": ("rank-one filtration over the sl2 algebroid", cmd_sl2_check, [
+        ("--d", {"type": int, "required": True})]),
+}
 
 
 @functools.cache
-def build_parser():
-    """The parser, built once per process and reused by every main call."""
+def build_parser(command=None):
+    """The parser with the subparser of `command` only, or of every command
+    when `command` is None; built once per process for each."""
     parser = argparse.ArgumentParser(prog="algebroids",
                                      description="Exact singularity and Lie algebroid analyses")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="full singularity report")
-    p.add_argument("file")
-    p.add_argument("--mode", choices=["tangent", "tjurina-algebroid"], default="tangent")
-    p.add_argument("--series-depth", type=int, default=8)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("toral", help="toral/monomial report")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_toral)
-
-    p = sub.add_parser("tangent", help="print tangential derivation generators")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_tangent)
-
-    p = sub.add_parser("fibre", help="fibre Lie algebra as JSON")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_fibre)
-
-    p = sub.add_parser("monomial", help="minimal monomial generators")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_monomial)
-
-    p = sub.add_parser("hilbert", help="Hilbert series of the quotient")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_hilbert)
-
-    p = sub.add_parser("covariant", help="covariant algebra series of binary forms")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--depth", type=int, default=20)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_covariant)
-
-    p = sub.add_parser("quasipoly", help="quasi-polynomial of a rational series")
-    p.add_argument("--series", required=True, help="series JSON")
-    p.set_defaults(func=cmd_quasipoly)
-
-    p = sub.add_parser("sl2-check", help="rank-one filtration over the sl2 algebroid")
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_sl2_check)
-
+    # one command's parser still names every command in its usage, which an
+    # "unrecognized arguments" error prints; the full parser keeps argparse's
+    # default, so that its "invalid choice" and "required" errors name "command"
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        help_text, func, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         args.func(args)

@@ -4,6 +4,7 @@ algebra extraction from derivation modules."""
 from itertools import combinations, product
 
 from . import linalg
+from .derivations import Derivation
 from .errors import AlgebroidError, InconsistencyError, PreconditionError
 from .groebner import _column_rows, _graded_nakayama, _m_times
 from .poly import _exact
@@ -229,8 +230,6 @@ def fibre_lie_algebra(dm, require_origin=True):
     against [(m*T)_d | kept fields of degree d]; those on the kept fields are
     unique because the kept classes are a basis of T/mT.
     """
-    from .derivations import Derivation
-
     if not dm.ideal.is_quasi_homogeneous():
         raise PreconditionError("not quasi-homogeneous")
     if require_origin and not dm.all_vanish_at_origin():

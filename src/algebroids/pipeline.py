@@ -2,7 +2,7 @@
 reports, and the shared input-file format."""
 
 from . import linalg
-from .derivations import (Derivation, jacobian_ideal, monomialize,
+from .derivations import (Derivation, jacobian_ideal, krull_dimension, monomialize,
                           quasi_homogeneous_weights, tangent_derivations)
 from .errors import InconsistencyError, ParseError, PreconditionError
 from .groebner import Ideal
@@ -154,7 +154,6 @@ def _is_complete_intersection(ideal):
     sequence.  The graded polynomial ring is Cohen-Macaulay, so forms are a
     regular sequence exactly when their number equals the height of the
     ideal they generate: a certified test, not a heuristic."""
-    from .derivations import krull_dimension
     return len(ideal.gens) == ideal.nvars - krull_dimension(ideal)
 
 

@@ -212,9 +212,12 @@ class QuasiPolynomial:
     def __eq__(self, other):
         if not isinstance(other, QuasiPolynomial):
             return NotImplemented
+        # on each residue class mod p, two polynomials of degree at most d
+        # agree when they agree at d + 1 points
         n0 = max(self.threshold, other.threshold)
         p = lcm(self.period, other.period)
-        return all(self(n) == other(n) for n in range(n0, n0 + 2 * p + 1))
+        d = max(self.degree, other.degree, 0)
+        return all(self(n) == other(n) for n in range(n0, n0 + p * (d + 1)))
 
     def to_json(self):
         return {"period": self.period, "n0": self.threshold,

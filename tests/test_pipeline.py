@@ -422,7 +422,8 @@ def test_cli_analyze_coordinate_axes_at_depth_10(tmp_path, capsys):
 
 
 def test_cli_builds_its_parser_once(monkeypatch, capsys):
-    # the parser (nine subparsers) is built on the first main call only
+    # a subcommand's first main call builds the top-level parser with that
+    # subcommand's parser only; a repeat call builds nothing
     made = []
     original = argparse.ArgumentParser.__init__
 
@@ -434,9 +435,17 @@ def test_cli_builds_its_parser_once(monkeypatch, capsys):
     build_parser.cache_clear()
     try:
         assert main(["sl2-check", "--d", "2"]) == 0
-        assert main(["quasipoly", "--series", "{not json"]) == 2
+        assert made == ["algebroids", "algebroids sl2-check"]
+        assert main(["sl2-check", "--d", "1"]) == 0
+        assert made == ["algebroids", "algebroids sl2-check"]
     finally:
         build_parser.cache_clear()
-    assert made.count("algebroids") == 1
-    assert len(made) == 10
     capsys.readouterr()
+    # --help builds the full parser, which lists all nine subcommands
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    listed = capsys.readouterr().out.split("positional arguments:\n")[1]
+    names = ["analyze", "toral", "tangent", "fibre", "monomial", "hilbert",
+             "covariant", "quasipoly", "sl2-check"]
+    assert all(f"\n    {name} " in listed for name in names)

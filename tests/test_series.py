@@ -136,6 +136,13 @@ def test_quasi_polynomial_zero():
     assert qp.is_zero()
 
 
+def test_quasi_polynomials_equal_only_when_every_value_is():
+    # n(n - 1)(n - 2) vanishes at n = 0, 1, 2 but is 6 at n = 3
+    cubic = QuasiPolynomial(1, [[0, 2, -3, 1]])
+    assert cubic != QuasiPolynomial(1, [[]])
+    assert cubic == QuasiPolynomial(2, [[0, 2, -3, 1], [0, 2, -3, 1]])
+
+
 def test_quasi_polynomial_of_a_polynomial_series():
     # no denominator factors: no pole, so the fit has no points to pass through
     rs = RationalSeries([1, 2], [])
