@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 from algebroids.cli import main
 
@@ -72,21 +73,17 @@ def run(argv):
     argparse exits through SystemExit, whose status is the exit code; help
     text is wrapped at 80 columns, as on a terminal of that width."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
+    cwd = os.getcwd()
     os.chdir(HERE / "inputs")
-    os.environ["COLUMNS"] = "80"
     try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
     finally:
         os.chdir(cwd)
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
     return code, stdout.getvalue(), stderr.getvalue()
 
 
