@@ -2,7 +2,11 @@
 
 Each case is one `algebroids` command, run in process through `cli.main`
 with the input files of `inputs/`, and its expected exit code, stdout and
-stderr (each a list of lines, so that a re-recorded case diffs by line).  `tests/test_golden.py` runs every case and compares.
+stderr (each a list of lines, so that a re-recorded case diffs by line).
+`tests/test_golden.py` runs every case and compares.  argparse's own help
+and usage errors change wording between Python releases, so each of those
+cases also holds the release it was recorded with; on another release only
+its exit code and the streams it writes to are compared.
 
     PYTHONPATH=src python tests/golden/record.py             # every case
     PYTHONPATH=src python tests/golden/record.py fibre e6.txt  # only these
@@ -24,6 +28,7 @@ from algebroids.cli import main
 
 HERE = Path(__file__).resolve().parent
 CASES = HERE / "cases.json"
+PYTHON = "%d.%d" % sys.version_info[:2]
 
 FILE_COMMANDS = [
     ["analyze"],
@@ -98,6 +103,8 @@ def record(words=()):
             code, out, err = run(argv)
             case = {"argv": argv, "exit": code,
                     "stdout": out.split("\n"), "stderr": err.split("\n")}
+            if argv in PARSER_COMMANDS:
+                case["python"] = PYTHON
         cases.append(case)
     CASES.write_text(json.dumps(cases, indent=1) + "\n")
     return len(cases)
