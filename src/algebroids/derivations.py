@@ -2,7 +2,7 @@
 quasi-homogeneity detection, and monomial-ideal extraction."""
 
 from itertools import accumulate, combinations, product
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .errors import PreconditionError
@@ -251,6 +251,8 @@ def quasi_homogeneous_weights(f):
     scale = lcm(*(x.denominator for v in [u] + kernel for x in v))
     u = [int(x * scale) for x in u]
     kernel = [[int(x * scale) for x in k] for k in kernel]
+    if not _strictly_feasible(list(zip(u, *kernel))):
+        return None
     for d in range(1, 101):
         base = [d * x for x in u]
         best = None
@@ -268,6 +270,26 @@ def quasi_homogeneous_weights(f):
                 full[i] = x
             return tuple(full), d
     return None
+
+
+def _strictly_feasible(rows):
+    """Whether some real a has c_0 + sum_j c_j a_j > 0 for every integer row
+    (c_0, c_1, ...): Fourier-Motzkin elimination of a_1, a_2, ... in turn
+    (Schrijver, Theory of Linear and Integer Programming, 1986, 12.2).  A
+    lower and an upper bound on a_j combine to a row free of a_j, kept
+    primitive; the system is feasible when every constant row left is
+    positive."""
+    rows = {tuple(r) for r in rows}
+    for j in range(1, len(next(iter(rows)))):
+        pos = [r for r in rows if r[j] > 0]
+        neg = [r for r in rows if r[j] < 0]
+        rows = {r for r in rows if r[j] == 0}
+        for p in pos:
+            for q in neg:
+                row = [-q[j] * x + p[j] * y for x, y in zip(p, q)]
+                g = gcd(*row) or 1
+                rows.add(tuple(x // g for x in row))
+    return all(r[0] > 0 for r in rows)
 
 
 def k_polynomial(exps, nvars):

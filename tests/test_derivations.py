@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -188,13 +189,72 @@ def test_weights_match_the_reference_search_with_free_directions():
         checked += 1
 
 
-def test_weights_without_rational_solution_skip_the_degree_loop(monkeypatch):
-    # 2w = 1 and 3w = 1 have no common solution, for any degree
+@pytest.fixture
+def no_degree_loop(monkeypatch):
     def enumerate_(*args, **kwargs):
         raise AssertionError("entered the degree loop")
 
     monkeypatch.setattr(derivations, "product", enumerate_)
+
+
+def test_weights_without_rational_solution_skip_the_degree_loop(no_degree_loop):
+    # 2w = 1 and 3w = 1 have no common solution, for any degree
     assert quasi_homogeneous_weights(P("x^2 + x^3", "xy")) is None
+
+
+@pytest.mark.parametrize("text, names", [("x*y + x*y*z*w", "xyzw"),
+                                         ("a*b + a*b*c*d*e*f", "abcdef")])
+def test_weights_without_positive_solution_skip_the_degree_loop(no_degree_loop, text, names):
+    # alpha . w = 1 is solvable, but every solution gives the factor after
+    # x*y (a*b) weight 0.  The degree loop took 1.5 s and over 25 s to
+    # exhaust d <= 100; elimination decides both in under 1 ms (2-core VM)
+    start = time.perf_counter()
+    assert quasi_homogeneous_weights(P(text, names)) is None
+    assert time.perf_counter() - start < 0.1
+
+
+def _random_exponents(rng, n, count):
+    return [tuple(rng.randrange(0, 4) for _ in range(n)) for _ in range(count)]
+
+
+def test_weights_infeasible_by_construction_skip_the_degree_loop(no_degree_loop):
+    # exponents with y_1 (a_1 - a_0) + ... + (a_k - a_0) = v >= 0, v != 0 and
+    # y_i >= 0: any positive weights would give v . w = 0.  24 of the 40
+    # samples reach the elimination; the others have no rational solution
+    rng = random.Random(35)
+    checked = 0
+    while checked < 40:
+        n = rng.choice([2, 3, 4, 5])
+        base, *rest = _random_exponents(rng, n, rng.randrange(2, 4))
+        v = [rng.randrange(0, 3) for _ in range(n)]
+        last = list(map(sum, zip(base, v)))
+        for e in rest:
+            y = rng.randrange(0, 3)
+            last = [x - y * (a - b) for x, a, b in zip(last, e, base)]
+        exps = {base, *rest, tuple(last)}
+        if not any(v) or min(last) < 0 or len(exps) < 2 + len(rest):
+            continue
+        f = Polynomial(n, {e: rng.choice([-1, 1, 2]) for e in exps})
+        assert quasi_homogeneous_weights(f) is None, exps
+        checked += 1
+
+
+def test_weights_feasible_by_construction_match_the_reference_search():
+    # monomials of one weighted degree under random positive weights: the
+    # elimination must let the degree loop run, and the loop finds the
+    # reference's weights; no sample is homogeneous or solves alone
+    rng = random.Random(35)
+    checked = 0
+    while checked < 30:
+        n = rng.choice([2, 3, 4])
+        pool = list(monomials([rng.randrange(1, 4) for _ in range(n)], rng.randrange(3, 9)))
+        exps = rng.sample(pool, min(len(pool), rng.randrange(2, n + 2)))
+        f = Polynomial(n, {e: rng.choice([-2, -1, 1, 3]) for e in exps})
+        if f.is_homogeneous():
+            continue
+        found = quasi_homogeneous_weights(f)
+        assert found is not None and found == reference_weights(f), exps
+        checked += 1
 
 
 def test_jacobian_ideal_examples():
