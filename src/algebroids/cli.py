@@ -76,7 +76,7 @@ def cmd_tangent(args):
 
 def cmd_fibre(args):
     spec = _read_spec(args.file)
-    dm = tangent_derivations(spec.ideal(spec.inferred_weights()))
+    dm = tangent_derivations(spec.ideal())
     algebra, _basis = fibre_lie_algebra(dm, require_origin=dm.all_vanish_at_origin())
     _emit(algebra.to_json(), True)
 

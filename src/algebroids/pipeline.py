@@ -33,16 +33,15 @@ class InputSpec:
         self.gens = gens
 
     def ideal(self, weights=None):
+        """The ideal, graded by `weights` when given.  Otherwise this is the
+        one place that decides an input's weights: the `weights:` line, else
+        the quasi-homogeneous weights of a single nonzero generator, else all
+        ones."""
         w = weights or self.weights
+        if w is None and len(self.gens) == 1 and not self.gens[0].is_zero():
+            found = quasi_homogeneous_weights(self.gens[0])
+            w = found and found[0]
         return Ideal(len(self.varnames), self.gens, w)
-
-    def inferred_weights(self):
-        """The given weights, else the quasi-homogeneous weights of a single
-        generator, else all ones."""
-        if self.weights is not None:
-            return self.weights
-        found = quasi_homogeneous_weights(self.gens[0]) if len(self.gens) == 1 else None
-        return found[0] if found else (1,) * len(self.varnames)
 
 
 def parse_input(text):
@@ -202,8 +201,7 @@ def analyze_singularity(spec, mode="tangent", series_depth=8):
         raise ParseError(f"unknown mode {mode!r}")
     if series_depth < 0:
         raise PreconditionError(f"series depth must be >= 0, got {series_depth}")
-    weights = spec.inferred_weights()
-    ideal = spec.ideal(weights)
+    ideal = spec.ideal()
     quasi = ideal.is_quasi_homogeneous()
     jac = jacobian_ideal(ideal)
     # the reduced basis is unique, so it may start from the minimal generators
@@ -273,7 +271,7 @@ def analyze_singularity(spec, mode="tangent", series_depth=8):
         series_note = "series out of scope (non-isolated)"
 
     return SingularityReport(
-        varnames=spec.varnames, gens=spec.gens, weights=weights,
+        varnames=spec.varnames, gens=spec.gens, weights=ideal.weights,
         quasi_homogeneous=quasi, mode=mode,
         tangent_generators=dm.generators, logarithmic_at_origin=logarithmic,
         jacobian_gens=jac_min.gens, colength=colength,

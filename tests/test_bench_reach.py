@@ -9,8 +9,9 @@ import os
 
 import pytest
 
+from algebroids.derivations import quasi_homogeneous_weights
 from algebroids.hilbert import graded_pieces_series
-from algebroids.pipeline import covariants_report
+from algebroids.pipeline import InputSpec, covariants_report, parse_input
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -39,3 +40,9 @@ def test_bench_calls_bind():
     # bench/worker.py and bench/oracles.py call these positionally
     inspect.signature(graded_pieces_series).bind(None, "ring", depth=8)
     inspect.signature(covariants_report).bind(3, 12)
+    inspect.signature(InputSpec.ideal).bind(None, (1, 2, 2))
+    # the fibre job grades by the first entry of (weights, degree)
+    spec = parse_input("vars: x, y, z\nideal: z^2 - x^2*y\n")
+    weights, degree = quasi_homogeneous_weights(spec.gens[0])
+    assert (weights, degree) == ((1, 2, 2), 4)
+    assert spec.ideal(weights).weights == weights

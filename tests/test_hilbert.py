@@ -1,5 +1,6 @@
 """Hilbert series, equivariant character series, and J-adic graded pieces."""
 
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -112,6 +113,20 @@ def test_graded_pieces_cusp():
     assert (report.dimension, report.multiplicity) == (2, 2)
     assert not report.lengths_certified
     assert "solvable" in report.caveat
+
+
+def test_graded_pieces_json():
+    # the report of the benchmark's graded/cusp job, which hashes it
+    j = Ideal(2, [P("x^2", "xy"), P("y", "xy")])
+    assert json.loads(json.dumps(graded_pieces_series(j, "ring", depth=3).to_json())) == {
+        "dims": [[0, 2], [1, 4], [2, 6], [3, 8]],
+        "series": {"numerator": [2], "denominator": [{"n": 1, "mult": 2}]},
+        "dimension": 2, "multiplicity": "2", "lengths_certified": False,
+        # 2 + 2n from n = 1 on
+        "quasi_polynomial": {"period": 1, "n0": 1, "residues": [["2", "2"]]},
+        "caveat": "lengths reported as dimensions; requires solvable fibre"}
+    certified = graded_pieces_series(j, "ring", depth=3, solvable_certificate=True).to_json()
+    assert certified["lengths_certified"] is True and "caveat" not in certified
 
 
 def test_graded_pieces_maximal_ideal():

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from algebroids import linalg
+from algebroids import cli, linalg
 from algebroids.cli import build_parser, main
 from algebroids.derivations import tangent_derivations
-from algebroids.errors import ParseError, PreconditionError
+from algebroids.errors import InconsistencyError, ParseError, PreconditionError
 from algebroids.groebner import Ideal
 from algebroids.liealg import LieAlgebra, fibre_lie_algebra
 from algebroids.pipeline import (_levi_action, _sl2_covariant_path,
@@ -419,6 +419,33 @@ def test_cli_analyze_coordinate_axes_at_depth_10(tmp_path, capsys):
     elapsed = time.perf_counter() - start
     assert json.loads(capsys.readouterr().out)["series"]["numerator"] == [4, -8, 0, 8, -4]
     assert elapsed < 10
+
+
+@pytest.mark.parametrize("names, text", [("x, y, z, w", "x*y + x*y*z*w"),
+                                         ("a, b, c, d, e, f", "a*b + a*b*c*d*e*f")],
+                         ids=["4-vars", "6-vars"])
+def test_cli_analyze_without_positive_weights(tmp_path, capsys, names, text):
+    # no positive weights exist; the weight search used to enumerate its
+    # whole degree loop first (1.5 s and over 25 s).  The report takes
+    # 8 ms in process on a 2-core VM
+    path = write(tmp_path, "input.txt", f"vars: {names}\nideal: {text}\n")
+    start = time.perf_counter()
+    assert main(["analyze", path, "--json"]) == 0
+    elapsed = time.perf_counter() - start
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["quasi_homogeneous"] is False
+    assert obj["weights"] == [1] * len(names.split(","))
+    assert elapsed < 1
+
+
+def test_cli_returns_4_on_an_inconsistency(monkeypatch, capsys):
+    def inconsistent(d):
+        raise InconsistencyError("quotient is not cyclic")
+
+    monkeypatch.setattr(cli, "sl2_algebroid_filtration", inconsistent)
+    assert main(["sl2-check", "--d", "2"]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "inconsistency: quotient is not cyclic\n")
 
 
 def test_cli_builds_its_parser_once(monkeypatch, capsys):

@@ -331,3 +331,15 @@ def test_semigroup_membership():
     assert s.contains((4, 3))
     assert not s.contains((1, 0))
     assert s.contains((0, 0))
+
+
+def test_semigroup_membership_with_generators_of_mixed_sign():
+    # a (1, -1) + b (-1, 2) = (a - b, 2b - a): (0, 1) at a = b = 1, while
+    # (0, -1) would need a = b = -1
+    s = SemigroupSpec(2, [(1, -1), (-1, 2)], bound=6)
+    assert s.contains((0, 1)) and s.contains((1, -1)) and s.contains((1, 0))
+    assert not s.contains((0, -1))
+    group = SemigroupSpec(2, [(1, 0), (-1, 0), (0, 1)], bound=6)
+    assert group.contains((-3, 2)) and not group.contains((0, -1))
+    with pytest.raises(PreconditionError, match="bound"):
+        group.contains((4, 3))
