@@ -40,7 +40,7 @@ class InputSpec:
         w = weights or self.weights
         if w is None and len(self.gens) == 1 and not self.gens[0].is_zero():
             found = quasi_homogeneous_weights(self.gens[0])
-            w = found and found[0]
+            w = found[0] if found else None
         return Ideal(len(self.varnames), self.gens, w)
 
 
