@@ -7,16 +7,14 @@ from .poly import Polynomial, format_poly, parse_poly
 from .groebner import FreeModuleElement, GroebnerBasis, Ideal, TermOrder, \
     groebner_basis, syzygies
 from .series import (CharacterSeries, QuasiPolynomial, RationalSeries,
-                     SemigroupSpec, SeriesPrefix, gamma_restriction,
-                     integrate_characters, quasi_polynomial_of,
+                     SeriesPrefix, integrate_characters, quasi_polynomial_of,
                      reconstruct_rational)
 from .derivations import (Derivation, DerivationModule, jacobian_ideal,
                           monomialize, quasi_homogeneous_weights,
-                          tangent_derivations, tjurina_ideal)
+                          tangent_derivations)
 from .liealg import LieAlgebra, fibre_lie_algebra, sl2
 from .repmod import (MatrixRep, binary_form_rep, cayley_sylvester,
-                     covariant_dimension, covariant_dimensions, decompose_sl2,
-                     invariants_dimension, recognition_sl_blocks,
+                     covariant_dimensions, decompose_sl2,
                      sl2_algebroid_filtration, sym_power_rep)
 from .hilbert import (GradedPieceReport, dimension_multiplicity,
                       equivariant_series_monomial, graded_pieces_series,

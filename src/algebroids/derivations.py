@@ -219,11 +219,6 @@ def _det(mat):
     return out
 
 
-def tjurina_ideal(f, weights=None):
-    n = f.nvars
-    return Ideal(n, [f] + [f.diff(i) for i in range(n)], weights)
-
-
 def quasi_homogeneous_weights(f):
     """Positive integer weights w (gcd 1) and degree d <= 100 with f
     quasi-homogeneous, minimizing d; None when no positive solution exists.

@@ -1,6 +1,6 @@
-"""Explicit matrix modules over structure-constant Lie algebras: invariant
-subspaces, sl2 weight theory, Cayley-Sylvester counts, block recognition,
-and the rank-one filtration of R (x) V_d over the sl2 algebroid on Q[x]."""
+"""Explicit matrix modules over structure-constant Lie algebras: sl2 weight
+theory, Cayley-Sylvester counts, and the rank-one filtration of R (x) V_d
+over the sl2 algebroid on Q[x]."""
 
 from fractions import Fraction
 
@@ -12,12 +12,10 @@ from .poly import _exact, monomials
 
 
 class MatrixRep:
-    """Action matrices rho(e_i), one per basis element of the algebra.
-
-    A matrix is given dense, as a list of rows, or as sparse rows {col: entry}.
-    The state is rows[k][r] alone, the nonzero entries of row r of rho(e_k),
-    each an int when integral and a Fraction otherwise; `matrices` is a dense
-    view with Fraction entries, built from the rows on each read.
+    """Action matrices rho(e_i), one per basis element of the algebra, each
+    given as its sparse rows {col: entry}; a dense row is refused.  The
+    state is rows[k][r] alone, the nonzero entries of row r of rho(e_k),
+    each an int when integral and a Fraction otherwise.
 
     Bracket compatibility rho([x,y]) = [rho(x), rho(y)] is checked exactly on
     construction, for every pair of basis elements and every row.
@@ -25,28 +23,19 @@ class MatrixRep:
 
     __slots__ = ("algebra", "dim", "rows")
 
-    def __init__(self, algebra, matrices):
-        if len(matrices) != algebra.dim:
+    def __init__(self, algebra, rows):
+        if len(rows) != algebra.dim:
             raise ValueError("need one matrix per basis element")
+        if not all(isinstance(row, dict) for m in rows for row in m):
+            raise ValueError("action matrices must be given as sparse rows {col: entry}")
         self.algebra = algebra
-        self.dim = len(matrices[0]) if matrices else 0
-        if not all(len(m) == self.dim and all(
-                max(row, default=-1) < self.dim if isinstance(row, dict) else len(row) == self.dim
-                for row in m) for m in matrices):
+        self.dim = len(rows[0]) if rows else 0
+        if not all(len(m) == self.dim and all(max(row, default=-1) < self.dim for row in m)
+                   for m in rows):
             raise ValueError("action matrices must be square and of one size")
-        self.rows = [[{col: _exact(c) for col, c in
-                       (row.items() if isinstance(row, dict) else enumerate(row)) if c}
-                      for row in m] for m in matrices]
+        self.rows = [[{col: _exact(c) for col, c in row.items() if c} for row in m]
+                     for m in rows]
         self._validate()
-
-    @property
-    def matrices(self):
-        out = [[[Fraction(0)] * self.dim for _ in m] for m in self.rows]
-        for mat, m in zip(out, self.rows):
-            for dense, row in zip(mat, m):
-                for col, c in row.items():
-                    dense[col] = Fraction(c)
-        return out
 
     def _validate(self):
         if not represents(self.algebra, self.rows):
@@ -93,19 +82,6 @@ def sym_power_rep(rep, n):
     """Action on S^n(V) by exact polarization of the monomial basis."""
     basis = monomials((1,) * rep.dim, n)
     return MatrixRep(rep.algebra, [polarize(rows, basis) for rows in rep.rows])
-
-
-def invariants_dimension(rep, nil):
-    """Common kernel of the listed action matrices (basis indices or explicit
-    matrices); returns (dimension, kernel basis)."""
-    stacked = []
-    dense = rep.matrices
-    for item in nil:
-        stacked.extend(dense[item] if isinstance(item, int) else item)
-    if not stacked:
-        return rep.dim, linalg.identity(rep.dim)
-    basis = linalg.kernel_basis(stacked)
-    return len(basis), basis
 
 
 def weight_space_dims(h):
@@ -247,53 +223,6 @@ def covariant_dimensions(d, depth):
         raise ValueError("arguments must be non-negative")
     return [gauss[n * d // 2]
             for n, gauss in enumerate(_gaussian_binomials(d, depth, depth * d // 2))]
-
-
-def covariant_dimension(n, d):
-    """dim C^n_d, the last entry of covariant_dimensions(d, n)."""
-    return covariant_dimensions(d, n)[-1]
-
-
-# -- recognition of sl-blocks ---------------------------------------------
-
-def recognition_sl_blocks(matrices, dim=None):
-    """Composition-factor dimensions of V under the span of the given
-    matrices, bottom up, and the set F of factors of dimension >= 2.
-
-    Recognition hypothesis: the diagonal trace-zero Cartan of sl(V) lies in
-    the span; PreconditionError otherwise.  Under it the diagonal torus acts
-    on the coordinate lines with distinct characters, so every invariant
-    subspace is spanned by coordinate vectors (Humphreys, 20.1).  The factors
-    are then the strongly connected components of the graph with an edge
-    i -> k whenever some matrix has a nonzero entry in row k, column i.
-    Components are listed by the dimension of the submodule they generate,
-    then by their smallest coordinate, so each prefix spans a submodule."""
-    if dim is None:
-        dim = len(matrices[0])
-    if dim > 10:
-        raise PreconditionError("dimension too large")
-    # one row per entry (i, j): the matrices, then the targets E_cc - E_(c+1)(c+1)
-    rows = [[m[i][j] for m in matrices]
-            + [(i == j == c) - (i == j == c + 1) for c in range(dim - 1)]
-            for i in range(dim) for j in range(dim)]
-    if None in linalg.solve(rows, len(matrices)):
-        raise PreconditionError("recognition hypothesis fails: the diagonal trace-zero "
-                                "Cartan of sl(V) is not in the span")
-    succ = [{k for m in matrices for k in range(dim) if m[k][i]} for i in range(dim)]
-    # reach[i]: the coordinates spanning the submodule generated by e_i
-    reach = []
-    for i in range(dim):
-        seen, todo = {i}, [i]
-        while todo:
-            new = succ[todo.pop()] - seen
-            seen |= new
-            todo.extend(new)
-        reach.append(seen)
-    components = {min(comp): comp for comp in
-                  ({k for k in reach[i] if i in reach[k]} for i in range(dim))}
-    factors = [len(components[low]) for low in
-               sorted(components, key=lambda low: (len(reach[low]), low))]
-    return factors, sorted({n for n in factors if n >= 2})
 
 
 # -- Example 3.7: filtration of R (x) V_d over the sl2 algebroid -----------

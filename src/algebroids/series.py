@@ -206,9 +206,6 @@ class QuasiPolynomial:
             raise AlgebroidError("ill-defined leading term")
         return leads.pop()
 
-    def is_zero(self):
-        return all(not p for p in self.residues)
-
     def __eq__(self, other):
         if not isinstance(other, QuasiPolynomial):
             return NotImplemented
@@ -288,12 +285,6 @@ class CharacterSeries:
     def has_closed_form(self):
         return self.closed_terms is not None and self.closed_denominator is not None
 
-    def support(self):
-        chars = set()
-        for lc in self.coeffs.values():
-            chars.update(lc)
-        return chars
-
     def __eq__(self, other):
         return (isinstance(other, CharacterSeries) and self.rank == other.rank
                 and self.bound == other.bound and self.coeffs == other.coeffs)
@@ -318,91 +309,3 @@ def integrate_characters(cs):
             num[p] += s
         closed = RationalSeries(num, [(p, 1) for _, p in cs.closed_denominator])
     return prefix, closed
-
-
-class SemigroupSpec:
-    """Finitely generated subsemigroup of Z^m with bounded membership test."""
-
-    __slots__ = ("rank", "generators", "bound")
-
-    def __init__(self, rank, generators, bound=64):
-        self.rank = rank
-        self.generators = [tuple(g) for g in generators]
-        for g in self.generators:
-            if len(g) != rank:
-                raise ValueError("generator arity mismatch")
-        self.bound = bound
-
-    def contains(self, chi):
-        chi = tuple(chi)
-        if len(chi) != self.rank:
-            return False
-        zero = (0,) * self.rank
-        if chi == zero:
-            return True
-        if sum(abs(c) for c in chi) > self.bound:
-            raise PreconditionError("membership query exceeds the configured bound")
-        if all(all(c >= 0 for c in g) for g in self.generators):
-            # non-negative generators: descend componentwise
-            seen = set()
-            stack = [chi]
-            while stack:
-                pt = stack.pop()
-                if pt in seen:
-                    continue
-                seen.add(pt)
-                for g in self.generators:
-                    rem = tuple(a - b for a, b in zip(pt, g))
-                    if rem == zero:
-                        return True
-                    if all(c >= 0 for c in rem):
-                        stack.append(rem)
-            return False
-        # mixed signs: breadth-first search bounded by coordinate size
-        seen = {zero}
-        frontier = [zero]
-        while frontier:
-            new = []
-            for pt in frontier:
-                for g in self.generators:
-                    nxt = tuple(a + b for a, b in zip(pt, g))
-                    if nxt == chi:
-                        return True
-                    if nxt not in seen and all(abs(c) <= self.bound for c in nxt):
-                        seen.add(nxt)
-                        new.append(nxt)
-            frontier = new
-        return False
-
-
-def gamma_restriction(cs, gamma):
-    """Filter a CharacterSeries to characters in the subsemigroup gamma.
-
-    Returns (restricted series, condition report dict).  The noetherianity
-    condition Gamma + Gamma^c subset Gamma^c is checked on the support found
-    through the series bound.  Pairs whose sum lies past gamma's own bound are
-    counted as unchecked; while any is, nothing is verified to the bound and
-    the condition is undecided (None) unless a violation was found.
-    """
-    inside, outside = set(), set()
-    for chi in cs.support():
-        (inside if gamma.contains(chi) else outside).add(chi)
-    violations = []
-    unchecked = 0
-    for g in inside:
-        for c in outside:
-            s = tuple(a + b for a, b in zip(g, c))
-            try:
-                if gamma.contains(s):
-                    violations.append((g, c))
-            except PreconditionError:
-                unchecked += 1
-    restricted = CharacterSeries(
-        cs.rank,
-        {n: {chi: v for chi, v in lc.items() if chi in inside} for n, lc in cs.coeffs.items()},
-        cs.bound)
-    holds = False if violations else (None if unchecked else True)
-    report = {"verified_to_bound": None if unchecked else cs.bound,
-              "condition_holds_on_support": holds, "violations": violations,
-              "unchecked_pairs": unchecked}
-    return restricted, report

@@ -1,14 +1,18 @@
 """Second routes the tests check the library against: a partition count by
 its own recursion, equality of ideals and of derivation modules as
-inclusion both ways, dense matrix products, a Lie algebra's brackets as
+inclusion both ways, dense matrix products, dense action matrices of a
+module and the common kernel of some of them, a Lie algebra's brackets as
 dense vectors, the Jacobi identity on every triple of a structure table,
 and a vector field's action and bracket on its coefficient Polynomials."""
 
+from fractions import Fraction
 from functools import lru_cache
 
+from algebroids import linalg
 from algebroids.derivations import Derivation
 from algebroids.groebner import groebner_basis
 from algebroids.poly import Polynomial, mono_mul
+from algebroids.repmod import MatrixRep
 
 
 @lru_cache(maxsize=None)
@@ -51,6 +55,35 @@ def mat_add(a, b):
 
 def mat_scale(a, c):
     return [[c * x for x in row] for row in a]
+
+
+def sparse_rows(matrix):
+    """The rows {col: entry} of a dense matrix given as a list of rows."""
+    return [{j: c for j, c in enumerate(row) if c} for row in matrix]
+
+
+def matrix_rep(algebra, matrices):
+    """The MatrixRep of dense action matrices, one per basis element."""
+    return MatrixRep(algebra, [sparse_rows(m) for m in matrices])
+
+
+def dense_matrices(rep):
+    """rho(e_k) of a MatrixRep as dense matrices with Fraction entries."""
+    return [[[Fraction(row.get(j, 0)) for j in range(rep.dim)] for row in m]
+            for m in rep.rows]
+
+
+def invariants_dimension(rep, nil):
+    """Common kernel of the listed action matrices (basis indices or explicit
+    matrices); returns (dimension, kernel basis)."""
+    stacked = []
+    dense = dense_matrices(rep)
+    for item in nil:
+        stacked.extend(dense[item] if isinstance(item, int) else item)
+    if not stacked:
+        return rep.dim, linalg.identity(rep.dim)
+    basis = linalg.kernel_basis(stacked)
+    return len(basis), basis
 
 
 def dense_brackets(algebra):

@@ -19,13 +19,12 @@ from algebroids.liealg import fibre_lie_algebra
 from algebroids.pipeline import (analyze_singularity, analyze_toral,
                                  covariants_report, parse_input)
 from algebroids.poly import Polynomial, parse_poly
-from algebroids.repmod import (binary_form_rep, cayley_sylvester,
-                               covariant_dimension, decompose_sl2,
+from algebroids.repmod import (binary_form_rep, cayley_sylvester, decompose_sl2,
                                sl2_algebroid_filtration, sym_power_rep)
-from algebroids.series import (RationalSeries, SemigroupSpec,
-                               gamma_restriction, integrate_characters,
+from algebroids.series import (RationalSeries, integrate_characters,
                                quasi_polynomial_of)
 
+from constructs import SemigroupSpec, gamma_restriction
 from oracles import same_ideal, same_module
 
 

@@ -22,7 +22,7 @@ from algebroids.poly import Polynomial, monomials
 from algebroids.repmod import polarize, sl2_isotypic
 from algebroids.series import RationalSeries
 
-from oracles import mat_add, mat_mul, mat_scale, partitions_in_rectangle
+from oracles import dense_matrices, mat_add, mat_mul, mat_scale, partitions_in_rectangle
 
 WHITNEY = "vars: x, y, z\nweights: 1, 2, 2\nideal: z^2 - x^2*y\n"
 QUADRIC = "vars: x, y, z\nideal: x^2 + y^2 + z^2\n"
@@ -162,7 +162,7 @@ def _levi_rep(text):
                          ids=["discriminant", "split-quadric"])
 def test_sl2_length_dims_match_nilpotent_kernel(text):
     fibre, basis, rep = _levi_rep(text)
-    nil = _rational_nilpotent(rep.matrices)
+    nil = _rational_nilpotent(dense_matrices(rep))
     assert nil is not None
     dims, _series = _sl2_covariant_path(fibre, basis, 12)
     nil_rows = [{j: c for j, c in enumerate(row) if c} for row in nil]
@@ -174,7 +174,7 @@ def test_sl2_length_dims_match_nilpotent_kernel(text):
 
 def test_compact_quadric_has_no_rational_nilpotent():
     _fibre, _basis, rep = _levi_rep(QUADRIC)
-    assert _rational_nilpotent(rep.matrices) is None
+    assert _rational_nilpotent(dense_matrices(rep)) is None
     assert sl2_isotypic(rep) == {2: 1}
 
 

@@ -13,14 +13,14 @@ from algebroids.groebner import FreeModuleElement, TermOrder, groebner_basis
 from algebroids.liealg import sl2, span_lie_algebra
 from algebroids.poly import Polynomial, monomials
 from algebroids.repmod import (MatrixRep, binary_form_rep, cayley_sylvester,
-                               covariant_dimension, covariant_dimensions,
-                               decompose_sl2,
-                               invariants_dimension, recognition_sl_blocks,
+                               covariant_dimensions, decompose_sl2,
                                sl2_algebroid_filtration, sl2_isotypic,
                                sym_kernel_dims, sym_power_rep,
                                weight_space_dims)
 
-from oracles import mat_add, mat_mul, mat_scale, partitions_in_rectangle
+from constructs import recognition_sl_blocks
+from oracles import (dense_matrices, invariants_dimension, mat_add, mat_mul, mat_scale,
+                     matrix_rep, partitions_in_rectangle)
 
 
 def F(x):
@@ -51,22 +51,22 @@ def gl2():
 
 
 def trivial_rep(algebra, n):
-    return MatrixRep(algebra, [linalg.zeros(n, n) for _ in range(algebra.dim)])
+    return matrix_rep(algebra, [linalg.zeros(n, n) for _ in range(algebra.dim)])
 
 
 def direct_sum_rep(rep1, rep2):
     n1, n2 = rep1.dim, rep2.dim
     mats = []
-    for a, b in zip(rep1.matrices, rep2.matrices):
+    for a, b in zip(dense_matrices(rep1), dense_matrices(rep2)):
         mats.append([row + [F(0)] * n2 for row in a] + [[F(0)] * n1 + row for row in b])
-    return MatrixRep(rep1.algebra, mats)
+    return matrix_rep(rep1.algebra, mats)
 
 
 def tensor_rep(rep1, rep2):
     """Action on V (x) W: rho(g) (x) 1 + 1 (x) rho(g)."""
     n1, n2 = rep1.dim, rep2.dim
     mats = []
-    for a, b in zip(rep1.matrices, rep2.matrices):
+    for a, b in zip(dense_matrices(rep1), dense_matrices(rep2)):
         m = linalg.zeros(n1 * n2, n1 * n2)
         for i in range(n1):
             for j in range(n2):
@@ -75,25 +75,33 @@ def tensor_rep(rep1, rep2):
                 for k in range(n2):
                     m[i * n2 + j][i * n2 + k] += b[j][k]
         mats.append(m)
-    return MatrixRep(rep1.algebra, mats)
+    return matrix_rep(rep1.algebra, mats)
 
 
 def test_matrix_rep_validation():
     g = sl2()
     bad = [linalg.identity(2) for _ in range(3)]
     with pytest.raises(AlgebroidError):
-        MatrixRep(g, bad)
+        matrix_rep(g, bad)
 
 
 @pytest.mark.parametrize("shapes", [[(2, 2), (2, 2), (3, 3)], [(2, 3)] * 3],
                          ids=["sizes-differ", "not-square"])
 def test_matrix_rep_rejects_bad_shapes(shapes):
     # zero matrices satisfy every bracket, so only the shape check can refuse them
-    with pytest.raises(ValueError, match="square and of one size"):
-        MatrixRep(sl2(), [linalg.zeros(n, m) for n, m in shapes])
     sparse = [[{j: 0 for j in range(m)} for _ in range(n)] for n, m in shapes]
     with pytest.raises(ValueError, match="square and of one size"):
         MatrixRep(sl2(), sparse)
+
+
+@pytest.mark.parametrize("rows", [
+    [[[0, 1], [0, 0]]] * 3,
+    # one dense row among sparse ones
+    [[{0: 1}, {}], [{}, [0, 0]], [{}, {}]],
+], ids=["dense", "one-row-dense"])
+def test_matrix_rep_refuses_dense_rows(rows):
+    with pytest.raises(ValueError, match="sparse rows"):
+        MatrixRep(sl2(), rows)
 
 
 def s6v3():
@@ -108,18 +116,18 @@ def transposed(m):
 
 def test_validation_accepts_s6v3_and_its_dual():
     rep = s6v3()
-    MatrixRep(rep.algebra, rep.matrices)
+    MatrixRep(rep.algebra, rep.rows)
     # the dual -rho^T is a representation; rho^T is not, which pins the
     # order of the products in the check
-    MatrixRep(rep.algebra, [mat_scale(transposed(m), -1) for m in rep.matrices])
+    matrix_rep(rep.algebra, [mat_scale(transposed(m), -1) for m in dense_matrices(rep)])
     with pytest.raises(AlgebroidError, match="do not represent the bracket"):
-        MatrixRep(rep.algebra, [transposed(m) for m in rep.matrices])
+        matrix_rep(rep.algebra, [transposed(m) for m in dense_matrices(rep)])
 
 
 def test_validation_rejects_negated_rep():
     rep = s6v3()
     with pytest.raises(AlgebroidError, match="do not represent the bracket"):
-        MatrixRep(rep.algebra, [mat_scale(m, -1) for m in rep.matrices])
+        matrix_rep(rep.algebra, [mat_scale(m, -1) for m in dense_matrices(rep)])
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -142,13 +150,10 @@ def test_validation_checks_every_pair(k):
     # rho(e_k) + 1 leaves every commutator as it was and breaks only the
     # relation with e_k on its right: [X, Y] = H, [H, X] = 2X or [H, Y] = -2Y
     rep = s6v3()
-    mats = [mat_add(m, linalg.identity(rep.dim)) if i == k else m
-            for i, m in enumerate(rep.matrices)]
     rows = [list(m) for m in rep.rows]
     rows[k] = [{**row, r: row.get(r, 0) + 1} for r, row in enumerate(rep.rows[k])]
-    for given in (mats, rows):
-        with pytest.raises(AlgebroidError, match="do not represent the bracket"):
-            MatrixRep(rep.algebra, given)
+    with pytest.raises(AlgebroidError, match="do not represent the bracket"):
+        MatrixRep(rep.algebra, rows)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -159,18 +164,16 @@ def test_validation_checks_every_row(k):
     for d in (1, 0, 2, 0):
         rep = direct_sum_rep(rep, binary_form_rep(d))
     for t in (0, 3, 7):
-        mats = [[list(row) for row in m] for m in rep.matrices]
-        mats[k][t][t] = F(1)
-        rows = [[{j: c for j, c in enumerate(row) if c} for row in m] for m in mats]
-        for given in (mats, rows):
-            with pytest.raises(AlgebroidError, match="do not represent the bracket"):
-                MatrixRep(rep.algebra, given)
+        rows = [[dict(row) for row in m] for m in rep.rows]
+        rows[k][t][t] = 1
+        with pytest.raises(AlgebroidError, match="do not represent the bracket"):
+            MatrixRep(rep.algebra, rows)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_validation_rejects_one_flipped_entry(k):
     rep = s6v3()
-    mats = [[list(row) for row in m] for m in rep.matrices]
+    mats = dense_matrices(rep)
     m = mats[k]
     n = rep.dim
     if k == 0:
@@ -183,38 +186,41 @@ def test_validation_rejects_one_flipped_entry(k):
         a, b = next((a, b) for a in range(n) for b in range(n) if a != b and m[a][b])
         m[a][b] = -m[a][b]
     with pytest.raises(AlgebroidError, match="do not represent the bracket"):
-        MatrixRep(rep.algebra, mats)
+        matrix_rep(rep.algebra, mats)
 
 
 def test_validation_with_several_structure_constants():
-    v3 = binary_form_rep(3)
+    v3 = dense_matrices(binary_form_rep(3))
     change = [[F(1), F(1), F(0)], [Fraction(1, 2), F(0), F(-1)], [F(0), F(2), F(3)]]
-    mats = [mat_add(mat_add(mat_scale(v3.matrices[0], row[0]),
-                                          mat_scale(v3.matrices[1], row[1])),
-                           mat_scale(v3.matrices[2], row[2]))
+    mats = [mat_add(mat_add(mat_scale(v3[0], row[0]), mat_scale(v3[1], row[1])),
+                    mat_scale(v3[2], row[2]))
             for row in change]
     g = lie_algebra_from_matrices(mats)
     units = linalg.identity(3)
     assert all(sum(1 for c in g.bracket(units[i], units[j]) if c) >= 2
                for i, j in [(0, 1), (0, 2), (1, 2)])
-    rep = sym_power_rep(MatrixRep(g, mats), 6)
+    rep = sym_power_rep(matrix_rep(g, mats), 6)
     assert rep.dim == 84
     with pytest.raises(AlgebroidError, match="do not represent the bracket"):
-        MatrixRep(sl2(), rep.matrices)
+        MatrixRep(sl2(), rep.rows)
 
 
-def test_int_entries_become_fractions():
+def test_rows_hold_ints_where_integral():
     rep = binary_form_rep(3)
-    ints = [[[int(c) for c in row] for row in m] for m in rep.matrices]
-    again = MatrixRep(rep.algebra, ints)
-    assert again.matrices == rep.matrices
-    assert all(type(c) is Fraction for m in again.matrices for row in m for c in row)
-    # the rows are the only state: dense input gives the sparse rows, ints
-    # where integral, and each read of matrices builds a fresh dense view
-    assert MatrixRep(rep.algebra, rep.matrices).rows == rep.rows
+    # integral Fractions become ints and explicit zeros are dropped: the
+    # rows are the only state
+    padded = [[{**{col: Fraction(0) for col in range(rep.dim)},
+                **{col: Fraction(c) for col, c in row.items()}} for row in m] for m in rep.rows]
+    again = MatrixRep(rep.algebra, padded)
+    assert again.rows == rep.rows
     assert all(type(c) is int for m in again.rows for row in m for c in row.values())
     assert MatrixRep.__slots__ == ("algebra", "dim", "rows")
-    assert rep.matrices is not rep.matrices
+    # X/2 and 2Y keep every bracket; X/2 has non-integral entries, kept as Fractions
+    scaled = [rep.rows[0],
+              [{col: Fraction(c, 2) for col, c in row.items()} for row in rep.rows[1]],
+              [{col: 2 * c for col, c in row.items()} for row in rep.rows[2]]]
+    assert any(type(c) is Fraction for row in MatrixRep(rep.algebra, scaled).rows[1]
+               for c in row.values())
 
 
 def dense_polarize(m, basis):
@@ -238,8 +244,8 @@ def conjugated_v2():
     v2 = binary_form_rep(2)
     p = [[F(1), Fraction(1, 2), F(0)], [F(0), F(1), Fraction(-1, 3)], [F(2), F(0), F(1)]]
     p_inv = inverse(p)
-    return MatrixRep(v2.algebra, [mat_mul(p_inv, mat_mul(m, p))
-                                  for m in v2.matrices])
+    return matrix_rep(v2.algebra, [mat_mul(p_inv, mat_mul(m, p))
+                                   for m in dense_matrices(v2)])
 
 
 def test_sym_power_matches_dense_polarization():
@@ -247,12 +253,11 @@ def test_sym_power_matches_dense_polarization():
                    (conjugated_v2(), 3), (binary_form_rep(2), 0)]:
         power = sym_power_rep(rep, n)
         basis = monomials((1,) * rep.dim, n)
-        assert power.matrices == [dense_polarize(m, basis) for m in rep.matrices]
-        assert all(type(c) is Fraction for m in power.matrices for row in m for c in row)
-        # the rows hold ints where integral, and read back as the same matrices
+        assert dense_matrices(power) == [dense_polarize(m, basis) for m in dense_matrices(rep)]
+        # the rows hold ints where integral, and read back as the same rows
         assert all(type(c) is int or c.denominator > 1
                    for m in power.rows for row in m for c in row.values())
-        assert MatrixRep(power.algebra, power.rows).matrices == power.matrices
+        assert MatrixRep(power.algebra, power.rows).rows == power.rows
 
 
 def test_sym_power_of_a_non_integral_v2_decomposes_like_v2():
@@ -267,7 +272,7 @@ def test_sym_power_of_a_non_integral_v2_decomposes_like_v2():
 
 def test_binary_form_rep_weights():
     rep = binary_form_rep(3)
-    h = rep.matrices[0]
+    h = dense_matrices(rep)[0]
     assert [h[k][k] for k in range(4)] == [F(3), F(1), F(-1), F(-3)]
 
 
@@ -297,9 +302,9 @@ def test_weight_space_dims_non_diagonal_h():
         p[i][i + 1] = F(i + 1)
     p[0][n - 1] = Fraction(-1, 2)
     p_inv = inverse(p)
-    conj = MatrixRep(rep.algebra,
-                     [mat_mul(p_inv, mat_mul(m, p)) for m in rep.matrices])
-    h = conj.matrices[0]
+    conj = matrix_rep(rep.algebra,
+                      [mat_mul(p_inv, mat_mul(m, p)) for m in dense_matrices(rep)])
+    h = dense_matrices(conj)[0]
     assert any(h[i][j] for i in range(n) for j in range(n) if i != j)
     assert weight_space_dims(conj.rows[0]) is None
     assert decompose_sl2(conj) == decompose_sl2(rep) == {4: 1, 0: 1}
@@ -327,7 +332,7 @@ def test_sparse_casimir_matches_dense_products():
     rep = sym_power_rep(conjugated_v2(), 3)
     assert weight_space_dims(rep.rows[0]) is None
     kappa_inv = inverse(rep.algebra.killing_matrix())
-    mats = rep.matrices
+    mats = dense_matrices(rep)
     dense = linalg.zeros(rep.dim, rep.dim)
     for i in range(3):
         for j in range(3):
@@ -343,7 +348,7 @@ def test_sl2_isotypic_requires_sl2():
 
 def test_sym_kernel_dims_match_cayley_sylvester():
     for d in range(7):
-        assert sym_kernel_dims({d: 1}, 12) == [covariant_dimension(n, d) for n in range(13)]
+        assert sym_kernel_dims({d: 1}, 12) == [covariant_dimensions(d, n)[-1] for n in range(13)]
     # a reducible V against the raising operator's kernel on S^n(V)
     v = direct_sum_rep(binary_form_rep(2), direct_sum_rep(binary_form_rep(1),
                                                           binary_form_rep(0)))
@@ -388,13 +393,13 @@ def test_weight_sum_conservation():
     for n, d in [(2, 3), (3, 2), (3, 3), (4, 2)]:
         rep = sym_power_rep(binary_form_rep(d), n)
         dec = decompose_sl2(rep)
-        assert sum((e + 1) * m for e, m in dec.items()) == len(rep.matrices[0])
+        assert sum((e + 1) * m for e, m in dec.items()) == len(rep.rows[0])
 
 
 def test_covariant_dimension():
-    assert [covariant_dimension(n, 2) for n in range(6)] == [1, 1, 2, 2, 3, 3]
-    assert covariant_dimension(4, 3) == 5
-    assert covariant_dimension(0, 6) == 1
+    assert [covariant_dimensions(2, n)[-1] for n in range(6)] == [1, 1, 2, 2, 3, 3]
+    assert covariant_dimensions(3, 4)[-1] == 5
+    assert covariant_dimensions(6, 0)[-1] == 1
 
 
 def test_covariant_dimension_is_the_cayley_sylvester_sum():
@@ -405,18 +410,18 @@ def test_covariant_dimension_is_the_cayley_sylvester_sum():
         for n, dim in enumerate(dims):
             assert dim == sum(cayley_sylvester(n, d, e) for e in range(n * d + 1))
             assert dim == partitions_in_rectangle(n * d // 2, d, n)
-            assert covariant_dimension(n, d) == dim
+            assert covariant_dimensions(d, n)[-1] == dim
     with pytest.raises(ValueError):
         covariant_dimensions(-1, 3)
     with pytest.raises(ValueError):
-        covariant_dimension(-1, 3)
+        covariant_dimensions(3, -1)[-1]
 
 
 def test_covariant_dimension_equals_invariants_of_raising():
     for n in range(6):
         for d in range(6):
             rep = sym_power_rep(binary_form_rep(d), n)
-            assert covariant_dimension(n, d) == invariants_dimension(rep, [1])[0]
+            assert covariant_dimensions(d, n)[-1] == invariants_dimension(rep, [1])[0]
 
 
 # -- recognition ---------------------------------------------------------
@@ -702,7 +707,7 @@ def polynomial_ops(d):
     return {name: (lambda vec, mat=mat, anchor=ANCHOR[name]:
                    FreeModuleElement.from_polys([anchor * p for p in vec_diff(vec).to_polys()])
                    + vec_matrix(mat, vec))
-            for name, mat in zip(("H", "X+", "X-"), binary_form_rep(d).matrices)}
+            for name, mat in zip(("H", "X+", "X-"), dense_matrices(binary_form_rep(d)))}
 
 
 def dg_closure(gens, ops, order):
