@@ -6,8 +6,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import PreconditionError
-from .groebner import (FreeModuleElement, Ideal, TermOrder, groebner_basis,
-                       syzygies)
+from .groebner import FreeModuleElement, Ideal, syzygies
 from .poly import Polynomial, default_varnames, format_poly, minimal_monomials, mono_mul, wdeg
 
 
@@ -107,30 +106,18 @@ def _derive(field, terms, out, sign):
 class DerivationModule:
     """Finite generating set of derivations preserving a given ideal."""
 
-    __slots__ = ("nvars", "weights", "generators", "ideal", "_gb")
+    __slots__ = ("nvars", "weights", "generators", "ideal")
 
     def __init__(self, generators, ideal, verify=True):
         self.generators = [g for g in generators if not g.is_zero()]
         self.ideal = ideal
         self.nvars = ideal.nvars
         self.weights = ideal.weights
-        self._gb = None  # module Groebner basis, built on the first contains
         if verify:
             for delta in self.generators:
                 for f in ideal.gens:
                     if not ideal.contains(delta.apply(f)):
                         raise PreconditionError("generator does not preserve the ideal")
-
-    def module_order(self):
-        return TermOrder("grevlex", self.weights, module="top")
-
-    def contains(self, delta):
-        if not self.generators:
-            return delta.is_zero()
-        if self._gb is None:
-            self._gb = groebner_basis([g.vector for g in self.generators],
-                                      self.module_order())
-        return self._gb.contains(delta.vector)
 
     def all_vanish_at_origin(self):
         return all(g.vanishes_at_origin() for g in self.generators)

@@ -6,20 +6,15 @@ single-term elements is never formed, as its S-polynomial is zero.  It runs
 fraction free on primitive int vectors; only the returned basis is monic.
 Syzygies and coefficient lifts over the original generators are both read off
 one basis of the augmented rows (v_i, e_i) under a position-over-term order.
-
-Minimal generators of graded objects need no basis: graded Nakayama reduces
-them to one rref per degree (_graded_nakayama), which serves quasi-homogeneous
-ideals here and derivation modules and their fibres in liealg.  An ideal that
-is not quasi-homogeneous keeps the greedy Groebner-membership pruning.
 """
 
 import heapq
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import linalg
+from . import graded
 from .errors import PreconditionError
-from .poly import Polynomial, _exact, divides, minimal_monomials, mono_mul, monomials, wdeg
+from .poly import Polynomial, _exact, divides, minimal_monomials, mono_mul, wdeg
 
 
 class TermOrder:
@@ -45,19 +40,9 @@ class TermOrder:
                         and any(w != 1 for w in weights) else None)
         self.module = module
 
-    def mono_key(self, exp):
-        if self.kind == "lex":
-            return (exp,)
-        return (wdeg(exp, self.weights), tuple(-e for e in reversed(exp)))
-
-    def key(self, mono):
-        pos, exp = mono
-        if self.module == "pot":
-            return (-pos,) + self.mono_key(exp)
-        return self.mono_key(exp) + (-pos,)
-
     def descending_key(self, mono):
-        """Flat tuple that sorts ascending exactly when key sorts descending."""
+        """Flat tuple that sorts ascending exactly when the monomials sort
+        descending: the largest module monomial has the least key."""
         pos, exp = mono
         if self.kind == "lex":
             flat = tuple(-e for e in exp)
@@ -156,7 +141,7 @@ class FreeModuleElement:
         return FreeModuleElement(self.nvars, self.rank, terms)
 
     def leading(self, order):
-        mono = max(self.terms, key=order.key)
+        mono = min(self.terms, key=order.descending_key)
         return mono, self.terms[mono]
 
     def homogeneous_components(self, weights=None, shifts=None):
@@ -302,18 +287,21 @@ def groebner_basis(gens, order):
     basis = []
     leads = []  # (mono, coeff) of basis[k], computed once when k is added
     buckets = {}  # _buckets(leads), kept in step
-    pairs = []  # heap of (order.key((pos, lcm)), i, j): normal selection
+    # heap of (negated descending_key of (pos, lcm), i, j): the least lcm
+    # first, which is normal selection
+    pairs = []
     done = set()
 
     def add(terms):
         j = len(basis)
-        mono = max(terms, key=order.key)
+        mono = min(terms, key=order.descending_key)
         element = FreeModuleElement(nvars, rank, _primitive(terms, mono))
         (pos, exp), coeff = lead = mono, element.terms[mono]
         for i, lexp, _c in buckets.get(pos, ()):
             # two single terms have a zero S-polynomial: no pair
             if len(terms) > 1 or len(basis[i].terms) > 1:
-                heapq.heappush(pairs, (order.key((pos, _lcm_exp(lexp, exp))), i, j))
+                lcm_key = order.descending_key((pos, _lcm_exp(lexp, exp)))
+                heapq.heappush(pairs, (tuple(-x for x in lcm_key), i, j))
         basis.append(element)
         leads.append(lead)
         buckets.setdefault(pos, []).append((j, exp, coeff))
@@ -357,7 +345,7 @@ def groebner_basis(gens, order):
     for element, (mono, coeff) in zip(basis, leads):
         rem, scale = _reduce({m: c for m, c in element.terms.items() if m != mono}, buckets, basis, order)
         reduced.append(FreeModuleElement(nvars, rank, _primitive({mono: coeff * scale, **rem}, mono)))
-    by_lead = sorted(range(len(basis)), key=lambda k: order.key(leads[k][0]), reverse=True)
+    by_lead = sorted(range(len(basis)), key=lambda k: order.descending_key(leads[k][0]))
     return GroebnerBasis(order, [reduced[k] for k in by_lead], nvars, rank)
 
 
@@ -374,21 +362,19 @@ class Ideal:
         if len(self.weights) != nvars or not all(type(w) is int and w > 0 for w in self.weights):
             raise ValueError(f"need one positive int weight per variable, got {self.weights}")
         self.gens = [g for g in gens if not g.is_zero()]
-        self._gb = {}
+        self._gb = None  # the basis under default_order, built on first use
         # colength and minimal generators; gens is never mutated after this
         self._memo = {}
 
     def default_order(self):
         return TermOrder("grevlex", self.weights)
 
-    def groebner(self, order=None):
-        order = order or self.default_order()
-        key = (order.kind, order.weights, order.module)
-        if key not in self._gb:
+    def groebner(self):
+        if self._gb is None:
             if not self.gens:
                 raise PreconditionError("zero ideal has no Groebner basis here")
-            self._gb[key] = groebner_basis(self.gens, order)
-        return self._gb[key]
+            self._gb = groebner_basis(self.gens, self.default_order())
+        return self._gb
 
     def is_zero(self):
         return not self.gens
@@ -466,7 +452,7 @@ class Ideal:
         """
         if "minimal_generators" not in self._memo:
             if self.is_quasi_homogeneous():
-                kept, degrees = _graded_nakayama(
+                kept, degrees = graded.minimal_generators(
                     [FreeModuleElement.from_poly(g) for g in reversed(self.gens)],
                     self.weights, (0,))
                 last = len(self.gens) - 1
@@ -505,51 +491,6 @@ def _greedy_minimal_generators(ideal):
         if not others or not Ideal(ideal.nvars, others, ideal.weights).contains(g):
             kept.append(g)
     return kept
-
-
-# -- graded Nakayama --------------------------------------------------------
-
-def _m_times(kept, degrees, d, weights):
-    """x^a k over the kept k with deg x^a = d - deg k > 0.  When the kept
-    elements generate M in every degree below d, these span (m*M)_d."""
-    return [k.mul_term(a) for k, e in zip(kept, degrees) if e < d
-            for a in monomials(weights, d - e)]
-
-
-def _column_rows(columns):
-    """Rows of the matrix whose columns are the given module elements, one
-    row per term that occurs."""
-    index = {t: r for r, t in enumerate(sorted({t for col in columns for t in col.terms}))}
-    rows = [[0] * len(columns) for _ in index]
-    for c, col in enumerate(columns):
-        for t, x in col.terms.items():
-            rows[index[t]][c] = x
-    return rows
-
-
-def _graded_nakayama(candidates, weights, shifts):
-    """(indices of the kept candidates, their degrees): graded Nakayama
-    (Eisenbud, Cor. 4.8) as one rref per candidate degree d, from the lowest
-    up.  Each candidate is a nonzero element homogeneous of degree
-    sum w_i e_i + shifts[pos] on its terms x^e at position pos.  The
-    candidates of degree d kept are the pivot columns of
-    [(m*M)_d | candidates of degree d in the given order]: those outside
-    (m*M)_d + the span of the candidates before them.  A repeated candidate
-    is never a pivot."""
-    by_degree = {}
-    for i, c in enumerate(candidates):
-        pos, exp = next(iter(c.terms))
-        d = wdeg(exp, weights) + shifts[pos]
-        by_degree.setdefault(d, []).append(i)
-    kept, degrees = [], []
-    for d in sorted(by_degree):
-        span = _m_times([candidates[k] for k in kept], degrees, d, weights)
-        same = by_degree[d]
-        for p in linalg.rref(_column_rows(span + [candidates[i] for i in same]))[1]:
-            if p >= len(span):
-                kept.append(same[p - len(span)])
-                degrees.append(d)
-    return kept, degrees
 
 
 def _augmented_basis(vectors, order):

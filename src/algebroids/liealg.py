@@ -3,10 +3,9 @@ algebra extraction from derivation modules."""
 
 from itertools import combinations, product
 
-from . import linalg
+from . import graded, linalg
 from .derivations import Derivation
 from .errors import AlgebroidError, InconsistencyError, PreconditionError
-from .groebner import _column_rows, _graded_nakayama, _m_times
 from .poly import _exact
 
 
@@ -116,8 +115,7 @@ class LieAlgebra:
         derived = self.derived_subalgebra_basis()
         kappa = self.killing_matrix()
         series = self._series(derived, lower=False)
-        rows = [linalg.mat_vec(kappa, b) for b in derived]
-        radical_dim = len(linalg.kernel_basis(rows)) if rows else self.dim
+        radical_dim = self.dim - linalg.rank([linalg.mat_vec(kappa, b) for b in derived])
         solvable = series[-1] == 0
         if solvable != (radical_dim == self.dim):
             raise InconsistencyError("derived series and Cartan criterion disagree")
@@ -130,7 +128,7 @@ class LieAlgebra:
             "lower_central_series": self._series(derived, lower=True),
             "killing_rank": linalg.rank(kappa),
             "radical_dim": radical_dim,
-            "center_dim": len(linalg.kernel_basis(stacked)) if stacked else self.dim,
+            "center_dim": self.dim - linalg.rank(stacked),
             "solvable": solvable,
         }
 
@@ -208,7 +206,7 @@ def _fibre_basis(dm):
     comps = sorted((c for g in dm.generators
                     for c in g.vector.homogeneous_components(weights, shifts).values()),
                    key=lambda v: sorted(v.terms))
-    kept, degrees = _graded_nakayama(comps, weights, shifts)
+    kept, degrees = graded.minimal_generators(comps, weights, shifts)
     return [comps[k] for k in kept], degrees
 
 
@@ -226,9 +224,9 @@ def fibre_lie_algebra(dm, require_origin=True):
     require_origin enforces the vanishing-at-origin reduction used for
     singularity analyses; toral analyses pass False to keep constant fields.
     The class of [d_i, d_j] is homogeneous of degree deg d_i + deg d_j, so
-    the coordinates of all brackets of one degree d come from one solve
-    against [(m*T)_d | kept fields of degree d]; those on the kept fields are
-    unique because the kept classes are a basis of T/mT.
+    the coordinates of all brackets of one degree d on the kept fields of
+    degree d come from one graded.coordinates; they are unique because the
+    kept classes are a basis of T/mT.
     """
     if not dm.ideal.is_quasi_homogeneous():
         raise PreconditionError("not quasi-homogeneous")
@@ -245,17 +243,12 @@ def fibre_lie_algebra(dm, require_origin=True):
             pairs_by_degree.setdefault(degrees[i] + degrees[j], []).append((i, j))
     brackets = {}
     for d, pairs in pairs_by_degree.items():
-        span = _m_times(basis_vecs, degrees, d, dm.weights)
-        same = [k for k in range(m) if degrees[k] == d]
-        columns = span + [basis_vecs[k] for k in same]
-        first = len(columns)
-        columns += [basis[i].bracket(basis[j]).vector for i, j in pairs]
-        # columns without terms give no rows and solve returns []: every
-        # bracket of such a degree is zero and stays absent
-        for pair, x in zip(pairs, linalg.solve(_column_rows(columns), first)):
+        found = graded.coordinates(basis_vecs, degrees, d, dm.weights,
+                                   [basis[i].bracket(basis[j]).vector for i, j in pairs])
+        for pair, x in zip(pairs, found):
             if x is None:
                 raise AlgebroidError("bracket leaves the module (not a Lie algebroid?)")
-            brackets[pair] = {k: c for k, c in zip(same, x[len(span):]) if c}
+            brackets[pair] = x
     labels = [f"d{i + 1}" for i in range(m)]
     algebra = LieAlgebra(m, brackets, labels)
     return algebra, basis

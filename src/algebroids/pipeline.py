@@ -319,9 +319,13 @@ def analyze_toral(spec):
         return Derivation([Polynomial.variable(nvars, j) if j == i
                            else Polynomial.zero(nvars) for j in range(nvars)])
 
-    toral_ok = all(dm.contains(nabla(i)) for i in range(nvars))
-    jm_vars = [i for i in range(nvars)
-               if not dm.contains(Derivation.partial(nvars, i))]
+    def tangent(delta):
+        # delta is in T(I) iff it maps each generator into I; the normal
+        # forms reuse the basis of I that tangent_derivations built
+        return all(mono_ideal.contains(delta.apply(g)) for g in monos)
+
+    toral_ok = all(tangent(nabla(i)) for i in range(nvars))
+    jm_vars = [i for i in range(nvars) if not tangent(Derivation.partial(nvars, i))]
     r = len(jm_vars)
     fibre, _basis = fibre_lie_algebra(dm, require_origin=False)
     fingerprint = fibre.fingerprint()

@@ -25,7 +25,8 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(TESTS)
 SRC = os.path.join(ROOT, "src")
 BENCH = os.path.join(ROOT, "bench")
-# ahead of tests/, so that bench/worker.py's `import oracles` finds bench/oracles.py
+# bench/worker.py's `import oracles` finds bench/oracles.py whatever the path
+# order: the tests' own second routes are in tests/references.py
 sys.path[:0] = [SRC, BENCH]
 
 # never-called names that stay in src/, each with its reason

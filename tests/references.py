@@ -1,16 +1,17 @@
 """Second routes the tests check the library against: a partition count by
-its own recursion, equality of ideals and of derivation modules as
-inclusion both ways, dense matrix products, dense action matrices of a
-module and the common kernel of some of them, a Lie algebra's brackets as
-dense vectors, the Jacobi identity on every triple of a structure table,
-and a vector field's action and bracket on its coefficient Polynomials."""
+its own recursion, membership in a derivation module by its own Groebner
+basis, equality of ideals and of derivation modules as inclusion both ways,
+dense matrix products, dense action matrices of a module and the common
+kernel of some of them, a Lie algebra's brackets as dense vectors, the
+Jacobi identity on every triple of a structure table, and a vector field's
+action and bracket on its coefficient Polynomials."""
 
 from fractions import Fraction
 from functools import lru_cache
 
 from algebroids import linalg
 from algebroids.derivations import Derivation
-from algebroids.groebner import groebner_basis
+from algebroids.groebner import TermOrder, groebner_basis
 from algebroids.poly import Polynomial, mono_mul
 from algebroids.repmod import MatrixRep
 
@@ -33,14 +34,30 @@ def same_ideal(a, b):
     return all(b.contains(g) for g in a.gens) and all(a.contains(g) for g in b.gens)
 
 
+def _module_basis(derivations, weights):
+    return groebner_basis([d.vector for d in derivations], TermOrder("grevlex", weights))
+
+
+def module_contains(dm, delta):
+    """Whether the DerivationModule dm contains delta: one module Groebner
+    basis of its generators, under the weighted grevlex order (term over
+    position), built for this call."""
+    if not dm.generators:
+        return delta.is_zero()
+    return _module_basis(dm.generators, dm.weights).contains(delta.vector)
+
+
 def same_module(dm, derivations):
     """The DerivationModule dm and the module the derivations generate
     contain each other's generators."""
     others = [d for d in derivations if not d.is_zero()]
-    if not others or not all(dm.contains(d) for d in others):
+    if not others or not dm.generators:
         return not others and not dm.generators
-    gb = groebner_basis([d.vector for d in others], dm.module_order())
-    return all(gb.contains(g.vector) for g in dm.generators)
+    mine = _module_basis(dm.generators, dm.weights)
+    if not all(mine.contains(d.vector) for d in others):
+        return False
+    theirs = _module_basis(others, dm.weights)
+    return all(theirs.contains(g.vector) for g in dm.generators)
 
 
 def mat_mul(a, b):

@@ -25,7 +25,7 @@ from algebroids.series import (RationalSeries, integrate_characters,
                                quasi_polynomial_of)
 
 from constructs import SemigroupSpec, gamma_restriction
-from oracles import same_ideal, same_module
+from references import same_ideal, same_module
 
 
 def report(capsys, num, desc, fn):

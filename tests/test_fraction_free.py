@@ -18,7 +18,7 @@ from algebroids.poly import Polynomial
 from algebroids.series import (QuasiPolynomial, RationalSeries, SeriesPrefix,
                                expand_series, quasi_polynomial_of, reconstruct_rational)
 
-from oracles import dense_brackets
+from references import dense_brackets
 
 # -- the reference: Buchberger over Q with monic S-polynomials and reductions
 
@@ -36,7 +36,7 @@ def _lcm(a, b):
 
 
 def _lead(terms, order):
-    mono = max(terms, key=order.key)
+    mono = min(terms, key=order.descending_key)
     return mono, terms[mono]
 
 
@@ -85,7 +85,8 @@ def ref_groebner_basis(gens, order):
         lead = _lead(terms, order)
         for i, ((pos, exp), _c) in enumerate(leads):
             if pos == lead[0][0]:
-                heapq.heappush(pairs, (order.key((pos, _lcm(exp, lead[0][1]))), i, len(basis)))
+                lcm_key = order.descending_key((pos, _lcm(exp, lead[0][1])))
+                heapq.heappush(pairs, (tuple(-x for x in lcm_key), i, len(basis)))
         basis.append(terms)
         leads.append(lead)
 
@@ -121,7 +122,7 @@ def ref_groebner_basis(gens, order):
         mono, coeff = _lead(b, order)
         tail = ref_reduce({m: c for m, c in b.items() if m != mono}, minimal, order)
         out.append({mono: Fraction(1), **{m: c / coeff for m, c in tail.items()}})
-    return sorted(out, key=lambda b: order.key(_lead(b, order)[0]), reverse=True)
+    return sorted(out, key=lambda b: order.descending_key(_lead(b, order)[0]))
 
 
 def ref_augmented(vectors, order):

@@ -7,7 +7,7 @@ import pytest
 
 from algebroids import linalg
 
-from oracles import mat_mul
+from references import mat_mul
 
 
 def F(*xs):

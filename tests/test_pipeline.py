@@ -22,7 +22,7 @@ from algebroids.poly import Polynomial, monomials
 from algebroids.repmod import polarize, sl2_isotypic
 from algebroids.series import RationalSeries
 
-from oracles import dense_matrices, mat_add, mat_mul, mat_scale, partitions_in_rectangle
+from references import dense_matrices, mat_add, mat_mul, mat_scale, partitions_in_rectangle
 
 WHITNEY = "vars: x, y, z\nweights: 1, 2, 2\nideal: z^2 - x^2*y\n"
 QUADRIC = "vars: x, y, z\nideal: x^2 + y^2 + z^2\n"

@@ -19,7 +19,7 @@ from algebroids.repmod import (MatrixRep, binary_form_rep, cayley_sylvester,
                                weight_space_dims)
 
 from constructs import recognition_sl_blocks
-from oracles import (dense_matrices, invariants_dimension, mat_add, mat_mul, mat_scale,
+from references import (dense_matrices, invariants_dimension, mat_add, mat_mul, mat_scale,
                      matrix_rep, partitions_in_rectangle)
 
 

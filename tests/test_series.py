@@ -18,7 +18,7 @@ from algebroids.series import (CharacterSeries, QuasiPolynomial,
                                reconstruct_rational)
 
 from constructs import SemigroupSpec, gamma_restriction
-from oracles import partitions_in_rectangle
+from references import partitions_in_rectangle
 
 
 # -- partitions: the oracle of the covariant counts -------------------------
