@@ -225,11 +225,12 @@ def quasi_homogeneous_weights(f):
     # solving alpha . u = 1 and k_j the kernel basis (k_j is 1 at the j-th
     # free coordinate, where u is 0); unused variables get weight 1.  Both
     # are scaled by their common denominator, so w = (d U + sum a_j K_j) / scale
-    rows = [[e[i] for i in used] + [1] for e in exps]
-    u = linalg.solve(rows, len(used))[0]
+    width = len(used)
+    rows = [{j: e[i] for j, i in enumerate(used) if e[i]} for e in exps]
+    u = linalg.solve([{**row, width: 1} for row in rows], width, 1)[0]
     if u is None:
         return None
-    kernel = linalg.kernel_basis([row[:-1] for row in rows])
+    kernel = linalg.kernel_basis(rows, width)
     scale = lcm(*(x.denominator for v in [u] + kernel for x in v))
     u = [int(x * scale) for x in u]
     kernel = [[int(x * scale) for x in k] for k in kernel]

@@ -22,12 +22,7 @@ def _piece(kept, degrees, d, weights, targets):
             for a in monomials(weights, d - e)]
     same = [i for i, e in enumerate(degrees) if e == d]
     columns = span + [kept[i] for i in same] + list(targets)
-    index = {t: r for r, t in enumerate(sorted({t for col in columns for t in col.terms}))}
-    rows = [[0] * len(columns) for _ in index]
-    for c, col in enumerate(columns):
-        for t, x in col.terms.items():
-            rows[index[t]][c] = x
-    return len(span), same, rows
+    return len(span), same, linalg.from_columns([col.terms for col in columns])
 
 
 def minimal_generators(candidates, weights, shifts):
@@ -57,10 +52,7 @@ def coordinates(kept, degrees, d, weights, targets):
     """For each target of degree d, its coordinates {k: c} on the kept
     elements of degree d modulo (m*M)_d, or None when it is not in M.  The
     kept elements are minimal generators of M with the given degrees, so
-    the coordinates are unique.  A piece with no terms has only zero
-    targets, each {}."""
+    the coordinates are unique."""
     span, same, rows = _piece(kept, degrees, d, weights, targets)
-    if not rows:
-        return [{} for _ in targets]
     return [None if x is None else {k: c for k, c in zip(same, x[span:]) if c}
-            for x in linalg.solve(rows, span + len(same))]
+            for x in linalg.solve(rows, span + len(same), len(targets))]

@@ -249,11 +249,12 @@ class GroebnerBasis:
         self._primitive = primitive
         leads = [e.leading(order) for e in primitive]
         self._buckets = _buckets(leads)
-        self._leads = tuple((mono, 1) for mono, _c in leads)
+        self._leads = tuple(mono for mono, _c in leads)
         self.elements = [e if c == 1 else e.scale(Fraction(1, c))
                          for e, (_m, c) in zip(primitive, leads)]
 
     def leads(self):
+        """The leading monomials (pos, exp) of the elements, in order."""
         return self._leads
 
     def normal_form(self, f):
@@ -397,7 +398,7 @@ class Ideal:
 
     def leading_exponents(self):
         gb = self.groebner()
-        return [mono[1] for mono, _ in gb.leads()]
+        return [exp for _pos, exp in gb.leads()]
 
     def standard_monomials(self):
         """List of exponent tuples outside the initial ideal; None if infinite."""

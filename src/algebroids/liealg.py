@@ -15,7 +15,8 @@ class LieAlgebra:
     The constants are given as sparse rows {(i, j): {k: c}} for i < j,
     [e_i, e_j] = sum_k c e_k, and kept as one antisymmetric table holding
     the rows for both orders; zero constants and zero brackets are absent.
-    The adjoint action rows (_ads) are built once, on construction.
+    Vectors of the algebra are sparse too, {i: c} for sum_i c e_i.  The
+    adjoint action rows (_ads) are built once, on construction.
     """
 
     __slots__ = ("dim", "labels", "_table", "_ad")
@@ -36,27 +37,19 @@ class LieAlgebra:
         self._ad = self._ads()
         self._validate_jacobi()
 
-    def _dense_rows(self):
-        """((i, j), [e_i, e_j] as a dense vector) for each nonzero bracket
-        with i < j, in sorted pair order."""
-        return [(pair, [row.get(k, 0) for k in range(self.dim)])
-                for pair, row in sorted(self._table.items()) if pair[0] < pair[1]]
-
     def bracket(self, u, v):
-        if len(u) != self.dim or len(v) != self.dim:
-            raise ValueError("bracket of two vectors of length dim")
-        out = [0] * self.dim
-        support = [(j, b) for j, b in enumerate(v) if b]
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in support:
+        """[u, v] of two sparse vectors {i: c}, as a sparse vector."""
+        if not all(0 <= i < self.dim for w in (u, v) for i in w):
+            raise ValueError("bracket of two vectors {i: c} with 0 <= i < dim")
+        out = {}
+        for i, a in u.items():
+            for j, b in v.items():
                 row = self._table.get((i, j))
                 if row:
                     ab = a * b
                     for k, c in row.items():
-                        out[k] += ab * c
-        return out
+                        out[k] = out.get(k, 0) + ab * c
+        return {k: c for k, c in out.items() if c}
 
     def _validate_jacobi(self):
         """The Jacobi identity, as ad[e_i, e_j] = [ad e_i, ad e_j]: the
@@ -67,13 +60,13 @@ class LieAlgebra:
     # -- series ----------------------------------------------------------
     def _bracket_span(self, pairs):
         prods = [self.bracket(a, b) for a, b in pairs]
-        return linalg.row_space_basis([p for p in prods if any(p)])
+        return linalg.rref([p for p in prods if p])[0]
 
     def _series(self, derived, lower):
         """Dimensions of g, [g,g] = derived, ... until 0 or a repeat; the next
         term is [g, current] if lower (lower central series), else
         [current, current] (derived series)."""
-        whole = linalg.identity(self.dim)
+        whole = [{i: 1} for i in range(self.dim)]
         dims = [self.dim, len(derived)]
         current = derived
         while dims[-1] and dims[-1] != dims[-2]:
@@ -85,7 +78,7 @@ class LieAlgebra:
         return dims
 
     def derived_subalgebra_basis(self):
-        return linalg.row_space_basis([vec for _pair, vec in self._dense_rows()])
+        return linalg.rref([row for (i, j), row in self._table.items() if i < j])[0]
 
     # -- adjoint rows and the Killing form -------------------------------
     def _ads(self):
@@ -98,14 +91,16 @@ class LieAlgebra:
         return ads
 
     def killing_matrix(self):
-        """kappa_ab = tr(ad e_a ad e_b), read off the adjoint rows."""
+        """Sparse rows of kappa_ab = tr(ad e_a ad e_b), read off the adjoint
+        rows."""
         ad = self._ad
-        kappa = linalg.zeros(self.dim, self.dim)
+        kappa = [{} for _ in range(self.dim)]
         for a in range(self.dim):
             for b in range(a, self.dim):
-                kappa[a][b] = kappa[b][a] = sum(
-                    (x * ad[b][mid].get(r, 0) for r, row in enumerate(ad[a])
-                     for mid, x in row.items()), 0)
+                entry = sum((x * ad[b][mid].get(r, 0) for r, row in enumerate(ad[a])
+                             for mid, x in row.items()), 0)
+                if entry:
+                    kappa[a][b] = kappa[b][a] = entry
         return kappa
 
     def fingerprint(self):
@@ -115,13 +110,13 @@ class LieAlgebra:
         derived = self.derived_subalgebra_basis()
         kappa = self.killing_matrix()
         series = self._series(derived, lower=False)
-        radical_dim = self.dim - linalg.rank([linalg.mat_vec(kappa, b) for b in derived])
+        # kappa is symmetric, so kappa b combines kappa's rows by b
+        radical_dim = self.dim - linalg.rank([linalg.combine(b, kappa) for b in derived])
         solvable = series[-1] == 0
         if solvable != (radical_dim == self.dim):
             raise InconsistencyError("derived series and Cartan criterion disagree")
         # x is central iff ad(e_j) x = 0 for every j
-        stacked = [[row.get(i, 0) for i in range(self.dim)]
-                   for a in self._ad for row in a if row]
+        stacked = [row for a in self._ad for row in a if row]
         return {
             "dim": self.dim,
             "derived_series": series,
@@ -133,7 +128,9 @@ class LieAlgebra:
         }
 
     def to_json(self):
-        entries = [[i + 1, j + 1, [str(c) for c in vec]] for (i, j), vec in self._dense_rows()]
+        # the report writes each nonzero bracket as a dense vector
+        entries = [[i + 1, j + 1, [str(row.get(k, 0)) for k in range(self.dim)]]
+                   for (i, j), row in sorted(self._table.items()) if i < j]
         return {"dim": self.dim, "brackets": entries, "labels": list(self.labels)}
 
     def __repr__(self):
@@ -178,17 +175,15 @@ def sl2():
 
 
 def span_lie_algebra(vectors, bracket, labels=None):
-    """Structure constants of the span of linearly independent vectors,
-    closed under bracket(a, b), the bracket of vectors[a] and vectors[b].
+    """Structure constants of the span of linearly independent sparse
+    vectors {t: c}, closed under bracket(a, b), the bracket of vectors[a]
+    and vectors[b] as a sparse vector.
 
     One linalg.solve against the vectors gives every bracket's coordinates."""
     k = len(vectors)
     pairs = list(combinations(range(k), 2))
-    if not pairs:
-        return LieAlgebra(k, {}, labels)
-    targets = [bracket(a, b) for a, b in pairs]
-    solutions = linalg.solve([[v[t] for v in vectors] + [w[t] for w in targets]
-                              for t in range(len(targets[0]))], k)
+    columns = list(vectors) + [bracket(a, b) for a, b in pairs]
+    solutions = linalg.solve(linalg.from_columns(columns), k, len(pairs))
     if None in solutions:
         raise AlgebroidError("span is not closed under the bracket")
     return LieAlgebra(k, {pair: {t: c for t, c in enumerate(x) if c}

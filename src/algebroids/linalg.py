@@ -1,32 +1,37 @@
 """Exact linear algebra over Q.
 
-Matrices are lists of rows and vectors are lists of ints and Fractions; the
-rref rows, kernels and solutions hold ints where integral (poly._exact).
-Everything is small (desk scale), so plain Gaussian elimination is enough:
-one sparse rref, from which rank, kernel_basis, row_space_basis and solve
-read their answers.  Every coordinate vector the library needs (structure
-constants, weights, inverses, interpolation) comes from solve.
+A matrix is a list of sparse rows {col: entry}, the one matrix form of the
+library; an explicit zero entry counts as absent.  Vectors read off a
+matrix (solutions, kernel vectors) are dense lists.  Entries and vectors
+hold ints where integral (poly._exact).  Everything is small (desk scale),
+so plain Gaussian elimination is enough: one sparse rref, from which rank,
+kernel_basis and solve read their answers.  Every coordinate vector the
+library needs (structure constants, weights, inverses, interpolation) comes
+from solve.
 """
 
 from fractions import Fraction
-from itertools import compress
 
 from .poly import _exact
 
 
-def zeros(n, m):
-    return [[0] * m for _ in range(n)]
+def from_columns(columns):
+    """The rows of the matrix with the given sparse columns {key: entry}:
+    one row {c: entry of column c} per key that occurs, sorted by key."""
+    rows = {}
+    for c, column in enumerate(columns):
+        for key, x in column.items():
+            rows.setdefault(key, {})[c] = x
+    return [rows[key] for key in sorted(rows)]
 
 
-def identity(n):
-    mat = zeros(n, n)
-    for i in range(n):
-        mat[i][i] = 1
-    return mat
-
-
-def mat_vec(a, v):
-    return [sum((c * x for c, x in zip(row, v) if x), 0) for row in a]
+def combine(coeffs, rows):
+    """The sparse row sum_j c * rows[j] over the sparse coefficients {j: c}."""
+    out = {}
+    for j, c in coeffs.items():
+        for col, x in rows[j].items():
+            out[col] = out.get(col, 0) + c * x
+    return {col: x for col, x in out.items() if x}
 
 
 def _subtract(target, c, row):
@@ -40,16 +45,15 @@ def _subtract(target, c, row):
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (rref rows, pivot column list).
+    """Reduced row echelon form; returns (rref rows, pivot column list), the
+    rows sparse with no zero entry.
 
-    Rows are eliminated as dicts of their nonzero entries: each row is
-    reduced by the pivot rows found so far, and a new pivot is cleared from
-    the earlier rows, so the pivot rows stay reduced against each other."""
-    if not rows:
-        return [], []
+    Each row is reduced by the pivot rows found so far, and a new pivot is
+    cleared from the earlier rows, so the pivot rows stay reduced against
+    each other."""
     reduced = {}  # pivot column -> row with a 1 there and 0 in every other pivot
     for row in rows:
-        new = {j: row[j] for j in compress(range(len(row)), row)}
+        new = {j: x for j, x in row.items() if x}
         for p in [j for j in new if j in reduced]:
             _subtract(new, new[p], reduced[p])
         if not new:
@@ -63,55 +67,44 @@ def rref(rows):
                 _subtract(other, other[col], new)
         reduced[col] = new
     pivots = sorted(reduced)
-    out = [[0] * len(rows[0]) for _ in pivots]
-    for dense, p in zip(out, pivots):
-        for j, x in reduced[p].items():
-            dense[j] = _exact(x)
-    return out, pivots
+    return [{j: _exact(x) for j, x in reduced[p].items()} for p in pivots], pivots
 
 
 def rank(rows):
     return len(rref(rows)[0])
 
 
-def kernel_basis(rows):
-    """Basis of {v : A v = 0} for the matrix with the given rows."""
-    if not rows:
-        return []
-    m = len(rows[0])
+def kernel_basis(rows, width):
+    """Basis of {v : A v = 0} for the matrix A with the given rows and
+    width columns: one vector per free column f, 1 at f and 0 at the other
+    free columns."""
     red, pivots = rref(rows)
-    free = [j for j in range(m) if j not in pivots]
+    free = [j for j in range(width) if j not in pivots]
     basis = []
     for f in free:
-        v = [0] * m
+        v = [0] * width
         v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
+        for row, p in zip(red, pivots):
+            v[p] = -row.get(f, 0)
         basis.append(v)
     return basis
 
 
-def row_space_basis(rows):
-    return rref(rows)[0]
-
-
-def solve(rows, k):
-    """One rref of the augmented matrix [A | b_1 | b_2 ...]: the first k
-    columns of rows are A, each later column a target b.  For each target,
-    in order, the x with A x = b whose free coordinates are 0, or None when
-    b lies outside the column span of A.  With no rows there are no columns
-    to count the targets by, so the result is []: a caller whose system can
-    be empty (every target then 0, solved by x = 0) handles that itself."""
+def solve(rows, k, targets):
+    """One rref of the augmented matrix [A | b_1 | ... | b_targets]: columns
+    0 .. k-1 of rows are A, and column k + t - 1 is the target b_t.  For
+    each target, in order, the x with A x = b whose free coordinates are 0,
+    or None when b lies outside the column span of A."""
     red, pivots = rref(rows)
-    # rows whose pivot lies past A read 0 = b_i: b is in the span iff each is 0
-    split = sum(p < k for p in pivots)
-    out = []
-    for t in range(k, len(rows[0]) if rows else k):
-        if any(row[t] for row in red[split:]):
-            out.append(None)
-            continue
-        x = [0] * k
-        for row, p in zip(red, pivots[:split]):
-            x[p] = row[t]
-        out.append(x)
+    out = [[0] * k for _ in range(targets)]
+    # the pivots ascend: the rows with a pivot in A come first and give x;
+    # a row whose pivot lies past A reads 0 = b, so b is outside the span
+    # when that row has an entry in b's column
+    for row, p in zip(red, pivots):
+        for t, x in row.items():
+            if t >= k:
+                if p < k:
+                    out[t - k][p] = x
+                else:
+                    out[t - k] = None
     return out

@@ -167,16 +167,8 @@ def _levi_action(algebra, basis_derivations):
     if linalg.rank(sub.killing_matrix()) != 3:
         return None
     parts = [delta.linear_part_rows() for delta in basis_derivations]
-    mats = []
-    for coeffs in derived:
-        rows = [{} for _ in range(basis_derivations[0].nvars)]
-        for c, part in zip(coeffs, parts):
-            if c:
-                for out, row in zip(rows, part):
-                    for col, x in row.items():
-                        out[col] = out.get(col, 0) + c * x
-        mats.append(rows)
-    return MatrixRep(sub, mats)
+    return MatrixRep(sub, [[linalg.combine(coeffs, rows) for rows in zip(*parts)]
+                           for coeffs in derived])
 
 
 def _sl2_covariant_path(algebra, basis_derivations, depth):

@@ -124,7 +124,7 @@ def _casimir(rep):
     kappa = rep.algebra.killing_matrix()
     dim = len(kappa)
     # column j of kappa^-1 solves kappa x = e_j, and kappa is symmetric
-    kappa_inv = linalg.solve([row + unit for row, unit in zip(kappa, linalg.identity(dim))], dim)
+    kappa_inv = linalg.solve([{**row, dim + i: 1} for i, row in enumerate(kappa)], dim, dim)
     if dim != 3 or None in kappa_inv:
         raise PreconditionError("not a form of sl2")
     casimir = [{} for _ in range(rep.dim)]
@@ -151,8 +151,7 @@ def sl2_isotypic(rep):
         if filled == n:
             break
         shift = Fraction(k * (k + 2), 8)
-        shifted = [[row.get(j, 0) - (shift if i == j else 0) for j in range(n)]
-                   for i, row in enumerate(casimir)]
+        shifted = [{**row, i: row.get(i, 0) - shift} for i, row in enumerate(casimir)]
         kernel = n - linalg.rank(shifted)
         if kernel % (k + 1):
             raise InconsistencyError("Casimir eigenspace is not a sum of copies of V_k")
@@ -260,7 +259,7 @@ def _algebroid_ops(d):
 
 def _module_rank(gb):
     """Rank over the PID Q[x]: number of leading positions in the reduced GB."""
-    return len({pos for (pos, _exp), _c in gb.leads()})
+    return len({pos for pos, _exp in gb.leads()})
 
 
 def sl2_algebroid_filtration(d):

@@ -228,8 +228,8 @@ def _fit_polynomial(points):
     """Exact polynomial through (x, y) points, coefficient list ascending."""
     if not points:
         return []
-    sol = linalg.solve([[x ** j for j in range(len(points))] + [y]
-                        for x, y in points], len(points))[0]
+    n = len(points)
+    sol = linalg.solve([{**{j: x ** j for j in range(n)}, n: y} for x, y in points], n, 1)[0]
     if sol is None:
         raise AlgebroidError("polynomial fit failed")
     while sol and sol[-1] == 0:

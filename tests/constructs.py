@@ -7,6 +7,8 @@ from algebroids import linalg
 from algebroids.errors import PreconditionError
 from algebroids.series import CharacterSeries
 
+from references import sparse_rows
+
 
 def recognition_sl_blocks(matrices, dim=None):
     """Composition-factor dimensions of V under the span of the given
@@ -28,7 +30,7 @@ def recognition_sl_blocks(matrices, dim=None):
     rows = [[m[i][j] for m in matrices]
             + [(i == j == c) - (i == j == c + 1) for c in range(dim - 1)]
             for i in range(dim) for j in range(dim)]
-    if None in linalg.solve(rows, len(matrices)):
+    if None in linalg.solve(sparse_rows(rows), len(matrices), dim - 1):
         raise PreconditionError("recognition hypothesis fails: the diagonal trace-zero "
                                 "Cartan of sl(V) is not in the span")
     succ = [{k for m in matrices for k in range(dim) if m[k][i]} for i in range(dim)]

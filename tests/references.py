@@ -1,10 +1,12 @@
 """Second routes the tests check the library against: a partition count by
 its own recursion, membership in a derivation module by its own Groebner
 basis, equality of ideals and of derivation modules as inclusion both ways,
-dense matrix products, dense action matrices of a module and the common
-kernel of some of them, a Lie algebra's brackets as dense vectors, the
-Jacobi identity on every triple of a structure table, and a vector field's
-action and bracket on its coefficient Polynomials."""
+dense matrices and vectors and their conversion to and from the library's
+sparse rows {col: entry} and vectors {i: c}, dense matrix products, dense
+action matrices of a module and the common kernel of some of them, a Lie
+algebra's brackets as dense vectors, the Jacobi identity on every triple of
+a structure table, and a vector field's action and bracket on its
+coefficient Polynomials."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -60,6 +62,21 @@ def same_module(dm, derivations):
     return all(theirs.contains(g.vector) for g in dm.generators)
 
 
+def zeros(n, m):
+    return [[0] * m for _ in range(n)]
+
+
+def identity(n):
+    mat = zeros(n, n)
+    for i in range(n):
+        mat[i][i] = 1
+    return mat
+
+
+def mat_vec(a, v):
+    return [sum((c * x for c, x in zip(row, v) if x), 0) for row in a]
+
+
 def mat_mul(a, b):
     """Dense product of two matrices given as lists of rows."""
     return [[sum((x * row[j] for x, row in zip(ai, b)), 0) for j in range(len(b[0]))]
@@ -74,9 +91,24 @@ def mat_scale(a, c):
     return [[c * x for x in row] for row in a]
 
 
+def sparse(v):
+    """The sparse vector {i: c} of a dense vector."""
+    return {i: c for i, c in enumerate(v) if c}
+
+
+def dense(v, n):
+    """The dense vector of length n of a sparse vector {i: c}."""
+    return [v.get(i, 0) for i in range(n)]
+
+
 def sparse_rows(matrix):
     """The rows {col: entry} of a dense matrix given as a list of rows."""
-    return [{j: c for j, c in enumerate(row) if c} for row in matrix]
+    return [sparse(row) for row in matrix]
+
+
+def dense_rows(rows, width):
+    """The dense matrix of sparse rows {col: entry} with width columns."""
+    return [dense(row, width) for row in rows]
 
 
 def matrix_rep(algebra, matrices):
@@ -97,9 +129,7 @@ def invariants_dimension(rep, nil):
     dense = dense_matrices(rep)
     for item in nil:
         stacked.extend(dense[item] if isinstance(item, int) else item)
-    if not stacked:
-        return rep.dim, linalg.identity(rep.dim)
-    basis = linalg.kernel_basis(stacked)
+    basis = linalg.kernel_basis(sparse_rows(stacked), rep.dim)
     return len(basis), basis
 
 

@@ -16,7 +16,8 @@ from algebroids.poly import Polynomial, monomials, parse_poly
 from algebroids import linalg
 from fractions import Fraction
 
-from references import apply_field, bracket_fields, module_contains, same_ideal, same_module
+from references import (apply_field, bracket_fields, dense_rows, module_contains, same_ideal,
+                        same_module, sparse_rows)
 
 
 def P(text, varnames):
@@ -95,7 +96,8 @@ def test_quasi_homogeneous_weights():
 def _positive_weight_solution(exps, used, n, d):
     m = len(used)
     aug = [[Fraction(e[i]) for i in used] + [Fraction(d)] for e in exps]
-    red, pivots = linalg.rref(aug)
+    red, pivots = linalg.rref(sparse_rows(aug))
+    red = dense_rows(red, m + 1)
     if m in pivots:
         return None
     free = [j for j in range(m) if j not in pivots]
@@ -182,7 +184,7 @@ def test_weights_match_the_reference_search_with_free_directions():
             exps = list({tuple(rng.randrange(0, 5) for _ in range(n)) for _ in range(n - 1)})
         f = Polynomial(n, {e: rng.choice([-2, -1, 1, 3]) for e in exps})
         used = [i for i in range(n) if any(e[i] for e in exps)]
-        free = len(used) - linalg.rank([[e[i] for i in used] for e in exps])
+        free = len(used) - linalg.rank(sparse_rows([[e[i] for i in used] for e in exps]))
         if f.is_homogeneous() or not free or (checked % 2 and free > 1):
             continue
         assert quasi_homogeneous_weights(f) == reference_weights(f), exps
@@ -421,7 +423,7 @@ def brute_force_derivations(f, weights, bound):
         for e, v in c.terms.items():
             rows[index[e]][j] = v
     found = []
-    for vec in linalg.kernel_basis(rows):
+    for vec in linalg.kernel_basis(sparse_rows(rows), len(unknowns)):
         coeffs = [Polynomial.zero(n) for _ in range(n)]
         for (kind, i, m), v in zip(unknowns, vec):
             if kind == "a" and v:

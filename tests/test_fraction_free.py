@@ -18,7 +18,7 @@ from algebroids.poly import Polynomial
 from algebroids.series import (QuasiPolynomial, RationalSeries, SeriesPrefix,
                                expand_series, quasi_polynomial_of, reconstruct_rational)
 
-from references import dense_brackets
+from references import dense_brackets, dense_rows, sparse_rows
 
 # -- the reference: Buchberger over Q with monic S-polynomials and reductions
 
@@ -246,11 +246,11 @@ def test_linear_algebra_outputs_are_canonical():
         n, m = rng.randrange(1, 6), rng.randrange(1, 7)
         rows = [[random_coeff(rng) if rng.random() < 0.6 else 0 for _ in range(m)]
                 for _ in range(n)]
-        red, _pivots = linalg.rref(rows)
-        assert all(all_canonical(row) for row in red)
-        assert all(all_canonical(v) for v in linalg.kernel_basis(rows))
-        assert all(all_canonical(x) for x in linalg.solve(rows, m - 1) if x is not None)
-    assert all(all_canonical(row) for row in linalg.identity(3) + linalg.zeros(2, 4))
+        red, _pivots = linalg.rref(sparse_rows(rows))
+        assert all(all_canonical(row) for row in dense_rows(red, m))
+        assert all(all_canonical(v) for v in linalg.kernel_basis(sparse_rows(rows), m))
+        assert all(all_canonical(x) for x in linalg.solve(sparse_rows(rows), m - 1, 1)
+                   if x is not None)
 
 
 def test_constructors_store_the_one_form():

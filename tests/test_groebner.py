@@ -155,10 +155,7 @@ def brute_colength(gens, nvars, bound):
             prod = g * Polynomial.monomial(nvars, m)
             if any(sum(e) > bound for e in prod.terms):
                 continue
-            row = [Fraction(0)] * len(monos)
-            for e, c in prod.terms.items():
-                row[index[e]] = c
-            rows.append(row)
+            rows.append({index[e]: c for e, c in prod.terms.items()})
     return len(monos) - linalg.rank(rows)
 
 

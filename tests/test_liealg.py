@@ -18,7 +18,8 @@ from algebroids.liealg import (LieAlgebra, fibre_lie_algebra,
                                span_lie_algebra)
 from algebroids.poly import Polynomial, parse_poly
 
-from references import dense_brackets, jacobi_holds, mat_mul, module_contains
+from references import (dense, dense_brackets, dense_rows, identity, jacobi_holds,
+                        mat_mul, module_contains, sparse, sparse_rows, zeros)
 
 
 def P(text, varnames):
@@ -33,16 +34,16 @@ def lie_algebra_from_matrices(mats, labels=None):
 
     def commutator(a, b):
         ab, ba = flat(mat_mul(mats[a], mats[b])), flat(mat_mul(mats[b], mats[a]))
-        return [x - y for x, y in zip(ab, ba)]
+        return sparse([x - y for x, y in zip(ab, ba)])
 
-    return span_lie_algebra([flat(m) for m in mats], commutator, labels)
+    return span_lie_algebra([sparse(flat(m)) for m in mats], commutator, labels)
 
 
 def gl2():
     """Basis E11, E12, E21, E22 of 2x2 matrices."""
     units = []
     for i, j in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        m = linalg.zeros(2, 2)
+        m = zeros(2, 2)
         m[i][j] = Fraction(1)
         units.append(m)
     return lie_algebra_from_matrices(units, labels=["E11", "E12", "E21", "E22"])
@@ -89,8 +90,8 @@ def test_bracket_antisymmetry():
     for _ in range(10):
         u = [Fraction(rng.randrange(-3, 4)) for _ in range(3)]
         v = [Fraction(rng.randrange(-3, 4)) for _ in range(3)]
-        uv = g.bracket(u, v)
-        vu = g.bracket(v, u)
+        uv = dense(g.bracket(sparse(u), sparse(v)), 3)
+        vu = dense(g.bracket(sparse(v), sparse(u)), 3)
         assert uv == [-c for c in vu]
 
 
@@ -115,13 +116,13 @@ def test_span_lie_algebra_matches_one_solve_per_pair():
                   [(i, j) for i in range(3) for j in range(3) if i <= j]):
         units = []
         for i, j in pairs:
-            m = linalg.zeros(3, 3)
+            m = zeros(3, 3)
             m[i][j] = Fraction(1)
             units.append(m)
         for _ in range(3):
             while True:
                 change = [[Fraction(rng.randrange(-2, 3)) for _ in units] for _ in units]
-                if linalg.rank(change) == len(units):
+                if linalg.rank(sparse_rows(change)) == len(units):
                     break
             mats = [[[sum((c * u[r][s] for c, u in zip(row, units)), Fraction(0))
                       for s in range(3)] for r in range(3)] for row in change]
@@ -133,8 +134,9 @@ def test_span_lie_algebra_matches_one_solve_per_pair():
                     ba = mat_mul(mats[b], mats[a])
                     target = [x - y for ra, rb in zip(ab, ba) for x, y in zip(ra, rb)]
                     rows = [[f[t] for f in flat] + [target[t]] for t in range(9)]
-                    e = linalg.identity(len(mats))
-                    assert g.bracket(e[a], e[b]) == linalg.solve(rows, len(flat))[0]
+                    e = identity(len(mats))
+                    assert (dense(g.bracket(sparse(e[a]), sparse(e[b])), len(mats))
+                            == linalg.solve(sparse_rows(rows), len(flat), 1)[0])
 
 
 def whitney_dm():
@@ -185,10 +187,10 @@ def test_quadric_family():
 
 def _killing_by_products(g):
     """tr(ad a * ad b), the ad matrices assembled from bracket columns."""
-    basis = linalg.identity(g.dim)
+    basis = identity(g.dim)
     ads = []
     for a in basis:
-        cols = [g.bracket(a, e) for e in basis]
+        cols = [dense(g.bracket(sparse(a), sparse(e)), g.dim) for e in basis]
         ads.append([[cols[i][k] for i in range(g.dim)] for k in range(g.dim)])
     return [[sum((mat_mul(x, y)[i][i] for i in range(g.dim)), Fraction(0))
              for y in ads] for x in ads]
@@ -203,7 +205,7 @@ def _named_algebra(name):
 @pytest.mark.parametrize("name", ["sl2", "gl2", "whitney", "quadric5"])
 def test_killing_matrix_is_trace_of_ad_products(name):
     g = _named_algebra(name)
-    assert g.killing_matrix() == _killing_by_products(g)
+    assert dense_rows(g.killing_matrix(), g.dim) == _killing_by_products(g)
 
 
 def _dense_jacobiator(dim, brackets, i, j, k):
@@ -214,7 +216,7 @@ def _dense_jacobiator(dim, brackets, i, j, k):
                 out[t] += (u[a] * v[b] - u[b] * v[a]) * c
         return out
 
-    e = linalg.identity(dim)
+    e = identity(dim)
     total = [Fraction(0)] * dim
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
         total = [x + y for x, y in zip(total, br(br(e[a], e[b]), e[c]))]
@@ -262,9 +264,10 @@ def test_jacobi_check_matches_the_triple_loop():
         n = g.dim
         for _ in range(3):
             change = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-            while linalg.rank(change) < n:
+            while linalg.rank(sparse_rows(change)) < n:
                 change[rng.randrange(n)][rng.randrange(n)] += 1
-            h = span_lie_algebra(change, lambda a, b: g.bracket(change[a], change[b]))
+            vectors = sparse_rows(change)
+            h = span_lie_algebra(vectors, lambda a, b: g.bracket(vectors[a], vectors[b]))
             brackets = dense_brackets(h)
             assert jacobi_holds(_table(brackets), n)
             pair = rng.choice([(i, j) for i in range(n) for j in range(i + 1, n)])
@@ -385,12 +388,22 @@ def test_constructor_refuses_malformed_input():
     assert LieAlgebra(0, {}).to_json() == {"dim": 0, "brackets": [], "labels": []}
 
 
-def test_bracket_refuses_vectors_of_another_length():
+def test_bracket_refuses_indices_outside_the_algebra():
+    # an index past dim, and a negative one, which would otherwise read a
+    # table row of no pair
     g = sl2()
-    for u, v in (([1, 0, 0], [0, 1]), ([1, 0, 0, 5], [0, 1, 0, 0])):
+    for u, v in (({0: 1}, {3: 1}), ({0: 1, 5: 2}, {}), ({-1: 1}, {1: 1}), ({1: 1}, {-3: 1})):
         with pytest.raises(ValueError):
             g.bracket(u, v)
-    assert g.bracket([1, 0, 0], [0, 1, 0]) == [0, 2, 0]
+    assert g.bracket({0: 1}, {1: 1}) == {1: 2}
+
+
+def test_span_of_one_vector_is_abelian():
+    # no pair to bracket: the solve has no targets, and its result is empty
+    g = sl2()
+    h = span_lie_algebra([{0: 2, 1: 1}], lambda a, b: g.bracket({0: 2, 1: 1}, {0: 2, 1: 1}))
+    assert h.to_json() == {"dim": 1, "brackets": [], "labels": ["e1"]}
+    assert span_lie_algebra([], g.bracket).dim == 0
 
 
 # -- the per-candidate Groebner route, kept as an independent oracle -------
@@ -468,11 +481,10 @@ def test_fibre_brackets_match_tracked_lifts(name):
     dm = _oracle_dm(name)
     algebra, basis = fibre_lie_algebra(dm, require_origin=ORACLE_INPUTS[name][3])
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    units = linalg.identity(len(basis))
     found = lifts([d.vector for d in basis],
                   [basis[i].bracket(basis[j]).vector for i, j in pairs],
                   TermOrder("grevlex", dm.weights))
     for (i, j), lift in zip(pairs, found):
         assert lift is not None
         expected = tuple(c.terms.get((0,) * dm.nvars, 0) for c in lift)
-        assert tuple(algebra.bracket(units[i], units[j])) == expected
+        assert tuple(dense(algebra.bracket({i: 1}, {j: 1}), len(basis))) == expected

@@ -7,7 +7,7 @@ import pytest
 
 from algebroids import linalg
 
-from references import mat_mul
+from references import dense_rows, identity, mat_mul, mat_vec, sparse, sparse_rows
 
 
 def F(*xs):
@@ -15,23 +15,23 @@ def F(*xs):
 
 
 def augmented(vectors, *targets):
-    """Rows of [vectors as columns | targets as columns]."""
-    return [[v[t] for v in vectors] + [b[t] for b in targets]
-            for t in range(len(targets[0]))]
+    """Sparse rows of [vectors as columns | targets as columns]."""
+    return sparse_rows([[v[t] for v in vectors] + [b[t] for b in targets]
+                        for t in range(len(targets[0]))])
 
 
 def test_coordinates_in_span():
     vectors = [F(1, 0, 1), F(0, 1, 1)]
-    assert linalg.solve(augmented(vectors, F(2, -3, -1)), 2) == [F(2, -3)]
+    assert linalg.solve(augmented(vectors, F(2, -3, -1)), 2, 1) == [F(2, -3)]
 
 
 def test_coordinates_outside_span():
-    assert linalg.solve(augmented([F(1, 0, 1), F(0, 1, 1)], F(0, 0, 1)), 2) == [None]
+    assert linalg.solve(augmented([F(1, 0, 1), F(0, 1, 1)], F(0, 0, 1)), 2, 1) == [None]
 
 
 def test_coordinates_dependent_vectors_give_a_solution():
     vectors = [F(1, 2), F(2, 4)]
-    [x] = linalg.solve(augmented(vectors, F(3, 6)), 2)
+    [x] = linalg.solve(augmented(vectors, F(3, 6)), 2, 1)
     assert [sum(c * v[t] for c, v in zip(x, vectors)) for t in range(2)] == F(3, 6)
     # the free coordinate is 0
     assert x == F(3, 0)
@@ -39,29 +39,55 @@ def test_coordinates_dependent_vectors_give_a_solution():
 
 def test_coordinates_empty_vectors():
     # no coefficient columns
-    assert linalg.solve([F(0), F(0)], 0) == [[]]
-    assert linalg.solve([F(0), F(1)], 0) == [None]
+    assert linalg.solve(sparse_rows([F(0), F(0)]), 0, 1) == [[]]
+    assert linalg.solve(sparse_rows([F(0), F(1)]), 0, 1) == [None]
+
+
+def test_solve_with_no_rows_gives_zero_solutions():
+    # an empty matrix: every target is 0, solved by x = 0
+    assert linalg.solve([], 3, 2) == [[0, 0, 0], [0, 0, 0]]
+    assert linalg.solve([], 0, 1) == [[]]
+    assert linalg.solve([], 2, 0) == []
+
+
+def test_kernel_of_no_rows_is_the_unit_vectors():
+    assert linalg.kernel_basis([], 3) == identity(3)
+    assert linalg.kernel_basis([], 0) == []
+
+
+def test_from_columns_is_one_row_per_key_sorted_by_key():
+    columns = [{"b": 1, "a": 2}, {}, {"c": 3, "a": -1}]
+    assert linalg.from_columns(columns) == [{0: 2, 2: -1}, {0: 1}, {2: 3}]
+    assert linalg.from_columns([]) == [] and linalg.from_columns([{}]) == []
+
+
+def test_combine_is_the_dense_combination():
+    # sum_j c_j rows_j is the transpose of rows times c; the first entry cancels
+    rows = [F(1, 0, 2), F(0, 3, -1), F(1, 1, 1)]
+    coeffs = [1, 0, -1]
+    combined = linalg.combine(sparse(coeffs), sparse_rows(rows))
+    assert combined == sparse(mat_vec([list(col) for col in zip(*rows)], coeffs)) == {1: -1, 2: 1}
 
 
 def test_solve_several_targets_in_one_call():
     vectors = [F(1, 0, 1), F(0, 1, 1)]
     targets = [F(2, -3, -1), F(0, 0, 1), F(0, 0, 0), F(0, 0, 1), F(1, 1, 2)]
-    assert linalg.solve(augmented(vectors, *targets), 2) == [
+    assert linalg.solve(augmented(vectors, *targets), 2, len(targets)) == [
         F(2, -3), None, F(0, 0), None, F(1, 1)]
 
 
 def test_inverse():
     # column j of a^-1 solves a x = e_j
     a = [F(2, 1, 0), F(0, 1, 3), F(1, 0, 1)]
-    cols = linalg.solve([row + unit for row, unit in zip(a, linalg.identity(3))], 3)
-    assert mat_mul(a, [list(row) for row in zip(*cols)]) == linalg.identity(3)
-    assert linalg.solve([], 0) == []
+    cols = linalg.solve(sparse_rows([row + unit for row, unit in zip(a, identity(3))]), 3, 3)
+    assert mat_mul(a, [list(row) for row in zip(*cols)]) == identity(3)
+    assert linalg.solve([], 0, 0) == []
 
 
 def test_inverse_singular():
     # a singular matrix misses some unit target
     a = [F(1, 2), F(2, 4)]
-    cols = linalg.solve([row + unit for row, unit in zip(a, linalg.identity(2))], 2)
+    cols = linalg.solve(sparse_rows([row + unit for row, unit in zip(a, identity(2))]), 2, 2)
     assert None in cols
 
 
@@ -84,7 +110,8 @@ def test_rref_shape_and_row_space(density, exact):
     rng = random.Random(7)
     for _ in range(150):
         rows = _random_rows(rng, density, exact)
-        red, pivots = linalg.rref(rows)
+        red, pivots = linalg.rref(sparse_rows(rows))
+        red = dense_rows(red, len(rows[0]) if rows else 0)
         assert len(red) == len(pivots)
         assert pivots == sorted(set(pivots))
         for i, (row, p) in enumerate(zip(red, pivots)):
@@ -97,7 +124,16 @@ def test_rref_shape_and_row_space(density, exact):
             combo = [sum((row[p] * r[j] for r, p in zip(red, pivots)), Fraction(0))
                      for j in range(len(row))]
             assert combo == row
-        assert len(red) == linalg.rank([list(col) for col in zip(*rows)])
+        assert len(red) == linalg.rank(sparse_rows(zip(*rows)))
+
+
+def test_rref_ignores_explicit_zeros_and_returns_none():
+    rng = random.Random(5)
+    for _ in range(100):
+        rows = _random_rows(rng, 0.4, rng.random() < 0.5)
+        red, pivots = linalg.rref(sparse_rows(rows))
+        assert linalg.rref([dict(enumerate(row)) for row in rows]) == (red, pivots)
+        assert all(x for row in red for x in row.values())
 
 
 def test_solve_property():
@@ -111,15 +147,15 @@ def test_solve_property():
             continue
         m = len(rows[0])
         k = rng.randrange(0, m + 1)
-        solutions = linalg.solve(rows, k)
+        solutions = linalg.solve(sparse_rows(rows), k, m - k)
         assert len(solutions) == m - k
         coeffs = [row[:k] for row in rows]
-        rank = linalg.rank(coeffs)
+        rank = linalg.rank(sparse_rows(coeffs))
         for t, x in enumerate(solutions, start=k):
             b = [row[t] for row in rows]
-            raises = linalg.rank([c + [y] for c, y in zip(coeffs, b)]) > rank
+            raises = linalg.rank(sparse_rows([c + [y] for c, y in zip(coeffs, b)])) > rank
             assert (x is None) == raises
             if x is not None:
-                assert linalg.mat_vec(coeffs, x) == b
+                assert mat_vec(coeffs, x) == b
             found[raises] += 1
     assert min(found.values()) > 100

@@ -168,8 +168,7 @@ def test_sl2_length_dims_match_nilpotent_kernel(text):
     nil_rows = [{j: c for j, c in enumerate(row) if c} for row in nil]
     for n in range(7):
         monos = monomials((1,) * rep.dim, n)
-        image = [[row.get(j, 0) for j in range(len(monos))] for row in polarize(nil_rows, monos)]
-        assert dims[n] == len(monos) - linalg.rank(image)
+        assert dims[n] == len(monos) - linalg.rank(polarize(nil_rows, monos))
 
 
 def test_compact_quadric_has_no_rational_nilpotent():

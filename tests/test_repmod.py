@@ -19,8 +19,9 @@ from algebroids.repmod import (MatrixRep, binary_form_rep, cayley_sylvester,
                                weight_space_dims)
 
 from constructs import recognition_sl_blocks
-from references import (dense_matrices, invariants_dimension, mat_add, mat_mul, mat_scale,
-                     matrix_rep, partitions_in_rectangle)
+from references import (dense, dense_matrices, dense_rows, identity, invariants_dimension,
+                        mat_add, mat_mul, mat_scale, mat_vec, matrix_rep,
+                        partitions_in_rectangle, sparse, sparse_rows, zeros)
 
 
 def F(x):
@@ -35,23 +36,23 @@ def lie_algebra_from_matrices(mats, labels=None):
 
     def commutator(a, b):
         ab, ba = flat(mat_mul(mats[a], mats[b])), flat(mat_mul(mats[b], mats[a]))
-        return [x - y for x, y in zip(ab, ba)]
+        return sparse([x - y for x, y in zip(ab, ba)])
 
-    return span_lie_algebra([flat(m) for m in mats], commutator, labels)
+    return span_lie_algebra([sparse(flat(m)) for m in mats], commutator, labels)
 
 
 def gl2():
     """Basis E11, E12, E21, E22 of 2x2 matrices."""
     units = []
     for i, j in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        m = linalg.zeros(2, 2)
+        m = zeros(2, 2)
         m[i][j] = F(1)
         units.append(m)
     return lie_algebra_from_matrices(units)
 
 
 def trivial_rep(algebra, n):
-    return matrix_rep(algebra, [linalg.zeros(n, n) for _ in range(algebra.dim)])
+    return matrix_rep(algebra, [zeros(n, n) for _ in range(algebra.dim)])
 
 
 def direct_sum_rep(rep1, rep2):
@@ -67,7 +68,7 @@ def tensor_rep(rep1, rep2):
     n1, n2 = rep1.dim, rep2.dim
     mats = []
     for a, b in zip(dense_matrices(rep1), dense_matrices(rep2)):
-        m = linalg.zeros(n1 * n2, n1 * n2)
+        m = zeros(n1 * n2, n1 * n2)
         for i in range(n1):
             for j in range(n2):
                 for k in range(n1):
@@ -80,7 +81,7 @@ def tensor_rep(rep1, rep2):
 
 def test_matrix_rep_validation():
     g = sl2()
-    bad = [linalg.identity(2) for _ in range(3)]
+    bad = [identity(2) for _ in range(3)]
     with pytest.raises(AlgebroidError):
         matrix_rep(g, bad)
 
@@ -196,8 +197,8 @@ def test_validation_with_several_structure_constants():
                     mat_scale(v3[2], row[2]))
             for row in change]
     g = lie_algebra_from_matrices(mats)
-    units = linalg.identity(3)
-    assert all(sum(1 for c in g.bracket(units[i], units[j]) if c) >= 2
+    units = identity(3)
+    assert all(sum(1 for c in dense(g.bracket(sparse(units[i]), sparse(units[j])), 3) if c) >= 2
                for i, j in [(0, 1), (0, 2), (1, 2)])
     rep = sym_power_rep(matrix_rep(g, mats), 6)
     assert rep.dim == 84
@@ -227,7 +228,7 @@ def dense_polarize(m, basis):
     """Reference: the derivation action of the dense matrix m on the
     monomials in basis, as a dense matrix, one factor replaced at a time."""
     index = {e: i for i, e in enumerate(basis)}
-    out = linalg.zeros(len(basis), len(basis))
+    out = zeros(len(basis), len(basis))
     for col, exp in enumerate(basis):
         for i, e_i in enumerate(exp):
             for k in range(len(m)):
@@ -297,7 +298,7 @@ def test_weight_space_dims_non_diagonal_h():
     # Casimir route must still give the decomposition of the diagonal form
     rep = sym_power_rep(binary_form_rep(2), 2)
     n = rep.dim
-    p = linalg.identity(n)
+    p = identity(n)
     for i in range(n - 1):
         p[i][i + 1] = F(i + 1)
     p[0][n - 1] = Fraction(-1, 2)
@@ -331,13 +332,13 @@ def test_sparse_casimir_matches_dense_products():
     # by dense products
     rep = sym_power_rep(conjugated_v2(), 3)
     assert weight_space_dims(rep.rows[0]) is None
-    kappa_inv = inverse(rep.algebra.killing_matrix())
+    kappa_inv = inverse(dense_rows(rep.algebra.killing_matrix(), 3))
     mats = dense_matrices(rep)
-    dense = linalg.zeros(rep.dim, rep.dim)
+    products = zeros(rep.dim, rep.dim)
     for i in range(3):
         for j in range(3):
-            dense = mat_add(dense, mat_scale(mat_mul(mats[i], mats[j]), kappa_inv[i][j]))
-    assert [[row.get(j, 0) for j in range(rep.dim)] for row in repmod._casimir(rep)] == dense
+            products = mat_add(products, mat_scale(mat_mul(mats[i], mats[j]), kappa_inv[i][j]))
+    assert [[row.get(j, 0) for j in range(rep.dim)] for row in repmod._casimir(rep)] == products
     assert sl2_isotypic(rep) == {6: 1, 2: 1}
 
 
@@ -427,7 +428,7 @@ def test_covariant_dimension_equals_invariants_of_raising():
 # -- recognition ---------------------------------------------------------
 
 def unit_matrix(n, i, j):
-    m = linalg.zeros(n, n)
+    m = zeros(n, n)
     m[i][j] = F(1)
     return m
 
@@ -451,7 +452,7 @@ def test_recognition_block_sum():
     # sl2 in the top-left 2x2 block
     for a, b in [(0, 1), (1, 0)]:
         mats.append(unit_matrix(5, a, b))
-    h2 = linalg.zeros(5, 5)
+    h2 = zeros(5, 5)
     h2[0][0], h2[1][1] = F(1), F(-1)
     mats.append(h2)
     # sl3 in the bottom-right 3x3 block
@@ -460,11 +461,11 @@ def test_recognition_block_sum():
             if i != j:
                 mats.append(unit_matrix(5, i, j))
             elif i < 4:
-                m = linalg.zeros(5, 5)
+                m = zeros(5, 5)
                 m[i][i], m[i + 1][i + 1] = F(1), F(-1)
                 mats.append(m)
     # complete the diagonal trace-zero Cartan of sl5
-    bridge = linalg.zeros(5, 5)
+    bridge = zeros(5, 5)
     bridge[1][1], bridge[2][2] = F(1), F(-1)
     mats.append(bridge)
     factors, big = recognition_sl_blocks(mats, 5)
@@ -479,10 +480,10 @@ def test_recognition_permutation_invariant():
     for _ in range(3):
         perm = list(range(3))
         rng.shuffle(perm)
-        p = linalg.zeros(3, 3)
+        p = zeros(3, 3)
         for i, pi in enumerate(perm):
             p[pi][i] = F(1)
-        pinv = linalg.zeros(3, 3)
+        pinv = zeros(3, 3)
         for i, pi in enumerate(perm):
             pinv[i][pi] = F(1)
         conj = [mat_mul(p, mat_mul(m, pinv)) for m in mats]
@@ -491,7 +492,7 @@ def test_recognition_permutation_invariant():
 
 def test_recognition_desk_cap():
     with pytest.raises(PreconditionError, match="dimension too large"):
-        recognition_sl_blocks([linalg.zeros(11, 11)], 11)
+        recognition_sl_blocks([zeros(11, 11)], 11)
 
 
 # the parent route, kept as the reference: close unit and kernel vectors
@@ -501,36 +502,42 @@ def test_recognition_desk_cap():
 def coordinates(vectors, target):
     """x with sum_k x[k] vectors[k] == target, or None outside the span."""
     rows = [[v[t] for v in vectors] + [b] for t, b in enumerate(target)]
-    return linalg.solve(rows, len(vectors))[0]
+    return linalg.solve(sparse_rows(rows), len(vectors), 1)[0]
 
 
 def inverse(a):
     """a^-1, its columns solved against the unit targets."""
-    cols = linalg.solve([row + unit for row, unit in zip(a, linalg.identity(len(a)))], len(a))
+    cols = linalg.solve(sparse_rows([row + unit for row, unit in zip(a, identity(len(a)))]),
+                        len(a), len(a))
     return [list(row) for row in zip(*cols)]
+
+
+def row_space_basis(vectors):
+    """The rref rows of the span of some dense vectors, as dense vectors."""
+    return dense_rows(linalg.rref(sparse_rows(vectors))[0], len(vectors[0]))
 
 
 def submodule_closure(matrices, vectors):
     """Smallest subspace containing the vectors and stable under the matrices."""
-    basis = linalg.row_space_basis([v for v in vectors if any(v)])
+    basis = row_space_basis([v for v in vectors if any(v)])
     while True:
         extra = []
         for b in basis:
             for m in matrices:
-                img = linalg.mat_vec(m, b)
+                img = mat_vec(m, b)
                 if any(img) and coordinates(basis, img) is None:
                     extra.append(img)
         if not extra:
             return basis
-        basis = linalg.row_space_basis(basis + extra)
+        basis = row_space_basis(basis + extra)
 
 
 def minimal_submodule(matrices, dim):
     """Minimal nonzero invariant subspace among the closures of the unit
     vectors and of the kernel vectors of the matrices."""
-    candidates = list(linalg.identity(dim))
+    candidates = list(identity(dim))
     for m in matrices:
-        candidates.extend(linalg.kernel_basis(m))
+        candidates.extend(linalg.kernel_basis(sparse_rows(m), dim))
     best = None
     for v in candidates:
         if not any(v):
@@ -546,10 +553,10 @@ def quotient_action(matrices, sub, dim):
     """Action matrices on V/sub in a completed basis."""
     comp = []
     basis = list(sub)
-    for v in linalg.identity(dim):
+    for v in identity(dim):
         if coordinates(basis, v) is None:
             comp.append(v)
-            basis = linalg.row_space_basis(basis + [v])
+            basis = row_space_basis(basis + [v])
     full = list(sub) + comp
     p = [[full[j][i] for j in range(dim)] for i in range(dim)]
     p_inv = inverse(p)
@@ -575,7 +582,7 @@ def random_hypothesis_input(rng, dim):
     """Every E_ii and one to three random sparse matrices."""
     mats = [unit_matrix(dim, i, i) for i in range(dim)]
     for _ in range(rng.randrange(1, 4)):
-        m = linalg.zeros(dim, dim)
+        m = zeros(dim, dim)
         for _ in range(rng.randrange(1, 2 * dim)):
             m[rng.randrange(dim)][rng.randrange(dim)] = F(rng.choice([-3, -2, -1, 1, 2, 3]))
         mats.append(m)
@@ -603,8 +610,8 @@ def test_recognition_invariant_under_monomial_conjugation():
         rng.shuffle(perm)
         scales = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randrange(1, 4))
                   for _ in range(dim)]
-        p = linalg.zeros(dim, dim)
-        p_inv = linalg.zeros(dim, dim)
+        p = zeros(dim, dim)
+        p_inv = zeros(dim, dim)
         for i, pi in enumerate(perm):
             p[pi][i] = scales[i]
             p_inv[i][pi] = 1 / scales[i]
@@ -743,7 +750,7 @@ def closure_filtration(d):
     report = {
         "highest_vectors": vectors,
         "weights": weights,
-        "ranks": [len({pos for (pos, _e), _c in gb.leads()}) for gb in closures],
+        "ranks": [len({pos for pos, _e in gb.leads()}) for gb in closures],
         "quotient_count": d + 1,
         "quotient_scalars": scalars,
         "half_factor_confirmed": all(c == Fraction(w, 2) for c, w in zip(scalars, weights)),
