@@ -150,18 +150,12 @@ COMMANDS = {
 
 
 @functools.cache
-def build_parser(command=None):
-    """The parser with the subparser of `command` only, or of every command
-    when `command` is None; built once per process for each."""
+def build_parser():
+    """The parser of every command, built once per process."""
     parser = argparse.ArgumentParser(prog="algebroids",
                                      description="Exact singularity and Lie algebroid analyses")
-    # one command's parser still names every command in its usage, which an
-    # "unrecognized arguments" error prints; the full parser keeps argparse's
-    # default, so that its "invalid choice" and "required" errors name "command"
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else [command]:
-        help_text, func, arguments = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, keywords in arguments:
             p.add_argument(flag, **keywords)
@@ -171,9 +165,8 @@ def build_parser(command=None):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -59,15 +59,15 @@ class Derivation:
     def vanishes_at_origin(self):
         return all(any(exp) for _, exp in self.vector.terms)
 
-    def linear_part_rows(self):
-        """Sparse rows {col: entry} of the induced action on m/m^2 in the
-        basis x_1..x_n: delta(x_i) = a_i has linear part sum_j c_ij x_j, so
-        column i holds (c_i1, ..., c_in) and row j is {i: c_ij}."""
-        rows = [{} for _ in range(self.nvars)]
+    def linear_part(self):
+        """Sparse columns {row: entry} of the induced action on m/m^2 in the
+        basis x_1..x_n: column i is the linear part of delta(x_i) = a_i,
+        {j: c} for its terms c x_j."""
+        columns = [{} for _ in range(self.nvars)]
         for (i, exp), c in self.vector.terms.items():
             if sum(exp) == 1:
-                rows[exp.index(1)][i] = c
-        return rows
+                columns[i][exp.index(1)] = c
+        return columns
 
     def __eq__(self, other):
         return isinstance(other, Derivation) and self.vector == other.vector

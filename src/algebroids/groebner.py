@@ -364,7 +364,7 @@ class Ideal:
             raise ValueError(f"need one positive int weight per variable, got {self.weights}")
         self.gens = [g for g in gens if not g.is_zero()]
         self._gb = None  # the basis under default_order, built on first use
-        # colength and minimal generators; gens is never mutated after this
+        # colength, minimal generators and powers; gens is never mutated after this
         self._memo = {}
 
     def default_order(self):
@@ -469,14 +469,17 @@ class Ideal:
         return Ideal(self.nvars, gens, self.weights)
 
     def power(self, k):
-        """I^k as I^(k-1) * I.  A quasi-homogeneous power keeps only its
-        minimal generators after each step, found without a basis."""
-        out = Ideal(self.nvars, [Polynomial.one(self.nvars)], self.weights)
-        for _ in range(k):
-            out = out.product(self)
+        """I^k as I^(k-1) * I, each power built once and kept.  A
+        quasi-homogeneous power keeps only its minimal generators after each
+        step, found without a basis."""
+        powers = self._memo.setdefault(
+            "powers", [Ideal(self.nvars, [Polynomial.one(self.nvars)], self.weights)])
+        while len(powers) <= k:
+            out = powers[-1].product(self)
             if out.is_quasi_homogeneous():
                 out = Ideal(self.nvars, out.minimal_generators(), self.weights)
-        return out
+            powers.append(out)
+        return powers[k]
 
     def __repr__(self):
         return f"Ideal({self.gens!r})"

@@ -16,10 +16,11 @@ class LieAlgebra:
     [e_i, e_j] = sum_k c e_k, and kept as one antisymmetric table holding
     the rows for both orders; zero constants and zero brackets are absent.
     Vectors of the algebra are sparse too, {i: c} for sum_i c e_i.  The
-    adjoint action rows (_ads) are built once, on construction.
+    table is also the adjoint action: row (j, i) is [e_j, e_i], the sparse
+    column i of ad e_j.
     """
 
-    __slots__ = ("dim", "labels", "_table", "_ad")
+    __slots__ = ("dim", "labels", "_table")
 
     def __init__(self, dim, brackets, labels=None):
         self.dim = dim
@@ -34,7 +35,6 @@ class LieAlgebra:
             if row:
                 self._table[(i, j)] = row
                 self._table[(j, i)] = {k: -c for k, c in row.items()}
-        self._ad = self._ads()
         self._validate_jacobi()
 
     def bracket(self, u, v):
@@ -52,9 +52,10 @@ class LieAlgebra:
         return {k: c for k, c in out.items() if c}
 
     def _validate_jacobi(self):
-        """The Jacobi identity, as ad[e_i, e_j] = [ad e_i, ad e_j]: the
-        adjoint rows represent the bracket (the table is antisymmetric)."""
-        if not represents(self, self._ad):
+        """The Jacobi identity, as ad[e_i, e_j] = [ad e_i, ad e_j]: the adjoint
+        action, column i of ad e_j the table's row (j, i), represents the bracket."""
+        ad = [[self._table.get((j, i), {}) for i in range(self.dim)] for j in range(self.dim)]
+        if not represents(self, ad):
             raise AlgebroidError("Jacobi identity fails")
 
     # -- series ----------------------------------------------------------
@@ -80,28 +81,22 @@ class LieAlgebra:
     def derived_subalgebra_basis(self):
         return linalg.rref([row for (i, j), row in self._table.items() if i < j])[0]
 
-    # -- adjoint rows and the Killing form -------------------------------
-    def _ads(self):
-        """Sparse action rows of ad(e_j) for each basis vector e_j: row k of
-        ad(e_j) is {i: c_ji^k}."""
-        ads = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
-        for (j, i), row in self._table.items():
-            for k, c in row.items():
-                ads[j][k][i] = c
-        return ads
-
+    # -- the Killing form -------------------------------------------------
     def killing_matrix(self):
-        """Sparse rows of kappa_ab = tr(ad e_a ad e_b), read off the adjoint
-        rows."""
-        ad = self._ad
+        """Sparse rows of kappa_ab = tr(ad e_a ad e_b) = sum c_ai^k c_bk^i,
+        read off the table; grouping the c_bk^i by (k, i) sums only the
+        nonzero products."""
+        by_entry = {}
+        for (b, k), row in self._table.items():
+            for i, c in row.items():
+                by_entry.setdefault((k, i), []).append((b, c))
         kappa = [{} for _ in range(self.dim)]
-        for a in range(self.dim):
-            for b in range(a, self.dim):
-                entry = sum((x * ad[b][mid].get(r, 0) for r, row in enumerate(ad[a])
-                             for mid, x in row.items()), 0)
-                if entry:
-                    kappa[a][b] = kappa[b][a] = entry
-        return kappa
+        for (a, i), row in self._table.items():
+            out = kappa[a]
+            for k, c in row.items():
+                for b, d in by_entry.get((k, i), ()):
+                    out[b] = out.get(b, 0) + c * d
+        return [{b: x for b, x in row.items() if x} for row in kappa]
 
     def fingerprint(self):
         """Invariants of the algebra; solvability is certified twice, by the
@@ -115,15 +110,18 @@ class LieAlgebra:
         solvable = series[-1] == 0
         if solvable != (radical_dim == self.dim):
             raise InconsistencyError("derived series and Cartan criterion disagree")
-        # x is central iff ad(e_j) x = 0 for every j
-        stacked = [row for a in self._ad for row in a if row]
+        # x = sum x_i e_i is central iff sum_i x_i c_ij^k = 0 for every j, k:
+        # x is in the left kernel of the rows {j dim + k: c_ij^k}
+        brackets = [{} for _ in range(self.dim)]
+        for (i, j), row in self._table.items():
+            brackets[i].update((j * self.dim + k, c) for k, c in row.items())
         return {
             "dim": self.dim,
             "derived_series": series,
             "lower_central_series": self._series(derived, lower=True),
             "killing_rank": linalg.rank(kappa),
             "radical_dim": radical_dim,
-            "center_dim": self.dim - linalg.rank(stacked),
+            "center_dim": self.dim - linalg.rank(brackets),
             "solvable": solvable,
         }
 
@@ -138,31 +136,31 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, brackets={rows})"
 
 
-def represents(algebra, rows):
-    """Whether the sparse action rows rows[k][r] = {col: entry} of rho(e_k)
-    satisfy rho([e_i, e_j]) = [rho(e_i), rho(e_j)], checked exactly for
-    every pair i < j and every row r (a row empty in rho_i, rho_j and every
+def represents(algebra, columns):
+    """Whether the sparse columns columns[k][v] = {r: entry} of rho(e_k)
+    satisfy rho([e_i, e_j]) = [rho(e_i), rho(e_j)], checked exactly for every
+    pair i < j and every column v (a column empty in rho_i, rho_j and every
     rho_k of the bracket has a zero residual)."""
     table = algebra._table
-    live = [{r for r, row in enumerate(m) if row} for m in rows]
+    live = [{v for v, col in enumerate(m) if col} for m in columns]
     for i in range(algebra.dim):
-        rho_i = rows[i]
+        rho_i = columns[i]
         for j in range(i + 1, algebra.dim):
-            rho_j = rows[j]
+            rho_j = columns[j]
             bracket = table.get((i, j), {})
-            terms = [(rows[k], c) for k, c in bracket.items()]
-            for r in live[i].union(live[j], *(live[k] for k in bracket)):
-                # row r of rho_i rho_j - rho_j rho_i - sum_k c_ij^k rho_k
+            terms = [(columns[k], c) for k, c in bracket.items()]
+            for v in live[i].union(live[j], *(live[k] for k in bracket)):
+                # column v of rho_i rho_j - rho_j rho_i - sum_k c_ij^k rho_k
                 residual = {}
-                for mid, a in rho_i[r].items():
-                    for col, b in rho_j[mid].items():
-                        residual[col] = residual.get(col, 0) + a * b
-                for mid, a in rho_j[r].items():
-                    for col, b in rho_i[mid].items():
-                        residual[col] = residual.get(col, 0) - a * b
+                for mid, a in rho_j[v].items():
+                    for r, b in rho_i[mid].items():
+                        residual[r] = residual.get(r, 0) + a * b
+                for mid, a in rho_i[v].items():
+                    for r, b in rho_j[mid].items():
+                        residual[r] = residual.get(r, 0) - a * b
                 for rho_k, c in terms:
-                    for col, b in rho_k[r].items():
-                        residual[col] = residual.get(col, 0) - c * b
+                    for r, b in rho_k[v].items():
+                        residual[r] = residual.get(r, 0) - c * b
                 if any(residual.values()):
                     return False
     return True

@@ -9,7 +9,7 @@ from .groebner import Ideal
 from .hilbert import dimension_multiplicity, graded_pieces_series
 from .liealg import fibre_lie_algebra, span_lie_algebra
 from .poly import Polynomial, _Tokens, format_poly, parse_poly
-from .repmod import MatrixRep, covariant_dimensions, sl2_isotypic, sym_kernel_dims
+from .repmod import MatrixRep, covariant_dimensions, decompose_sl2, sym_kernel_dims
 from .series import (RationalSeries, SeriesPrefix, quasi_polynomial_of,
                      reconstruct_rational)
 
@@ -166,20 +166,20 @@ def _levi_action(algebra, basis_derivations):
     sub = span_lie_algebra(derived, lambda a, b: algebra.bracket(derived[a], derived[b]))
     if linalg.rank(sub.killing_matrix()) != 3:
         return None
-    parts = [delta.linear_part_rows() for delta in basis_derivations]
-    return MatrixRep(sub, [[linalg.combine(coeffs, rows) for rows in zip(*parts)]
+    parts = [delta.linear_part() for delta in basis_derivations]
+    return MatrixRep(sub, [[linalg.combine(coeffs, cols) for cols in zip(*parts)]
                            for coeffs in derived])
 
 
 def _sl2_covariant_path(algebra, basis_derivations, depth):
     """Length series via covariant dimensions when the derived subalgebra of
-    the fibre acts as a form of sl2 on V = m/m^2: V = sum V_k over Q-bar from
-    the Casimir, then dim ker e on S^n(V) by weight counting; returns
+    the fibre acts as a form of sl2 on V = m/m^2: V = sum V_k over Q-bar
+    (decompose_sl2), then dim ker e on S^n(V) by weight counting; returns
     (dims, series) or None."""
     rep = _levi_action(algebra, basis_derivations)
     if rep is None:
         return None
-    dims = sym_kernel_dims(sl2_isotypic(rep), depth)
+    dims = sym_kernel_dims(decompose_sl2(rep), depth)
     factors = COVARIANT_DENOMINATORS.get(rep.dim - 1)
     if factors is None:
         return dims, None

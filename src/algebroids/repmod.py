@@ -12,33 +12,35 @@ from .poly import _exact, monomials
 
 
 class MatrixRep:
-    """Action matrices rho(e_i), one per basis element of the algebra, each
-    given as its sparse rows {col: entry}; a dense row is refused.  The
-    state is rows[k][r] alone, the nonzero entries of row r of rho(e_k),
-    each an int when integral and a Fraction otherwise.
+    """Action matrices rho(e_k), one per basis element of the algebra, each
+    given as its sparse columns; a dense column is refused.  The state is
+    columns[k][v] = {r: entry} alone, the image of basis vector v under
+    rho(e_k), each entry an int when integral and a Fraction otherwise.
 
     Bracket compatibility rho([x,y]) = [rho(x), rho(y)] is checked exactly on
-    construction, for every pair of basis elements and every row.
+    construction, for every pair of basis elements and every column.  A
+    non-abelian representation given transposed (by rows) fails the check:
+    rho^T represents the opposite algebra.
     """
 
-    __slots__ = ("algebra", "dim", "rows")
+    __slots__ = ("algebra", "dim", "columns")
 
-    def __init__(self, algebra, rows):
-        if len(rows) != algebra.dim:
+    def __init__(self, algebra, columns):
+        if len(columns) != algebra.dim:
             raise ValueError("need one matrix per basis element")
-        if not all(isinstance(row, dict) for m in rows for row in m):
-            raise ValueError("action matrices must be given as sparse rows {col: entry}")
+        if not all(isinstance(col, dict) for m in columns for col in m):
+            raise ValueError("action matrices must be given as sparse columns {row: entry}")
         self.algebra = algebra
-        self.dim = len(rows[0]) if rows else 0
-        if not all(len(m) == self.dim and all(max(row, default=-1) < self.dim for row in m)
-                   for m in rows):
+        self.dim = len(columns[0]) if columns else 0
+        if not all(len(m) == self.dim and all(max(col, default=-1) < self.dim for col in m)
+                   for m in columns):
             raise ValueError("action matrices must be square and of one size")
-        self.rows = [[{col: _exact(c) for col, c in row.items() if c} for row in m]
-                     for m in rows]
+        self.columns = [[{r: _exact(c) for r, c in col.items() if c} for col in m]
+                        for m in columns]
         self._validate()
 
     def _validate(self):
-        if not represents(self.algebra, self.rows):
+        if not represents(self.algebra, self.columns):
             raise AlgebroidError("matrices do not represent the bracket")
 
     def __repr__(self):
@@ -49,49 +51,50 @@ def binary_form_rep(d):
     """sl2 acting on binary forms of degree d; basis v_k = x^(d-k) y^k.
 
     H v_k = (d-2k) v_k, X v_k = k v_{k-1}, Y v_k = (d-k) v_{k+1}, as sparse
-    rows: row k of H holds d-2k at column k, row k-1 of X holds k and row
-    k+1 of Y holds d-k, both at column k.
+    columns: column k of H holds d-2k at row k, column k of X holds k at
+    row k-1 and column k of Y holds d-k at row k+1.
     """
     n = d + 1
     h = [{k: d - 2 * k} for k in range(n)]
-    x = [{k + 1: k + 1} for k in range(d)] + [{}]
-    y = [{}] + [{k: d - k} for k in range(d)]
+    x = [{}] + [{k - 1: k} for k in range(1, n)]
+    y = [{k + 1: d - k} for k in range(d)] + [{}]
     return MatrixRep(sl2(), [h, x, y])
 
 
-def polarize(rows, basis):
-    """Sparse rows {col: entry} of the derivation action of m, given by its
-    sparse rows, on the monomials in basis (all of one degree, e.g.
+def polarize(columns, basis):
+    """Sparse columns {row: entry} of the derivation action of m, given by
+    its sparse columns, on the monomials in basis (all of one degree, e.g.
     poly.monomials), by exact polarization."""
     index = {e: r for r, e in enumerate(basis)}
     out = [{} for _ in basis]
-    for col, exp in enumerate(basis):
-        for k, row in enumerate(rows):
-            for i, c in row.items():
-                if exp[i]:
+    for image, exp in zip(out, basis):
+        for i, col in enumerate(columns):
+            if exp[i]:
+                for k, c in col.items():
                     # replace one factor v_i by its image term m[k][i] v_k
                     new = list(exp)
                     new[i] -= 1
                     new[k] += 1
-                    target = out[index[tuple(new)]]
-                    target[col] = target.get(col, 0) + exp[i] * c
+                    r = index[tuple(new)]
+                    image[r] = image.get(r, 0) + exp[i] * c
     return out
 
 
 def sym_power_rep(rep, n):
     """Action on S^n(V) by exact polarization of the monomial basis."""
     basis = monomials((1,) * rep.dim, n)
-    return MatrixRep(rep.algebra, [polarize(rows, basis) for rows in rep.rows])
+    return MatrixRep(rep.algebra, [polarize(m, basis) for m in rep.columns])
 
 
 def weight_space_dims(h):
     """Integer eigenvalue -> multiplicity of a diagonal H given by its sparse
-    rows {col: entry}, read off the diagonal; None when H is not diagonal."""
-    if any(col != r for r, row in enumerate(h) for col in row):
+    columns {row: entry}, read off the diagonal; None when H is not
+    diagonal."""
+    if any(r != v for v, col in enumerate(h) for r in col):
         return None
     dims = {}
-    for r, row in enumerate(h):
-        e = row.get(r, 0)
+    for v, col in enumerate(h):
+        e = col.get(v, 0)
         if e != int(e):
             raise PreconditionError("H not rationally diagonalizable")
         dims[int(e)] = dims.get(int(e), 0) + 1
@@ -99,9 +102,15 @@ def weight_space_dims(h):
 
 
 def decompose_sl2(rep):
-    """Multiset {highest weight e: multiplicity}: weight-space dimensions
-    when H = rho(e_1) is diagonal, the Casimir (sl2_isotypic) otherwise."""
-    dims = weight_space_dims(rep.rows[0])
+    """Multiset {highest weight e: multiplicity} of a module over a Q-form
+    of sl2: weight-space dimensions when rho(e_1) is diagonal and e_1 is the
+    H of an sl2-triple ([e_1, e_2] = 2 e_2, [e_1, e_3] = -2 e_3 and [e_2,
+    e_3] a nonzero multiple of e_1), the Casimir (sl2_isotypic) otherwise."""
+    # ad e_1 kills [e_2, e_3] (Jacobi), so it is a multiple of e_1
+    table = rep.algebra._table
+    triple = (rep.algebra.dim == 3 and table.get((0, 1)) == {1: 2}
+              and table.get((0, 2)) == {2: -2} and (1, 2) in table)
+    dims = weight_space_dims(rep.columns[0]) if triple else None
     if dims is None:
         return sl2_isotypic(rep)
     mults = {}
@@ -119,7 +128,7 @@ def decompose_sl2(rep):
 
 
 def _casimir(rep):
-    """Sparse rows of the Casimir C = sum (kappa^-1)_ij rho_i rho_j of a
+    """Sparse columns of the Casimir C = sum (kappa^-1)_ij rho_i rho_j of a
     module over a Q-form of sl2, kappa its Killing form."""
     kappa = rep.algebra.killing_matrix()
     dim = len(kappa)
@@ -132,10 +141,11 @@ def _casimir(rep):
         for j in range(3):
             c = kappa_inv[i][j]
             if c:
-                for out, row in zip(casimir, rep.rows[i]):
-                    for mid, a in row.items():
-                        for col, b in rep.rows[j][mid].items():
-                            out[col] = out.get(col, 0) + c * a * b
+                # column v of rho_i rho_j is rho_i applied to column v of rho_j
+                for out, col in zip(casimir, rep.columns[j]):
+                    for mid, a in col.items():
+                        for r, b in rep.columns[i][mid].items():
+                            out[r] = out.get(r, 0) + c * a * b
     return casimir
 
 
@@ -151,7 +161,7 @@ def sl2_isotypic(rep):
         if filled == n:
             break
         shift = Fraction(k * (k + 2), 8)
-        shifted = [{**row, i: row.get(i, 0) - shift} for i, row in enumerate(casimir)]
+        shifted = [{**col, v: col.get(v, 0) - shift} for v, col in enumerate(casimir)]
         kernel = n - linalg.rank(shifted)
         if kernel % (k + 1):
             raise InconsistencyError("Casimir eigenspace is not a sum of copies of V_k")
@@ -232,29 +242,24 @@ _ANCHOR = {"H": (2, 1), "X+": (1, 2), "X-": (-1, 0)}
 
 def _algebroid_ops(d):
     """H, X+, X- on Q[x] (x) V_d, as op(v) = anchor(v') + rho(op) v on the
-    terms of v, with rho = binary_form_rep(d) read by sparse columns."""
+    terms of v, with rho = binary_form_rep(d) read by its sparse columns."""
     rank = d + 1
 
-    def make(rows, a, s):
-        cols = [[] for _ in range(rank)]
-        for r, row in enumerate(rows):
-            for j, m in row.items():
-                cols[j].append((r, m))
-
+    def make(columns, a, s):
         def op(vec):
             out = {}
             for (j, (k,)), c in vec.terms.items():
                 if k:
                     mono = (j, (k - 1 + s,))
                     out[mono] = out.get(mono, 0) + a * k * c
-                for r, m in cols[j]:
+                for r, m in columns[j].items():
                     out[(r, (k,))] = out.get((r, (k,)), 0) + m * c
             return FreeModuleElement(1, rank, out)
 
         return op
 
-    return {name: make(rows, *_ANCHOR[name])
-            for name, rows in zip(("H", "X+", "X-"), binary_form_rep(d).rows)}
+    return {name: make(columns, *_ANCHOR[name])
+            for name, columns in zip(("H", "X+", "X-"), binary_form_rep(d).columns)}
 
 
 def _module_rank(gb):

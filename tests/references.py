@@ -113,13 +113,13 @@ def dense_rows(rows, width):
 
 def matrix_rep(algebra, matrices):
     """The MatrixRep of dense action matrices, one per basis element."""
-    return MatrixRep(algebra, [sparse_rows(m) for m in matrices])
+    return MatrixRep(algebra, [sparse_rows(zip(*m)) for m in matrices])
 
 
 def dense_matrices(rep):
     """rho(e_k) of a MatrixRep as dense matrices with Fraction entries."""
-    return [[[Fraction(row.get(j, 0)) for j in range(rep.dim)] for row in m]
-            for m in rep.rows]
+    return [[[Fraction(col.get(r, 0)) for col in m] for r in range(rep.dim)]
+            for m in rep.columns]
 
 
 def invariants_dimension(rep, nil):

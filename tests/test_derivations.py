@@ -268,6 +268,13 @@ def test_tangent_linear_ideal():
     assert same_module(dm, expected)
 
 
+def test_linear_part_holds_the_image_of_each_variable_in_its_column():
+    # y d/dx sends x to y and y to 0; the quadratic part of x^2 d/dy is dropped
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    assert Derivation([y, Polynomial.zero(2)]).linear_part() == [{1: 1}, {}]
+    assert Derivation([3 * x + y, x * x - 2 * y]).linear_part() == [{0: 3, 1: 1}, {1: -2}]
+
+
 def known_whitney_basis():
     zero = Polynomial.zero(3)
     x = Polynomial.variable(3, 0)

@@ -144,6 +144,21 @@ def test_graded_pieces_power_consistency():
         assert sum(d for i, d in report.dims if i <= n) == j.power(n + 1).colength()
 
 
+@pytest.mark.parametrize("depth", [5, 8, 10])
+def test_graded_pieces_series_builds_each_power_once(monkeypatch, depth):
+    # J = m^2 has 3 minimal generators in 2 variables, so the series reads
+    # the colengths of J^0..J^(depth+1): J^i is J^(i-1) * J, one product
+    # each, and a second series on the same J builds none
+    j = Ideal(2, [P("x^2", "xy"), P("x*y", "xy"), P("y^2", "xy")])
+    calls = []
+    product = Ideal.product
+    monkeypatch.setattr(Ideal, "product", lambda self, other: calls.append(1) or product(self, other))
+    first = graded_pieces_series(j, "ring", depth=depth)
+    assert len(calls) == depth + 1
+    assert graded_pieces_series(j, "ring", depth=depth).to_json() == first.to_json()
+    assert len(calls) == depth + 1
+
+
 def test_graded_pieces_round_trip():
     j = Ideal(2, [P("x^2", "xy"), P("x*y", "xy"), P("y^2", "xy")])
     report = graded_pieces_series(j, "ring", depth=6)

@@ -196,13 +196,24 @@ def _killing_by_products(g):
              for y in ads] for x in ads]
 
 
+def _fibre_of(names, gens):
+    return fibre_lie_algebra(tangent_derivations(
+        Ideal(len(names), [P(g, names) for g in gens])))[0]
+
+
 def _named_algebra(name):
     return {"sl2": sl2, "gl2": gl2,
             "whitney": lambda: fibre_lie_algebra(whitney_dm())[0],
-            "quadric5": lambda: fibre_lie_algebra(quadric_dm(5))[0]}[name]()
+            "quadric5": lambda: fibre_lie_algebra(quadric_dm(5))[0],
+            # gl2 acting on binary cubics, and gl1 + sl2 + sl3 on 2 x 3 matrices
+            "discriminant": lambda: _fibre_of(
+                "xyzw", ["y^2*z^2 - 4*x*z^3 - 4*y^3*w + 18*x*y*z*w - 27*x^2*w^2"]),
+            "minors23": lambda: _fibre_of("abcdef", ["a*e - b*d", "a*f - c*d", "b*f - c*e"]),
+            }[name]()
 
 
-@pytest.mark.parametrize("name", ["sl2", "gl2", "whitney", "quadric5"])
+@pytest.mark.parametrize("name", ["sl2", "gl2", "whitney", "quadric5", "discriminant",
+                                  "minors23"])
 def test_killing_matrix_is_trace_of_ad_products(name):
     g = _named_algebra(name)
     assert dense_rows(g.killing_matrix(), g.dim) == _killing_by_products(g)
@@ -255,7 +266,7 @@ def _accepted(dim, brackets):
 
 def test_jacobi_check_matches_the_triple_loop():
     # the structure tables of four algebras in seeded random bases, then each
-    # with one constant changed: the check on the adjoint rows accepts
+    # with one constant changed: the check on the adjoint action accepts
     # exactly the tables the triple loop of the oracle accepts
     rng = random.Random(11)
     verdicts = []
@@ -374,7 +385,7 @@ def test_structure_constants_have_one_sparse_form(name):
 
 def test_constructor_refuses_malformed_input():
     # a label count other than dim, a negative dim, a constant index outside
-    # [0, dim) (a negative one would wrap in the adjoint rows), a pair not
+    # [0, dim) (a negative one would wrap in the adjoint action), a pair not
     # given as i < j
     for make in (lambda: LieAlgebra(3, {}, labels=["a"]),
                  lambda: LieAlgebra(3, {}, labels=["a", "b", "c", "d"]),

@@ -14,7 +14,7 @@ from algebroids.cli import build_parser, main
 from algebroids.derivations import tangent_derivations
 from algebroids.errors import InconsistencyError, ParseError, PreconditionError
 from algebroids.groebner import Ideal
-from algebroids.liealg import LieAlgebra, fibre_lie_algebra
+from algebroids.liealg import fibre_lie_algebra
 from algebroids.pipeline import (_levi_action, _sl2_covariant_path,
                                  analyze_singularity, analyze_toral,
                                  covariants_report, parse_input)
@@ -165,10 +165,10 @@ def test_sl2_length_dims_match_nilpotent_kernel(text):
     nil = _rational_nilpotent(dense_matrices(rep))
     assert nil is not None
     dims, _series = _sl2_covariant_path(fibre, basis, 12)
-    nil_rows = [{j: c for j, c in enumerate(row) if c} for row in nil]
+    nil_columns = [{r: c for r, c in enumerate(col) if c} for col in zip(*nil)]
     for n in range(7):
         monos = monomials((1,) * rep.dim, n)
-        assert dims[n] == len(monos) - linalg.rank(polarize(nil_rows, monos))
+        assert dims[n] == len(monos) - linalg.rank(polarize(nil_columns, monos))
 
 
 def test_compact_quadric_has_no_rational_nilpotent():
@@ -203,30 +203,6 @@ def test_analyze_fermat_tjurina_mode():
     assert report.series.expand(4).coeffs == \
         RationalSeries([8], [(1, 3)]).expand(4).coeffs
     assert (report.dimension, report.multiplicity) == (3, 8)
-
-
-def test_analyze_builds_ad_matrices_once(monkeypatch):
-    # the adjoint rows are built once per algebra, on construction: the
-    # Jacobi check, the Killing form, the centre and solvability read them
-    calls = []
-    original = LieAlgebra._ads
-
-    def counted(self):
-        calls.append(self)
-        return original(self)
-
-    monkeypatch.setattr(LieAlgebra, "_ads", counted)
-    # the discriminant's fibre is not solvable, so its Levi, a form of sl2,
-    # is a second algebra
-    for text, solvable in [(FERMAT, True), (DISCRIMINANT, False)]:
-        calls.clear()
-        report = analyze_singularity(parse_input(text), series_depth=4)
-        assert report.solvable is solvable
-        assert [g.dim for g in calls] == [report.fibre.dim] + [3] * (not solvable)
-        assert calls[0] is report.fibre
-        report.fibre.fingerprint()
-        report.fibre.killing_matrix()
-        assert len(calls) == len(set(map(id, calls))) == 1 + (not solvable)
 
 
 def test_analyze_bad_mode():
@@ -448,8 +424,8 @@ def test_cli_returns_4_on_an_inconsistency(monkeypatch, capsys):
 
 
 def test_cli_builds_its_parser_once(monkeypatch, capsys):
-    # a subcommand's first main call builds the top-level parser with that
-    # subcommand's parser only; a repeat call builds nothing
+    # the first main call builds the one parser, with every subcommand's
+    # parser; a repeat call, of the same or another subcommand, builds nothing
     made = []
     original = argparse.ArgumentParser.__init__
 
@@ -459,15 +435,17 @@ def test_cli_builds_its_parser_once(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     build_parser.cache_clear()
+    full = ["algebroids"] + [f"algebroids {name}" for name in cli.COMMANDS]
     try:
         assert main(["sl2-check", "--d", "2"]) == 0
-        assert made == ["algebroids", "algebroids sl2-check"]
+        assert made == full
         assert main(["sl2-check", "--d", "1"]) == 0
-        assert made == ["algebroids", "algebroids sl2-check"]
+        assert main(["covariant", "--degree", "2", "--depth", "3"]) == 0
+        assert made == full
     finally:
         build_parser.cache_clear()
     capsys.readouterr()
-    # --help builds the full parser, which lists all nine subcommands
+    # --help lists all nine subcommands
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0

@@ -10,7 +10,7 @@ import pytest
 from algebroids import groebner, linalg, repmod
 from algebroids.errors import AlgebroidError, InconsistencyError, PreconditionError
 from algebroids.groebner import FreeModuleElement, TermOrder, groebner_basis
-from algebroids.liealg import sl2, span_lie_algebra
+from algebroids.liealg import LieAlgebra, sl2, span_lie_algebra
 from algebroids.poly import Polynomial, monomials
 from algebroids.repmod import (MatrixRep, binary_form_rep, cayley_sylvester,
                                covariant_dimensions, decompose_sl2,
@@ -95,14 +95,24 @@ def test_matrix_rep_rejects_bad_shapes(shapes):
         MatrixRep(sl2(), sparse)
 
 
-@pytest.mark.parametrize("rows", [
+@pytest.mark.parametrize("columns", [
     [[[0, 1], [0, 0]]] * 3,
-    # one dense row among sparse ones
+    # one dense column among sparse ones
     [[{0: 1}, {}], [{}, [0, 0]], [{}, {}]],
 ], ids=["dense", "one-row-dense"])
-def test_matrix_rep_refuses_dense_rows(rows):
-    with pytest.raises(ValueError, match="sparse rows"):
-        MatrixRep(sl2(), rows)
+def test_matrix_rep_refuses_dense_rows(columns):
+    with pytest.raises(ValueError, match="sparse columns"):
+        MatrixRep(sl2(), columns)
+
+
+def test_matrix_rep_refuses_transposed_matrices():
+    # rho^T represents the opposite algebra, so V_2 given by rows fails the
+    # bracket check; the rows of rho(e_k) are the columns of rho(e_k)^T
+    rep = binary_form_rep(2)
+    rows = [sparse_rows(m) for m in dense_matrices(rep)]
+    assert rows != rep.columns
+    with pytest.raises(AlgebroidError, match="do not represent the bracket"):
+        MatrixRep(rep.algebra, rows)
 
 
 def s6v3():
@@ -117,7 +127,7 @@ def transposed(m):
 
 def test_validation_accepts_s6v3_and_its_dual():
     rep = s6v3()
-    MatrixRep(rep.algebra, rep.rows)
+    MatrixRep(rep.algebra, rep.columns)
     # the dual -rho^T is a representation; rho^T is not, which pins the
     # order of the products in the check
     matrix_rep(rep.algebra, [mat_scale(transposed(m), -1) for m in dense_matrices(rep)])
@@ -133,17 +143,17 @@ def test_validation_rejects_negated_rep():
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_validation_rejects_one_changed_sparse_entry(k):
-    # rows given sparse: doubling the first nonzero entry of any one row of
-    # rho(e_k) breaks the bracket, so every row must be checked
+    # columns given sparse: doubling the first nonzero entry of any one
+    # column of rho(e_k) breaks the bracket, so every column must be checked
     rep = s6v3()
-    for r in range(rep.dim):
-        if not rep.rows[k][r]:
+    for v in range(rep.dim):
+        if not rep.columns[k][v]:
             continue
-        rows = [list(m) for m in rep.rows]
-        col, c = next(iter(rep.rows[k][r].items()))
-        rows[k][r] = {**rep.rows[k][r], col: 2 * c}
+        columns = [list(m) for m in rep.columns]
+        r, c = next(iter(rep.columns[k][v].items()))
+        columns[k][v] = {**rep.columns[k][v], r: 2 * c}
         with pytest.raises(AlgebroidError, match="do not represent the bracket"):
-            MatrixRep(rep.algebra, rows)
+            MatrixRep(rep.algebra, columns)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -151,24 +161,35 @@ def test_validation_checks_every_pair(k):
     # rho(e_k) + 1 leaves every commutator as it was and breaks only the
     # relation with e_k on its right: [X, Y] = H, [H, X] = 2X or [H, Y] = -2Y
     rep = s6v3()
-    rows = [list(m) for m in rep.rows]
-    rows[k] = [{**row, r: row.get(r, 0) + 1} for r, row in enumerate(rep.rows[k])]
+    columns = [list(m) for m in rep.columns]
+    columns[k] = [{**col, v: col.get(v, 0) + 1} for v, col in enumerate(rep.columns[k])]
     with pytest.raises(AlgebroidError, match="do not represent the bracket"):
-        MatrixRep(rep.algebra, rows)
+        MatrixRep(rep.algebra, columns)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_validation_checks_every_row(k):
     # on V_0 + V_1 + V_0 + V_2 + V_0 a nonzero diagonal entry at a trivial
-    # summand (row 0, 3 or 7) breaks the bracket in that row alone
+    # summand (entry t, t for t = 0, 3 or 7) breaks the bracket in row and
+    # column t alone
     rep = binary_form_rep(0)
     for d in (1, 0, 2, 0):
         rep = direct_sum_rep(rep, binary_form_rep(d))
     for t in (0, 3, 7):
-        rows = [[dict(row) for row in m] for m in rep.rows]
-        rows[k][t][t] = 1
+        columns = [[dict(col) for col in m] for m in rep.columns]
+        columns[k][t][t] = 1
         with pytest.raises(AlgebroidError, match="do not represent the bracket"):
-            MatrixRep(rep.algebra, rows)
+            MatrixRep(rep.algebra, columns)
+
+
+@pytest.mark.parametrize("first, second", [({1: {2: 1}}, {0: {1: 1}}), ({0: {1: 1}}, {1: {2: 1}})],
+                         ids=["live-in-second", "live-in-first"])
+def test_validation_reads_the_columns_of_either_matrix(first, second):
+    # on the abelian plane, e_0 -> e_1 and e_1 -> e_2 do not commute: their
+    # commutator is nonzero only in column 0, which only one of them moves
+    columns = [[first.get(v, {}) for v in range(3)], [second.get(v, {}) for v in range(3)]]
+    with pytest.raises(AlgebroidError, match="do not represent the bracket"):
+        MatrixRep(LieAlgebra(2, {}), columns)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -203,25 +224,25 @@ def test_validation_with_several_structure_constants():
     rep = sym_power_rep(matrix_rep(g, mats), 6)
     assert rep.dim == 84
     with pytest.raises(AlgebroidError, match="do not represent the bracket"):
-        MatrixRep(sl2(), rep.rows)
+        MatrixRep(sl2(), rep.columns)
 
 
 def test_rows_hold_ints_where_integral():
     rep = binary_form_rep(3)
     # integral Fractions become ints and explicit zeros are dropped: the
-    # rows are the only state
-    padded = [[{**{col: Fraction(0) for col in range(rep.dim)},
-                **{col: Fraction(c) for col, c in row.items()}} for row in m] for m in rep.rows]
+    # columns are the only state
+    padded = [[{**{r: Fraction(0) for r in range(rep.dim)},
+                **{r: Fraction(c) for r, c in col.items()}} for col in m] for m in rep.columns]
     again = MatrixRep(rep.algebra, padded)
-    assert again.rows == rep.rows
-    assert all(type(c) is int for m in again.rows for row in m for c in row.values())
-    assert MatrixRep.__slots__ == ("algebra", "dim", "rows")
+    assert again.columns == rep.columns
+    assert all(type(c) is int for m in again.columns for col in m for c in col.values())
+    assert MatrixRep.__slots__ == ("algebra", "dim", "columns")
     # X/2 and 2Y keep every bracket; X/2 has non-integral entries, kept as Fractions
-    scaled = [rep.rows[0],
-              [{col: Fraction(c, 2) for col, c in row.items()} for row in rep.rows[1]],
-              [{col: 2 * c for col, c in row.items()} for row in rep.rows[2]]]
-    assert any(type(c) is Fraction for row in MatrixRep(rep.algebra, scaled).rows[1]
-               for c in row.values())
+    scaled = [rep.columns[0],
+              [{r: Fraction(c, 2) for r, c in col.items()} for col in rep.columns[1]],
+              [{r: 2 * c for r, c in col.items()} for col in rep.columns[2]]]
+    assert any(type(c) is Fraction for col in MatrixRep(rep.algebra, scaled).columns[1]
+               for c in col.values())
 
 
 def dense_polarize(m, basis):
@@ -255,19 +276,19 @@ def test_sym_power_matches_dense_polarization():
         power = sym_power_rep(rep, n)
         basis = monomials((1,) * rep.dim, n)
         assert dense_matrices(power) == [dense_polarize(m, basis) for m in dense_matrices(rep)]
-        # the rows hold ints where integral, and read back as the same rows
+        # the columns hold ints where integral, and read back as the same columns
         assert all(type(c) is int or c.denominator > 1
-                   for m in power.rows for row in m for c in row.values())
-        assert MatrixRep(power.algebra, power.rows).rows == power.rows
+                   for m in power.columns for col in m for c in col.values())
+        assert MatrixRep(power.algebra, power.columns).columns == power.columns
 
 
 def test_sym_power_of_a_non_integral_v2_decomposes_like_v2():
     conj = conjugated_v2()
-    assert any(type(c) is Fraction for m in conj.rows for row in m for c in row.values())
-    assert weight_space_dims(conj.rows[0]) is None
+    assert any(type(c) is Fraction for m in conj.columns for col in m for c in col.values())
+    assert weight_space_dims(conj.columns[0]) is None
     for n in range(1, 4):
         power = sym_power_rep(conj, n)
-        assert any(type(c) is Fraction for m in power.rows for row in m for c in row.values())
+        assert any(type(c) is Fraction for m in power.columns for col in m for c in col.values())
         assert decompose_sl2(power) == decompose_sl2(sym_power_rep(binary_form_rep(2), n))
 
 
@@ -293,6 +314,33 @@ def test_decompose_examples():
     assert decompose_sl2(tensor_rep(v1, v1)) == {2: 1, 0: 1}
 
 
+@pytest.mark.parametrize("h_scale, y_scale, casimir_calls", [
+    (2, 1, 1), (Fraction(1, 2), 1, 1), (1, 2, 0)])
+def test_decompose_sl2_in_a_rescaled_basis(monkeypatch, h_scale, y_scale, casimir_calls):
+    # V_1 in the basis (s H, X, t Y): e_1 is the H of an sl2-triple only for
+    # s = 1, so the eigenvalues of 2H (2, -2) or H/2 (1/2, -1/2) are not
+    # weights and only the Casimir decomposes these
+    g = LieAlgebra(3, {(0, 1): {1: 2 * h_scale}, (0, 2): {2: -2 * h_scale},
+                       (1, 2): {0: Fraction(y_scale) / h_scale}})
+    h, x, y = binary_form_rep(1).columns
+    rep = MatrixRep(g, [[{r: h_scale * c for r, c in col.items()} for col in h], x,
+                        [{r: y_scale * c for r, c in col.items()} for col in y]])
+    calls = []
+    casimir = repmod.sl2_isotypic
+    monkeypatch.setattr(repmod, "sl2_isotypic", lambda rep: calls.append(rep) or casimir(rep))
+    assert decompose_sl2(rep) == {1: 1}
+    assert len(calls) == casimir_calls
+    assert casimir(rep) == {1: 1}
+
+
+def test_decompose_sl2_refuses_a_solvable_algebra_with_diagonal_h():
+    # [e_1, e_2] = 2 e_2 and [e_1, e_3] = -2 e_3 with [e_2, e_3] = 0: e_1 is
+    # no H of an sl2-triple, and the Killing form is singular
+    g = LieAlgebra(3, {(0, 1): {1: 2}, (0, 2): {2: -2}})
+    with pytest.raises(PreconditionError, match="not a form of sl2"):
+        decompose_sl2(MatrixRep(g, [[{}], [{}], [{}]]))
+
+
 def test_weight_space_dims_non_diagonal_h():
     # conjugating by a rational unipotent matrix makes H non-diagonal; the
     # Casimir route must still give the decomposition of the diagonal form
@@ -307,7 +355,7 @@ def test_weight_space_dims_non_diagonal_h():
                       [mat_mul(p_inv, mat_mul(m, p)) for m in dense_matrices(rep)])
     h = dense_matrices(conj)[0]
     assert any(h[i][j] for i in range(n) for j in range(n) if i != j)
-    assert weight_space_dims(conj.rows[0]) is None
+    assert weight_space_dims(conj.columns[0]) is None
     assert decompose_sl2(conj) == decompose_sl2(rep) == {4: 1, 0: 1}
 
 
@@ -328,17 +376,18 @@ def test_sl2_isotypic_matches_weight_decomposition():
 
 def test_sparse_casimir_matches_dense_products():
     # on S^3(V_2) in a non-integral basis H is not diagonal; the Casimir
-    # read off the sparse rows equals sum (kappa^-1)_ij rho_i rho_j formed
+    # read off the sparse columns equals sum (kappa^-1)_ij rho_i rho_j formed
     # by dense products
     rep = sym_power_rep(conjugated_v2(), 3)
-    assert weight_space_dims(rep.rows[0]) is None
+    assert weight_space_dims(rep.columns[0]) is None
     kappa_inv = inverse(dense_rows(rep.algebra.killing_matrix(), 3))
     mats = dense_matrices(rep)
     products = zeros(rep.dim, rep.dim)
     for i in range(3):
         for j in range(3):
             products = mat_add(products, mat_scale(mat_mul(mats[i], mats[j]), kappa_inv[i][j]))
-    assert [[row.get(j, 0) for j in range(rep.dim)] for row in repmod._casimir(rep)] == products
+    casimir = repmod._casimir(rep)
+    assert [[col.get(r, 0) for col in casimir] for r in range(rep.dim)] == products
     assert sl2_isotypic(rep) == {6: 1, 2: 1}
 
 
@@ -394,7 +443,7 @@ def test_weight_sum_conservation():
     for n, d in [(2, 3), (3, 2), (3, 3), (4, 2)]:
         rep = sym_power_rep(binary_form_rep(d), n)
         dec = decompose_sl2(rep)
-        assert sum((e + 1) * m for e, m in dec.items()) == len(rep.rows[0])
+        assert sum((e + 1) * m for e, m in dec.items()) == len(rep.columns[0])
 
 
 def test_covariant_dimension():
