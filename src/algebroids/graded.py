@@ -3,11 +3,11 @@
 A is graded by positive weights w, and position p of A^r is shifted by
 shifts[p], so x^e at position p has degree sum w_i e_i + shifts[p].  When
 some homogeneous elements of M generate it in every degree below d, the
-x^a k over those k with deg x^a = d - deg k > 0 span (m*M)_d.  So one rref
-of [(m*M)_d | kept elements of degree d | targets] answers each question
-about degree d: graded Nakayama (Eisenbud, Commutative Algebra, Cor. 4.8)
-picks minimal generators from it, and a Lie bracket's class in M/mM is read
-off it as coordinates.  Neither needs a Groebner basis.
+x^a k over those k with deg x^a = d - deg k > 0 span (m*M)_d.  So one
+elimination of [(m*M)_d | kept elements of degree d | targets] answers each
+question about degree d: graded Nakayama (Eisenbud, Commutative Algebra,
+Cor. 4.8) picks minimal generators from its pivots, and a Lie bracket's
+class in M/mM is read off its rref as coordinates, with no Groebner basis.
 """
 
 from . import linalg
@@ -27,11 +27,11 @@ def _piece(kept, degrees, d, weights, targets):
 
 def minimal_generators(candidates, weights, shifts):
     """(indices of the kept candidates, their degrees): graded Nakayama as
-    one rref per candidate degree d, from the lowest up.  Each candidate is
-    a nonzero homogeneous element.  The candidates of degree d kept are the
-    pivot columns of [(m*M)_d | candidates of degree d in the given order]:
-    those outside (m*M)_d + the span of the candidates before them.  A
-    repeated candidate is never a pivot."""
+    one linalg.echelon per candidate degree d, from the lowest up.  Each
+    candidate is a nonzero homogeneous element.  The candidates of degree d
+    kept are the pivot columns of [(m*M)_d | candidates of degree d in the
+    given order]: those outside (m*M)_d + the span of the candidates before
+    them.  A repeated candidate is never a pivot."""
     by_degree = {}
     for i, c in enumerate(candidates):
         pos, exp = next(iter(c.terms))
@@ -41,7 +41,7 @@ def minimal_generators(candidates, weights, shifts):
         same = by_degree[d]
         span, _kept_of_d, rows = _piece([candidates[k] for k in kept], degrees, d,
                                         weights, [candidates[i] for i in same])
-        for p in linalg.rref(rows)[1]:
+        for p in sorted(linalg.echelon(rows)):
             if p >= span:
                 kept.append(same[p - span])
                 degrees.append(d)

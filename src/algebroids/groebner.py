@@ -3,16 +3,17 @@
 Buchberger's algorithm with normal pair selection, the chain criterion, and
 the coprimality criterion (ideals only, where it is valid); a pair of
 single-term elements is never formed, as its S-polynomial is zero.  It runs
-fraction free on primitive int vectors; only the returned basis is monic.
+fraction free on primitive int vectors (linalg.integral and linalg.primitive,
+which row elimination shares); only the returned basis is monic.
 Syzygies and coefficient lifts over the original generators are both read off
 one basis of the augmented rows (v_i, e_i) under a position-over-term order.
 """
 
 import heapq
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from . import graded
+from . import graded, linalg
 from .errors import PreconditionError
 from .poly import Polynomial, _exact, divides, minimal_monomials, mono_mul, wdeg
 
@@ -97,11 +98,6 @@ class FreeModuleElement:
             polys[pos][exp] = c
         return [Polynomial(self.nvars, t) for t in polys]
 
-    def to_poly(self):
-        if self.rank != 1:
-            raise ValueError("not a rank-1 element")
-        return self.to_polys()[0]
-
     def is_zero(self):
         return not self.terms
 
@@ -172,19 +168,6 @@ def _buckets(leads):
     return out
 
 
-def _integral(terms):
-    """(d, d * terms) for the least positive int d that makes every coefficient an int."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return den, {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
-
-
-def _primitive(terms, lead):
-    """The multiple of the terms with coprime int coefficients, positive at lead."""
-    ints = _integral(terms)[1]
-    g = gcd(*ints.values())
-    return {m: c // (g if ints[lead] > 0 else -g) for m, c in ints.items()}
-
-
 def _reduce(terms, buckets, elements, order):
     """Full normal form of the terms modulo int elements with positive leading
     coefficients, fraction free: (rem, s), rem the int terms of s > 0 times it.
@@ -196,7 +179,7 @@ def _reduce(terms, buckets, elements, order):
     (l/g) (everything) - (c/g) x^(e-f) (element), g = gcd(c, l).
     """
     key = order.descending_key
-    scale, work = _integral(terms)
+    scale, work = linalg.integral(terms)
     heap = [(key(m), m) for m in work]
     heapq.heapify(heap)
     rem = {}
@@ -296,7 +279,7 @@ def groebner_basis(gens, order):
     def add(terms):
         j = len(basis)
         mono = min(terms, key=order.descending_key)
-        element = FreeModuleElement(nvars, rank, _primitive(terms, mono))
+        element = FreeModuleElement(nvars, rank, linalg.primitive(terms, mono))
         (pos, exp), coeff = lead = mono, element.terms[mono]
         for i, lexp, _c in buckets.get(pos, ()):
             # two single terms have a zero S-polynomial: no pair
@@ -345,7 +328,7 @@ def groebner_basis(gens, order):
     reduced = []
     for element, (mono, coeff) in zip(basis, leads):
         rem, scale = _reduce({m: c for m, c in element.terms.items() if m != mono}, buckets, basis, order)
-        reduced.append(FreeModuleElement(nvars, rank, _primitive({mono: coeff * scale, **rem}, mono)))
+        reduced.append(FreeModuleElement(nvars, rank, linalg.primitive({mono: coeff * scale, **rem}, mono)))
     by_lead = sorted(range(len(basis)), key=lambda k: order.descending_key(leads[k][0]))
     return GroebnerBasis(order, [reduced[k] for k in by_lead], nvars, rank)
 
@@ -393,8 +376,8 @@ class Ideal:
     def is_unit(self):
         if self.is_zero():
             return False
-        gb = self.groebner()
-        return any(e.to_poly().is_constant() for e in gb.elements)
+        # 1 is the least monomial of every term order: a lead 1 is a constant
+        return any(not any(exp) for _pos, exp in self.groebner().leads())
 
     def leading_exponents(self):
         gb = self.groebner()

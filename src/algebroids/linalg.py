@@ -2,17 +2,31 @@
 
 A matrix is a list of sparse rows {col: entry}, the one matrix form of the
 library; an explicit zero entry counts as absent.  Vectors read off a
-matrix (solutions, kernel vectors) are dense lists.  Entries and vectors
-hold ints where integral (poly._exact).  Everything is small (desk scale),
-so plain Gaussian elimination is enough: one sparse rref, from which rank,
+matrix (solutions, kernel vectors) are dense lists, holding ints where
+integral.  Elimination runs fraction free on primitive int rows, as the
+Groebner engine does (integral, primitive): echelon is the one forward
+pass, rank counts its pivots, and rref back-substitutes it, from which
 kernel_basis and solve read their answers.  Every coordinate vector the
-library needs (structure constants, weights, inverses, interpolation) comes
-from solve.
+library needs (structure constants, weights, inverses, interpolation)
+comes from solve.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .poly import _exact
+
+def integral(row):
+    """(d, d * row) for the least positive int d that makes every entry of
+    the sparse dict {key: entry} an int."""
+    den = lcm(*(x.denominator for x in row.values()))
+    return den, {k: x.numerator * (den // x.denominator) for k, x in row.items()}
+
+
+def primitive(row, lead):
+    """The multiple of the sparse dict with coprime int entries, positive at lead."""
+    ints = integral(row)[1]
+    g = gcd(*ints.values())
+    return {k: x // (g if ints[lead] > 0 else -g) for k, x in ints.items()}
 
 
 def from_columns(columns):
@@ -34,44 +48,55 @@ def combine(coeffs, rows):
     return {col: x for col, x in out.items() if x}
 
 
-def _subtract(target, c, row):
-    """target -= c * row, both dicts of nonzero entries."""
-    for j, x in row.items():
-        y = target.get(j, 0) - c * x
-        if y:
-            target[j] = y
-        else:
-            target.pop(j, None)
+def _eliminate(row, pivot, col):
+    """(b/g) row - (a/g) pivot for int rows with entries a and b at col, g =
+    gcd(a, b): an int row with no entry at col."""
+    g = gcd(row[col], pivot[col])
+    up, factor = pivot[col] // g, row[col] // g
+    out = {j: up * x for j, x in row.items()} if up != 1 else dict(row)
+    for j, x in pivot.items():
+        out[j] = out.get(j, 0) - factor * x
+    return {j: x for j, x in out.items() if x}
+
+
+def echelon(rows):
+    """The forward pass: {pivot column: primitive int row whose least column
+    it is}, the pivots of the rref.  Each row loses its least column to the
+    pivot row there until that column is a new pivot or the row is zero."""
+    out = {}
+    for row in rows:
+        row = integral({j: x for j, x in row.items() if x})[1]
+        while row:
+            col = min(row)
+            if col not in out:
+                out[col] = primitive(row, col)
+                break
+            row = _eliminate(row, out[col], col)
+    return out
 
 
 def rref(rows):
     """Reduced row echelon form; returns (rref rows, pivot column list), the
     rows sparse with no zero entry.
 
-    Each row is reduced by the pivot rows found so far, and a new pivot is
-    cleared from the earlier rows, so the pivot rows stay reduced against
-    each other."""
-    reduced = {}  # pivot column -> row with a 1 there and 0 in every other pivot
-    for row in rows:
-        new = {j: x for j, x in row.items() if x}
-        for p in [j for j in new if j in reduced]:
-            _subtract(new, new[p], reduced[p])
-        if not new:
-            continue
-        col = min(new)
-        if new[col] != 1:
-            inv = Fraction(1) / new[col]
-            new = {j: _exact(x * inv) for j, x in new.items()}
-        for other in reduced.values():
-            if col in other:
-                _subtract(other, other[col], new)
-        reduced[col] = new
+    The echelon rows are back-substituted, last pivot first, so the pivot
+    rows that reduce a row are reduced already and have no entry at any
+    other pivot."""
+    reduced = echelon(rows)
     pivots = sorted(reduced)
-    return [{j: _exact(x) for j, x in reduced[p].items()} for p in pivots], pivots
+    out = []
+    for p in reversed(pivots):
+        row = reduced[p]
+        for q in [q for q in row if q != p and q in reduced]:
+            row = _eliminate(row, reduced[q], q)
+        reduced[p] = row = primitive(row, p)
+        d = row[p]
+        out.append({j: x // d if x % d == 0 else Fraction(x, d) for j, x in row.items()})
+    return out[::-1], pivots
 
 
 def rank(rows):
-    return len(rref(rows)[0])
+    return len(echelon(rows))
 
 
 def kernel_basis(rows, width):

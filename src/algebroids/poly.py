@@ -8,6 +8,7 @@ the one weighted degree every module uses, where needed; mono_mul is the
 one monomial product.
 """
 
+import re
 from fractions import Fraction
 from operator import add, le, mul
 
@@ -87,9 +88,6 @@ class Polynomial:
     # -- predicates ------------------------------------------------------
     def is_zero(self):
         return not self.terms
-
-    def is_constant(self):
-        return all(all(e == 0 for e in exp) for exp in self.terms)
 
     # -- degrees ---------------------------------------------------------
     def degree(self, weights=None):
@@ -220,34 +218,23 @@ def format_poly(p, varnames=None):
     return " ".join(pieces)
 
 
+# an int (every \d is a decimal digit, which int reads), a word, or one
+# other non-blank character
+_TOKEN = re.compile(r"(\d+)|(\w+)|(\S)")
+
+
 class _Tokens:
     def __init__(self, text):
         self.toks = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch in "+-*^()":
-                self.toks.append(ch)
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.toks.append(("int", int(text[i:j])))
-                i = j
-            elif ch == "/":
-                self.toks.append("/")
-                i += 1
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.toks.append(("name", text[i:j]))
-                i = j
+        for number, word, other in _TOKEN.findall(text):
+            if number:
+                self.toks.append(("int", int(number)))
+            elif word[:1].isalpha() or word[:1] == "_":
+                self.toks.append(("name", word))
+            elif other and other in "+-*^()/":
+                self.toks.append(other)
             else:
-                raise ParseError(f"unexpected character {ch!r}")
+                raise ParseError(f"unexpected character {(word or other)[0]!r}")
         self.pos = 0
 
     def peek(self):

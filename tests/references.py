@@ -5,8 +5,9 @@ dense matrices and vectors and their conversion to and from the library's
 sparse rows {col: entry} and vectors {i: c}, dense matrix products, dense
 action matrices of a module and the common kernel of some of them, a Lie
 algebra's brackets as dense vectors, the Jacobi identity on every triple of
-a structure table, and a vector field's action and bracket on its
-coefficient Polynomials."""
+a structure table, a vector field's action and bracket on its coefficient
+Polynomials, a module conjugated by a rational unitriangular matrix, and
+the Fraction rref that linalg's fraction-free elimination replaced."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -14,7 +15,7 @@ from functools import lru_cache
 from algebroids import linalg
 from algebroids.derivations import Derivation
 from algebroids.groebner import TermOrder, groebner_basis
-from algebroids.poly import Polynomial, mono_mul
+from algebroids.poly import Polynomial, _exact, mono_mul
 from algebroids.repmod import MatrixRep
 
 
@@ -133,6 +134,41 @@ def invariants_dimension(rep, nil):
     return len(basis), basis
 
 
+def unitriangular(n):
+    """Sparse rows of the n x n matrix P with 1 on the diagonal, 1 .. n-1 on
+    the superdiagonal and -1/2 in the top right corner (n >= 3)."""
+    rows = [{i: 1, i + 1: i + 1} for i in range(n - 1)] + [{n - 1: 1}]
+    rows[0][n - 1] = Fraction(-1, 2)
+    return rows
+
+
+def conjugated(rep, p):
+    """The MatrixRep P^-1 rho P of a MatrixRep, for the sparse rows p of an
+    upper unitriangular P: each column of rho P is solved against P by back
+    substitution."""
+    n = rep.dim
+    p_columns = [{} for _ in range(n)]
+    for u, row in enumerate(p):
+        for v, a in row.items():
+            p_columns[v][u] = a
+    columns = []
+    for m in rep.columns:
+        out = []
+        for p_column in p_columns:
+            x = {}
+            for u, a in p_column.items():
+                for r, b in m[u].items():
+                    x[r] = x.get(r, 0) + a * b
+            y = {}
+            for i in reversed(range(n)):
+                c = x.get(i, 0) - sum(a * y.get(j, 0) for j, a in p[i].items() if j > i)
+                if c:
+                    y[i] = c
+            out.append(y)
+        columns.append(out)
+    return MatrixRep(rep.algebra, columns)
+
+
 def dense_brackets(algebra):
     """{(i, j): [e_i, e_j] as a tuple of length dim} for the nonzero brackets
     with i < j, read off the algebra's sparse table."""
@@ -180,3 +216,39 @@ def bracket_fields(delta, eta):
     delta(b_k) - eta(a_k), for delta = sum a_i d/dx_i and eta = sum b_i d/dx_i."""
     return Derivation([apply_field(delta, b) - apply_field(eta, a)
                        for a, b in zip(delta.coefficients, eta.coefficients)])
+
+
+def _subtract(target, c, row):
+    """target -= c * row, both dicts of nonzero entries."""
+    for j, x in row.items():
+        y = target.get(j, 0) - c * x
+        if y:
+            target[j] = y
+        else:
+            target.pop(j, None)
+
+
+def fraction_rref(rows):
+    """Reduced row echelon form; returns (rref rows, pivot column list), the
+    rows sparse with no zero entry.
+
+    Each row is reduced by the pivot rows found so far, and a new pivot is
+    cleared from the earlier rows, so the pivot rows stay reduced against
+    each other."""
+    reduced = {}  # pivot column -> row with a 1 there and 0 in every other pivot
+    for row in rows:
+        new = {j: x for j, x in row.items() if x}
+        for p in [j for j in new if j in reduced]:
+            _subtract(new, new[p], reduced[p])
+        if not new:
+            continue
+        col = min(new)
+        if new[col] != 1:
+            inv = Fraction(1) / new[col]
+            new = {j: _exact(x * inv) for j, x in new.items()}
+        for other in reduced.values():
+            if col in other:
+                _subtract(other, other[col], new)
+        reduced[col] = new
+    pivots = sorted(reduced)
+    return [{j: _exact(x) for j, x in reduced[p].items()} for p in pivots], pivots

@@ -47,7 +47,7 @@ CASES.update({f"random {seed}": random_ideal(seed) for seed in range(5)})
 
 def ours(gens, kind):
     gb = groebner_basis(gens, TermOrder(kind))
-    return sorted(sorted(e.to_poly().terms.items()) for e in gb.elements)
+    return sorted(sorted(e.to_polys()[0].terms.items()) for e in gb.elements)
 
 
 def theirs(gens, kind):

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from algebroids import linalg
 
-from references import dense_rows, identity, mat_mul, mat_vec, sparse, sparse_rows
+from references import (dense_rows, fraction_rref, identity, mat_mul, mat_vec, sparse,
+                        sparse_rows)
 
 
 def F(*xs):
@@ -159,3 +161,60 @@ def test_solve_property():
                 assert mat_vec(coeffs, x) == b
             found[raises] += 1
     assert min(found.values()) > 100
+
+
+def _entry(rng, size):
+    """A nonzero int, or a Fraction with a random denominator."""
+    x = rng.choice([-1, 1]) * rng.randrange(1, size)
+    return x if rng.random() < 0.5 else Fraction(x, rng.randrange(1, size))
+
+
+def _planted_rows(rng):
+    """Sparse rows of planted rank at most r: combinations of r random sparse
+    base rows, with a zero row, an explicit zero entry and a duplicate row."""
+    m, r = rng.randrange(1, 13), rng.randrange(0, 7)
+    base = [{j: _entry(rng, 6) for j in range(m) if rng.random() < 0.4} for _ in range(r)]
+    rows = [linalg.combine({i: _entry(rng, 4) for i in range(r) if rng.random() < 0.5}, base)
+            for _ in range(rng.randrange(0, 10))]
+    if rows:
+        rows += [{}, {rng.randrange(m): 0}, dict(rng.choice(rows))]
+    rng.shuffle(rows)
+    return rows, r
+
+
+def _dense_rows(rng):
+    """A dense rational matrix with large numerators and denominators, where
+    fraction-free elimination grows its coefficients the most."""
+    n, m = rng.randrange(1, 10), rng.randrange(1, 10)
+    return [{j: _entry(rng, 100) for j in range(m)} for _ in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["planted", "dense"])
+def test_rref_matches_the_fraction_reference(kind):
+    # the same rows, entry types and pivots as the Fraction rref; the echelon
+    # rows are primitive ints and give the rank and the pivots
+    rng = random.Random(41)
+    for _ in range(200):
+        if kind == "planted":
+            rows, planted = _planted_rows(rng)
+        else:
+            rows = _dense_rows(rng)
+            planted = len(rows)
+        red, pivots = linalg.rref(rows)
+        expected, expected_pivots = fraction_rref(rows)
+        assert (red, pivots) == (expected, expected_pivots) and len(pivots) <= planted
+        assert [{j: type(x) for j, x in row.items()} for row in red] == [
+            {j: type(x) for j, x in row.items()} for row in expected]
+        forward = linalg.echelon(rows)
+        assert sorted(forward) == pivots and linalg.rank(rows) == len(red)
+        for p, row in forward.items():
+            assert min(row) == p and row[p] > 0
+            assert all(type(x) is int and x for x in row.values())
+            assert gcd(*row.values()) == 1
+
+
+def test_integral_and_primitive():
+    row = {"a": Fraction(1, 2), "b": Fraction(-2, 3), "c": 4}
+    assert linalg.integral(row) == (6, {"a": 3, "b": -4, "c": 24})
+    assert linalg.primitive(row, "b") == {"a": -3, "b": 4, "c": -24}
+    assert linalg.primitive({0: 6, 1: -9}, 0) == {0: 2, 1: -3}

@@ -355,9 +355,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = write(tmp_path, "bad.txt", "vars x y\n")
     assert main(["analyze", bad]) == 2
     # variable names the polynomial grammar cannot spell
-    for names in ("x, 2y", "x y", "x, y-1", "x, y.z"):
+    capsys.readouterr()
+    for names in ("x, 2y", "x y", "x, y-1", "x, y.z", "\u00b2, y"):
         unnamed = write(tmp_path, "unnamed.txt", f"vars: {names}\nideal: x^2\n")
         assert main(["analyze", unnamed, "--json"]) == 2
+        assert "parse error" in capsys.readouterr().err
+    # a superscript digit is no int: a parse error, not a crash
+    superscript = write(tmp_path, "superscript.txt", "vars: x\nideal: x^\u00b2\n")
+    assert main(["analyze", superscript, "--json"]) == 2
+    assert "unexpected character" in capsys.readouterr().err
     missing = str(tmp_path / "nope.txt")
     assert main(["tangent", missing]) == 2
     nonmono = write(tmp_path, "nm.txt", "vars: x, y\nideal: (x + y)^2\n")
