@@ -1,8 +1,8 @@
 """Tangential derivation modules T(I), Jacobian/Tjurina ideals,
 quasi-homogeneity detection, and monomial-ideal extraction."""
 
-from itertools import accumulate, combinations, product
-from math import gcd, lcm
+from itertools import combinations, count, product
+from math import gcd, lcm, perm
 
 from . import linalg
 from .errors import PreconditionError
@@ -159,17 +159,14 @@ def krull_dimension(ideal):
 
     The dimension of A/in(I) is the pole order at t = 1 of its Hilbert
     series K(t, ..., t) / (1 - t)^n, so n minus the order of t = 1 as a root
-    of K(t, ..., t), K the K-polynomial of the initial ideal.
+    of K(t, ..., t), K the K-polynomial of the initial ideal: the least k with
+    K^(k)(1) = sum c d!/(d - k)! != 0 over K's sparse terms c t^d.
     """
-    coeffs = _k_polynomial_in_t(ideal)
-    if not coeffs:
+    k = k_polynomial(ideal.leading_exponents() if not ideal.is_zero() else [], ideal.nvars)
+    if not k:
         return -1  # the unit ideal
-    order = 0
-    while sum(coeffs) == 0:
-        # K = (1 - t) Q, and the coefficients of Q are the partial sums of K's
-        coeffs = list(accumulate(coeffs))[:-1]
-        order += 1
-    return ideal.nvars - order
+    terms = [(sum(exp), c) for exp, c in k.items()]
+    return ideal.nvars - next(j for j in count() if sum(c * perm(d, j) for d, c in terms))
 
 
 def jacobian_ideal(ideal):

@@ -4,9 +4,10 @@ Buchberger's algorithm with normal pair selection, the chain criterion, and
 the coprimality criterion (ideals only, where it is valid); a pair of
 single-term elements is never formed, as its S-polynomial is zero.  It runs
 fraction free on primitive int vectors (linalg.integral and linalg.primitive,
-which row elimination shares); only the returned basis is monic.
+which row elimination shares), and a basis keeps them.  It takes module
+elements, under one order: weighted grevlex, position over term.
 Syzygies and coefficient lifts over the original generators are both read off
-one basis of the augmented rows (v_i, e_i) under a position-over-term order.
+one basis of the augmented rows (v_i, e_i).
 """
 
 import heapq
@@ -19,37 +20,24 @@ from .poly import Polynomial, _exact, divides, minimal_monomials, mono_mul, wdeg
 
 
 class TermOrder:
-    """Total order on monomials, extended to module monomials.
+    """Weighted graded reverse lex, position over term: the one order on
+    module monomials (pos, exp).  A lower position is larger; at one
+    position the larger weighted degree wins, then the smaller last
+    differing exponent.  Unit weights are stored as None, so they give the
+    same order and the same keys as no weights."""
 
-    kind: "grevlex" (graded reverse lex, graded by the weighted degree when
-    positive weights are given) or "lex".  Unit weights, and any weights
-    under lex, which ignores them, are stored as None, so they give the same
-    order and the same keys as no weights.
-    module: "top" (term over position) or "pot" (position over term);
-    lower positions are considered larger in either flavour.
-    """
+    __slots__ = ("weights",)
 
-    __slots__ = ("kind", "weights", "module")
-
-    def __init__(self, kind="grevlex", weights=None, module="top"):
-        if kind not in ("grevlex", "lex"):
-            raise ValueError(f"unknown term order {kind!r}")
+    def __init__(self, weights=None):
         if weights and not all(w > 0 for w in weights):
             raise ValueError("term order weights must be positive")
-        self.kind = kind
-        self.weights = (tuple(weights) if kind == "grevlex" and weights
-                        and any(w != 1 for w in weights) else None)
-        self.module = module
+        self.weights = tuple(weights) if weights and any(w != 1 for w in weights) else None
 
     def descending_key(self, mono):
         """Flat tuple that sorts ascending exactly when the monomials sort
         descending: the largest module monomial has the least key."""
         pos, exp = mono
-        if self.kind == "lex":
-            flat = tuple(-e for e in exp)
-        else:
-            flat = (-wdeg(exp, self.weights),) + exp[::-1]
-        return (pos,) + flat if self.module == "pot" else flat + (pos,)
+        return (pos, -wdeg(exp, self.weights)) + exp[::-1]
 
 
 def _quot(b, a):
@@ -220,46 +208,37 @@ def _reduce(terms, buckets, elements, order):
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis; elements monic, auto-reduced, sorted.  It is
-    built from, and reduces by, their primitive int multiples."""
+    """Reduced Groebner basis sorted by descending lead; each element held
+    once, as its primitive int multiple with a positive leading coefficient."""
 
-    __slots__ = ("order", "elements", "nvars", "rank", "_leads", "_buckets", "_primitive")
+    __slots__ = ("order", "elements", "nvars", "rank", "_leads", "_buckets")
 
-    def __init__(self, order, primitive, nvars, rank):
+    def __init__(self, order, elements, nvars, rank):
         self.order = order
         self.nvars = nvars
         self.rank = rank
-        self._primitive = primitive
-        leads = [e.leading(order) for e in primitive]
+        self.elements = elements
+        leads = [e.leading(order) for e in elements]
         self._buckets = _buckets(leads)
         self._leads = tuple(mono for mono, _c in leads)
-        self.elements = [e if c == 1 else e.scale(Fraction(1, c))
-                         for e, (_m, c) in zip(primitive, leads)]
 
     def leads(self):
         """The leading monomials (pos, exp) of the elements, in order."""
         return self._leads
 
     def normal_form(self, f):
-        """Remainder of f modulo the basis, reduced as an int multiple of f."""
-        if isinstance(f, Polynomial):
-            f = FreeModuleElement.from_poly(f)
-        rem, scale = _reduce(f.terms, self._buckets, self._primitive, self.order)
+        """Remainder of the module element f modulo the basis, reduced fraction free."""
+        rem, scale = _reduce(f.terms, self._buckets, self.elements, self.order)
         return FreeModuleElement(self.nvars, self.rank, {m: Fraction(c, scale) for m, c in rem.items()})
 
     def contains(self, f):
         return self.normal_form(f).is_zero()
 
 
-def _as_elements(vectors):
-    return [FreeModuleElement.from_poly(v) if isinstance(v, Polynomial) else v
-            for v in vectors]
-
-
 def groebner_basis(gens, order):
-    """Reduced Groebner basis of the given polynomials or module elements, kept
-    fraction free as primitive int vectors with positive leading coefficients."""
-    items = [g for g in _as_elements(gens) if not g.is_zero()]
+    """Reduced Groebner basis of the given module elements, kept fraction
+    free as primitive int vectors with positive leading coefficients."""
+    items = [g for g in gens if not g.is_zero()]
     if not items:
         raise PreconditionError("no nonzero generators")
     nvars = items[0].nvars
@@ -351,13 +330,14 @@ class Ideal:
         self._memo = {}
 
     def default_order(self):
-        return TermOrder("grevlex", self.weights)
+        return TermOrder(self.weights)
 
     def groebner(self):
         if self._gb is None:
             if not self.gens:
                 raise PreconditionError("zero ideal has no Groebner basis here")
-            self._gb = groebner_basis(self.gens, self.default_order())
+            self._gb = groebner_basis([FreeModuleElement.from_poly(g) for g in self.gens],
+                                      self.default_order())
         return self._gb
 
     def is_zero(self):
@@ -482,7 +462,7 @@ def _greedy_minimal_generators(ideal):
 
 def _augmented_basis(vectors, order):
     """Groebner basis of the rows (v_i, e_i) in A^(r+s), r the rank of the
-    v_i and s their number, under the position-over-term form of order."""
+    v_i and s their number."""
     nvars = vectors[0].nvars
     r = vectors[0].rank
     augmented = []
@@ -490,24 +470,24 @@ def _augmented_basis(vectors, order):
         terms = dict(v.terms)
         terms[(r + i, (0,) * nvars)] = 1
         augmented.append(FreeModuleElement(nvars, r + len(vectors), terms))
-    return groebner_basis(augmented, TermOrder(order.kind, order.weights, module="pot"))
+    return groebner_basis(augmented, order)
 
 
 def syzygies(vectors):
     """Generating set of the syzygy module of the given elements of A^r.
 
-    Each returned element s (rank = len(vectors)) satisfies sum s_i v_i = 0.
-    Position over term eliminates the first r positions, so the basis
-    elements that live in the last s positions generate the syzygies.
+    Each returned element s (rank = len(vectors)) is monic and satisfies
+    sum s_i v_i = 0.  Position over term eliminates the first r positions:
+    the basis elements whose leads lie in the last s positions live there
+    entirely, and they generate the syzygies.
     """
-    vecs = _as_elements(vectors)
-    if not vecs:
+    if not vectors:
         return []
-    r = vecs[0].rank
-    positions = list(range(r, r + len(vecs)))
-    gb = _augmented_basis(vecs, TermOrder("grevlex"))
-    return [e.project(positions) for e in gb.elements
-            if all(pos >= r for pos, _exp in e.terms)]
+    r = vectors[0].rank
+    positions = list(range(r, r + len(vectors)))
+    gb = _augmented_basis(vectors, TermOrder())
+    return [e.scale(Fraction(1, e.terms[lead])).project(positions)
+            for e, lead in zip(gb.elements, gb.leads()) if lead[0] >= r]
 
 
 def lifts(gens, targets, order):
@@ -519,12 +499,11 @@ def lifts(gens, targets, order):
     r positions, so t is a member iff the normal form of (t, 0) has no term
     there, and then its negated tail is a lift.
     """
-    gens = _as_elements(gens)
     r = gens[0].rank
     positions = list(range(r, r + len(gens)))
     gb = _augmented_basis(gens, order)
     out = []
-    for t in _as_elements(targets):
+    for t in targets:
         rem = gb.normal_form(FreeModuleElement(gb.nvars, gb.rank, t.terms))
         if any(pos < r for pos, _exp in rem.terms):
             out.append(None)

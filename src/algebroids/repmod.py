@@ -263,7 +263,12 @@ def _algebroid_ops(d):
 
 
 def _module_rank(gb):
-    """Rank over the PID Q[x]: number of leading positions in the reduced GB."""
+    """Rank over Q[x] of the module the reduced basis gb generates: its number
+    of lead positions.  Two leads at one position, powers of x, would divide
+    one another, so each position holds one lead at most.  Under position over
+    term no element has a term before its lead's position, so in a relation
+    sum q_i e_i = 0 the first lead position with q_i != 0 meets e_i alone: q_i = 0,
+    the elements are a free basis, and their count is the rank."""
     return len({pos for pos, _exp in gb.leads()})
 
 
@@ -295,7 +300,7 @@ def sl2_algebroid_filtration(d):
         raise PreconditionError("degree must be non-negative")
     rank = d + 1
     ops = _algebroid_ops(d)
-    order = TermOrder("grevlex", module="top")
+    order = TermOrder()
     lam0 = -d
     x_shift = (1,)
 

@@ -38,13 +38,13 @@ def same_ideal(a, b):
 
 
 def _module_basis(derivations, weights):
-    return groebner_basis([d.vector for d in derivations], TermOrder("grevlex", weights))
+    return groebner_basis([d.vector for d in derivations], TermOrder(weights))
 
 
 def module_contains(dm, delta):
     """Whether the DerivationModule dm contains delta: one module Groebner
-    basis of its generators, under the weighted grevlex order (term over
-    position), built for this call."""
+    basis of its generators, under the weighted grevlex order (position over
+    term), built for this call; membership does not depend on the order."""
     if not dm.generators:
         return delta.is_zero()
     return _module_basis(dm.generators, dm.weights).contains(delta.vector)

@@ -100,7 +100,7 @@ def test_criterion_4_whitney_umbrella(capsys):
         assert same_module(dm, deltas)
         # fibre structure constants in exactly this basis: express each
         # bracket over the four generators and take constant terms
-        order = TermOrder("grevlex", (1, 2, 2), module="top")
+        order = TermOrder((1, 2, 2))
         vectors = [d.vector for d in deltas]
         def fibre_bracket(i, j):
             lift = lifts(vectors, [deltas[i].bracket(deltas[j]).vector], order)[0]

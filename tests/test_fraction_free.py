@@ -5,6 +5,7 @@ with denominator > 1 otherwise, never a float."""
 import heapq
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -132,12 +133,11 @@ def ref_augmented(vectors, order):
         terms = dict(v.terms)
         terms[(r + i, (0,) * nvars)] = 1
         rows.append(FreeModuleElement(nvars, r + len(vectors), terms))
-    pot = TermOrder(order.kind, order.weights, module="pot")
-    return rows, pot, ref_groebner_basis(rows, pot)
+    return rows, ref_groebner_basis(rows, order)
 
 
 def ref_syzygies(vectors):
-    rows, _pot, basis = ref_augmented(vectors, TermOrder("grevlex"))
+    rows, basis = ref_augmented(vectors, TermOrder())
     r = vectors[0].rank
     positions = list(range(r, r + len(vectors)))
     return [FreeModuleElement(rows[0].nvars, rows[0].rank, b).project(positions)
@@ -145,12 +145,12 @@ def ref_syzygies(vectors):
 
 
 def ref_lifts(gens, targets, order):
-    rows, pot, basis = ref_augmented(gens, order)
+    rows, basis = ref_augmented(gens, order)
     r = gens[0].rank
     positions = list(range(r, r + len(gens)))
     out = []
     for t in targets:
-        rem = ref_reduce(t.terms, basis, pot)
+        rem = ref_reduce(t.terms, basis, order)
         if any(pos < r for pos, _e in rem):
             out.append(None)
         else:
@@ -183,9 +183,8 @@ def random_vectors(rng, nvars, rank, count):
 def cases():
     """(vectors, order): ideals in 3 variables, then rank-2 modules in 2."""
     rng = random.Random(18)
-    ideal_orders = [TermOrder("grevlex"), TermOrder("lex"), TermOrder("grevlex", (1, 2, 3))]
-    module_orders = [TermOrder("grevlex"), TermOrder("grevlex", module="pot"),
-                     TermOrder("grevlex", (1, 2), module="pot"), TermOrder("lex")]
+    ideal_orders = [TermOrder(), TermOrder((9, 3, 1)), TermOrder((1, 2, 3))]
+    module_orders = [TermOrder(), TermOrder((2, 1)), TermOrder((1, 2)), TermOrder((3, 1))]
     return ([(random_vectors(rng, 3, 1, 3), ideal_orders[k % 3]) for k in range(12)]
             + [(random_vectors(rng, 2, 2, 3), module_orders[k % 4]) for k in range(12)])
 
@@ -196,7 +195,18 @@ CASES = cases()
 @pytest.mark.parametrize("vectors, order", CASES)
 def test_fraction_free_basis_matches_the_fraction_reference(vectors, order):
     gb = groebner_basis(vectors, order)
-    assert [e.terms for e in gb.elements] == ref_groebner_basis(vectors, order)
+    assert ([e.scale(Fraction(1, e.terms[lead])).terms for e, lead in zip(gb.elements, gb.leads())]
+            == ref_groebner_basis(vectors, order))
+
+
+def test_basis_elements_are_primitive_ints_positive_at_their_leads():
+    # the one copy a basis holds, for every seeded case
+    for vectors, order in CASES:
+        gb = groebner_basis(vectors, order)
+        for e, lead in zip(gb.elements, gb.leads()):
+            assert all(type(c) is int for c in e.terms.values())
+            assert gcd(*e.terms.values()) == 1
+            assert lead == e.leading(order)[0] and e.terms[lead] > 0
 
 
 @pytest.mark.parametrize("vectors, order", CASES[:6] + CASES[12:18])

@@ -381,6 +381,18 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert "series depth must be >= 0" in capsys.readouterr().err
 
 
+def test_cli_analyze_of_a_huge_exponent_is_desk_scale(tmp_path, capsys):
+    # krull_dimension reads the order of t = 1 as a root of K off K's sparse
+    # terms: the dense K(t) of x^(10^9) had 10^9 entries and ran past 20 s.
+    # The analysis takes about 5 ms in process (Python 3.11, 2-core VM).
+    huge = write(tmp_path, "huge.txt", "vars: x, y, z\nideal: x^1000000000\n")
+    start = time.perf_counter()
+    assert main(["analyze", huge, "--json"]) == 0
+    assert time.perf_counter() - start < 2
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["isolated"] is False and obj["colength"] is None
+
+
 @pytest.mark.parametrize("argv", [["--degree", "-1", "--depth", "3"],
                                   ["--degree", "2", "--depth", "-3"],
                                   ["--degree", "7", "--depth", "3"]],

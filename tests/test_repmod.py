@@ -781,7 +781,7 @@ def dg_closure(gens, ops, order):
 def closure_filtration(d):
     """The filtration's report and the basis of the closure of each m_i."""
     ops = polynomial_ops(d)
-    order = TermOrder("grevlex", module="top")
+    order = TermOrder()
     vectors = [FreeModuleElement(1, d + 1, {(d, (0,)): F(1)})]
     for i in range(1, d + 1):
         prev = vectors[-1]
@@ -840,14 +840,15 @@ def test_filtration_builds_one_basis_per_step(monkeypatch):
     original = groebner.groebner_basis
 
     def counted(gens, order):
-        calls.append(order.module)
+        calls.append(order.weights)
         return original(gens, order)
 
     monkeypatch.setattr(groebner, "groebner_basis", counted)
     monkeypatch.setattr(repmod, "groebner_basis", counted)
     sl2_algebroid_filtration(6)
-    # N_6, ..., N_0 and nothing else: the ranks certify the quotients free
-    assert calls == ["top"] * 7
+    # N_6, ..., N_0 under the unweighted order and nothing else: the ranks
+    # certify the quotients free
+    assert calls == [None] * 7
 
 
 def faulty_ops(name, fault):
