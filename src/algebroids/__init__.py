@@ -4,8 +4,8 @@ algebras, and Hilbert series over Lie algebroids."""
 from .errors import (AlgebroidError, InconsistencyError, ParseError,
                      PreconditionError)
 from .poly import Polynomial, format_poly, parse_poly
-from .groebner import FreeModuleElement, GroebnerBasis, Ideal, TermOrder, \
-    groebner_basis, syzygies
+from .groebner import (FreeModuleElement, GroebnerBasis, Ideal, groebner_basis,
+                       syzygies)
 from .series import (CharacterSeries, QuasiPolynomial, RationalSeries,
                      SeriesPrefix, integrate_characters, quasi_polynomial_of,
                      reconstruct_rational)

@@ -7,7 +7,7 @@ from math import gcd, lcm, perm
 from . import linalg
 from .errors import PreconditionError
 from .groebner import FreeModuleElement, Ideal, syzygies
-from .poly import Polynomial, default_varnames, format_poly, minimal_monomials, mono_mul, wdeg
+from .poly import Polynomial, default_varnames, format_poly, minimal_monomials, mono_mul
 
 
 class Derivation:
@@ -291,17 +291,6 @@ def k_polynomial(exps, nvars):
         key = mono_mul(exp, m)
         out[key] = out.get(key, 0) - c
     return {exp: c for exp, c in out.items() if c}
-
-
-def _k_polynomial_in_t(ideal, weights=None):
-    """Coefficient list of K(t^w_1, ..., t^w_n), K the K-polynomial of in(I)
-    (1 for the zero ideal) and w the weights (all ones when None); empty for
-    the unit ideal."""
-    k = k_polynomial(ideal.leading_exponents() if not ideal.is_zero() else [], ideal.nvars)
-    coeffs = [0] * (max((wdeg(exp, weights) for exp in k), default=-1) + 1)
-    for exp, c in k.items():
-        coeffs[wdeg(exp, weights)] += c
-    return coeffs
 
 
 def monomialize(ideal):

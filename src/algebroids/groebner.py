@@ -19,25 +19,22 @@ from .errors import PreconditionError
 from .poly import Polynomial, _exact, divides, minimal_monomials, mono_mul, wdeg
 
 
-class TermOrder:
-    """Weighted graded reverse lex, position over term: the one order on
-    module monomials (pos, exp).  A lower position is larger; at one
-    position the larger weighted degree wins, then the smaller last
-    differing exponent.  Unit weights are stored as None, so they give the
-    same order and the same keys as no weights."""
+def order_key(weights=None):
+    """Sort key of the one order on module monomials (pos, exp): weighted
+    graded reverse lex, position over term.  A lower position is larger; at
+    one position the larger weighted degree wins, then the smaller last
+    differing exponent.  The key sorts ascending exactly when the monomials
+    sort descending, so the largest monomial has the least key.  Unit weights
+    give the plain key."""
+    if weights and not all(w > 0 for w in weights):
+        raise ValueError("term order weights must be positive")
+    weights = tuple(weights) if weights and any(w != 1 for w in weights) else None
 
-    __slots__ = ("weights",)
-
-    def __init__(self, weights=None):
-        if weights and not all(w > 0 for w in weights):
-            raise ValueError("term order weights must be positive")
-        self.weights = tuple(weights) if weights and any(w != 1 for w in weights) else None
-
-    def descending_key(self, mono):
-        """Flat tuple that sorts ascending exactly when the monomials sort
-        descending: the largest module monomial has the least key."""
+    def key(mono):
         pos, exp = mono
-        return (pos, -wdeg(exp, self.weights)) + exp[::-1]
+        return (pos, -wdeg(exp, weights)) + exp[::-1]
+
+    return key
 
 
 def _quot(b, a):
@@ -124,10 +121,6 @@ class FreeModuleElement:
             terms[(pos, mono_mul(e, exp))] = c if coeff is None else c * coeff
         return FreeModuleElement(self.nvars, self.rank, terms)
 
-    def leading(self, order):
-        mono = min(self.terms, key=order.descending_key)
-        return mono, self.terms[mono]
-
     def homogeneous_components(self, weights=None, shifts=None):
         parts = {}
         for (pos, exp), c in self.terms.items():
@@ -156,7 +149,7 @@ def _buckets(leads):
     return out
 
 
-def _reduce(terms, buckets, elements, order):
+def _reduce(terms, buckets, elements, key):
     """Full normal form of the terms modulo int elements with positive leading
     coefficients, fraction free: (rem, s), rem the int terms of s > 0 times it.
 
@@ -166,7 +159,6 @@ def _reduce(terms, buckets, elements, order):
     popped monomial is final.  A step cancels c x^e against a lead l x^f as
     (l/g) (everything) - (c/g) x^(e-f) (element), g = gcd(c, l).
     """
-    key = order.descending_key
     scale, work = linalg.integral(terms)
     heap = [(key(m), m) for m in work]
     heapq.heapify(heap)
@@ -211,33 +203,35 @@ class GroebnerBasis:
     """Reduced Groebner basis sorted by descending lead; each element held
     once, as its primitive int multiple with a positive leading coefficient."""
 
-    __slots__ = ("order", "elements", "nvars", "rank", "_leads", "_buckets")
+    __slots__ = ("key", "elements", "nvars", "rank", "_leads", "_buckets")
 
-    def __init__(self, order, elements, nvars, rank):
-        self.order = order
+    def __init__(self, key, elements, monos, nvars, rank):
+        self.key = key
         self.nvars = nvars
         self.rank = rank
         self.elements = elements
-        leads = [e.leading(order) for e in elements]
-        self._buckets = _buckets(leads)
-        self._leads = tuple(mono for mono, _c in leads)
+        self._buckets = _buckets([(m, e.terms[m]) for m, e in zip(monos, elements)])
+        self._leads = tuple(monos)
 
     def leads(self):
-        """The leading monomials (pos, exp) of the elements, in order."""
+        """The leading monomials (pos, exp) of the elements, in order, as
+        groebner_basis found them."""
         return self._leads
 
     def normal_form(self, f):
         """Remainder of the module element f modulo the basis, reduced fraction free."""
-        rem, scale = _reduce(f.terms, self._buckets, self.elements, self.order)
+        rem, scale = _reduce(f.terms, self._buckets, self.elements, self.key)
         return FreeModuleElement(self.nvars, self.rank, {m: Fraction(c, scale) for m, c in rem.items()})
 
     def contains(self, f):
         return self.normal_form(f).is_zero()
 
 
-def groebner_basis(gens, order):
-    """Reduced Groebner basis of the given module elements, kept fraction
-    free as primitive int vectors with positive leading coefficients."""
+def groebner_basis(gens, weights=None):
+    """Reduced Groebner basis of the given module elements under
+    order_key(weights), kept fraction free as primitive int vectors with
+    positive leading coefficients."""
+    key = order_key(weights)
     items = [g for g in gens if not g.is_zero()]
     if not items:
         raise PreconditionError("no nonzero generators")
@@ -250,20 +244,20 @@ def groebner_basis(gens, order):
     basis = []
     leads = []  # (mono, coeff) of basis[k], computed once when k is added
     buckets = {}  # _buckets(leads), kept in step
-    # heap of (negated descending_key of (pos, lcm), i, j): the least lcm
+    # heap of (negated key of (pos, lcm), i, j): the least lcm
     # first, which is normal selection
     pairs = []
     done = set()
 
     def add(terms):
         j = len(basis)
-        mono = min(terms, key=order.descending_key)
+        mono = min(terms, key=key)
         element = FreeModuleElement(nvars, rank, linalg.primitive(terms, mono))
         (pos, exp), coeff = lead = mono, element.terms[mono]
         for i, lexp, _c in buckets.get(pos, ()):
             # two single terms have a zero S-polynomial: no pair
             if len(terms) > 1 or len(basis[i].terms) > 1:
-                lcm_key = order.descending_key((pos, _lcm_exp(lexp, exp)))
+                lcm_key = key((pos, _lcm_exp(lexp, exp)))
                 heapq.heappush(pairs, (tuple(-x for x in lcm_key), i, j))
         basis.append(element)
         leads.append(lead)
@@ -288,7 +282,7 @@ def groebner_basis(gens, order):
             continue
         g = gcd(ci, cj)  # cofactors of the leads keep the S-polynomial integral
         spoly = basis[i].mul_term(_quot(L, ei), cj // g) - basis[j].mul_term(_quot(L, ej), ci // g)
-        rem = _reduce(spoly.terms, buckets, basis, order)[0]
+        rem = _reduce(spoly.terms, buckets, basis, key)[0]
         if rem:
             add(rem)
 
@@ -304,12 +298,12 @@ def groebner_basis(gens, order):
     buckets = _buckets(leads)
     # tail reduction to the unique reduced basis, modulo the minimal basis: the
     # leads never change, and no element's own lead divides a monomial below it
-    reduced = []
+    reduced = {}
     for element, (mono, coeff) in zip(basis, leads):
-        rem, scale = _reduce({m: c for m, c in element.terms.items() if m != mono}, buckets, basis, order)
-        reduced.append(FreeModuleElement(nvars, rank, linalg.primitive({mono: coeff * scale, **rem}, mono)))
-    by_lead = sorted(range(len(basis)), key=lambda k: order.descending_key(leads[k][0]))
-    return GroebnerBasis(order, [reduced[k] for k in by_lead], nvars, rank)
+        rem, scale = _reduce({m: c for m, c in element.terms.items() if m != mono}, buckets, basis, key)
+        reduced[mono] = FreeModuleElement(nvars, rank, linalg.primitive({mono: coeff * scale, **rem}, mono))
+    monos = sorted(reduced, key=key)
+    return GroebnerBasis(key, [reduced[m] for m in monos], monos, nvars, rank)
 
 
 # -- ideals ---------------------------------------------------------------
@@ -325,19 +319,15 @@ class Ideal:
         if len(self.weights) != nvars or not all(type(w) is int and w > 0 for w in self.weights):
             raise ValueError(f"need one positive int weight per variable, got {self.weights}")
         self.gens = [g for g in gens if not g.is_zero()]
-        self._gb = None  # the basis under default_order, built on first use
+        self._gb = None  # the basis under order_key(weights), built on first use
         # colength, minimal generators and powers; gens is never mutated after this
         self._memo = {}
-
-    def default_order(self):
-        return TermOrder(self.weights)
 
     def groebner(self):
         if self._gb is None:
             if not self.gens:
                 raise PreconditionError("zero ideal has no Groebner basis here")
-            self._gb = groebner_basis([FreeModuleElement.from_poly(g) for g in self.gens],
-                                      self.default_order())
+            self._gb = groebner_basis([FreeModuleElement.from_poly(g) for g in self.gens], self.weights)
         return self._gb
 
     def is_zero(self):
@@ -460,7 +450,7 @@ def _greedy_minimal_generators(ideal):
     return kept
 
 
-def _augmented_basis(vectors, order):
+def _augmented_basis(vectors, weights):
     """Groebner basis of the rows (v_i, e_i) in A^(r+s), r the rank of the
     v_i and s their number."""
     nvars = vectors[0].nvars
@@ -470,7 +460,7 @@ def _augmented_basis(vectors, order):
         terms = dict(v.terms)
         terms[(r + i, (0,) * nvars)] = 1
         augmented.append(FreeModuleElement(nvars, r + len(vectors), terms))
-    return groebner_basis(augmented, order)
+    return groebner_basis(augmented, weights)
 
 
 def syzygies(vectors):
@@ -485,12 +475,12 @@ def syzygies(vectors):
         return []
     r = vectors[0].rank
     positions = list(range(r, r + len(vectors)))
-    gb = _augmented_basis(vectors, TermOrder())
+    gb = _augmented_basis(vectors, None)
     return [e.scale(Fraction(1, e.terms[lead])).project(positions)
             for e, lead in zip(gb.elements, gb.leads()) if lead[0] >= r]
 
 
-def lifts(gens, targets, order):
+def lifts(gens, targets, weights=None):
     """For each target, polynomials q with sum q_i gens[i] = target, or None
     if the target is not in the submodule the gens generate.
 
@@ -501,7 +491,7 @@ def lifts(gens, targets, order):
     """
     r = gens[0].rank
     positions = list(range(r, r + len(gens)))
-    gb = _augmented_basis(gens, order)
+    gb = _augmented_basis(gens, weights)
     out = []
     for t in targets:
         rem = gb.normal_form(FreeModuleElement(gb.nvars, gb.rank, t.terms))

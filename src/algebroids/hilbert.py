@@ -4,7 +4,7 @@ extraction from rational series."""
 
 from math import comb, factorial
 
-from .derivations import _k_polynomial_in_t, k_polynomial, monomialize
+from .derivations import k_polynomial, monomialize
 from .errors import PreconditionError
 from .poly import _exact, divides, monomials, wdeg
 from .series import (CharacterSeries, RationalSeries, SeriesPrefix,
@@ -12,12 +12,21 @@ from .series import (CharacterSeries, RationalSeries, SeriesPrefix,
 
 
 def hilbert_series_quotient(ideal):
-    """Hilbert series of A/I for a weighted-homogeneous ideal I, with
-    denominator prod (1 - t^{w_i})."""
+    """Hilbert series of A/I for a weighted-homogeneous ideal I:
+    K(t^w_1, ..., t^w_n) / prod (1 - t^{w_i}), K the K-polynomial of in(I)
+    (1 for the zero ideal).  The numerator is a dense coefficient list, so
+    its degree, read off K's sparse terms first, must be at most 10^5."""
     weights = ideal.weights
     if not ideal.is_quasi_homogeneous():
         raise PreconditionError("not homogeneous")
-    return RationalSeries(_k_polynomial_in_t(ideal, weights), [(w, 1) for w in weights])
+    k = k_polynomial(ideal.leading_exponents() if not ideal.is_zero() else [], ideal.nvars)
+    top = max((wdeg(exp, weights) for exp in k), default=-1)
+    if top > 10 ** 5:
+        raise PreconditionError(f"Hilbert series numerator of degree {top} is outside desk scale")
+    coeffs = [0] * (top + 1)
+    for exp, c in k.items():
+        coeffs[wdeg(exp, weights)] += c
+    return RationalSeries(coeffs, [(w, 1) for w in weights])
 
 
 def _standard_monomial_characters(gens, weights, bound):
@@ -96,9 +105,10 @@ def graded_pieces_series(j_ideal, m_spec="ring", depth=8, solvable_certificate=F
     sequence (height n = number of forms in a Cohen-Macaulay ring), so
     gr_J(A) = (A/J)[y_1..y_n] (Matsumura, Thm 16.2) and the dims are proved:
     l(A/J) C(i+n-1, n-1), the series l(A/J)/(1-t)^n, with no power of J
-    built.  Otherwise the dims are
-    colength differences of J^0..J^{depth+1} and the series is fitted to
-    them against (1-t)^mu, mu the minimal number of generators.  Dimensions
+    built.  Otherwise the dims are colength differences of J^0..J^{depth+1}
+    and the series is fitted to them against (1-t)^n: J being m-primary,
+    gr_J(A) has Krull dimension n, so its series is h(t)/(1-t)^n with h a
+    polynomial (Matsumura, Commutative Ring Theory, Thm 13.4).  Dimensions
     are exact vector-space dimensions; they equal lengths under a
     solvability certificate, otherwise the report carries a caveat.
     """
@@ -121,7 +131,7 @@ def graded_pieces_series(j_ideal, m_spec="ring", depth=8, solvable_certificate=F
                 raise PreconditionError("J not m-primary")
             colengths.append(c)
         counts = [b - a for a, b in zip(colengths, colengths[1:])]
-        series = reconstruct_rational(SeriesPrefix(counts), [(1, mu)])
+        series = reconstruct_rational(SeriesPrefix(counts), [(1, n)])
     dims = list(enumerate(counts))
     quasi = quasi_polynomial_of(series)
     d, e = dimension_multiplicity(series, quasi)

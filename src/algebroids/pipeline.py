@@ -329,8 +329,8 @@ def analyze_toral(spec):
             exp = next(iter(g.terms))
             if field.apply(g) != g * exp[i]:
                 scalar_ok = False
-    series = RationalSeries([1], [(1, r)]) if r else RationalSeries([1], [])
-    d, e = dimension_multiplicity(series) if r else (0, 1)
+    series = RationalSeries([1], [(1, 1)] * r)
+    d, e = dimension_multiplicity(series)
     if (d, e) != (r, 1):
         raise InconsistencyError("CONTRADICTS-PAPER: toral multiplicity is not 1")
     return ToralReport(

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import AlgebroidError, InconsistencyError, PreconditionError
-from .groebner import FreeModuleElement, TermOrder, groebner_basis
+from .groebner import FreeModuleElement, groebner_basis
 from .liealg import represents, sl2
 from .poly import _exact, monomials
+from .series import divide_denominator, multiply_denominator
 
 
 class MatrixRep:
@@ -200,13 +201,8 @@ def _gaussian_binomials(d, depth, top):
     gauss = [1]
     yield gauss
     for n in range(1, depth + 1):
-        high = min(n * d, top)
-        gauss += [0] * (high + 1 - len(gauss))
-        for k in range(high, n + d - 1, -1):
-            gauss[k] -= gauss[k - n - d]
-        for k in range(n, high + 1):
-            gauss[k] += gauss[k - n]
-        yield gauss
+        gauss += [0] * (min(n * d, top) + 1 - len(gauss))
+        yield divide_denominator(multiply_denominator(gauss, [(n + d, 1)]), [(n, 1)])
 
 
 def cayley_sylvester(n, d, e):
@@ -300,7 +296,6 @@ def sl2_algebroid_filtration(d):
         raise PreconditionError("degree must be non-negative")
     rank = d + 1
     ops = _algebroid_ops(d)
-    order = TermOrder()
     lam0 = -d
     x_shift = (1,)
 
@@ -324,7 +319,7 @@ def sl2_algebroid_filtration(d):
     # gbs[i] is the basis of N_i = Q[x] m_i + ... + Q[x] m_d; gbs[d + 1] = None
     gbs = [None] * (d + 2)
     for i in range(d, -1, -1):
-        gb = groebner_basis(vectors[i:], order)
+        gb = groebner_basis(vectors[i:])
         images = [op(vectors[i]) for op in ops.values()]
         if not all(img.is_zero() or gb.contains(img) for img in images):
             raise InconsistencyError("quotient is not cyclic")

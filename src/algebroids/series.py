@@ -79,17 +79,6 @@ class RationalSeries:
     def pole_count(self):
         return sum(d for _, d in self.factors)
 
-    def denominator_poly(self):
-        """Coefficient list of prod (1 - t^n)^d."""
-        poly = [1]
-        for n, d in self.factors:
-            for _ in range(d):
-                new = poly + [0] * n
-                for k in range(len(poly)):
-                    new[k + n] -= poly[k]
-                poly = new
-        return poly
-
     def expand(self, bound):
         return expand_series(self, bound)
 
@@ -123,17 +112,33 @@ class RationalSeries:
         return f"RationalSeries({self.numerator} / {den or '1'})"
 
 
+def multiply_denominator(coeffs, factors):
+    """Multiply the truncated series coeffs (index = power of t) in place by
+    prod (1 - t^n)^d over the (n, d) of factors, top degree first."""
+    for n, d in factors:
+        for _ in range(d):
+            for k in range(len(coeffs) - 1, n - 1, -1):
+                coeffs[k] -= coeffs[k - n]
+    return coeffs
+
+
+def divide_denominator(coeffs, factors):
+    """Divide the truncated series coeffs in place by prod (1 - t^n)^d, the
+    inverse of multiply_denominator, and return it."""
+    for n, d in factors:
+        for _ in range(d):
+            for k in range(n, len(coeffs)):
+                coeffs[k] += coeffs[k - n]
+    return coeffs
+
+
 def expand_series(rs, bound):
     """Coefficients 0..bound of the expansion of rs; exact."""
     if bound < 0:
         raise PreconditionError("bound must be >= 0")
     coeffs = rs.numerator[: bound + 1]
     coeffs += [0] * (bound + 1 - len(coeffs))
-    for n, d in rs.factors:
-        for _ in range(d):
-            for k in range(n, bound + 1):
-                coeffs[k] += coeffs[k - n]
-    return SeriesPrefix(coeffs)
+    return SeriesPrefix(divide_denominator(coeffs, rs.factors))
 
 
 def reconstruct_rational(prefix, factors):
@@ -142,12 +147,9 @@ def reconstruct_rational(prefix, factors):
     Raises "no stabilization" when the prefix times the denominator does not
     terminate early enough to certify the numerator.
     """
-    rs_probe = RationalSeries([1], factors)
-    den = [(j, c) for j, c in enumerate(rs_probe.denominator_poly()) if c]
-    coeffs = prefix.coeffs
     bound = prefix.bound
-    prod = [sum(c * coeffs[k - j] for j, c in den if j <= k) for k in range(bound + 1)]
-    cutoff = bound - rs_probe.denominator_degree
+    prod = multiply_denominator(list(prefix.coeffs), factors)
+    cutoff = bound - sum(n * d for n, d in factors)
     if cutoff < 0 or any(prod[cutoff + 1:]):
         raise AlgebroidError("no stabilization")
     num = prod[: cutoff + 1]

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from algebroids import linalg
 from algebroids.derivations import Derivation
-from algebroids.groebner import TermOrder, groebner_basis
+from algebroids.groebner import groebner_basis
 from algebroids.poly import Polynomial, _exact, mono_mul
 from algebroids.repmod import MatrixRep
 
@@ -38,7 +38,7 @@ def same_ideal(a, b):
 
 
 def _module_basis(derivations, weights):
-    return groebner_basis([d.vector for d in derivations], TermOrder(weights))
+    return groebner_basis([d.vector for d in derivations], weights)
 
 
 def module_contains(dm, delta):

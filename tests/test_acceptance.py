@@ -11,7 +11,7 @@ from math import comb
 from algebroids.derivations import (Derivation, monomialize,
                                     tangent_derivations)
 from algebroids.errors import InconsistencyError
-from algebroids.groebner import Ideal, TermOrder, lifts
+from algebroids.groebner import Ideal, lifts
 from algebroids.hilbert import (dimension_multiplicity,
                                 equivariant_series_monomial,
                                 graded_pieces_series, hilbert_series_quotient)
@@ -100,10 +100,10 @@ def test_criterion_4_whitney_umbrella(capsys):
         assert same_module(dm, deltas)
         # fibre structure constants in exactly this basis: express each
         # bracket over the four generators and take constant terms
-        order = TermOrder((1, 2, 2))
+        weights = (1, 2, 2)
         vectors = [d.vector for d in deltas]
         def fibre_bracket(i, j):
-            lift = lifts(vectors, [deltas[i].bracket(deltas[j]).vector], order)[0]
+            lift = lifts(vectors, [deltas[i].bracket(deltas[j]).vector], weights)[0]
             assert lift is not None
             return tuple(c.terms.get((0, 0, 0), 0) for c in lift)
         assert fibre_bracket(0, 1) == (0, 0, 0, 0)

@@ -12,9 +12,8 @@ import pytest
 from algebroids import groebner
 from algebroids.derivations import jacobian_ideal
 from algebroids.errors import PreconditionError
-from algebroids.groebner import (FreeModuleElement, Ideal, TermOrder,
-                                 _greedy_minimal_generators, groebner_basis,
-                                 lifts, syzygies)
+from algebroids.groebner import (FreeModuleElement, Ideal, _greedy_minimal_generators,
+                                 groebner_basis, lifts, order_key, syzygies)
 from algebroids.poly import Polynomial, monomials, parse_poly
 
 from references import same_ideal
@@ -30,7 +29,7 @@ def E(*polys):
 
 
 def gb_polys(gens):
-    gb = groebner_basis(E(*gens), TermOrder())
+    gb = groebner_basis(E(*gens))
     return gb, [e.to_polys()[0] for e in gb.elements]
 
 
@@ -66,7 +65,7 @@ def test_normal_form_and_membership():
 
 def test_lift_reproduces_member():
     ideal = Ideal(2, [P("x^2 + y^2"), P("x*y")])
-    lift = lifts(E(*ideal.gens), E(P("y^3")), ideal.default_order())[0]
+    lift = lifts(E(*ideal.gens), E(P("y^3")), ideal.weights)[0]
     assert lift is not None
     total = sum((c * g for c, g in zip(lift, ideal.gens)), Polynomial.zero(2))
     assert total == P("y^3")
@@ -84,7 +83,7 @@ def test_membership_soundness_random():
             exp = (rng.randrange(3), rng.randrange(3))
             c = Fraction(rng.randrange(-5, 6))
             f = f + g * Polynomial.monomial(2, exp, c)
-        lift = lifts(E(*ideal.gens), E(f), ideal.default_order())[0]
+        lift = lifts(E(*ideal.gens), E(f), ideal.weights)[0]
         assert lift is not None
         total = sum((c * g for c, g in zip(lift, gens)), Polynomial.zero(2))
         assert total == f
@@ -192,7 +191,7 @@ def test_syzygies_koszul():
             polys = s.to_polys()
             assert polys[0] * f + polys[1] * g == Polynomial.zero(2)
         koszul = FreeModuleElement.from_polys([g, -f])
-        assert groebner_basis(syz, TermOrder()).contains(koszul)
+        assert groebner_basis(syz).contains(koszul)
 
 
 def test_syzygies_whitney_columns():
@@ -275,9 +274,9 @@ MODULE_CASES = ([[FreeModuleElement.from_poly(parse_poly(s, XYZ))
                 + random_modules(11, 4))
 
 
-def module_order(gens, weighted):
-    """The unweighted order, or the one with weights n, ..., 1."""
-    return TermOrder(tuple(range(gens[0].nvars, 0, -1)) if weighted else None)
+def module_weights(gens, weighted):
+    """No weights, or the weights n, ..., 1."""
+    return tuple(range(gens[0].nvars, 0, -1)) if weighted else None
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["pot", "weighted"])
@@ -285,19 +284,19 @@ def module_order(gens, weighted):
 def test_tracked_module_basis_reps_and_lift(gens, weighted):
     # lifts of random members reproduce them; a random element is lifted
     # exactly when the Groebner basis of the gens contains it
-    order = module_order(gens, weighted)
+    weights = module_weights(gens, weighted)
     rng = random.Random(3)
     nvars = gens[0].nvars
     members = [combination(gens, [random_poly(rng, nvars) for _ in gens]) for _ in range(3)]
-    for f, lift in zip(members, lifts(gens, members, order)):
+    for f, lift in zip(members, lifts(gens, members, weights)):
         assert lift is not None
         assert combination(gens, lift) == f
-    gb = groebner_basis(gens, order)
+    gb = groebner_basis(gens, weights)
     others = [FreeModuleElement.from_polys([random_poly(rng, nvars, terms=2)
                                             for _ in range(gens[0].rank)])
               for _ in range(6)]
     others += [g + other for g, other in zip(gens, others)]
-    found = lifts(gens, others, order)
+    found = lifts(gens, others, weights)
     assert any(lift is None for lift in found)
     for f, lift in zip(others, found):
         assert (lift is not None) == gb.contains(f)
@@ -308,13 +307,28 @@ def test_tracked_module_basis_reps_and_lift(gens, weighted):
 @pytest.mark.parametrize("weighted", [False, True], ids=["pot", "weighted"])
 @pytest.mark.parametrize("gens", MODULE_CASES)
 def test_module_basis_ignores_generator_order(gens, weighted):
-    order = module_order(gens, weighted)
-    expected = groebner_basis(gens, order).elements
+    weights = module_weights(gens, weighted)
+    expected = groebner_basis(gens, weights).elements
     rng = random.Random(7)
     for _ in range(3):
         shuffled = list(gens)
         rng.shuffle(shuffled)
-        assert groebner_basis(shuffled, order).elements == expected
+        assert groebner_basis(shuffled, weights).elements == expected
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["pot", "weighted"])
+def test_leads_are_those_of_the_elements(weighted):
+    # the basis keeps the leads Buchberger found; recomputed from its
+    # elements they agree, in descending order
+    rng = random.Random(43)
+    ideals = [E(*[random_poly(rng, 3) for _ in range(4)]) for _ in range(8)]
+    for gens in ideals + MODULE_CASES:
+        gens = [g for g in gens if not g.is_zero()]
+        weights = module_weights(gens, weighted)
+        key = order_key(weights)
+        gb = groebner_basis(gens, weights)
+        leads = [min(e.terms, key=key) for e in gb.elements]
+        assert list(gb.leads()) == leads == sorted(leads, key=key)
 
 
 # (9, 3, 1) orders the monomials with exponents below 3, those of the
@@ -323,14 +337,13 @@ def test_module_basis_ignores_generator_order(gens, weighted):
                                      pytest.param((9, 3, 1), id="lex")])
 def test_ideal_basis_ignores_generator_order(weights):
     rng = random.Random(23)
-    order = TermOrder(weights)
     for _ in range(4):
         gens = [FreeModuleElement.from_poly(random_poly(rng, 3)) for _ in range(4)]
         gens = [g for g in gens if not g.is_zero()]
-        expected = groebner_basis(gens, order).elements
+        expected = groebner_basis(gens, weights).elements
         for _ in range(3):
             rng.shuffle(gens)
-            assert groebner_basis(gens, order).elements == expected
+            assert groebner_basis(gens, weights).elements == expected
 
 
 def textbook_compare(weights):
@@ -355,24 +368,22 @@ def test_descending_key_is_the_textbook_order():
     rng = random.Random(1)
     monos = {(rng.randrange(3), tuple(rng.randrange(4) for _ in range(3))) for _ in range(120)}
     for weights in (None, (1, 2, 3), (3, 1, 1)):
-        order = TermOrder(weights)
         expected = sorted(monos, key=cmp_to_key(textbook_compare(weights)), reverse=True)
-        assert sorted(monos, key=order.descending_key) == expected
+        assert sorted(monos, key=order_key(weights)) == expected
 
 
 def test_unit_weights_are_the_unweighted_order():
     rng = random.Random(26)
     monos = [(rng.randrange(3), tuple(rng.randrange(4) for _ in range(3))) for _ in range(60)]
-    unit, plain = TermOrder((1, 1, 1)), TermOrder()
-    assert unit.weights is None
-    assert [unit.descending_key(m) for m in monos] == [plain.descending_key(m) for m in monos]
+    unit, plain = order_key((1, 1, 1)), order_key()
+    assert [unit(m) for m in monos] == [plain(m) for m in monos]
 
 
 def test_term_orders_and_ideals_reject_bad_weights():
     # a weight <= 0 makes no well-order
     for weights in [(1, 0, -1), (-1, 2, 3)]:
         with pytest.raises(ValueError, match="positive"):
-            TermOrder(weights)
+            order_key(weights)
     # one positive int weight per variable: truncated to the first two
     # variables, (2, 1) would make x*z + y^2 quasi-homogeneous
     f = P("x*z + y^2", "xyz")
@@ -468,7 +479,7 @@ def test_monomial_basis_forms_no_pairs(monkeypatch):
     monkeypatch.setattr(groebner, "_lcm_exp", lambda a, b: formed.append(1) or lcm_exp(a, b))
     gens = [Polynomial.monomial(3, e) for e in monomials((1, 1, 1), 6)]
     gens += [P("x^2*y", XYZ), P("x^7", XYZ), P("3*y*z", XYZ)]
-    gb = groebner_basis(E(*gens), TermOrder())
+    gb = groebner_basis(E(*gens))
     assert formed == []
     # the minimal generators: y*z, x^2*y and the sextics outside (y*z, x^2*y)
     sextics = [e for e in monomials((1, 1, 1), 6) if not (e[1] and e[2] or e[0] >= 2 and e[1])]

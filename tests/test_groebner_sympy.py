@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from algebroids.groebner import FreeModuleElement, Ideal, TermOrder, groebner_basis
+from algebroids.groebner import FreeModuleElement, Ideal, groebner_basis
 from algebroids.poly import Polynomial, parse_poly
 
 sympy = pytest.importorskip("sympy")
@@ -49,7 +49,7 @@ CASES.update({f"random {seed}": random_ideal(seed) for seed in range(5)})
 
 def ours(gens, weights=None):
     """The monic multiples of the basis elements, as sorted term lists."""
-    gb = groebner_basis([FreeModuleElement.from_poly(g) for g in gens], TermOrder(weights))
+    gb = groebner_basis([FreeModuleElement.from_poly(g) for g in gens], weights)
     return sorted(sorted(e.scale(Fraction(1, e.terms[lead])).to_polys()[0].terms.items())
                   for e, lead in zip(gb.elements, gb.leads()))
 

@@ -11,8 +11,7 @@ from algebroids import groebner, linalg
 from algebroids.derivations import (Derivation, DerivationModule,
                                    jacobian_ideal, tangent_derivations)
 from algebroids.errors import AlgebroidError, PreconditionError
-from algebroids.groebner import (Ideal, TermOrder, _greedy_minimal_generators,
-                                 groebner_basis, lifts)
+from algebroids.groebner import Ideal, _greedy_minimal_generators, groebner_basis, lifts
 from algebroids.liealg import (LieAlgebra, fibre_lie_algebra,
                                minimal_module_generators, sl2,
                                span_lie_algebra)
@@ -467,7 +466,7 @@ def _oracle_minimal_generators(dm):
                for c in seen for j in range(n)]
     kept = []
     for c in seen:
-        if not groebner_basis(kept + m_times, TermOrder(dm.weights)).contains(c):
+        if not groebner_basis(kept + m_times, dm.weights).contains(c):
             kept.append(c)
     return kept
 
@@ -494,7 +493,7 @@ def test_fibre_brackets_match_tracked_lifts(name):
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     found = lifts([d.vector for d in basis],
                   [basis[i].bracket(basis[j]).vector for i, j in pairs],
-                  TermOrder(dm.weights))
+                  dm.weights)
     for (i, j), lift in zip(pairs, found):
         assert lift is not None
         expected = tuple(c.terms.get((0,) * dm.nvars, 0) for c in lift)

@@ -14,6 +14,7 @@ from algebroids.cli import build_parser, main
 from algebroids.derivations import tangent_derivations
 from algebroids.errors import InconsistencyError, ParseError, PreconditionError
 from algebroids.groebner import Ideal
+from algebroids.hilbert import hilbert_series_quotient
 from algebroids.liealg import fibre_lie_algebra
 from algebroids.pipeline import (_levi_action, _sl2_covariant_path,
                                  analyze_singularity, analyze_toral,
@@ -121,11 +122,21 @@ def test_analyze_determinantal_2x4_is_desk_scale():
 
 def test_analyze_coordinate_axes_by_pruned_powers():
     # the series of J = m^2 is fitted to the colengths of J^0..J^11 against
-    # (1 - t)^6; with every product of generators kept, J^9 alone has 2002
+    # (1 - t)^3; with every product of generators kept, J^9 alone has 2002
     report = analyze_singularity(parse_input(AXES), series_depth=10)
     assert report.solvable and report.colength == 4
     assert report.series == RationalSeries([4, 4], [(1, 3)])
     assert (report.dimension, report.multiplicity) == (3, 8)
+
+
+def test_analyze_coordinate_axes_fits_over_the_krull_dimension():
+    # gr_J(A) of J = m^2 has Krull dimension 3, so the power route fits
+    # against (1 - t)^3 and stabilizes by depth 4, below the default depth 8;
+    # against (1 - t)^6, 6 being J's number of generators, it needed depth 10
+    for report in (analyze_singularity(parse_input(AXES)),
+                   analyze_singularity(parse_input(AXES), series_depth=4)):
+        assert report.series.numerator == [4, 4] and report.series.factors == ((1, 3),)
+        assert (report.dimension, report.multiplicity) == (3, 8)
 
 
 # -- the sl2 length path against the matrix kernel -------------------------
@@ -393,6 +404,26 @@ def test_cli_analyze_of_a_huge_exponent_is_desk_scale(tmp_path, capsys):
     assert obj["isolated"] is False and obj["colength"] is None
 
 
+def test_cli_hilbert_of_a_huge_exponent_is_refused(tmp_path, capsys):
+    # the numerator's degree is read off K's sparse terms before a list is
+    # built: the dense numerator of x^(10^9) would need about 90 GB.  The
+    # refusal takes about 5 ms in process (Python 3.11, 2-core VM).
+    huge = write(tmp_path, "huge.txt", "vars: x, y, z\nideal: x^1000000000\n")
+    start = time.perf_counter()
+    assert main(["hilbert", huge]) == 3
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert "precondition failure" in err and "numerator of degree 1000000000" in err
+    # the bound is 10^5: x^(10^5) still has a series
+    for e, refused in ((10 ** 5, False), (10 ** 5 + 1, True)):
+        ideal = Ideal(3, [Polynomial.monomial(3, (e, 0, 0))])
+        if refused:
+            with pytest.raises(PreconditionError, match="outside desk scale"):
+                hilbert_series_quotient(ideal)
+        else:
+            assert hilbert_series_quotient(ideal).numerator_degree == e
+
+
 @pytest.mark.parametrize("argv", [["--degree", "-1", "--depth", "3"],
                                   ["--degree", "2", "--depth", "-3"],
                                   ["--degree", "7", "--depth", "3"]],
@@ -410,7 +441,8 @@ def test_cli_analyze_coordinate_axes_at_depth_10(tmp_path, capsys):
     start = time.perf_counter()
     assert main(["analyze", path, "--series-depth", "10", "--json"]) == 0
     elapsed = time.perf_counter() - start
-    assert json.loads(capsys.readouterr().out)["series"]["numerator"] == [4, -8, 0, 8, -4]
+    series = json.loads(capsys.readouterr().out)["series"]
+    assert series == {"numerator": [4, 4], "denominator": [{"n": 1, "mult": 3}]}
     assert elapsed < 10
 
 

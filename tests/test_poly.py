@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from algebroids.errors import ParseError
-from algebroids.groebner import FreeModuleElement, TermOrder
+from algebroids.groebner import FreeModuleElement, order_key
 from algebroids.poly import Polynomial, format_poly, monomials, parse_poly, wdeg
 
 
@@ -91,9 +91,9 @@ def test_homogeneous_components_sum():
 @pytest.mark.parametrize("weights", [None, (1, 1, 1), (3, 2, 2)])
 def test_term_degrees_agree(weights):
     # each term's degree, read through wdeg, Polynomial.degree and
-    # is_homogeneous, homogeneous_components and TermOrder.descending_key
+    # is_homogeneous, homogeneous_components and groebner.order_key
     rng = random.Random(26)
-    order = TermOrder(weights)
+    key = order_key(weights)
     for _ in range(20):
         v = FreeModuleElement.from_polys([random_poly(rng), random_poly(rng)])
         parts = v.homogeneous_components(weights)
@@ -103,7 +103,7 @@ def test_term_degrees_agree(weights):
             d = degree[exp] = sum(w * e for w, e in zip(weights or (1, 1, 1), exp))
             term = Polynomial.monomial(3, exp, 2)
             assert wdeg(exp, weights) == d == term.degree(weights) == component[(pos, exp)]
-            assert -order.descending_key((pos, exp))[1] == d and term.is_homogeneous(weights)
+            assert -key((pos, exp))[1] == d and term.is_homogeneous(weights)
         for g in v.to_polys() + [q for part in parts.values() for q in part.to_polys()]:
             degrees = {degree[exp] for exp in g.terms}
             assert g.degree(weights) == max(degrees, default=-1)

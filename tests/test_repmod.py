@@ -9,7 +9,7 @@ import pytest
 
 from algebroids import groebner, linalg, repmod
 from algebroids.errors import AlgebroidError, InconsistencyError, PreconditionError
-from algebroids.groebner import FreeModuleElement, TermOrder, groebner_basis
+from algebroids.groebner import FreeModuleElement, groebner_basis
 from algebroids.liealg import LieAlgebra, sl2, span_lie_algebra
 from algebroids.poly import Polynomial, monomials
 from algebroids.repmod import (MatrixRep, binary_form_rep, cayley_sylvester,
@@ -766,11 +766,11 @@ def polynomial_ops(d):
             for name, mat in zip(("H", "X+", "X-"), dense_matrices(binary_form_rep(d)))}
 
 
-def dg_closure(gens, ops, order):
+def dg_closure(gens, ops):
     """Basis of the Q[x]-submodule closure of gens under the operators."""
     basis = list(gens)
     while True:
-        gb = groebner_basis(basis, order)
+        gb = groebner_basis(basis)
         extra = [img for b in basis for img in (op(b) for op in ops.values())
                  if not img.is_zero() and not gb.contains(img)]
         if not extra:
@@ -781,13 +781,12 @@ def dg_closure(gens, ops, order):
 def closure_filtration(d):
     """The filtration's report and the basis of the closure of each m_i."""
     ops = polynomial_ops(d)
-    order = TermOrder()
     vectors = [FreeModuleElement(1, d + 1, {(d, (0,)): F(1)})]
     for i in range(1, d + 1):
         prev = vectors[-1]
         vectors.append(ops["X+"](prev) - prev.mul_term((1,), -d + 2 * (i - 1)))
     weights = [-d + 2 * i for i in range(d + 1)]
-    closures = [dg_closure([m], ops, order) for m in vectors]
+    closures = [dg_closure([m], ops) for m in vectors]
     scalars = []
     for i, (m, w) in enumerate(zip(vectors, weights)):
         image = ops["X+"](m)
@@ -811,8 +810,8 @@ def closure_filtration(d):
 def test_filtration_matches_the_closure_route(monkeypatch, d):
     built = []
 
-    def recorded(gens, order):
-        built.append(groebner_basis(gens, order))
+    def recorded(gens, weights=None):
+        built.append(groebner_basis(gens, weights))
         return built[-1]
 
     monkeypatch.setattr(repmod, "groebner_basis", recorded)
@@ -839,9 +838,9 @@ def test_filtration_builds_one_basis_per_step(monkeypatch):
     calls = []
     original = groebner.groebner_basis
 
-    def counted(gens, order):
-        calls.append(order.weights)
-        return original(gens, order)
+    def counted(gens, weights=None):
+        calls.append(weights)
+        return original(gens, weights)
 
     monkeypatch.setattr(groebner, "groebner_basis", counted)
     monkeypatch.setattr(repmod, "groebner_basis", counted)
@@ -875,7 +874,7 @@ def grows_on_top_weight(op):
      "X- does not annihilate"),
     ("_algebroid_ops", faulty_ops("H", lambda op: lambda v: v.scale(0)),
      "H eigenvalue mismatch"),
-    ("groebner_basis", lambda gens, order: groebner_basis(gens[:1], order),
+    ("groebner_basis", lambda gens, weights=None: groebner_basis(gens[:1], weights),
      "quotient is not cyclic"),
     ("_module_rank", lambda gb: 1, "ranks do not drop by one"),
     ("_algebroid_ops", faulty_ops("X+", grows_on_top_weight),
