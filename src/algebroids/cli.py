@@ -45,14 +45,12 @@ def _pretty(obj, indent=0):
                 _pretty(v, indent + 1)
             else:
                 print(f"{pad}{k}: {v}")
-    elif isinstance(obj, list):
+    else:
         for v in obj:
             if isinstance(v, (dict, list)):
                 _pretty(v, indent + 1)
             else:
                 print(f"{pad}- {v}")
-    else:
-        print(f"{pad}{obj}")
 
 
 def cmd_analyze(args):

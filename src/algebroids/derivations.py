@@ -1,13 +1,13 @@
 """Tangential derivation modules T(I), Jacobian/Tjurina ideals,
 quasi-homogeneity detection, and monomial-ideal extraction."""
 
-from itertools import combinations, count, product
+from itertools import combinations, count
 from math import gcd, lcm, perm
 
 from . import linalg
 from .errors import PreconditionError
 from .groebner import FreeModuleElement, Ideal, syzygies
-from .poly import Polynomial, default_varnames, format_poly, minimal_monomials, mono_mul
+from .poly import Polynomial, default_varnames, format_poly, minimal_monomials, mono_mul, wdeg
 
 
 class Derivation:
@@ -65,7 +65,7 @@ class Derivation:
         {j: c} for its terms c x_j."""
         columns = [{} for _ in range(self.nvars)]
         for (i, exp), c in self.vector.terms.items():
-            if sum(exp) == 1:
+            if wdeg(exp) == 1:
                 columns[i][exp.index(1)] = c
         return columns
 
@@ -165,7 +165,7 @@ def krull_dimension(ideal):
     k = k_polynomial(ideal.leading_exponents() if not ideal.is_zero() else [], ideal.nvars)
     if not k:
         return -1  # the unit ideal
-    terms = [(sum(exp), c) for exp, c in k.items()]
+    terms = [(wdeg(exp), c) for exp, c in k.items()]
     return ideal.nvars - next(j for j in count() if sum(c * perm(d, j) for d, c in terms))
 
 
@@ -234,22 +234,29 @@ def quasi_homogeneous_weights(f):
     if not _strictly_feasible(list(zip(u, *kernel))):
         return None
     for d in range(1, 101):
-        base = [d * x for x in u]
-        best = None
-        for a in product(range(1, d + 1), repeat=len(kernel)):
-            w = base
-            for c, k in zip(a, kernel):
-                w = [x + c * y for x, y in zip(w, k)]
-            if all(x > 0 and x % scale == 0 for x in w):
-                w = tuple(x // scale for x in w)
-                if best is None or w < best:
-                    best = w
+        best = _least_weights([d * x for x in u], kernel, scale, d)
         if best is not None:
             full = [1] * n
             for i, x in zip(used, best):
                 full[i] = x
             return tuple(full), d
     return None
+
+
+def _least_weights(w, kernel, scale, d):
+    """The least (w + sum_j a_j K_j) / scale over ints a_j in [1, d] whose
+    entries are ints in [1, d] (a used variable's weight is at most d), or
+    None.  Depth first over a_1, a_2, ...: a branch is cut once some entry
+    can no longer land in [scale, d * scale] with the a_j left in [1, d]."""
+    cols = list(zip(*kernel)) or [()] * len(w)
+    if not all(scale - sum(max(y, d * y) for y in c) <= x <= d * scale - sum(min(y, d * y) for y in c)
+               for x, c in zip(w, cols)):
+        return None
+    if not kernel:
+        return tuple(x // scale for x in w) if all(x % scale == 0 for x in w) else None
+    found = (_least_weights([x + a * y for x, y in zip(w, kernel[0])], kernel[1:], scale, d)
+             for a in range(1, d + 1))
+    return min((v for v in found if v is not None), default=None)
 
 
 def _strictly_feasible(rows):

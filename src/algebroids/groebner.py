@@ -3,9 +3,10 @@
 Buchberger's algorithm with normal pair selection, the chain criterion, and
 the coprimality criterion (ideals only, where it is valid); a pair of
 single-term elements is never formed, as its S-polynomial is zero.  It runs
-fraction free on primitive int vectors (linalg.integral and linalg.primitive,
-which row elimination shares), and a basis keeps them.  It takes module
-elements, under one order: weighted grevlex, position over term.
+fraction free on primitive int vectors (linalg.integral, linalg.primitive
+and linalg.eliminate, which row elimination shares), and a basis keeps
+them.  It takes module elements, under one order: weighted grevlex,
+position over term.
 Syzygies and coefficient lifts over the original generators are both read off
 one basis of the augmented rows (v_i, e_i).
 """
@@ -107,9 +108,6 @@ class FreeModuleElement:
             terms[mono] = terms.get(mono, 0) - c
         return FreeModuleElement(self.nvars, self.rank, terms)
 
-    def __neg__(self):
-        return FreeModuleElement(self.nvars, self.rank, {m: -c for m, c in self.terms.items()})
-
     def scale(self, c):
         c = _exact(c)
         return FreeModuleElement(self.nvars, self.rank, {m: c * v for m, v in self.terms.items()})
@@ -157,7 +155,8 @@ def _reduce(terms, buckets, elements, key):
     (see _buckets).  Pending monomials wait in a heap, largest first; a
     reduction step only creates monomials below the one it removes, so a
     popped monomial is final.  A step cancels c x^e against a lead l x^f as
-    (l/g) (everything) - (c/g) x^(e-f) (element), g = gcd(c, l).
+    (l/g) (everything) - (c/g) x^(e-f) (element), g = gcd(c, l), in place:
+    linalg.eliminate copies, which would make a long reduction quadratic.
     """
     scale, work = linalg.integral(terms)
     heap = [(key(m), m) for m in work]
@@ -269,8 +268,8 @@ def groebner_basis(gens, weights=None):
     while pairs:
         _, i, j = heapq.heappop(pairs)
         done.add((i, j))
-        (p, ei), ci = leads[i]
-        (_, ej), cj = leads[j]
+        p, ei = leads[i][0]
+        ej = leads[j][0][1]
         # coprimality criterion (valid for ideals only)
         if rank == 1 and all(a == 0 or b == 0 for a, b in zip(ei, ej)):
             continue
@@ -280,9 +279,10 @@ def groebner_basis(gens, weights=None):
                and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
                for k, ek, _c in buckets[p]):
             continue
-        g = gcd(ci, cj)  # cofactors of the leads keep the S-polynomial integral
-        spoly = basis[i].mul_term(_quot(L, ei), cj // g) - basis[j].mul_term(_quot(L, ej), ci // g)
-        rem = _reduce(spoly.terms, buckets, basis, key)[0]
+        # the S-polynomial: the leads, shifted to their lcm, cancel as in rref
+        spoly = linalg.eliminate(basis[i].mul_term(_quot(L, ei)).terms,
+                                 basis[j].mul_term(_quot(L, ej)).terms, (p, L))
+        rem = _reduce(spoly, buckets, basis, key)[0]
         if rem:
             add(rem)
 
@@ -498,5 +498,5 @@ def lifts(gens, targets, weights=None):
         if any(pos < r for pos, _exp in rem.terms):
             out.append(None)
         else:
-            out.append((-rem).project(positions).to_polys())
+            out.append(rem.scale(-1).project(positions).to_polys())
     return out

@@ -226,8 +226,6 @@ def fibre_lie_algebra(dm, require_origin=True):
     if require_origin and not dm.all_vanish_at_origin():
         raise PreconditionError("not logarithmic at origin")
     basis_vecs, degrees = _fibre_basis(dm)
-    if not basis_vecs:
-        return LieAlgebra(0, {}), []
     basis = [Derivation.from_vector(v) for v in basis_vecs]
     m = len(basis)
     pairs_by_degree = {}

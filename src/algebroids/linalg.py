@@ -4,10 +4,10 @@ A matrix is a list of sparse rows {col: entry}, the one matrix form of the
 library; an explicit zero entry counts as absent.  Vectors read off a
 matrix (solutions, kernel vectors) are dense lists, holding ints where
 integral.  Elimination runs fraction free on primitive int rows, as the
-Groebner engine does (integral, primitive): echelon is the one forward
-pass, rank counts its pivots, and rref back-substitutes it, from which
-kernel_basis and solve read their answers.  Every coordinate vector the
-library needs (structure constants, weights, inverses, interpolation)
+Groebner engine does (integral, primitive, eliminate): echelon is the one
+forward pass, rank counts its pivots, and rref back-substitutes it, from
+which kernel_basis and solve read their answers.  Every coordinate vector
+the library needs (structure constants, weights, inverses, interpolation)
 comes from solve.
 """
 
@@ -48,7 +48,7 @@ def combine(coeffs, rows):
     return {col: x for col, x in out.items() if x}
 
 
-def _eliminate(row, pivot, col):
+def eliminate(row, pivot, col):
     """(b/g) row - (a/g) pivot for int rows with entries a and b at col, g =
     gcd(a, b): an int row with no entry at col."""
     g = gcd(row[col], pivot[col])
@@ -71,7 +71,7 @@ def echelon(rows):
             if col not in out:
                 out[col] = primitive(row, col)
                 break
-            row = _eliminate(row, out[col], col)
+            row = eliminate(row, out[col], col)
     return out
 
 
@@ -88,7 +88,7 @@ def rref(rows):
     for p in reversed(pivots):
         row = reduced[p]
         for q in [q for q in row if q != p and q in reduced]:
-            row = _eliminate(row, reduced[q], q)
+            row = eliminate(row, reduced[q], q)
         reduced[p] = row = primitive(row, p)
         d = row[p]
         out.append({j: x // d if x % d == 0 else Fraction(x, d) for j, x in row.items()})

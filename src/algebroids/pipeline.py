@@ -8,7 +8,7 @@ from .errors import InconsistencyError, ParseError, PreconditionError
 from .groebner import Ideal
 from .hilbert import dimension_multiplicity, graded_pieces_series
 from .liealg import fibre_lie_algebra, span_lie_algebra
-from .poly import Polynomial, _Tokens, format_poly, parse_poly
+from .poly import Polynomial, _Tokens, format_poly, parse_poly, wdeg
 from .repmod import MatrixRep, covariant_dimensions, decompose_sl2, sym_kernel_dims
 from .series import (RationalSeries, SeriesPrefix, quasi_polynomial_of,
                      reconstruct_rational)
@@ -145,7 +145,7 @@ def _fingerprint_json(fp):
 
 
 def _min_degree(f):
-    return min(sum(e) for e in f.terms) if not f.is_zero() else 0
+    return min(map(wdeg, f.terms)) if not f.is_zero() else 0
 
 
 def _is_complete_intersection(ideal):
@@ -373,7 +373,7 @@ def covariants_report(d, depth):
     if factors is not None:
         # the series depends on d alone: fit it on at least twice the
         # denominator's degree, enough to certify its numerator at any depth
-        fit_depth = max(depth, 2 * RationalSeries([1], factors).denominator_degree)
+        fit_depth = max(depth, 2 * sum(n * e for n, e in factors))
     dims = covariant_dimensions(d, fit_depth)
     series = None
     quasi = None

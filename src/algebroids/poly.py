@@ -103,24 +103,19 @@ class Polynomial:
             raise ValueError("mixing polynomials from different rings")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.nvars, other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
             terms[exp] = terms.get(exp, 0) + c
         return Polynomial(self.nvars, terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Polynomial) else Polynomial.constant(self.nvars, -other))
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -162,8 +157,6 @@ class Polynomial:
 
     # -- comparison ------------------------------------------------------
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.nvars, other)
         return isinstance(other, Polynomial) and self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):

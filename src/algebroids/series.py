@@ -39,12 +39,6 @@ class SeriesPrefix:
     def __getitem__(self, n):
         return self.coeffs[n]
 
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, SeriesPrefix) and self.coeffs == other.coeffs
-
     def __repr__(self):
         return f"SeriesPrefix({self.coeffs})"
 
@@ -72,10 +66,6 @@ class RationalSeries:
         return len(self.numerator) - 1
 
     @property
-    def denominator_degree(self):
-        return sum(n * d for n, d in self.factors)
-
-    @property
     def pole_count(self):
         return sum(d for _, d in self.factors)
 
@@ -85,8 +75,11 @@ class RationalSeries:
     def __eq__(self, other):
         if not isinstance(other, RationalSeries):
             return NotImplemented
-        bound = max(self.numerator_degree + self.denominator_degree,
-                    other.numerator_degree + other.denominator_degree, 0) + 1
+        # a/b = c/d iff ad = cb, and bd has constant term 1: expansions that
+        # agree through the degrees of ad and cb make ad - cb = 0
+        (a, b), (c, d) = [(s.numerator_degree, sum(n * e for n, e in s.factors))
+                          for s in (self, other)]
+        bound = max(0, a + d, c + b)
         return self.expand(bound).coeffs == other.expand(bound).coeffs
 
     def to_json(self):

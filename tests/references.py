@@ -6,13 +6,16 @@ sparse rows {col: entry} and vectors {i: c}, dense matrix products, dense
 action matrices of a module and the common kernel of some of them, a Lie
 algebra's brackets as dense vectors, the Jacobi identity on every triple of
 a structure table, a vector field's action and bracket on its coefficient
-Polynomials, a module conjugated by a rational unitriangular matrix, and
-the Fraction rref that linalg's fraction-free elimination replaced."""
+Polynomials, a module conjugated by a rational unitriangular matrix, the
+Fraction rref that linalg's fraction-free elimination replaced, and the
+weight search that tried every point of the box [1, d]^k."""
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import lcm
 
-from algebroids import linalg
+from algebroids import derivations, linalg
 from algebroids.derivations import Derivation
 from algebroids.groebner import groebner_basis
 from algebroids.poly import Polynomial, _exact, mono_mul
@@ -252,3 +255,45 @@ def fraction_rref(rows):
         reduced[col] = new
     pivots = sorted(reduced)
     return [{j: _exact(x) for j, x in reduced[p].items()} for p in pivots], pivots
+
+
+def enumerated_weights(f):
+    """quasi_homogeneous_weights by enumeration: for each d, every a in
+    [1, d]^k, k the kernel dimension, and the least w = d u + sum a_j k_j
+    that is positive and integral.  Its guards (no rational solution, no
+    positive real one) are the library's."""
+    n = f.nvars
+    exps = sorted(f.terms)
+    used = [i for i in range(n) if any(e[i] for e in exps)]
+    if not used:
+        return None
+    if f.is_homogeneous():
+        return (1,) * n, f.degree()
+    width = len(used)
+    rows = [{j: e[i] for j, i in enumerate(used) if e[i]} for e in exps]
+    u = linalg.solve([{**row, width: 1} for row in rows], width, 1)[0]
+    if u is None:
+        return None
+    kernel = linalg.kernel_basis(rows, width)
+    scale = lcm(*(x.denominator for v in [u] + kernel for x in v))
+    u = [int(x * scale) for x in u]
+    kernel = [[int(x * scale) for x in k] for k in kernel]
+    if not derivations._strictly_feasible(list(zip(u, *kernel))):
+        return None
+    for d in range(1, 101):
+        base = [d * x for x in u]
+        best = None
+        for a in product(range(1, d + 1), repeat=len(kernel)):
+            w = base
+            for c, k in zip(a, kernel):
+                w = [x + c * y for x, y in zip(w, k)]
+            if all(x > 0 and x % scale == 0 for x in w):
+                w = tuple(x // scale for x in w)
+                if best is None or w < best:
+                    best = w
+        if best is not None:
+            full = [1] * n
+            for i, x in zip(used, best):
+                full[i] = x
+            return tuple(full), d
+    return None

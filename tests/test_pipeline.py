@@ -11,16 +11,16 @@ import pytest
 
 from algebroids import cli, linalg
 from algebroids.cli import build_parser, main
-from algebroids.derivations import tangent_derivations
+from algebroids.derivations import Derivation, tangent_derivations
 from algebroids.errors import InconsistencyError, ParseError, PreconditionError
 from algebroids.groebner import Ideal
 from algebroids.hilbert import hilbert_series_quotient
-from algebroids.liealg import fibre_lie_algebra
+from algebroids.liealg import LieAlgebra, fibre_lie_algebra, sl2
 from algebroids.pipeline import (_levi_action, _sl2_covariant_path,
                                  analyze_singularity, analyze_toral,
                                  covariants_report, parse_input)
 from algebroids.poly import Polynomial, monomials
-from algebroids.repmod import polarize, sl2_isotypic
+from algebroids.repmod import binary_form_rep, covariant_dimensions, polarize, sl2_isotypic
 from algebroids.series import RationalSeries
 
 from references import dense_matrices, mat_add, mat_mul, mat_scale, partitions_in_rectangle
@@ -180,6 +180,27 @@ def test_sl2_length_dims_match_nilpotent_kernel(text):
     for n in range(7):
         monos = monomials((1,) * rep.dim, n)
         assert dims[n] == len(monos) - linalg.rank(polarize(nil_columns, monos))
+
+
+def test_levi_action_needs_killing_rank_3():
+    # gl1 acting on Q^3 by [h, v_i] = v_i: [g, g] = Q^3 is 3-dimensional
+    # but abelian, so no form of sl2
+    algebra = LieAlgebra(4, {(0, i): {i: 1} for i in (1, 2, 3)})
+    assert len(algebra.derived_subalgebra_basis()) == 3
+    assert _levi_action(algebra, []) is None
+
+
+def test_sl2_path_on_binary_quartics_has_no_builtin_denominator():
+    # sl2 acting on V_4 by linear fields in 5 variables: the length dims are
+    # the covariant dimensions of the binary quartic, and no denominator is
+    # built in for degree 4, which analyze reports as its series note
+    fields = [Derivation([Polynomial(5, {tuple(int(r == j) for r in range(5)): c
+                                         for j, c in column.items()})
+                          for column in matrix])
+              for matrix in binary_form_rep(4).columns]
+    dims, series = _sl2_covariant_path(sl2(), fields, 12)
+    assert series is None
+    assert dims == covariant_dimensions(4, 12)
 
 
 def test_compact_quadric_has_no_rational_nilpotent():

@@ -40,6 +40,22 @@ def test_parse_errors():
         P("x^-1")
 
 
+def test_parse_implicit_products():
+    for implicit, explicit in [("2x y", "2*x*y"), ("x(y + 1)", "x*(y + 1)"),
+                               ("(x + 1)(y - 1)", "(x + 1)*(y - 1)"), ("2 x^2 y", "2*x^2*y")]:
+        assert P(implicit) == P(explicit), implicit
+
+
+def test_polynomials_add_only_to_polynomials():
+    # scalars multiply (the parser multiplies by signs), but never add
+    x = P("x")
+    assert 2 * x == x * 2 == P("2*x")
+    for add in (lambda: x + 1, lambda: 1 - x, lambda: x - Fraction(1, 2), lambda: 1 + x):
+        with pytest.raises(TypeError):
+            add()
+    assert x != 0 and P("1") != 1
+
+
 def test_format_round_trip():
     rng = random.Random(11)
     for _ in range(25):

@@ -74,6 +74,15 @@ def test_expand_examples():
     assert expand_series(RationalSeries([], [(1, 2)]), 4).coeffs == [0] * 5
 
 
+def test_series_are_equal_only_when_every_coefficient_is():
+    # 4 + 3t + 2t^2 + t^3 and (4 - 5t)/(1 - t)^2 = 4 + 3t + 2t^2 + t^3 - t^5 - ...
+    # agree past each one's own numerator and denominator degrees, through t^4
+    poly = RationalSeries([4, 3, 2, 1], [])
+    assert poly != RationalSeries([4, -5], [(1, 2)])
+    assert poly == RationalSeries([4, -1, -1, -1, -1], [(1, 1)])
+    assert RationalSeries([], [(1, 1)]) == RationalSeries([], [(2, 3)])
+
+
 def test_numerator_accepts_only_integers():
     assert RationalSeries([Fraction(4, 2), 3, 0], [(1, 1)]).numerator == [2, 3]
     assert type(RationalSeries([Fraction(4, 2)], [(1, 1)]).numerator[0]) is int
@@ -107,7 +116,7 @@ def test_reconstruct_round_trip_random():
         if not factors:
             factors = [(1, 1)]
         rs = RationalSeries(num, factors)
-        bound = rs.numerator_degree + rs.denominator_degree + 6
+        bound = rs.numerator_degree + sum(n * d for n, d in rs.factors) + 6
         prefix = rs.expand(bound)
         back = reconstruct_rational(prefix, factors)
         assert back.expand(bound).coeffs == prefix.coeffs
