@@ -2,6 +2,7 @@
 algebra extraction from derivation modules."""
 
 from itertools import combinations, product
+from math import lcm
 
 from . import graded, linalg
 from .derivations import Derivation
@@ -52,10 +53,39 @@ class LieAlgebra:
         return {k: c for k, c in out.items() if c}
 
     def _validate_jacobi(self):
-        """The Jacobi identity, as ad[e_i, e_j] = [ad e_i, ad e_j]: the adjoint
-        action, column i of ad e_j the table's row (j, i), represents the bracket."""
-        ad = [[self._table.get((j, i), {}) for i in range(self.dim)] for j in range(self.dim)]
-        if not represents(self, ad):
+        """The Jacobi identity: for each triple i < j < k the cyclic sum
+        [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] vanishes.
+
+        A term [[e_a, e_b], e_c] with a < b and c outside {a, b} is
+        sum_m c_ab^m [e_m, e_c], so only nonzero brackets [e_a, e_b] and
+        [e_m, e_c] are visited.  The term belongs to the sum of the sorted
+        triple, negated exactly when a < c < b: that sum holds [[e_b, e_a],
+        e_c] = -[[e_a, e_b], e_c].  The identity is homogeneous quadratic in
+        the constants, so it is checked on integers: the constants times the
+        lcm of their denominators."""
+        scale = lcm(*{c.denominator for row in self._table.values() for c in row.values()})
+        table = {pair: {k: c.numerator * (scale // c.denominator) for k, c in row.items()}
+                 for pair, row in self._table.items()}
+        rows_of = {}
+        for (m, c), row in table.items():
+            rows_of.setdefault(m, []).append((c, row))
+        sums = {}
+        for (a, b), row in table.items():
+            if a > b:
+                continue
+            for m, x in row.items():
+                for c, inner in rows_of.get(m, ()):
+                    if c < a:
+                        total, s = sums.setdefault((c, a, b), {}), x
+                    elif c > b:
+                        total, s = sums.setdefault((a, b, c), {}), x
+                    elif a < c < b:
+                        total, s = sums.setdefault((a, c, b), {}), -x
+                    else:
+                        continue
+                    for t, y in inner.items():
+                        total[t] = total.get(t, 0) + s * y
+        if any(v for total in sums.values() for v in total.values()):
             raise AlgebroidError("Jacobi identity fails")
 
     # -- series ----------------------------------------------------------

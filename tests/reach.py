@@ -32,8 +32,8 @@ sys.path[:0] = [SRC, BENCH]
 # never-called names that stay in src/, each with its reason
 ALLOWED = {
     "poly.default_varnames": "formatting and repr without variable names",
-    "groebner.lifts": "ROADMAP item 4, bracket lifts",
-    "liealg.minimal_module_generators": "a bench/tracer.py target, ROADMAP item 14",
+    "groebner.lifts": "the tests' second route for bracket coordinates; ROADMAP item 7, stage 2",
+    "liealg.minimal_module_generators": "a bench/tracer.py target, ROADMAP item 16",
 }
 
 

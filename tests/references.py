@@ -196,6 +196,14 @@ def jacobi_holds(table, n):
     return True
 
 
+def jm_by_membership(ideal):
+    """The i for which some generator g of the ideal has d g/d x_i outside
+    it, by a normal form of each derivative: J_m of a monomial ideal, the
+    partial derivatives that are not tangent to it."""
+    return [i for i in range(ideal.nvars)
+            if not all(ideal.contains(g.diff(i)) for g in ideal.gens)]
+
+
 def apply_field(delta, f):
     """sum_i a_i df/dx_i over the coefficient Polynomials a_i of delta,
     accumulating c1 * c2 * e_i x^(a + e - 1_i) for each term c1 x^a of a_i

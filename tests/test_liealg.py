@@ -13,8 +13,9 @@ from algebroids.derivations import (Derivation, DerivationModule,
 from algebroids.errors import AlgebroidError, PreconditionError
 from algebroids.groebner import Ideal, _greedy_minimal_generators, groebner_basis, lifts
 from algebroids.liealg import (LieAlgebra, fibre_lie_algebra,
-                               minimal_module_generators, sl2,
+                               minimal_module_generators, represents, sl2,
                                span_lie_algebra)
+from algebroids.pipeline import parse_input
 from algebroids.poly import Polynomial, parse_poly
 
 from references import (dense, dense_brackets, dense_rows, identity, jacobi_holds,
@@ -265,8 +266,8 @@ def _accepted(dim, brackets):
 
 def test_jacobi_check_matches_the_triple_loop():
     # the structure tables of four algebras in seeded random bases, then each
-    # with one constant changed: the check on the adjoint action accepts
-    # exactly the tables the triple loop of the oracle accepts
+    # with one constant changed: the Jacobi check accepts exactly the tables
+    # the triple loop of the oracle accepts
     rng = random.Random(11)
     verdicts = []
     for g in [sl2(), gl2(), fibre_lie_algebra(whitney_dm())[0],
@@ -287,6 +288,79 @@ def test_jacobi_check_matches_the_triple_loop():
             verdicts.append(jacobi_holds(_table(brackets), n))
             assert _accepted(n, brackets) is verdicts[-1]
     assert verdicts.count(False) >= 6
+
+
+# the inputs of the benchmark's fibre workload: (vars, weights, generator,
+# whether each cyclic rotation of the variables is run)
+FIBRE_WORKLOAD = [
+    ("x1 x2 x3", None, "x1^2 + x2^2 + x3^2", False),
+    ("x1 x2 x3 x4", None, "x1^2 + x2^2 + x3^2 + x4^2", False),
+    ("x y z", (1, 2, 2), "z^2 - x^2*y", True),
+    ("x y z", (3, 2, 2), "x^2 + y^2*z + z^3", True),
+    ("x y z", (6, 4, 3), "x^2 + y^3 + z^4", True),
+    ("x y z", (9, 6, 4), "x^2 + y^3 + y*z^3", True),
+    ("x y z", (15, 10, 6), "x^2 + y^3 + z^5", True),
+    ("x y z", None, "x^3 + y^3 + z^3", False),
+]
+
+
+def _fibre_workload_algebras():
+    for names, weights, gen, rotated in FIBRE_WORKLOAD:
+        names = names.split()
+        for k in range(len(names) if rotated else 1):
+            perm = list(range(k, len(names))) + list(range(k))
+            text = f"vars: {', '.join(names[i] for i in perm)}\n"
+            if weights:
+                text += f"weights: {', '.join(str(weights[i]) for i in perm)}\n"
+            dm = tangent_derivations(parse_input(text + f"ideal: {gen}\n").ideal())
+            yield fibre_lie_algebra(dm, require_origin=dm.all_vanish_at_origin())[0]
+
+
+def _jacobi_verdicts(dim, brackets):
+    """(the Jacobi check's verdict, whether the adjoint action represents the
+    algebra) on a table that was never validated."""
+    g = LieAlgebra.__new__(LieAlgebra)
+    g.dim, g.labels, g._table = dim, [f"e{i + 1}" for i in range(dim)], _table(brackets)
+    adjoint = [[g._table.get((j, i), {}) for i in range(dim)] for j in range(dim)]
+    try:
+        g._validate_jacobi()
+        checked = True
+    except AlgebroidError:
+        checked = False
+    return checked, represents(g, adjoint)
+
+
+def test_jacobi_check_matches_the_adjoint_action():
+    # the 18 tables of the fibre workload, each as it is, scaled by 2/3 (the
+    # identity is homogeneous quadratic) and with one constant changed, and
+    # random small tables with rational constants: the check accepts exactly
+    # the tables whose adjoint action represents the bracket
+    rng = random.Random(46)
+    verdicts = []
+    tables = []
+    for g in _fibre_workload_algebras():
+        brackets = dense_brackets(g)
+        tables.append((g.dim, brackets))
+        tables.append((g.dim, {pair: tuple(Fraction(2, 3) * c for c in vec)
+                               for pair, vec in brackets.items()}))
+        for _ in range(3):
+            changed = dict(brackets)
+            pair = rng.choice([(i, j) for i in range(g.dim) for j in range(i + 1, g.dim)])
+            vec = list(changed.get(pair, [0] * g.dim))
+            vec[rng.randrange(g.dim)] += rng.choice([-2, -1, Fraction(1, 2), 1, 2])
+            changed[pair] = tuple(vec)
+            tables.append((g.dim, changed))
+    for _ in range(60):
+        n = rng.randint(3, 5)
+        tables.append((n, {(i, j): tuple(rng.choice([0, 0, 0, 1, -1, 2, Fraction(1, 3)])
+                                         for _ in range(n))
+                           for i in range(n) for j in range(i + 1, n)}))
+    for dim, brackets in tables:
+        checked, reference = _jacobi_verdicts(dim, brackets)
+        assert checked is reference
+        verdicts.append(checked)
+    assert len(tables) == 18 * 5 + 60
+    assert verdicts.count(True) >= 36 and verdicts.count(False) >= 30
 
 
 def test_fibre_solves_one_rref_per_bracket_degree(monkeypatch):

@@ -3,6 +3,7 @@
 import argparse
 import itertools
 import json
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -16,14 +17,15 @@ from algebroids.errors import InconsistencyError, ParseError, PreconditionError
 from algebroids.groebner import Ideal
 from algebroids.hilbert import hilbert_series_quotient
 from algebroids.liealg import LieAlgebra, fibre_lie_algebra, sl2
-from algebroids.pipeline import (_levi_action, _sl2_covariant_path,
+from algebroids.pipeline import (InputSpec, _levi_action, _sl2_covariant_path,
                                  analyze_singularity, analyze_toral,
                                  covariants_report, parse_input)
 from algebroids.poly import Polynomial, monomials
 from algebroids.repmod import binary_form_rep, covariant_dimensions, polarize, sl2_isotypic
 from algebroids.series import RationalSeries
 
-from references import dense_matrices, mat_add, mat_mul, mat_scale, partitions_in_rectangle
+from references import (apply_field, dense_matrices, jm_by_membership, mat_add, mat_mul,
+                        mat_scale, partitions_in_rectangle, sparse_rows)
 
 WHITNEY = "vars: x, y, z\nweights: 1, 2, 2\nideal: z^2 - x^2*y\n"
 QUADRIC = "vars: x, y, z\nideal: x^2 + y^2 + z^2\n"
@@ -105,6 +107,28 @@ def test_analyze_quadric():
     assert split.series == report.series
     assert (split.dimension, split.multiplicity) == \
         (report.dimension, report.multiplicity)
+
+
+def test_dense_quadric_has_the_written_fingerprint():
+    # x1^2 + ... + x5^2 in y_i = sum_j M_ij x_j, M the first draw of rank 5
+    # with entries in [-2, 2]: the fibre gl1 + so5 does not depend on the
+    # coordinates the quadric is written in
+    n = 5
+    rng = random.Random(1)
+    while True:
+        m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if linalg.rank(sparse_rows(m)) == n:
+            break
+    xs = [Polynomial.variable(n, j) for j in range(n)]
+    ys = [sum((x * c for c, x in zip(row, xs)), Polynomial.zero(n)) for row in m]
+    names = [f"x{j + 1}" for j in range(n)]
+    dense = analyze_singularity(InputSpec(names, None, [sum((y * y for y in ys),
+                                                           Polynomial.zero(n))]))
+    written = analyze_singularity(InputSpec(names, None, [sum((x * x for x in xs),
+                                                             Polynomial.zero(n))]))
+    fp = dense.fingerprint
+    assert fp == written.fingerprint
+    assert (fp["dim"], fp["killing_rank"], fp["radical_dim"], fp["center_dim"]) == (11, 10, 1, 1)
 
 
 def test_analyze_determinantal_2x4_is_desk_scale():
@@ -244,12 +268,40 @@ def test_analyze_bad_mode():
 
 def test_toral_principal_monomial():
     report = analyze_toral(parse_input("vars: x, y\nideal: x^2*y^3\n"))
-    assert report.toral_fields_contained
+    assert report.to_json()["toral_fields_contained"]
     assert report.jm_variables == [0, 1]
     assert report.fingerprint["dim"] == 2
     assert report.fingerprint["solvable"]
-    assert report.scalar_check
+    assert report.to_json()["scalar_connection_check"]
     assert (report.dimension, report.multiplicity) == (2, 1)
+
+
+def test_toral_facts_on_random_monomial_ideals():
+    # J_m read off the exponents against a normal form of each d g/d x_i, on
+    # the generators as written (some of them not minimal); each toral field
+    # x_i d/dx_i maps each minimal generator x^e to e_i x^e, which lies in I
+    rng = random.Random(46)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        names = ["x", "y", "z"][:n]
+        count = rng.randint(1, 4)
+        gens = []
+        while len(gens) < count:
+            exp = [rng.randrange(4) for _ in range(n)]
+            if any(exp):
+                gens.append("*".join(f"{v}^{e}" for v, e in zip(names, exp) if e))
+        spec = parse_input(f"vars: {', '.join(names)}\nideal: {'; '.join(gens)}\n")
+        report = analyze_toral(spec)
+        ideal = Ideal(n, spec.gens)
+        assert report.jm_variables == jm_by_membership(ideal)
+        zero = Polynomial.zero(n)
+        for i in range(n):
+            field = Derivation([Polynomial.variable(n, i) if j == i else zero
+                                for j in range(n)])
+            for g in report.monomial_gens:
+                (e,) = g.terms
+                image = apply_field(field, g)
+                assert image == g * e[i] and ideal.contains(image)
 
 
 def test_toral_maximal_ideal():
