@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import AlgebroidError, InconsistencyError, PreconditionError
-from .groebner import FreeModuleElement, groebner_basis
+from .groebner import FreeModuleElement
 from .liealg import represents, sl2
 from .poly import _exact, monomials
 from .series import divide_denominator, multiply_denominator
@@ -137,16 +137,13 @@ def _casimir(rep):
     kappa_inv = linalg.solve([{**row, dim + i: 1} for i, row in enumerate(kappa)], dim, dim)
     if dim != 3 or None in kappa_inv:
         raise PreconditionError("not a form of sl2")
-    casimir = [{} for _ in range(rep.dim)]
-    for i in range(3):
-        for j in range(3):
-            c = kappa_inv[i][j]
-            if c:
-                # column v of rho_i rho_j is rho_i applied to column v of rho_j
-                for out, col in zip(casimir, rep.columns[j]):
-                    for mid, a in col.items():
-                        for r, b in rep.columns[i][mid].items():
-                            out[r] = out.get(r, 0) + c * a * b
+    pairs = [(i, j) for i in range(3) for j in range(3) if kappa_inv[i][j]]
+    coeffs = {k: kappa_inv[i][j] for k, (i, j) in enumerate(pairs)}
+    casimir = []
+    for v in range(rep.dim):
+        # column v of rho_i rho_j is rho_i applied to column v of rho_j
+        products = [linalg.combine(rep.columns[j][v], rep.columns[i]) for i, j in pairs]
+        casimir.append(linalg.combine(coeffs, products))
     return casimir
 
 
@@ -258,95 +255,58 @@ def _algebroid_ops(d):
             for name, columns in zip(("H", "X+", "X-"), binary_form_rep(d).columns)}
 
 
-def _module_rank(gb):
-    """Rank over Q[x] of the module the reduced basis gb generates: its number
-    of lead positions.  Two leads at one position, powers of x, would divide
-    one another, so each position holds one lead at most.  Under position over
-    term no element has a term before its lead's position, so in a relation
-    sum q_i e_i = 0 the first lead position with q_i != 0 meets e_i alone: q_i = 0,
-    the elements are a free basis, and their count is the rank."""
-    return len({pos for pos, _exp in gb.leads()})
-
-
 def sl2_algebroid_filtration(d):
     """Rank-one filtration of M = Q[x] (x) V_d under the transitive sl2
     algebroid with anchor H -> 2x d/dx, X+ -> x^2 d/dx, X- -> -d/dx.
 
-    Builds the highest vectors m_{lambda_0 + 2i} by the recursion
-    m_i = (X+ - (lambda_0 + 2(i-1)) x) m_{i-1}, certifies d+1 rank-one
-    successive quotients, and records the observed scalar in the quotient
-    relation X+ mu_i = c_i x mu_i.
+    Builds the highest vectors m_0 = v_d and m_{i+1} = (X+ - w_i x) m_i,
+    w_i = -d + 2i, and checks exactly for each i <= d that m_i != 0, X- m_i
+    = 0, H m_i = w_i m_i and that m_i's least position is d - i; at the top
+    it checks m_{d+1} = (X+ - w_d x) m_d = 0.  The report follows from these
+    checks, with no Groebner basis.
 
-    The submodules are built top down, N_{d+1} = 0 and N_i = Q[x] m_i +
-    N_{i+1}, with one Groebner basis each.  Every operator satisfies
-    op(f v) = f op(v) + anchor(f') v, so a Q[x]-span is closed under the
-    operators once their images of its generators lie in it.  N_{i+1} is
-    closed already, so checking H, X+ and X- on m_i alone shows N_i closed.
-    m_{i+1} = X+ m_i - c x m_i lies in the closure of m_i, and so does
-    N_{i+1}, which by induction is the closure of m_{i+1}.  So N_i is exactly
-    the closure of m_i, and N_i / N_{i+1} is cyclic, generated by m_i.
+    N_i = Q[x] m_i + ... + Q[x] m_d is closed under the operators.  Every
+    operator satisfies op(f v) = f op(v) + anchor(f') v, so a Q[x]-span is
+    closed once the images of its generators lie in it, and for j >= i,
+    X- m_j = 0, H m_j = w_j m_j and X+ m_j = m_{j+1} + w_j x m_j, where
+    m_{d+1} = 0.
 
-    The quotients are certified free of rank one by ranks alone.  Over the
-    domain Q[x] a nonzero q with q m_i in N_{i+1} would put m_i in the
-    fraction-field span of N_{i+1}, so rank N_i = rank N_{i+1}; the ranks
-    dropping by one at every step rules that out, and a cyclic torsion-free
-    module over Q[x] is free of rank one.
+    N_i is free of rank d + 1 - i, and N_i / N_{i+1} is free of rank one.
+    The least positions d - j of the m_j are distinct, so in a relation
+    sum q_j m_j = 0 over Q(x) the largest j with q_j != 0 is alone at
+    position d - j: q_j = 0, and the m_j are independent.  N_i / N_{i+1} is
+    cyclic, generated by the class mu_i of m_i, and q mu_i = 0 puts q m_i in
+    N_{i+1}, so q = 0 by that independence: a cyclic torsion-free module
+    over Q[x] is free of rank one.
+
+    X+ mu_i = w_i x mu_i in N_i / N_{i+1}, since m_{i+1} lies in N_{i+1}.
+    A scalar c with X+ mu_i = c x mu_i gives (w_i - c) x mu_i = 0, and x mu_i
+    != 0, so c = w_i: the half weight w_i / 2 works only when w_i = 0.
     """
     if d < 0:
         raise PreconditionError("degree must be non-negative")
-    rank = d + 1
     ops = _algebroid_ops(d)
-    lam0 = -d
-    x_shift = (1,)
-
-    def times_x(vec, scalar=1):
-        return vec.mul_term(x_shift, scalar)
-
-    lowest = FreeModuleElement(1, rank, {(d, (0,)): 1})
-    vectors = [lowest]
-    for i in range(1, d + 1):
-        prev = vectors[-1]
-        nxt = ops["X+"](prev) - times_x(prev, lam0 + 2 * (i - 1))
-        if nxt.is_zero():
+    weights = [-d + 2 * i for i in range(d + 1)]
+    vectors = []
+    m_vec = FreeModuleElement(1, d + 1, {(d, (0,)): 1})
+    for i, w in enumerate(weights):
+        if m_vec.is_zero():
             raise InconsistencyError("filtration vector vanished")
-        vectors.append(nxt)
-    weights = [lam0 + 2 * i for i in range(d + 1)]
-    for m_vec, w in zip(vectors, weights):
         if not ops["X-"](m_vec).is_zero():
             raise InconsistencyError("X- does not annihilate a filtration vector")
         if ops["H"](m_vec) != m_vec.mul_term((0,), w):
             raise InconsistencyError("H eigenvalue mismatch on a filtration vector")
-    # gbs[i] is the basis of N_i = Q[x] m_i + ... + Q[x] m_d; gbs[d + 1] = None
-    gbs = [None] * (d + 2)
-    for i in range(d, -1, -1):
-        gb = groebner_basis(vectors[i:])
-        images = [op(vectors[i]) for op in ops.values()]
-        if not all(img.is_zero() or gb.contains(img) for img in images):
-            raise InconsistencyError("quotient is not cyclic")
-        gbs[i] = gb
-    ranks = [_module_rank(gb) for gb in gbs[:-1]]
-    if ranks != [rank - i for i in range(d + 1)]:
-        raise InconsistencyError("submodule ranks do not drop by one")
-    quotient_scalars = []
-    for i in range(d + 1):
-        m_vec, next_gb = vectors[i], gbs[i + 1]
-        # observed scalar c with X+ m_i = c x m_i mod N_{i+1}
-        image = ops["X+"](m_vec)
-        scalar = None
-        for cand in (Fraction(weights[i]), Fraction(weights[i], 2)):
-            residual = image - times_x(m_vec, cand)
-            if residual.is_zero() or (next_gb is not None and next_gb.contains(residual)):
-                scalar = cand
-                break
-        if scalar is None:
-            raise InconsistencyError("no scalar quotient relation for X+")
-        quotient_scalars.append(scalar)
-    half_convention = all(c == Fraction(w, 2) for c, w in zip(quotient_scalars, weights))
+        if min(pos for pos, _exp in m_vec.terms) != d - i:
+            raise InconsistencyError("submodule ranks do not drop by one")
+        vectors.append(m_vec)
+        m_vec = ops["X+"](m_vec) - m_vec.mul_term((1,), w)
+    if not m_vec.is_zero():
+        raise InconsistencyError("no scalar quotient relation for X+")
     return {
         "highest_vectors": vectors,
         "weights": weights,
-        "ranks": ranks,
+        "ranks": [d + 1 - i for i in range(d + 1)],
         "quotient_count": d + 1,
-        "quotient_scalars": quotient_scalars,
-        "half_factor_confirmed": half_convention,
+        "quotient_scalars": [Fraction(w) for w in weights],
+        "half_factor_confirmed": all(w == 0 for w in weights),
     }

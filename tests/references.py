@@ -4,7 +4,8 @@ basis, equality of ideals and of derivation modules as inclusion both ways,
 dense matrices and vectors and their conversion to and from the library's
 sparse rows {col: entry} and vectors {i: c}, dense matrix products, dense
 action matrices of a module and the common kernel of some of them, a Lie
-algebra's brackets as dense vectors, the Jacobi identity on every triple of
+algebra's brackets as dense vectors, a matrix Lie algebra's structure
+constants and gl2, the Jacobi identity on every triple of
 a structure table, a vector field's action and bracket on its coefficient
 Polynomials, a module conjugated by a rational unitriangular matrix, the
 Fraction rref that linalg's fraction-free elimination replaced, and the
@@ -18,6 +19,7 @@ from math import lcm
 from algebroids import derivations, linalg
 from algebroids.derivations import Derivation
 from algebroids.groebner import groebner_basis
+from algebroids.liealg import span_lie_algebra
 from algebroids.poly import Polynomial, _exact, mono_mul
 from algebroids.repmod import MatrixRep
 
@@ -113,6 +115,29 @@ def sparse_rows(matrix):
 def dense_rows(rows, width):
     """The dense matrix of sparse rows {col: entry} with width columns."""
     return [dense(row, width) for row in rows]
+
+
+def lie_algebra_from_matrices(mats, labels=None):
+    """Structure constants of a matrix Lie algebra spanned by the given
+    (linearly independent) matrices, closed under commutator."""
+    def flat(m):
+        return [c for row in m for c in row]
+
+    def commutator(a, b):
+        ab, ba = flat(mat_mul(mats[a], mats[b])), flat(mat_mul(mats[b], mats[a]))
+        return sparse([x - y for x, y in zip(ab, ba)])
+
+    return span_lie_algebra([sparse(flat(m)) for m in mats], commutator, labels)
+
+
+def gl2():
+    """Basis E11, E12, E21, E22 of 2x2 matrices."""
+    units = []
+    for i, j in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        m = zeros(2, 2)
+        m[i][j] = Fraction(1)
+        units.append(m)
+    return lie_algebra_from_matrices(units, labels=["E11", "E12", "E21", "E22"])
 
 
 def matrix_rep(algebra, matrices):

@@ -18,35 +18,13 @@ from algebroids.liealg import (LieAlgebra, fibre_lie_algebra,
 from algebroids.pipeline import parse_input
 from algebroids.poly import Polynomial, parse_poly
 
-from references import (dense, dense_brackets, dense_rows, identity, jacobi_holds,
-                        mat_mul, module_contains, sparse, sparse_rows, zeros)
+from references import (dense, dense_brackets, dense_rows, gl2, identity, jacobi_holds,
+                        lie_algebra_from_matrices, mat_mul, module_contains, sparse,
+                        sparse_rows, zeros)
 
 
 def P(text, varnames):
     return parse_poly(text, list(varnames))
-
-
-def lie_algebra_from_matrices(mats, labels=None):
-    """Structure constants of a matrix Lie algebra spanned by the given
-    (linearly independent) matrices, closed under commutator."""
-    def flat(m):
-        return [c for row in m for c in row]
-
-    def commutator(a, b):
-        ab, ba = flat(mat_mul(mats[a], mats[b])), flat(mat_mul(mats[b], mats[a]))
-        return sparse([x - y for x, y in zip(ab, ba)])
-
-    return span_lie_algebra([sparse(flat(m)) for m in mats], commutator, labels)
-
-
-def gl2():
-    """Basis E11, E12, E21, E22 of 2x2 matrices."""
-    units = []
-    for i, j in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        m = zeros(2, 2)
-        m[i][j] = Fraction(1)
-        units.append(m)
-    return lie_algebra_from_matrices(units, labels=["E11", "E12", "E21", "E22"])
 
 
 def test_abelian():

@@ -538,12 +538,13 @@ def test_cli_analyze_without_positive_weights(tmp_path, capsys, names, text):
 
 def test_cli_returns_4_on_an_inconsistency(monkeypatch, capsys):
     def inconsistent(d):
-        raise InconsistencyError("quotient is not cyclic")
+        raise InconsistencyError("no scalar quotient relation for X+")
 
     monkeypatch.setattr(cli, "sl2_algebroid_filtration", inconsistent)
     assert main(["sl2-check", "--d", "2"]) == 4
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "inconsistency: quotient is not cyclic\n")
+    assert (captured.out, captured.err) == (
+        "", "inconsistency: no scalar quotient relation for X+\n")
 
 
 def test_cli_builds_its_parser_once(monkeypatch, capsys):

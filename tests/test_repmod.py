@@ -2,6 +2,7 @@
 and the rank-one filtration over the polynomial sl2 algebroid."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from algebroids import groebner, linalg, repmod
 from algebroids.errors import AlgebroidError, InconsistencyError, PreconditionError
 from algebroids.groebner import FreeModuleElement, groebner_basis
-from algebroids.liealg import LieAlgebra, sl2, span_lie_algebra
+from algebroids.liealg import LieAlgebra, sl2
 from algebroids.poly import Polynomial, monomials
 from algebroids.repmod import (MatrixRep, binary_form_rep, cayley_sylvester,
                                covariant_dimensions, decompose_sl2,
@@ -19,36 +20,14 @@ from algebroids.repmod import (MatrixRep, binary_form_rep, cayley_sylvester,
                                weight_space_dims)
 
 from constructs import recognition_sl_blocks
-from references import (dense, dense_matrices, dense_rows, identity, invariants_dimension,
-                        mat_add, mat_mul, mat_scale, mat_vec, matrix_rep,
-                        partitions_in_rectangle, sparse, sparse_rows, zeros)
+from references import (dense, dense_matrices, dense_rows, gl2, identity,
+                        invariants_dimension, lie_algebra_from_matrices, mat_add, mat_mul,
+                        mat_scale, mat_vec, matrix_rep, partitions_in_rectangle, sparse,
+                        sparse_rows, zeros)
 
 
 def F(x):
     return Fraction(x)
-
-
-def lie_algebra_from_matrices(mats, labels=None):
-    """Structure constants of a matrix Lie algebra spanned by the given
-    (linearly independent) matrices, closed under commutator."""
-    def flat(m):
-        return [c for row in m for c in row]
-
-    def commutator(a, b):
-        ab, ba = flat(mat_mul(mats[a], mats[b])), flat(mat_mul(mats[b], mats[a]))
-        return sparse([x - y for x, y in zip(ab, ba)])
-
-    return span_lie_algebra([sparse(flat(m)) for m in mats], commutator, labels)
-
-
-def gl2():
-    """Basis E11, E12, E21, E22 of 2x2 matrices."""
-    units = []
-    for i, j in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        m = zeros(2, 2)
-        m[i][j] = F(1)
-        units.append(m)
-    return lie_algebra_from_matrices(units)
 
 
 def trivial_rep(algebra, n):
@@ -375,20 +354,24 @@ def test_sl2_isotypic_matches_weight_decomposition():
 
 
 def test_sparse_casimir_matches_dense_products():
-    # on S^3(V_2) in a non-integral basis H is not diagonal; the Casimir
-    # read off the sparse columns equals sum (kappa^-1)_ij rho_i rho_j formed
-    # by dense products
-    rep = sym_power_rep(conjugated_v2(), 3)
-    assert weight_space_dims(rep.columns[0]) is None
-    kappa_inv = inverse(dense_rows(rep.algebra.killing_matrix(), 3))
-    mats = dense_matrices(rep)
-    products = zeros(rep.dim, rep.dim)
-    for i in range(3):
-        for j in range(3):
-            products = mat_add(products, mat_scale(mat_mul(mats[i], mats[j]), kappa_inv[i][j]))
-    casimir = repmod._casimir(rep)
-    assert [[col.get(r, 0) for col in casimir] for r in range(rep.dim)] == products
-    assert sl2_isotypic(rep) == {6: 1, 2: 1}
+    # the Casimir read off the sparse columns equals sum (kappa^-1)_ij rho_i
+    # rho_j formed by dense products, and stores no zero entry; on S^2(V_2)
+    # and S^3(V_2) in a non-integral basis H is not diagonal
+    reps = [binary_form_rep(d) for d in range(5)]
+    reps += [sym_power_rep(conjugated_v2(), n) for n in (2, 3)]
+    for rep in reps:
+        kappa_inv = inverse(dense_rows(rep.algebra.killing_matrix(), 3))
+        mats = dense_matrices(rep)
+        products = zeros(rep.dim, rep.dim)
+        for i in range(3):
+            for j in range(3):
+                products = mat_add(products,
+                                   mat_scale(mat_mul(mats[i], mats[j]), kappa_inv[i][j]))
+        casimir = repmod._casimir(rep)
+        assert [[col.get(r, 0) for col in casimir] for r in range(rep.dim)] == products
+        assert all(c for col in casimir for c in col.values())
+    assert weight_space_dims(reps[-1].columns[0]) is None
+    assert sl2_isotypic(reps[-1]) == {6: 1, 2: 1}
 
 
 def test_sl2_isotypic_requires_sl2():
@@ -807,19 +790,25 @@ def closure_filtration(d):
 
 
 @pytest.mark.parametrize("d", range(9))
-def test_filtration_matches_the_closure_route(monkeypatch, d):
-    built = []
-
-    def recorded(gens, weights=None):
-        built.append(groebner_basis(gens, weights))
-        return built[-1]
-
-    monkeypatch.setattr(repmod, "groebner_basis", recorded)
+def test_filtration_matches_the_closure_route(d):
     result = sl2_algebroid_filtration(d)
     report, closures = closure_filtration(d)
     assert result == report
-    # N_d, ..., N_0 are built in that order; N_i is the closure of m_i alone
-    assert [gb.elements for gb in reversed(built)] == [gb.elements for gb in closures]
+    # N_i = Q[x] m_i + ... + Q[x] m_d is the closure of m_i alone
+    for i, closure in enumerate(closures):
+        assert groebner_basis(result["highest_vectors"][i:]).elements == closure.elements
+
+
+def test_filtration_ranks_are_the_lead_positions_of_the_bases():
+    # the Groebner certificate of the ranks: the reduced basis of m_i, ...,
+    # m_d has one lead at each of d + 1 - i positions, and under position
+    # over term its elements are then a free basis
+    for d in range(31):
+        result = sl2_algebroid_filtration(d)
+        vectors = result["highest_vectors"]
+        ranks = [len({pos for pos, _exp in groebner_basis(vectors[i:]).leads()})
+                 for i in range(d + 1)]
+        assert ranks == result["ranks"] == list(range(d + 1, 0, -1))
 
 
 def test_algebroid_operators_match_the_polynomial_route():
@@ -834,7 +823,7 @@ def test_algebroid_operators_match_the_polynomial_route():
                 assert ops[name](vec) == reference[name](vec)
 
 
-def test_filtration_builds_one_basis_per_step(monkeypatch):
+def test_filtration_builds_no_groebner_basis(monkeypatch):
     calls = []
     original = groebner.groebner_basis
 
@@ -842,12 +831,13 @@ def test_filtration_builds_one_basis_per_step(monkeypatch):
         calls.append(weights)
         return original(gens, weights)
 
-    monkeypatch.setattr(groebner, "groebner_basis", counted)
-    monkeypatch.setattr(repmod, "groebner_basis", counted)
+    # every module of the package that imported groebner_basis by name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("algebroids") and getattr(module, "groebner_basis", None) is original:
+            monkeypatch.setattr(module, "groebner_basis", counted)
     sl2_algebroid_filtration(6)
-    # N_6, ..., N_0 under the unweighted order and nothing else: the ranks
-    # certify the quotients free
-    assert calls == [None] * 7
+    # the recursion and the shape of the m_i certify the report
+    assert calls == []
 
 
 def faulty_ops(name, fault):
@@ -859,6 +849,16 @@ def faulty_ops(name, fault):
         out[name] = fault(out[name])
         return out
 
+    return ops
+
+
+def one_position_ops(d, original=repmod._algebroid_ops):
+    """_algebroid_ops with X+ v = d x v and X- = 0: the m_i are multiples of
+    x^i v_d, which pass every check but the shape, and every N_i is Q[x] m_i,
+    of rank one."""
+    ops = original(d)
+    ops["X+"] = lambda v: v.mul_term((1,), d)
+    ops["X-"] = lambda v: v.scale(0)
     return ops
 
 
@@ -874,9 +874,7 @@ def grows_on_top_weight(op):
      "X- does not annihilate"),
     ("_algebroid_ops", faulty_ops("H", lambda op: lambda v: v.scale(0)),
      "H eigenvalue mismatch"),
-    ("groebner_basis", lambda gens, weights=None: groebner_basis(gens[:1], weights),
-     "quotient is not cyclic"),
-    ("_module_rank", lambda gb: 1, "ranks do not drop by one"),
+    ("_algebroid_ops", one_position_ops, "ranks do not drop by one"),
     ("_algebroid_ops", faulty_ops("X+", grows_on_top_weight),
      "no scalar quotient relation"),
 ])
