@@ -108,16 +108,15 @@ class DerivationModule:
 
     __slots__ = ("nvars", "weights", "generators", "ideal")
 
-    def __init__(self, generators, ideal, verify=True):
+    def __init__(self, generators, ideal):
         self.generators = [g for g in generators if not g.is_zero()]
         self.ideal = ideal
         self.nvars = ideal.nvars
         self.weights = ideal.weights
-        if verify:
-            for delta in self.generators:
-                for f in ideal.gens:
-                    if not ideal.contains(delta.apply(f)):
-                        raise PreconditionError("generator does not preserve the ideal")
+        for delta in self.generators:
+            for f in ideal.gens:
+                if not ideal.contains(delta.apply(f)):
+                    raise PreconditionError("generator does not preserve the ideal")
 
     def all_vanish_at_origin(self):
         return all(g.vanishes_at_origin() for g in self.generators)
@@ -136,7 +135,7 @@ def tangent_derivations(ideal):
         raise PreconditionError("unit ideal")
     if ideal.is_zero():
         gens = [Derivation.partial(ideal.nvars, i) for i in range(ideal.nvars)]
-        return DerivationModule(gens, ideal, verify=False)
+        return DerivationModule(gens, ideal)
     n = ideal.nvars
     fs = ideal.gens
     s = len(fs)
@@ -151,7 +150,7 @@ def tangent_derivations(ideal):
             continue
         seen.add(proj)
         derivations.append(Derivation.from_vector(proj))
-    return DerivationModule(derivations, ideal, verify=True)
+    return DerivationModule(derivations, ideal)
 
 
 def krull_dimension(ideal):
@@ -302,16 +301,16 @@ def k_polynomial(exps, nvars):
 
 def monomialize(ideal):
     """Minimal monomial generators when the ideal is monomial in the given
-    coordinates; None otherwise."""
+    coordinates; None otherwise.
+
+    An ideal is monomial exactly when its reduced Groebner basis consists of
+    monomials.  Then every term of a generator lies in the ideal, and the
+    terms generate it, so their minimal ones are its minimal generators."""
     if ideal.is_unit():
         raise PreconditionError("unit ideal")
-    n = ideal.nvars
+    if not ideal.is_zero() and any(len(g.terms) > 1 for g in ideal.groebner().elements):
+        return None
     monos = set()
     for g in ideal.gens:
         monos.update(g.terms)
-    # every term of every generator is divisible by a minimal monomial, so
-    # the ideal lies in the candidate and only the converse needs a check
-    candidate = [Polynomial.monomial(n, e) for e in minimal_monomials(monos)]
-    if all(ideal.contains(g) for g in candidate):
-        return candidate
-    return None
+    return [Polynomial.monomial(ideal.nvars, e) for e in minimal_monomials(monos)]

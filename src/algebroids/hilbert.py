@@ -48,13 +48,10 @@ def equivariant_series_monomial(ideal, bound=12):
     """
     weights = ideal.weights
     n = ideal.nvars
-    if ideal.is_zero():
-        gens = []
-    else:
-        monos = monomialize(ideal)
-        if monos is None:
-            raise PreconditionError("not monomial with respect to coordinate torus")
-        gens = [next(iter(m.terms)) for m in monos]
+    monos = monomialize(ideal)
+    if monos is None:
+        raise PreconditionError("not monomial with respect to coordinate torus")
+    gens = [next(iter(m.terms)) for m in monos]
     closed_terms = [(c, exp, wdeg(exp, weights))
                     for exp, c in k_polynomial(gens, n).items()]
     closed_den = []

@@ -210,7 +210,7 @@ def analyze_singularity(spec, mode="tangent", series_depth=8):
     fingerprint = None
     solvable = None
     basis_derivations = None
-    if quasi and target.is_quasi_homogeneous():
+    if quasi:
         fibre, basis_derivations = fibre_lie_algebra(dm, require_origin=logarithmic)
         fingerprint = fibre.fingerprint()
         solvable = fingerprint["solvable"]

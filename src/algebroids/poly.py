@@ -76,14 +76,14 @@ class Polynomial:
         return cls.constant(nvars, 1)
 
     @classmethod
-    def variable(cls, nvars, i, power=1):
+    def variable(cls, nvars, i):
         exp = [0] * nvars
-        exp[i] = power
+        exp[i] = 1
         return cls(nvars, {tuple(exp): 1})
 
     @classmethod
-    def monomial(cls, nvars, exp, coeff=1):
-        return cls(nvars, {tuple(exp): coeff})
+    def monomial(cls, nvars, exp):
+        return cls(nvars, {tuple(exp): 1})
 
     # -- predicates ------------------------------------------------------
     def is_zero(self):

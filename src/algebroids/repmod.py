@@ -285,6 +285,8 @@ def sl2_algebroid_filtration(d):
     """
     if d < 0:
         raise PreconditionError("degree must be non-negative")
+    if d > 400:
+        raise PreconditionError("outside desk scale (need 0 <= d <= 400)")
     ops = _algebroid_ops(d)
     weights = [-d + 2 * i for i in range(d + 1)]
     vectors = []

@@ -221,8 +221,6 @@ class QuasiPolynomial:
 
 def _fit_polynomial(points):
     """Exact polynomial through (x, y) points, coefficient list ascending."""
-    if not points:
-        return []
     n = len(points)
     sol = linalg.solve([{**{j: x ** j for j in range(n)}, n: y} for x, y in points], n, 1)[0]
     if sol is None:
@@ -235,8 +233,6 @@ def _fit_polynomial(points):
 def quasi_polynomial_of(rs):
     """Quasi-polynomial giving coefficient(n) of rs for n >= threshold."""
     period = lcm(*[n for n, _ in rs.factors]) if rs.factors else 1
-    if not rs.numerator:
-        return QuasiPolynomial(period, [[] for _ in range(period)], 0)
     max_deg = rs.pole_count - 1
     n0 = rs.numerator_degree + 1
     need = n0 + period * (max_deg + 1) + 2 * period

@@ -68,7 +68,8 @@ def commands():
         for depth in (0, 5, 12, 40):
             out.append(["covariant", "--degree", str(d), "--depth", str(depth), "--json"])
     out += [["quasipoly", "--series", s] for s in QUASIPOLY_SERIES]
-    out += [["sl2-check", "--d", str(d)] for d in (0, 1, 2, 6, 10)]
+    # d = 401 is past the desk-scale bound: a precondition failure, exit 3
+    out += [["sl2-check", "--d", str(d)] for d in (0, 1, 2, 6, 10, 401)]
     return out + PARSER_COMMANDS
 
 

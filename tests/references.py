@@ -8,8 +8,9 @@ algebra's brackets as dense vectors, a matrix Lie algebra's structure
 constants and gl2, the Jacobi identity on every triple of
 a structure table, a vector field's action and bracket on its coefficient
 Polynomials, a module conjugated by a rational unitriangular matrix, the
-Fraction rref that linalg's fraction-free elimination replaced, and the
-weight search that tried every point of the box [1, d]^k."""
+Fraction rref that linalg's fraction-free elimination replaced, the weight
+search that tried every point of the box [1, d]^k, and monomiality decided
+by the membership of each candidate monomial."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -18,9 +19,10 @@ from math import lcm
 
 from algebroids import derivations, linalg
 from algebroids.derivations import Derivation
+from algebroids.errors import PreconditionError
 from algebroids.groebner import groebner_basis
 from algebroids.liealg import span_lie_algebra
-from algebroids.poly import Polynomial, _exact, mono_mul
+from algebroids.poly import Polynomial, _exact, minimal_monomials, mono_mul
 from algebroids.repmod import MatrixRep
 
 
@@ -329,4 +331,19 @@ def enumerated_weights(f):
             for i, x in zip(used, best):
                 full[i] = x
             return tuple(full), d
+    return None
+
+
+def monomialize_by_membership(ideal):
+    """monomialize by membership: every term of every generator is divisible
+    by a minimal monomial among those terms, so the ideal lies in the ideal
+    of the candidate monomials, and only the converse needs a check."""
+    if ideal.is_unit():
+        raise PreconditionError("unit ideal")
+    monos = set()
+    for g in ideal.gens:
+        monos.update(g.terms)
+    candidate = [Polynomial.monomial(ideal.nvars, e) for e in minimal_monomials(monos)]
+    if all(ideal.contains(g) for g in candidate):
+        return candidate
     return None

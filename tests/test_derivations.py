@@ -7,17 +7,19 @@ from itertools import combinations
 
 import pytest
 
-from algebroids.derivations import (Derivation, jacobian_ideal, krull_dimension,
+from algebroids.derivations import (Derivation, DerivationModule, jacobian_ideal, krull_dimension,
                                     monomialize, quasi_homogeneous_weights,
                                     tangent_derivations)
 from algebroids import derivations, groebner
+from algebroids.errors import PreconditionError
 from algebroids.groebner import FreeModuleElement, Ideal
 from algebroids.poly import Polynomial, monomials, parse_poly
 from algebroids import linalg
 from fractions import Fraction
 
 from references import (apply_field, bracket_fields, dense_rows, enumerated_weights,
-                        module_contains, same_ideal, same_module, sparse_rows)
+                        module_contains, monomialize_by_membership, same_ideal, same_module,
+                        sparse_rows)
 
 
 def P(text, varnames):
@@ -395,6 +397,16 @@ def test_contains_derivation_examples():
     assert module_contains(tangent_derivations(linear), Derivation.partial(3, 2))
 
 
+def test_derivation_module_refuses_a_field_that_leaves_the_ideal():
+    # x d/dx maps xy into (xy); y d/dx maps it to y^2, which is not in (xy)
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    zero = Polynomial.zero(2)
+    ideal = Ideal(2, [x * y])
+    assert DerivationModule([Derivation([x, zero])], ideal).generators == [Derivation([x, zero])]
+    with pytest.raises(PreconditionError, match="generator does not preserve the ideal"):
+        DerivationModule([Derivation([x, zero]), Derivation([y, zero])], ideal)
+
+
 def count_bases(monkeypatch):
     """Wrap groebner_basis in every module of the package that holds it;
     returns the list that records one entry per call."""
@@ -474,7 +486,7 @@ def brute_force_derivations(f, weights, bound):
         coeffs = [Polynomial.zero(n) for _ in range(n)]
         for (kind, i, m), v in zip(unknowns, vec):
             if kind == "a" and v:
-                coeffs[i] = coeffs[i] + Polynomial.monomial(n, m, v)
+                coeffs[i] = coeffs[i] + Polynomial.monomial(n, m) * v
         delta = Derivation(coeffs)
         if not delta.is_zero():
             found.append(delta)
@@ -505,6 +517,52 @@ def test_monomialize_idempotent():
     again = monomialize(Ideal(2, out))
     assert sorted(p.sorted_terms() for p in again) == \
         sorted(p.sorted_terms() for p in out)
+
+
+def test_monomialize_matches_the_membership_route():
+    # the reduced basis route against one normal form per candidate: the
+    # same list in the same order, or None on both
+    rng = random.Random(49)
+
+    def monomial(nvars):
+        exp = (0,) * nvars
+        while not any(exp):
+            exp = tuple(rng.randrange(4) for _ in range(nvars))
+        return Polynomial.monomial(nvars, exp)
+
+    ideals = [Ideal(n, []) for n in (1, 2, 3)]
+    ideals.append(Ideal(2, [P("x + y", "xy"), P("x - y", "xy")]))
+    for trial in range(240):
+        nvars = rng.randrange(1, 4)
+        monos = [monomial(nvars) for _ in range(rng.randrange(1, 5))]
+        if trial % 3 == 0:
+            gens = monos
+        elif trial % 3 == 1:
+            # g_i = m_i + sum_(j > i) c u m_j, unitriangular over A: the same
+            # monomial ideal, written with generators of several terms
+            gens = [m + sum((monomial(nvars) * rng.choice([-2, -1, 1, 3]) * later
+                             for later in monos[i + 1:] if rng.random() < 0.7),
+                            Polynomial.zero(nvars))
+                    for i, m in enumerate(monos)]
+        else:
+            gens = [sum((monomial(nvars) * rng.choice([-2, -1, 1, 3])
+                         for _ in range(rng.randrange(1, 4))), Polynomial.zero(nvars))
+                    for _ in range(rng.randrange(1, 4))]
+        ideals.append(Ideal(nvars, gens))
+    outcomes = set()
+    for ideal in ideals:
+        got = monomialize(ideal)
+        assert got == monomialize_by_membership(ideal), ideal.gens
+        if got is not None:
+            assert same_ideal(Ideal(ideal.nvars, got), ideal)
+        outcomes.add((got is None, all(len(g.terms) == 1 for g in ideal.gens)))
+    # monomial ideals with monomial and with non-monomial generators, and
+    # non-monomial ideals, all occur
+    assert outcomes == {(False, True), (False, False), (True, False)}
+    for unit in (Ideal(2, [Polynomial.one(2)]), Ideal(2, [P("x + 1", "xy"), P("x", "xy")])):
+        for route in (monomialize, monomialize_by_membership):
+            with pytest.raises(PreconditionError, match="unit ideal"):
+                route(unit)
 
 
 def test_monomialize_random_small():

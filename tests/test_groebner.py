@@ -82,7 +82,7 @@ def test_membership_soundness_random():
         for g in gens:
             exp = (rng.randrange(3), rng.randrange(3))
             c = Fraction(rng.randrange(-5, 6))
-            f = f + g * Polynomial.monomial(2, exp, c)
+            f = f + g * Polynomial.monomial(2, exp) * c
         lift = lifts(E(*ideal.gens), E(f), ideal.weights)[0]
         assert lift is not None
         total = sum((c * g for c, g in zip(lift, gens)), Polynomial.zero(2))
@@ -124,7 +124,7 @@ def test_standard_monomials_match_the_box_filter():
         gens = []
         for i in range(nvars):
             if rng.random() < 0.8:  # a pure power, so most ideals are finite
-                gens.append(Polynomial.variable(nvars, i, rng.randrange(1, 5)))
+                gens.append(Polynomial.variable(nvars, i) ** rng.randrange(1, 5))
         for _ in range(rng.randrange(1, 4)):
             nterms = 1 if monomial else rng.randrange(2, 4)
             terms = {tuple(rng.randrange(4) for _ in range(nvars)): rng.choice([-2, -1, 1, 3])
@@ -168,7 +168,7 @@ def test_colength_against_linear_algebra():
     names = ["x", "y", "z"]
     for _ in range(8):
         nvars = rng.randrange(2, 4)
-        gens = [Polynomial.variable(nvars, i, rng.randrange(2, 4)) for i in range(nvars)]
+        gens = [Polynomial.variable(nvars, i) ** rng.randrange(2, 4) for i in range(nvars)]
         # one extra monomial or binomial generator
         exp = tuple(rng.randrange(3) for _ in range(nvars))
         extra = Polynomial.monomial(nvars, exp)
@@ -213,7 +213,7 @@ def test_mul_term_matches_polynomial_product():
     for exp in [(0, 0), (2, 1)]:
         for coeff in [1, Fraction(1), Fraction(-2, 3), 0]:
             shifted = v.mul_term(exp, coeff)
-            term = Polynomial.monomial(2, exp, coeff)
+            term = Polynomial.monomial(2, exp) * coeff
             assert shifted == FreeModuleElement.from_polys([term * p for p in v.to_polys()])
             assert all(type(c) is int or c.denominator > 1 for c in shifted.terms.values())
     assert v.mul_term((1, 1)).terms == {(0, (2, 1)): Fraction(3, 2), (1, (1, 3)): Fraction(-1)}

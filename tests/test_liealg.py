@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from algebroids import groebner, linalg
+from algebroids import groebner, liealg, linalg
 from algebroids.derivations import (Derivation, DerivationModule,
                                    jacobian_ideal, tangent_derivations)
 from algebroids.errors import AlgebroidError, PreconditionError
@@ -362,12 +362,24 @@ def test_fibre_solves_one_rref_per_bracket_degree(monkeypatch):
 
 
 def test_fibre_rejects_a_bracket_outside_the_module():
-    # y d/dx and x d/dy do not span a module closed under the bracket:
-    # [y dx, x dy] = y dy - x dx has no coordinates on them modulo m*T
+    # y d/dx and x d/dy preserve the zero ideal but do not span a module
+    # closed under the bracket: [y dx, x dy] = y dy - x dx has no
+    # coordinates on them modulo m*T
     x, y = (Polynomial.variable(2, i) for i in range(2))
     zero = Polynomial.zero(2)
-    dm = DerivationModule([Derivation([y, zero]), Derivation([zero, x])],
-                          Ideal(2, [x * y]), verify=False)
+    dm = DerivationModule([Derivation([y, zero]), Derivation([zero, x])], Ideal(2, []))
+    with pytest.raises(AlgebroidError, match="bracket leaves the module"):
+        fibre_lie_algebra(dm)
+
+
+def test_fibre_rejects_a_bracket_outside_the_module_where_no_field_is_kept():
+    # x^2 d/dy and y^2 d/dx are kept in degree 1; their bracket
+    # 2x^2y d/dx - 2xy^2 d/dy has degree 2, where M is m*M and no field is kept
+    x, y = (Polynomial.variable(2, i) for i in range(2))
+    zero = Polynomial.zero(2)
+    dm = DerivationModule([Derivation([zero, x ** 2]), Derivation([y ** 2, zero])], Ideal(2, []))
+    assert liealg._fibre_basis(dm)[1] == [1, 1]
+    assert dm.generators[0].bracket(dm.generators[1]) == Derivation([2 * x ** 2 * y, -2 * x * y ** 2])
     with pytest.raises(AlgebroidError, match="bracket leaves the module"):
         fibre_lie_algebra(dm)
 
@@ -398,7 +410,7 @@ def test_fingerprint_stable_under_generator_permutation():
     for _ in range(4):
         gens = list(dm.generators)
         rng.shuffle(gens)
-        shuffled = DerivationModule(gens, dm.ideal, verify=False)
+        shuffled = DerivationModule(gens, dm.ideal)
         fp = fibre_lie_algebra(shuffled)[0].fingerprint()
         assert fp == reference
 
@@ -495,7 +507,7 @@ def _oracle_dm(name):
         return dm
     first, second = dm.generators[:2]
     extra = Derivation.from_vector(first.vector + second.vector)
-    return DerivationModule(dm.generators + [extra], dm.ideal, verify=False)
+    return DerivationModule(dm.generators + [extra], dm.ideal)
 
 
 def _oracle_minimal_generators(dm):

@@ -117,7 +117,7 @@ def test_term_degrees_agree(weights):
         degree = {}
         for pos, exp in v.terms:
             d = degree[exp] = sum(w * e for w, e in zip(weights or (1, 1, 1), exp))
-            term = Polynomial.monomial(3, exp, 2)
+            term = Polynomial.monomial(3, exp) * 2
             assert wdeg(exp, weights) == d == term.degree(weights) == component[(pos, exp)]
             assert -key((pos, exp))[1] == d and term.is_homogeneous(weights)
         for g in v.to_polys() + [q for part in parts.values() for q in part.to_polys()]:

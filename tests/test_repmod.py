@@ -720,6 +720,17 @@ def test_filtration_scalar_observation():
     assert r1["quotient_scalars"] == [Fraction(-1), Fraction(1)]
 
 
+def test_filtration_refuses_a_degree_outside_desk_scale(monkeypatch):
+    # d = 400 takes about 0.5 s on a 2-core VM, d = 600 about 2 s; a larger d
+    # is refused before any vector is built
+    monkeypatch.setattr(repmod, "_algebroid_ops", None)
+    for d in (401, 10 ** 6):
+        with pytest.raises(PreconditionError, match=r"outside desk scale \(need 0 <= d <= 400\)"):
+            sl2_algebroid_filtration(d)
+    with pytest.raises(PreconditionError, match="degree must be non-negative"):
+        sl2_algebroid_filtration(-1)
+
+
 # the closure route: operators through Polynomial, each submodule closed by
 # rebuilding its basis once per round
 
