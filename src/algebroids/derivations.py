@@ -30,10 +30,6 @@ class Derivation:
         return self.vector.to_polys()
 
     @classmethod
-    def partial(cls, nvars, i):
-        return cls.from_vector(FreeModuleElement(nvars, nvars, {(i, (0,) * nvars): 1}))
-
-    @classmethod
     def from_vector(cls, vec):
         """The field whose element of A^n is vec, held without a copy."""
         delta = cls.__new__(cls)
@@ -129,17 +125,18 @@ def tangent_derivations(ideal):
     """Generators of {delta : delta(f) in I for every generator f of I}.
 
     Computed as one module-kernel (syzygy) computation: syzygies of the
-    Jacobian columns augmented by the ideal generators in each slot.
+    Jacobian columns augmented by the ideal generators in each slot.  The
+    zero ideal has n zero columns of rank 0, whose syzygies are the partials
+    d/dx_1, ..., d/dx_n in order: T(0) = Der(A).
     """
     if ideal.is_unit():
         raise PreconditionError("unit ideal")
-    if ideal.is_zero():
-        gens = [Derivation.partial(ideal.nvars, i) for i in range(ideal.nvars)]
-        return DerivationModule(gens, ideal)
     n = ideal.nvars
     fs = ideal.gens
     s = len(fs)
-    columns = [FreeModuleElement.from_polys([f.diff(i) for f in fs]) for i in range(n)]
+    columns = [FreeModuleElement(n, s, {(j, e): c for j, f in enumerate(fs)
+                                        for e, c in f.diff(i).terms.items()})
+               for i in range(n)]
     columns += [FreeModuleElement(n, s, {(j, e): c for e, c in g.terms.items()})
                 for g in fs for j in range(s)]
     derivations = []
@@ -161,7 +158,7 @@ def krull_dimension(ideal):
     of K(t, ..., t), K the K-polynomial of the initial ideal: the least k with
     K^(k)(1) = sum c d!/(d - k)! != 0 over K's sparse terms c t^d.
     """
-    k = k_polynomial(ideal.leading_exponents() if not ideal.is_zero() else [], ideal.nvars)
+    k = k_polynomial(ideal.leading_exponents(), ideal.nvars)
     if not k:
         return -1  # the unit ideal
     terms = [(wdeg(exp), c) for exp, c in k.items()]
@@ -308,7 +305,7 @@ def monomialize(ideal):
     terms generate it, so their minimal ones are its minimal generators."""
     if ideal.is_unit():
         raise PreconditionError("unit ideal")
-    if not ideal.is_zero() and any(len(g.terms) > 1 for g in ideal.groebner().elements):
+    if any(len(g.terms) > 1 for g in ideal.groebner().elements):
         return None
     monos = set()
     for g in ideal.gens:

@@ -324,14 +324,13 @@ class Ideal:
         self._memo = {}
 
     def groebner(self):
+        """The reduced basis under order_key(weights); the zero ideal's is
+        empty, so it contains only 0 and every monomial is standard."""
         if self._gb is None:
-            if not self.gens:
-                raise PreconditionError("zero ideal has no Groebner basis here")
-            self._gb = groebner_basis([FreeModuleElement.from_poly(g) for g in self.gens], self.weights)
+            gens = [FreeModuleElement.from_poly(g) for g in self.gens]
+            self._gb = (groebner_basis(gens, self.weights) if gens
+                        else GroebnerBasis(order_key(self.weights), [], [], self.nvars, 1))
         return self._gb
-
-    def is_zero(self):
-        return not self.gens
 
     def is_quasi_homogeneous(self):
         return all(g.is_homogeneous(self.weights) for g in self.gens)
@@ -339,13 +338,9 @@ class Ideal:
     def contains(self, f):
         if f.is_zero():
             return True
-        if self.is_zero():
-            return False
         return self.groebner().contains(FreeModuleElement.from_poly(f))
 
     def is_unit(self):
-        if self.is_zero():
-            return False
         # 1 is the least monomial of every term order: a lead 1 is a constant
         return any(not any(exp) for _pos, exp in self.groebner().leads())
 
@@ -445,7 +440,7 @@ def _greedy_minimal_generators(ideal):
     remaining = sorted(ideal.gens, key=lambda g: g.degree(ideal.weights))
     for i, g in enumerate(remaining):
         others = kept + remaining[i + 1 :]
-        if not others or not Ideal(ideal.nvars, others, ideal.weights).contains(g):
+        if not Ideal(ideal.nvars, others, ideal.weights).contains(g):
             kept.append(g)
     return kept
 

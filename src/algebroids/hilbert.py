@@ -19,7 +19,7 @@ def hilbert_series_quotient(ideal):
     weights = ideal.weights
     if not ideal.is_quasi_homogeneous():
         raise PreconditionError("not homogeneous")
-    k = k_polynomial(ideal.leading_exponents() if not ideal.is_zero() else [], ideal.nvars)
+    k = k_polynomial(ideal.leading_exponents(), ideal.nvars)
     top = max((wdeg(exp, weights) for exp in k), default=-1)
     if top > 10 ** 5:
         raise PreconditionError(f"Hilbert series numerator of degree {top} is outside desk scale")

@@ -36,12 +36,13 @@ class InputSpec:
         """The ideal, graded by `weights` when given.  Otherwise this is the
         one place that decides an input's weights: the `weights:` line, else
         the quasi-homogeneous weights of a single nonzero generator, else all
-        ones."""
+        ones.  Zero generators are dropped first, so they change nothing."""
+        gens = [g for g in self.gens if not g.is_zero()]
         w = weights or self.weights
-        if w is None and len(self.gens) == 1 and not self.gens[0].is_zero():
-            found = quasi_homogeneous_weights(self.gens[0])
+        if w is None and len(gens) == 1:
+            found = quasi_homogeneous_weights(gens[0])
             w = found[0] if found else None
-        return Ideal(len(self.varnames), self.gens, w)
+        return Ideal(len(self.varnames), gens, w)
 
 
 def parse_input(text):
@@ -145,7 +146,7 @@ def _fingerprint_json(fp):
 
 
 def _min_degree(f):
-    return min(map(wdeg, f.terms)) if not f.is_zero() else 0
+    return min(map(wdeg, f.terms))
 
 
 def _is_complete_intersection(ideal):
@@ -228,7 +229,7 @@ def analyze_singularity(spec, mode="tangent", series_depth=8):
                     raise InconsistencyError(
                         "CONTRADICTS-PAPER: isolated regular-sequence fibre not solvable")
         else:
-            in_scope = principal and _min_degree(spec.gens[0]) >= 3 and isolated
+            in_scope = principal and _min_degree(ideal.gens[0]) >= 3 and isolated
             if in_scope:
                 oracle_checks["jacobian_algebroid_solvable"] = solvable
                 if not solvable:

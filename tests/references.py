@@ -9,8 +9,8 @@ constants and gl2, the Jacobi identity on every triple of
 a structure table, a vector field's action and bracket on its coefficient
 Polynomials, a module conjugated by a rational unitriangular matrix, the
 Fraction rref that linalg's fraction-free elimination replaced, the weight
-search that tried every point of the box [1, d]^k, and monomiality decided
-by the membership of each candidate monomial."""
+search that tried every point of the box [1, d]^k, monomiality decided
+by the membership of each candidate monomial, and the partial d/dx_i."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -55,6 +55,12 @@ def module_contains(dm, delta):
     if not dm.generators:
         return delta.is_zero()
     return _module_basis(dm.generators, dm.weights).contains(delta.vector)
+
+
+def partial(nvars, i):
+    """The field d/dx_i of Q[x_1..x_nvars]."""
+    return Derivation([Polynomial.one(nvars) if j == i else Polynomial.zero(nvars)
+                       for j in range(nvars)])
 
 
 def same_module(dm, derivations):

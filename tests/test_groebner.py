@@ -132,7 +132,7 @@ def test_standard_monomials_match_the_box_filter():
             gens.append(Polynomial(nvars, terms))
         # the generators with a non-constant term
         ideal = Ideal(nvars, [g for g in gens if any(any(e) for e in g.terms)])
-        if ideal.is_zero() or ideal.is_unit():
+        if ideal.is_unit():
             continue
         expected = box_standard_monomials(ideal)
         assert ideal.standard_monomials() == expected

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from algebroids.derivations import jacobian_ideal
+from algebroids.derivations import jacobian_ideal, tangent_derivations
 from algebroids.errors import PreconditionError
 from algebroids.groebner import Ideal
 from algebroids.hilbert import (dimension_multiplicity,
@@ -15,6 +15,8 @@ from algebroids.hilbert import (dimension_multiplicity,
                                 graded_pieces_series, hilbert_series_quotient)
 from algebroids.poly import Polynomial, monomials, parse_poly
 from algebroids.series import (RationalSeries, integrate_characters)
+
+from references import partial
 
 
 def P(text, varnames):
@@ -24,6 +26,24 @@ def P(text, varnames):
 def test_hilbert_zero_ideal():
     rs = hilbert_series_quotient(Ideal(3, []))
     assert rs == RationalSeries([1], [(1, 3)])
+
+
+def test_zero_ideal_takes_the_general_route():
+    # the zero ideal's reduced basis is empty: it contains only 0, every
+    # monomial is standard, and T(0) is Der(A), the partials in order
+    for n in (1, 2, 3):
+        ideal = Ideal(n, [])
+        assert ideal.groebner().leads() == ()
+        assert ideal.colength() is None
+        assert ideal.standard_monomials() is None
+        assert ideal.contains(Polynomial.zero(n))
+        assert not any(ideal.contains(g) for g in
+                       [Polynomial.one(n)] + [Polynomial.variable(n, i) for i in range(n)])
+        assert not ideal.contains(Polynomial.variable(n, 0) ** 2 - Polynomial.variable(n, n - 1))
+        assert not ideal.is_unit()
+        assert tangent_derivations(ideal).generators == [partial(n, i) for i in range(n)]
+        with pytest.raises(PreconditionError, match="J not m-primary"):
+            graded_pieces_series(ideal)
 
 
 def test_hilbert_artinian_example():

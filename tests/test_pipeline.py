@@ -435,6 +435,30 @@ def test_cli_analyze_field_moving_origin(tmp_path, capsys, text):
     assert obj["series_note"] == "series out of scope (non-isolated)"
 
 
+@pytest.mark.parametrize("f", ["x^3 + y^4 + z^2", "x^3 + y^3 + z^3", "z^2 - x^2*y"],
+                         ids=["e6", "fermat", "whitney"])
+def test_zero_generators_change_no_output(tmp_path, capsys, f):
+    # the weights are inferred from the one nonzero generator whatever zero
+    # generators are written beside it; only the echoed ideal differs
+    def outputs(ideal_text):
+        path = write(tmp_path, "f.txt", f"vars: x, y, z\nideal: {ideal_text}\n")
+        out = []
+        for argv in (["analyze", path, "--json"],
+                     ["analyze", path, "--json", "--mode", "tjurina-algebroid"],
+                     ["fibre", path], ["tangent", path], ["hilbert", path]):
+            code = main(argv)
+            text, err = capsys.readouterr()
+            if argv[0] == "analyze" and code == 0:
+                text = {k: v for k, v in json.loads(text).items() if k != "ideal"}
+            out.append((code, text, err))
+        return out
+
+    expected = outputs(f)
+    assert all(code == 0 for code, _text, _err in expected)
+    assert outputs(f"0; {f}") == expected
+    assert outputs(f"{f}; 0") == expected
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = write(tmp_path, "bad.txt", "vars x y\n")
     assert main(["analyze", bad]) == 2
