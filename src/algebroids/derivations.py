@@ -2,7 +2,7 @@
 quasi-homogeneity detection, and monomial-ideal extraction."""
 
 from itertools import combinations, count
-from math import gcd, lcm, perm
+from math import gcd, perm
 
 from . import linalg
 from .errors import PreconditionError
@@ -127,7 +127,9 @@ def tangent_derivations(ideal):
     Computed as one module-kernel (syzygy) computation: syzygies of the
     Jacobian columns augmented by the ideal generators in each slot.  The
     zero ideal has n zero columns of rank 0, whose syzygies are the partials
-    d/dx_1, ..., d/dx_n in order: T(0) = Der(A).
+    d/dx_1, ..., d/dx_n in order: T(0) = Der(A).  The ideal's weights grade
+    the engine's pair selection, so a quasi-homogeneous ideal's syzygies
+    are built degree by degree; the term order, and so every basis, stays.
     """
     if ideal.is_unit():
         raise PreconditionError("unit ideal")
@@ -141,7 +143,7 @@ def tangent_derivations(ideal):
                 for g in fs for j in range(s)]
     derivations = []
     seen = set()
-    for syz in syzygies(columns):
+    for syz in syzygies(columns, selection_weights=ideal.weights):
         proj = syz.project(list(range(n)))
         if proj.is_zero() or proj in seen:
             continue
@@ -217,16 +219,17 @@ def quasi_homogeneous_weights(f):
     # alpha . w = d over the used variables is w = d u + sum a_j k_j, with u
     # solving alpha . u = 1 and k_j the kernel basis (k_j is 1 at the j-th
     # free coordinate, where u is 0); unused variables get weight 1.  Both
-    # are scaled by their common denominator, so w = (d U + sum a_j K_j) / scale
+    # are scaled by one common denominator (linalg.integral of their
+    # entries), so w = (d U + sum a_j K_j) / scale
     width = len(used)
     rows = [{j: e[i] for j, i in enumerate(used) if e[i]} for e in exps]
     u = linalg.solve([{**row, width: 1} for row in rows], width, 1)[0]
     if u is None:
         return None
     kernel = linalg.kernel_basis(rows, width)
-    scale = lcm(*(x.denominator for v in [u] + kernel for x in v))
-    u = [int(x * scale) for x in u]
-    kernel = [[int(x * scale) for x in k] for k in kernel]
+    scale, ints = linalg.integral({(k, i): x for k, v in enumerate([u] + kernel)
+                                   for i, x in enumerate(v)})
+    u, *kernel = [[ints[k, i] for i in range(width)] for k in range(len(kernel) + 1)]
     if not _strictly_feasible(list(zip(u, *kernel))):
         return None
     for d in range(1, 101):

@@ -18,8 +18,9 @@ def _piece(kept, degrees, d, weights, targets):
     """(number of (m*M)_d columns, indices of the kept elements of degree
     d, rows of [(m*M)_d | kept elements of degree d | targets]), one row per
     term that occurs in a column."""
-    span = [k.mul_term(a) for k, e in zip(kept, degrees) if e < d
-            for a in monomials(weights, d - e)]
+    # the monomials of each degree gap, listed once
+    gaps = {d - e: monomials(weights, d - e) for e in set(degrees) if e < d}
+    span = [k.mul_term(a) for k, e in zip(kept, degrees) if e < d for a in gaps[d - e]]
     same = [i for i, e in enumerate(degrees) if e == d]
     columns = span + [kept[i] for i in same] + list(targets)
     return len(span), same, linalg.from_columns([col.terms for col in columns])

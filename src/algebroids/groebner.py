@@ -1,12 +1,15 @@
 """Groebner bases for ideals and submodules of free modules over Q[x1..xn].
 
-Buchberger's algorithm with normal pair selection, the chain criterion, and
-the coprimality criterion (ideals only, where it is valid); a pair of
-single-term elements is never formed, as its S-polynomial is zero.  It runs
-fraction free on primitive int vectors (linalg.integral, linalg.primitive
-and linalg.eliminate, which row elimination shares), and a basis keeps
-them.  It takes module elements, under one order: weighted grevlex,
-position over term.
+Buchberger's algorithm with the chain criterion and the coprimality
+criterion (ideals only, where it is valid); a pair of single-term elements
+is never formed, as its S-polynomial is zero.  S-pairs are taken by the
+degree of their lcm when position shifts make the input homogeneous (the
+normal strategy with sugar of Giovini, Mora, Niesi, Robbiano and Traverso,
+ISSAC 1991, whose sugar is that degree on homogeneous input), by the least
+lcm under the order otherwise.  It runs fraction free on primitive int
+vectors (linalg.integral, linalg.primitive and linalg.eliminate, which row
+elimination shares), and a basis keeps them.  It takes module elements,
+under one order: weighted grevlex, position over term.
 Syzygies and coefficient lifts over the original generators are both read off
 one basis of the augmented rows (v_i, e_i).
 """
@@ -14,6 +17,7 @@ one basis of the augmented rows (v_i, e_i).
 import heapq
 from fractions import Fraction
 from math import gcd
+from operator import neg, sub
 
 from . import graded, linalg
 from .errors import PreconditionError
@@ -39,11 +43,11 @@ def order_key(weights=None):
 
 
 def _quot(b, a):
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def _lcm_exp(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class FreeModuleElement:
@@ -64,6 +68,15 @@ class FreeModuleElement:
         self.terms = clean
 
     @classmethod
+    def _clean(cls, nvars, rank, terms):
+        """The element that holds terms itself, with no pass over them: the
+        caller knows each key is (pos, exponent tuple) and each coefficient
+        a nonzero int or Fraction in the one form (poly._exact)."""
+        element = cls.__new__(cls)
+        element.nvars, element.rank, element.terms = nvars, rank, terms
+        return element
+
+    @classmethod
     def from_polys(cls, polys):
         if len({p.nvars for p in polys}) != 1:
             raise ValueError("need polynomials of one ring")
@@ -72,7 +85,7 @@ class FreeModuleElement:
         for pos, p in enumerate(polys):
             for exp, c in p.terms.items():
                 terms[(pos, exp)] = c
-        return cls(nvars, len(polys), terms)
+        return cls._clean(nvars, len(polys), terms)
 
     @classmethod
     def from_poly(cls, p):
@@ -90,11 +103,8 @@ class FreeModuleElement:
     def project(self, positions):
         """Restrict to the given positions, renumbered 0..len-1."""
         remap = {p: i for i, p in enumerate(positions)}
-        terms = {}
-        for (pos, exp), c in self.terms.items():
-            if pos in remap:
-                terms[(remap[pos], exp)] = c
-        return FreeModuleElement(self.nvars, len(positions), terms)
+        terms = {(remap[pos], exp): c for (pos, exp), c in self.terms.items() if pos in remap}
+        return FreeModuleElement._clean(self.nvars, len(positions), terms)
 
     def __add__(self, other):
         terms = dict(self.terms)
@@ -113,11 +123,12 @@ class FreeModuleElement:
         return FreeModuleElement(self.nvars, self.rank, {m: c * v for m, v in self.terms.items()})
 
     def mul_term(self, exp, coeff=1):
-        coeff = None if coeff == 1 else _exact(coeff)  # 1 only shifts the exponents
-        terms = {}
-        for (pos, e), c in self.terms.items():
-            terms[(pos, mono_mul(e, exp))] = c if coeff is None else c * coeff
-        return FreeModuleElement(self.nvars, self.rank, terms)
+        if coeff == 1:  # only shifts the exponents, so the terms stay clean
+            return FreeModuleElement._clean(self.nvars, self.rank, {
+                (pos, mono_mul(e, exp)): c for (pos, e), c in self.terms.items()})
+        coeff = _exact(coeff)
+        return FreeModuleElement(self.nvars, self.rank, {
+            (pos, mono_mul(e, exp)): c * coeff for (pos, e), c in self.terms.items()})
 
     def homogeneous_components(self, weights=None, shifts=None):
         parts = {}
@@ -126,7 +137,7 @@ class FreeModuleElement:
             if shifts is not None:
                 d += shifts[pos]
             parts.setdefault(d, {})[(pos, exp)] = c
-        return {d: FreeModuleElement(self.nvars, self.rank, t) for d, t in sorted(parts.items())}
+        return {d: FreeModuleElement._clean(self.nvars, self.rank, t) for d, t in sorted(parts.items())}
 
     def __eq__(self, other):
         return (isinstance(other, FreeModuleElement) and self.rank == other.rank
@@ -159,6 +170,7 @@ def _reduce(terms, buckets, elements, key):
     linalg.eliminate copies, which would make a long reduction quadratic.
     """
     scale, work = linalg.integral(terms)
+    work = dict(work)  # popped and rescaled below
     heap = [(key(m), m) for m in work]
     heapq.heapify(heap)
     rem = {}
@@ -223,13 +235,57 @@ class GroebnerBasis:
         return FreeModuleElement(self.nvars, self.rank, {m: Fraction(c, scale) for m, c in rem.items()})
 
     def contains(self, f):
-        return self.normal_form(f).is_zero()
+        # the fraction-free remainder is zero exactly when the normal form is
+        return not _reduce(f.terms, self._buckets, self.elements, self.key)[0]
 
 
-def groebner_basis(gens, weights=None):
+def _position_shifts(elements, rank, weights):
+    """Shifts s with wdeg(exp, weights) + s[pos] the same on all the terms
+    of each element, or None when there are none.  The first term an
+    element has at a position whose shift is known fixes its degree, and
+    the degree fixes the shifts of its other positions; a position that no
+    element ties to one before it starts at 0."""
+    at = [[] for _ in range(rank)]  # the elements with a term at each position
+    for k, e in enumerate(elements):
+        for pos in {pos for pos, _exp in e.terms}:
+            at[pos].append(k)
+    shifts = [None] * rank
+    placed = set()
+    for start in range(rank):
+        if shifts[start] is not None:
+            continue
+        shifts[start] = 0
+        todo = [start]
+        while todo:
+            p = todo.pop()
+            for k in at[p]:
+                if k in placed:
+                    continue
+                placed.add(k)
+                terms = elements[k].terms
+                degree = next(wdeg(exp, weights) for pos, exp in terms if pos == p) + shifts[p]
+                for pos, exp in terms:
+                    d = degree - wdeg(exp, weights)
+                    if shifts[pos] is None:
+                        shifts[pos] = d
+                        todo.append(pos)
+                    elif shifts[pos] != d:
+                        return None
+    return shifts
+
+
+def groebner_basis(gens, weights=None, *, selection_weights=None):
     """Reduced Groebner basis of the given module elements under
     order_key(weights), kept fraction free as primitive int vectors with
-    positive leading coefficients."""
+    positive leading coefficients.
+
+    When some position shifts make every generator homogeneous for the
+    degree wdeg(exp, selection_weights) + shift[pos] (selection_weights
+    defaults to weights), the pair of least lcm degree is reduced first,
+    ties by the least lcm; otherwise the least lcm under the order.  Every
+    S-polynomial and remainder of homogeneous input is homogeneous, so a
+    degree is complete before the next starts.  The reduced basis is
+    unique, so the choice moves only the work."""
     key = order_key(weights)
     items = [g for g in gens if not g.is_zero()]
     if not items:
@@ -240,24 +296,31 @@ def groebner_basis(gens, weights=None):
         if g.nvars != nvars or g.rank != rank:
             raise ValueError("mixed ambient modules")
 
+    if selection_weights is None:
+        selection_weights = weights
+    shifts = _position_shifts(items, rank, selection_weights)
+
     basis = []
     leads = []  # (mono, coeff) of basis[k], computed once when k is added
     buckets = {}  # _buckets(leads), kept in step
-    # heap of (negated key of (pos, lcm), i, j): the least lcm
-    # first, which is normal selection
+    # heap of ((shifted degree of the lcm,) + negated key of (pos, lcm), i,
+    # j): the least lcm first, of least degree first when there are shifts
     pairs = []
     done = set()
 
     def add(terms):
         j = len(basis)
         mono = min(terms, key=key)
-        element = FreeModuleElement(nvars, rank, linalg.primitive(terms, mono))
+        element = FreeModuleElement._clean(nvars, rank, linalg.primitive(terms, mono))
         (pos, exp), coeff = lead = mono, element.terms[mono]
         for i, lexp, _c in buckets.get(pos, ()):
             # two single terms have a zero S-polynomial: no pair
             if len(terms) > 1 or len(basis[i].terms) > 1:
-                lcm_key = key((pos, _lcm_exp(lexp, exp)))
-                heapq.heappush(pairs, (tuple(-x for x in lcm_key), i, j))
+                lcm = _lcm_exp(lexp, exp)
+                priority = tuple(map(neg, key((pos, lcm))))
+                if shifts:
+                    priority = (wdeg(lcm, selection_weights) + shifts[pos],) + priority
+                heapq.heappush(pairs, (priority, i, j))
         basis.append(element)
         leads.append(lead)
         buckets.setdefault(pos, []).append((j, exp, coeff))
@@ -301,7 +364,7 @@ def groebner_basis(gens, weights=None):
     reduced = {}
     for element, (mono, coeff) in zip(basis, leads):
         rem, scale = _reduce({m: c for m, c in element.terms.items() if m != mono}, buckets, basis, key)
-        reduced[mono] = FreeModuleElement(nvars, rank, linalg.primitive({mono: coeff * scale, **rem}, mono))
+        reduced[mono] = FreeModuleElement._clean(nvars, rank, linalg.primitive({mono: coeff * scale, **rem}, mono))
     monos = sorted(reduced, key=key)
     return GroebnerBasis(key, [reduced[m] for m in monos], monos, nvars, rank)
 
@@ -445,7 +508,7 @@ def _greedy_minimal_generators(ideal):
     return kept
 
 
-def _augmented_basis(vectors, weights):
+def _augmented_basis(vectors, weights, selection_weights=None):
     """Groebner basis of the rows (v_i, e_i) in A^(r+s), r the rank of the
     v_i and s their number."""
     nvars = vectors[0].nvars
@@ -455,22 +518,23 @@ def _augmented_basis(vectors, weights):
         terms = dict(v.terms)
         terms[(r + i, (0,) * nvars)] = 1
         augmented.append(FreeModuleElement(nvars, r + len(vectors), terms))
-    return groebner_basis(augmented, weights)
+    return groebner_basis(augmented, weights, selection_weights=selection_weights)
 
 
-def syzygies(vectors):
+def syzygies(vectors, *, selection_weights=None):
     """Generating set of the syzygy module of the given elements of A^r.
 
     Each returned element s (rank = len(vectors)) is monic and satisfies
     sum s_i v_i = 0.  Position over term eliminates the first r positions:
     the basis elements whose leads lie in the last s positions live there
-    entirely, and they generate the syzygies.
+    entirely, and they generate the syzygies.  selection_weights grade the
+    pair selection only (see groebner_basis); the order has unit weights.
     """
     if not vectors:
         return []
     r = vectors[0].rank
     positions = list(range(r, r + len(vectors)))
-    gb = _augmented_basis(vectors, None)
+    gb = _augmented_basis(vectors, None, selection_weights)
     return [e.scale(Fraction(1, e.terms[lead])).project(positions)
             for e, lead in zip(gb.elements, gb.leads()) if lead[0] >= r]
 

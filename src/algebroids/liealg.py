@@ -2,7 +2,6 @@
 algebra extraction from derivation modules."""
 
 from itertools import combinations, product
-from math import lcm
 
 from . import graded, linalg
 from .derivations import Derivation
@@ -61,11 +60,12 @@ class LieAlgebra:
         [e_m, e_c] are visited.  The term belongs to the sum of the sorted
         triple, negated exactly when a < c < b: that sum holds [[e_b, e_a],
         e_c] = -[[e_a, e_b], e_c].  The identity is homogeneous quadratic in
-        the constants, so it is checked on integers: the constants times the
-        lcm of their denominators."""
-        scale = lcm(*{c.denominator for row in self._table.values() for c in row.values()})
-        table = {pair: {k: c.numerator * (scale // c.denominator) for k, c in row.items()}
-                 for pair, row in self._table.items()}
+        the constants, so it is checked on integers: all the constants
+        times one scale, linalg.integral of the flattened table."""
+        flat = {(pair, k): c for pair, row in self._table.items() for k, c in row.items()}
+        table = {}
+        for (pair, k), c in linalg.integral(flat)[1].items():
+            table.setdefault(pair, {})[k] = c
         rows_of = {}
         for (m, c), row in table.items():
             rows_of.setdefault(m, []).append((c, row))

@@ -17,16 +17,27 @@ from math import gcd, lcm
 
 def integral(row):
     """(d, d * row) for the least positive int d that makes every entry of
-    the sparse dict {key: entry} an int."""
+    the sparse dict {key: entry} an int.  A row of ints alone is returned
+    itself, with no pass over it (an integral Fraction still takes the
+    denominator pass, which makes it an int); a caller that changes the
+    row copies it."""
+    if {*map(type, row.values())} <= {int}:
+        return 1, row
     den = lcm(*(x.denominator for x in row.values()))
     return den, {k: x.numerator * (den // x.denominator) for k, x in row.items()}
 
 
 def primitive(row, lead):
-    """The multiple of the sparse dict with coprime int entries, positive at lead."""
-    ints = integral(row)[1]
-    g = gcd(*ints.values())
-    return {k: x // (g if ints[lead] > 0 else -g) for k, x in ints.items()}
+    """The multiple of the sparse dict with coprime int entries, positive at
+    lead: the row itself when it is that multiple already."""
+    try:
+        g = gcd(*row.values())
+    except TypeError:  # a Fraction entry, which gcd refuses: clear denominators
+        row = integral(row)[1]
+        g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    return row if g == 1 else {k: x // g for k, x in row.items()}
 
 
 def from_columns(columns):
@@ -49,14 +60,19 @@ def combine(coeffs, rows):
 
 
 def eliminate(row, pivot, col):
-    """(b/g) row - (a/g) pivot for int rows with entries a and b at col, g =
-    gcd(a, b): an int row with no entry at col."""
+    """(b/g) row - (a/g) pivot for int rows with no zero entry and with
+    entries a and b at col, g = gcd(a, b): an int row with no zero entry and
+    no entry at col."""
     g = gcd(row[col], pivot[col])
     up, factor = pivot[col] // g, row[col] // g
     out = {j: up * x for j, x in row.items()} if up != 1 else dict(row)
     for j, x in pivot.items():
-        out[j] = out.get(j, 0) - factor * x
-    return {j: x for j, x in out.items() if x}
+        v = out.get(j, 0) - factor * x
+        if v:
+            out[j] = v
+        else:  # factor * x is not 0, so j was in out
+            del out[j]
+    return out
 
 
 def echelon(rows):

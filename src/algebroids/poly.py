@@ -76,12 +76,6 @@ class Polynomial:
         return cls.constant(nvars, 1)
 
     @classmethod
-    def variable(cls, nvars, i):
-        exp = [0] * nvars
-        exp[i] = 1
-        return cls(nvars, {tuple(exp): 1})
-
-    @classmethod
     def monomial(cls, nvars, exp):
         return cls(nvars, {tuple(exp): 1})
 
@@ -174,8 +168,13 @@ def monomials(weights, k):
     """Exponent tuples of weighted degree k (positive weights), ascending."""
     if not weights:
         return [()] if k == 0 else []
-    return [(e,) + tail for e in range(k // weights[0] + 1)
-            for tail in monomials(weights[1:], k - e * weights[0])]
+    # (exponents of the variables so far, degree left), ascending; the last
+    # variable's exponent is the degree left over its weight, when it divides
+    partial = [((), k)]
+    for w in weights[:-1]:
+        partial = [(exp + (e,), left - e * w) for exp, left in partial for e in range(left // w + 1)]
+    w = weights[-1]
+    return [exp + (left // w,) for exp, left in partial if left >= 0 and left % w == 0]
 
 
 # -- serialized grammar ---------------------------------------------------
@@ -262,26 +261,37 @@ def parse_poly(text, varnames):
         return node
 
     def parse_product():
-        node = parse_power()
+        # the factors that are numbers and variables multiply into one
+        # running coefficient and exponent; only parenthesized sums make
+        # Polynomials, multiplied in the order they are read
+        coeff, exp, node = 1, [0] * nvars, None
         while True:
+            kind, value = parse_power()
+            if kind == "coeff":
+                coeff *= value
+            elif kind == "var":
+                exp[value[0]] += value[1]
+            else:
+                node = value if node is None else node * value
             tok = toks.peek()
             if tok == "*":
                 toks.next()
-                node = node * parse_power()
-            elif tok == "(" or (isinstance(tok, tuple) and tok[0] == "name"):
-                node = node * parse_power()
-            else:
-                return node
+            elif not (tok == "(" or (isinstance(tok, tuple) and tok[0] == "name")):
+                mono = Polynomial(nvars, {tuple(exp): coeff})
+                return mono if node is None else node * mono
 
     def parse_power():
-        base = parse_atom()
+        """(kind, value) of one factor: ("coeff", c), ("var", (index,
+        power)) or ("poly", a parenthesized sum, raised to its power)."""
+        kind, value = parse_atom()
+        power = 1
         if toks.peek() == "^":
             toks.next()
             tok = toks.next()
             if not (isinstance(tok, tuple) and tok[0] == "int"):
                 raise ParseError("exponent must be a non-negative integer")
-            return base ** tok[1]
-        return base
+            power = tok[1]
+        return kind, (value, power) if kind == "var" else value ** power
 
     def parse_atom():
         tok = toks.next()
@@ -289,7 +299,7 @@ def parse_poly(text, varnames):
             node = parse_sum()
             if toks.next() != ")":
                 raise ParseError("missing closing parenthesis")
-            return node
+            return "poly", node
         if isinstance(tok, tuple) and tok[0] == "int":
             num = tok[1]
             if toks.peek() == "/":
@@ -297,12 +307,12 @@ def parse_poly(text, varnames):
                 den = toks.next()
                 if not (isinstance(den, tuple) and den[0] == "int") or den[1] == 0:
                     raise ParseError("bad rational literal")
-                return Polynomial.constant(nvars, Fraction(num, den[1]))
-            return Polynomial.constant(nvars, num)
+                return "coeff", Fraction(num, den[1])
+            return "coeff", num
         if isinstance(tok, tuple) and tok[0] == "name":
             if tok[1] not in index:
                 raise ParseError(f"undeclared variable {tok[1]!r}")
-            return Polynomial.variable(nvars, index[tok[1]])
+            return "var", index[tok[1]]
         raise ParseError(f"unexpected token {tok!r}")
 
     result = parse_sum()

@@ -166,16 +166,16 @@ class QuasiPolynomial:
             raise ValueError("need one residue polynomial per class")
         self.period = period
         self.residues = []
-        # each residue as integer numerators over their common denominator,
-        # so that evaluation runs on ints
+        # each residue as integer numerators over their common denominator
+        # (linalg.integral), so that evaluation runs on ints
         self._scaled = []
         for poly in residues:
             coeffs = [_exact(c) for c in poly]
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
             self.residues.append(coeffs)
-            den = lcm(*[c.denominator for c in coeffs])
-            self._scaled.append((den, [c.numerator * (den // c.denominator) for c in coeffs]))
+            den, nums = linalg.integral(dict(enumerate(coeffs)))
+            self._scaled.append((den, list(nums.values())))
         self.threshold = threshold
 
     def __call__(self, n):

@@ -10,19 +10,22 @@ a structure table, a vector field's action and bracket on its coefficient
 Polynomials, a module conjugated by a rational unitriangular matrix, the
 Fraction rref that linalg's fraction-free elimination replaced, the weight
 search that tried every point of the box [1, d]^k, monomiality decided
-by the membership of each candidate monomial, and the partial d/dx_i."""
+by the membership of each candidate monomial, the variable x_i and the
+partial d/dx_i, the Groebner basis built with S-pairs taken position by
+position, and the polynomial grammar parsed with one Polynomial per atom."""
 
+import heapq
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
 
-from algebroids import derivations, linalg
+from algebroids import derivations, groebner, linalg
 from algebroids.derivations import Derivation
-from algebroids.errors import PreconditionError
-from algebroids.groebner import groebner_basis
+from algebroids.errors import ParseError, PreconditionError
+from algebroids.groebner import FreeModuleElement, groebner_basis
 from algebroids.liealg import span_lie_algebra
-from algebroids.poly import Polynomial, _exact, minimal_monomials, mono_mul
+from algebroids.poly import Polynomial, _exact, _Tokens, divides, minimal_monomials, mono_mul
 from algebroids.repmod import MatrixRep
 
 
@@ -55,6 +58,11 @@ def module_contains(dm, delta):
     if not dm.generators:
         return delta.is_zero()
     return _module_basis(dm.generators, dm.weights).contains(delta.vector)
+
+
+def variable(nvars, i):
+    """The polynomial x_i of Q[x_1..x_nvars]."""
+    return Polynomial.monomial(nvars, [int(j == i) for j in range(nvars)])
 
 
 def partial(nvars, i):
@@ -353,3 +361,135 @@ def monomialize_by_membership(ideal):
     if all(ideal.contains(g) for g in candidate):
         return candidate
     return None
+
+
+def position_first_basis(gens, weights=None):
+    """The reduced Groebner basis as the engine built it before it chose
+    S-pairs by degree: Buchberger's loop pops the pair of least lcm under
+    the position-over-term order, so it works position by position, with
+    the coprimality criterion (ideals only) and the chain criterion, fraction
+    free on the engine's own reduction."""
+    key = groebner.order_key(weights)
+    items = [g for g in gens if not g.is_zero()]
+    nvars, rank = items[0].nvars, items[0].rank
+    basis, leads, buckets, pairs, done = [], [], {}, [], set()
+
+    def add(terms):
+        j = len(basis)
+        mono = min(terms, key=key)
+        element = FreeModuleElement(nvars, rank, linalg.primitive(terms, mono))
+        (pos, exp), coeff = lead = mono, element.terms[mono]
+        for i, lexp, _c in buckets.get(pos, ()):
+            if len(terms) > 1 or len(basis[i].terms) > 1:
+                lcm_key = key((pos, groebner._lcm_exp(lexp, exp)))
+                heapq.heappush(pairs, (tuple(-x for x in lcm_key), i, j))
+        basis.append(element)
+        leads.append(lead)
+        buckets.setdefault(pos, []).append((j, exp, coeff))
+
+    for g in items:
+        add(g.terms)
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        done.add((i, j))
+        p, ei = leads[i][0]
+        ej = leads[j][0][1]
+        if rank == 1 and all(a == 0 or b == 0 for a, b in zip(ei, ej)):
+            continue
+        L = groebner._lcm_exp(ei, ej)
+        if any(k != i and k != j and divides(ek, L)
+               and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+               for k, ek, _c in buckets[p]):
+            continue
+        spoly = linalg.eliminate(basis[i].mul_term(groebner._quot(L, ei)).terms,
+                                 basis[j].mul_term(groebner._quot(L, ej)).terms, (p, L))
+        rem = groebner._reduce(spoly, buckets, basis, key)[0]
+        if rem:
+            add(rem)
+    keep = []
+    for bucket in buckets.values():
+        first = {exp: k for k, exp, _c in reversed(bucket)}
+        keep += [first[exp] for exp in minimal_monomials(first)]
+    keep.sort()
+    basis = [basis[k] for k in keep]
+    leads = [leads[k] for k in keep]
+    buckets = groebner._buckets(leads)
+    reduced = {}
+    for element, (mono, coeff) in zip(basis, leads):
+        rem, scale = groebner._reduce({m: c for m, c in element.terms.items() if m != mono},
+                                      buckets, basis, key)
+        reduced[mono] = FreeModuleElement(nvars, rank,
+                                          linalg.primitive({mono: coeff * scale, **rem}, mono))
+    monos = sorted(reduced, key=key)
+    return groebner.GroebnerBasis(key, [reduced[m] for m in monos], monos, nvars, rank)
+
+
+def parse_poly_by_atoms(text, varnames):
+    """The polynomial grammar parsed with one Polynomial per atom, each
+    product and power taken on Polynomials."""
+    nvars = len(varnames)
+    index = {name: i for i, name in enumerate(varnames)}
+    toks = _Tokens(text)
+
+    def parse_sum():
+        sign = 1
+        while toks.peek() in ("+", "-"):
+            if toks.next() == "-":
+                sign = -sign
+        node = parse_product() * sign
+        while toks.peek() in ("+", "-"):
+            sign = 1
+            while toks.peek() in ("+", "-"):
+                if toks.next() == "-":
+                    sign = -sign
+            node = node + parse_product() * sign
+        return node
+
+    def parse_product():
+        node = parse_power()
+        while True:
+            tok = toks.peek()
+            if tok == "*":
+                toks.next()
+                node = node * parse_power()
+            elif tok == "(" or (isinstance(tok, tuple) and tok[0] == "name"):
+                node = node * parse_power()
+            else:
+                return node
+
+    def parse_power():
+        base = parse_atom()
+        if toks.peek() == "^":
+            toks.next()
+            tok = toks.next()
+            if not (isinstance(tok, tuple) and tok[0] == "int"):
+                raise ParseError("exponent must be a non-negative integer")
+            return base ** tok[1]
+        return base
+
+    def parse_atom():
+        tok = toks.next()
+        if tok == "(":
+            node = parse_sum()
+            if toks.next() != ")":
+                raise ParseError("missing closing parenthesis")
+            return node
+        if isinstance(tok, tuple) and tok[0] == "int":
+            num = tok[1]
+            if toks.peek() == "/":
+                toks.next()
+                den = toks.next()
+                if not (isinstance(den, tuple) and den[0] == "int") or den[1] == 0:
+                    raise ParseError("bad rational literal")
+                return Polynomial.constant(nvars, Fraction(num, den[1]))
+            return Polynomial.constant(nvars, num)
+        if isinstance(tok, tuple) and tok[0] == "name":
+            if tok[1] not in index:
+                raise ParseError(f"undeclared variable {tok[1]!r}")
+            return variable(nvars, index[tok[1]])
+        raise ParseError(f"unexpected token {tok!r}")
+
+    result = parse_sum()
+    if toks.peek() is not None:
+        raise ParseError(f"trailing input at token {toks.peek()!r}")
+    return result

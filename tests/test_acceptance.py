@@ -25,7 +25,7 @@ from algebroids.series import (RationalSeries, integrate_characters,
                                quasi_polynomial_of)
 
 from constructs import SemigroupSpec, gamma_restriction
-from references import same_ideal, same_module
+from references import same_ideal, same_module, variable
 
 
 def report(capsys, num, desc, fn):
@@ -90,9 +90,9 @@ def test_criterion_4_whitney_umbrella(capsys):
         ideal = Ideal(3, [P("z^2 - x^2*y", "xyz")], (1, 2, 2))
         dm = tangent_derivations(ideal)
         zero = Polynomial.zero(3)
-        x = Polynomial.variable(3, 0)
-        y = Polynomial.variable(3, 1)
-        z = Polynomial.variable(3, 2)
+        x = variable(3, 0)
+        y = variable(3, 1)
+        z = variable(3, 2)
         deltas = [Derivation([x, -2 * y, zero]),
                   Derivation([x, zero, z]),
                   Derivation([zero, 2 * z, x * x]),

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from references import (apply_field, bracket_fields, dense_rows, enumerated_weights,
                         module_contains, monomialize_by_membership, partial, same_ideal,
-                        same_module, sparse_rows)
+                        same_module, sparse_rows, variable)
 
 
 def P(text, varnames):
@@ -29,19 +29,19 @@ def P(text, varnames):
 def euler(nvars, weights=None):
     """The Euler field sum w_i x_i d/dx_i."""
     weights = weights or (1,) * nvars
-    return Derivation([Polynomial.variable(nvars, i) * weights[i] for i in range(nvars)])
+    return Derivation([variable(nvars, i) * weights[i] for i in range(nvars)])
 
 
 def test_fields_refuse_mixed_rings():
-    x = Polynomial.variable(2, 0)
-    z = Polynomial.variable(3, 2)
+    x = variable(2, 0)
+    z = variable(3, 2)
     for polys in ([x, z], [z, x, z], []):
         with pytest.raises(ValueError):
             Derivation(polys)
         with pytest.raises(ValueError):
             FreeModuleElement.from_polys(polys)
     with pytest.raises(ValueError):
-        partial(2, 0).apply(Polynomial.variable(3, 0) * z)
+        partial(2, 0).apply(variable(3, 0) * z)
 
 
 def random_field(rng, nvars, weights):
@@ -298,30 +298,30 @@ def test_tjurina_ideal_matches_jacobian_for_hypersurface():
 
 def test_tangent_linear_ideal():
     # I = (x1, x2) in 3 vars: T(I) = A d3 + sum_{i,j<=2} A xi dj
-    ideal = Ideal(3, [Polynomial.variable(3, 0), Polynomial.variable(3, 1)])
+    ideal = Ideal(3, [variable(3, 0), variable(3, 1)])
     dm = tangent_derivations(ideal)
     zero = Polynomial.zero(3)
     expected = [Derivation([zero, zero, Polynomial.one(3)])]
     for i in range(2):
         for j in range(2):
             coeffs = [zero] * 3
-            coeffs[j] = Polynomial.variable(3, i)
+            coeffs[j] = variable(3, i)
             expected.append(Derivation(coeffs))
     assert same_module(dm, expected)
 
 
 def test_linear_part_holds_the_image_of_each_variable_in_its_column():
     # y d/dx sends x to y and y to 0; the quadratic part of x^2 d/dy is dropped
-    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    x, y = variable(2, 0), variable(2, 1)
     assert Derivation([y, Polynomial.zero(2)]).linear_part() == [{1: 1}, {}]
     assert Derivation([3 * x + y, x * x - 2 * y]).linear_part() == [{0: 3, 1: 1}, {1: -2}]
 
 
 def known_whitney_basis():
     zero = Polynomial.zero(3)
-    x = Polynomial.variable(3, 0)
-    y = Polynomial.variable(3, 1)
-    z = Polynomial.variable(3, 2)
+    x = variable(3, 0)
+    y = variable(3, 1)
+    z = variable(3, 2)
     d1 = Derivation([x, -2 * y, zero])
     d2 = Derivation([x, zero, z])
     d3 = Derivation([zero, 2 * z, x * x])
@@ -351,8 +351,8 @@ def test_tangent_quadric():
     for i in range(3):
         for j in range(i + 1, 3):
             coeffs = [zero] * 3
-            coeffs[j] = Polynomial.variable(3, i)
-            coeffs[i] = -Polynomial.variable(3, j)
+            coeffs[j] = variable(3, i)
+            coeffs[i] = -variable(3, j)
             expected.append(Derivation(coeffs))
     assert same_module(dm, expected)
 
@@ -391,15 +391,15 @@ def test_contains_derivation_examples():
     assert not module_contains(dm, partial(3, 2))
     mono = Ideal(2, [P("x^2*y^3", "xy")])
     dm2 = tangent_derivations(mono)
-    x_dx = Derivation([Polynomial.variable(2, 0), Polynomial.zero(2)])
+    x_dx = Derivation([variable(2, 0), Polynomial.zero(2)])
     assert module_contains(dm2, x_dx)
-    linear = Ideal(3, [Polynomial.variable(3, 0), Polynomial.variable(3, 1)])
+    linear = Ideal(3, [variable(3, 0), variable(3, 1)])
     assert module_contains(tangent_derivations(linear), partial(3, 2))
 
 
 def test_derivation_module_refuses_a_field_that_leaves_the_ideal():
     # x d/dx maps xy into (xy); y d/dx maps it to y^2, which is not in (xy)
-    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    x, y = variable(2, 0), variable(2, 1)
     zero = Polynomial.zero(2)
     ideal = Ideal(2, [x * y])
     assert DerivationModule([Derivation([x, zero])], ideal).generators == [Derivation([x, zero])]
@@ -425,8 +425,8 @@ def count_bases(monkeypatch):
 
 def test_module_contains_the_euler_parts_and_the_free_partials():
     n = 4
-    dm = tangent_derivations(Ideal(n, [Polynomial.variable(n, 0), Polynomial.variable(n, 1)]))
-    euler_parts = [Derivation([Polynomial.variable(n, j) if j == i else Polynomial.zero(n)
+    dm = tangent_derivations(Ideal(n, [variable(n, 0), variable(n, 1)]))
+    euler_parts = [Derivation([variable(n, j) if j == i else Polynomial.zero(n)
                                for j in range(n)]) for i in range(n)]
     assert all(module_contains(dm, d) for d in euler_parts)
     assert ([module_contains(dm, partial(n, i)) for i in range(n)]

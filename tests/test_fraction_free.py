@@ -5,7 +5,7 @@ with denominator > 1 otherwise, never a float."""
 import heapq
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -228,6 +228,54 @@ def test_syzygies_and_lifts_match_the_fraction_reference(vectors, order):
     # and every coefficient is in the one form (see below)
     assert all(all_canonical(s.terms.values()) for s in syzygies(vectors))
     assert all(all_canonical(q.terms.values()) for lift in found if lift for q in lift)
+
+
+# -- integral and primitive: the all-int fast path at its edge ---------------
+
+def lcm_integral(row):
+    """(d, d * row) by the lcm of the denominators, on every row."""
+    den = lcm(*(Fraction(x).denominator for x in row.values()))
+    return den, {k: int(x * den) for k, x in row.items()}
+
+
+def gcd_primitive(row, lead):
+    ints = lcm_integral(row)[1]
+    g = gcd(*ints.values())
+    return {k: x // (g if ints[lead] > 0 else -g) for k, x in ints.items()}
+
+
+INTEGRAL_ROWS = [
+    {0: Fraction(4, 2), 1: Fraction(1, 1)},  # integral Fractions
+    {0: Fraction(1, 1)},
+    {0: 3, 1: Fraction(1, 2), 2: -Fraction(5, 3)},  # ints mixed with Fractions
+    {0: Fraction(6, 3), 1: 4, 2: -8},  # an integral Fraction among ints
+    {0: -3, 1: 6, 2: 9},  # a negative lead and gcd 3
+    {0: 4, 1: -6, 2: 10},  # all ints, gcd 2
+    {0: -1, 1: 2},  # a negative lead, gcd 1
+    {0: 5, 1: 7},  # already primitive
+    {},
+]
+
+
+@pytest.mark.parametrize("row", INTEGRAL_ROWS)
+def test_integral_and_primitive_give_the_lcm_route_in_ints(row):
+    before = dict(row)
+    den, ints = linalg.integral(row)
+    assert (den, ints) == lcm_integral(row)
+    assert all(type(x) is int for x in ints.values())
+    if row:
+        out = linalg.primitive(row, 0)
+        assert out == gcd_primitive(row, 0)
+        assert all(type(x) is int for x in out.values()) and out[0] > 0
+    # neither changes the row it is given
+    assert row == before and list(row.items()) == list(before.items())
+
+
+def test_an_int_row_with_gcd_one_is_returned_itself():
+    row = {0: 5, 1: -7}
+    assert linalg.integral(row) == (1, row) and linalg.integral(row)[1] is row
+    assert linalg.primitive(row, 0) is row
+    assert linalg.primitive(row, 1) == {0: -5, 1: 7}
 
 
 # -- one coefficient form ----------------------------------------------------

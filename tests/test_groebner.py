@@ -10,13 +10,13 @@ from operator import mul
 import pytest
 
 from algebroids import groebner
-from algebroids.derivations import jacobian_ideal
+from algebroids.derivations import jacobian_ideal, tangent_derivations
 from algebroids.errors import PreconditionError
 from algebroids.groebner import (FreeModuleElement, Ideal, _greedy_minimal_generators,
                                  groebner_basis, lifts, order_key, syzygies)
-from algebroids.poly import Polynomial, monomials, parse_poly
+from algebroids.poly import Polynomial, monomials, parse_poly, wdeg
 
-from references import same_ideal
+from references import position_first_basis, same_ideal, variable
 
 
 def P(text, varnames=("x", "y")):
@@ -124,7 +124,7 @@ def test_standard_monomials_match_the_box_filter():
         gens = []
         for i in range(nvars):
             if rng.random() < 0.8:  # a pure power, so most ideals are finite
-                gens.append(Polynomial.variable(nvars, i) ** rng.randrange(1, 5))
+                gens.append(variable(nvars, i) ** rng.randrange(1, 5))
         for _ in range(rng.randrange(1, 4)):
             nterms = 1 if monomial else rng.randrange(2, 4)
             terms = {tuple(rng.randrange(4) for _ in range(nvars)): rng.choice([-2, -1, 1, 3])
@@ -168,7 +168,7 @@ def test_colength_against_linear_algebra():
     names = ["x", "y", "z"]
     for _ in range(8):
         nvars = rng.randrange(2, 4)
-        gens = [Polynomial.variable(nvars, i) ** rng.randrange(2, 4) for i in range(nvars)]
+        gens = [variable(nvars, i) ** rng.randrange(2, 4) for i in range(nvars)]
         # one extra monomial or binomial generator
         exp = tuple(rng.randrange(3) for _ in range(nvars))
         extra = Polynomial.monomial(nvars, exp)
@@ -241,7 +241,7 @@ def random_poly(rng, nvars, degree=2, terms=3):
 
 def whitney_module():
     """The four generators of T(I) for the Whitney umbrella z^2 - x^2*y."""
-    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    x, y, z = (variable(3, i) for i in range(3))
     zero = Polynomial.zero(3)
     return [FreeModuleElement.from_polys(v) for v in
             ([x, -2 * y, zero], [x, zero, z], [zero, 2 * z, x * x], [z, zero, x * y])]
@@ -329,6 +329,104 @@ def test_leads_are_those_of_the_elements(weighted):
         gb = groebner_basis(gens, weights)
         leads = [min(e.terms, key=key) for e in gb.elements]
         assert list(gb.leads()) == leads == sorted(leads, key=key)
+
+
+# -- S-pairs by degree against the position-first selection ---------------
+
+def same_basis(gb, reference):
+    return list(gb.leads()) == list(reference.leads()) and gb.elements == reference.elements
+
+
+def test_position_shifts_make_each_element_homogeneous():
+    # Whitney's T(I) under (1, 2, 2): each field has one degree once
+    # position p is shifted by -w_p; x^2 + y at one position has none
+    gens = whitney_module()
+    shifts = groebner._position_shifts(gens, 3, (1, 2, 2))
+    assert shifts is not None
+    for g in gens:
+        assert len({wdeg(exp, (1, 2, 2)) + shifts[pos] for pos, exp in g.terms}) == 1
+    assert [b - a for a, b in zip(shifts, shifts[1:])] == [-1, 0]
+    assert groebner._position_shifts(E(P("x^2 + y")), 1, None) is None
+    # a position no element reaches starts at 0
+    assert groebner._position_shifts(E(P("x*y")), 1, None) == [0]
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["pot", "weighted"])
+@pytest.mark.parametrize("gens", MODULE_CASES)
+def test_degree_selection_keeps_the_module_basis(gens, weighted):
+    weights = module_weights(gens, weighted)
+    reference = position_first_basis(gens, weights)
+    assert same_basis(groebner_basis(gens, weights), reference)
+    # the pairs chosen by the degree of other gradings, where shifts exist
+    nvars = gens[0].nvars
+    for selection in [(1,) * nvars, (1,) + (2,) * (nvars - 1), tuple(range(nvars, 0, -1))]:
+        assert same_basis(groebner_basis(gens, weights, selection_weights=selection), reference)
+
+
+def random_graded_module(rng, weights, shifts):
+    """Three elements of A^len(shifts), each homogeneous of one degree when
+    position p is shifted by shifts[p]."""
+    out = []
+    for _ in range(3):
+        d = max(shifts) + rng.randrange(4)
+        terms = {}
+        for pos, shift in enumerate(shifts):
+            monos = monomials(weights, d - shift)
+            for exp in rng.sample(monos, k=min(rng.randrange(3), len(monos))):
+                terms[(pos, exp)] = rng.choice([-2, -1, 1, 3])
+        if terms:
+            out.append(FreeModuleElement(len(weights), len(shifts), terms))
+    return out
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (1, 2, 3), (3, 2, 1), (2, 1, 5)])
+def test_degree_selection_keeps_random_graded_bases(weights):
+    # homogeneous and weighted ideals and rank-2 modules, under their own
+    # order and under the unweighted order with their weights grading the
+    # selection only
+    rng = random.Random(41)
+    cases = [[FreeModuleElement.from_poly(g) for g in random_graded_ideal(rng, weights).gens]
+             for _ in range(6)]
+    cases += [random_graded_module(rng, weights, (0, rng.randrange(-2, 3))) for _ in range(6)]
+    for gens in filter(None, cases):
+        assert groebner._position_shifts(gens, gens[0].rank, weights) is not None
+        for order in (weights, None):
+            assert same_basis(groebner_basis(gens, order, selection_weights=weights),
+                              position_first_basis(gens, order))
+
+
+DEGREE_SELECTION_IDEALS = [
+    ("xyz", ["z^2 - x^2*y"], (1, 2, 2)),
+    ("xyz", ["x^3 + y^4 + z^2"], (4, 3, 6)),
+    ("xyz", ["x^2*y + y^3 + z^2"], (2, 2, 3)),
+    ("xyz", ["x*y", "y*z", "x*z"], None),
+    ("abcdef", ["a*e - b*d", "a*f - c*d", "b*f - c*e"], None),
+    ("abcd", ["a*c - b^2", "b*d - c^2", "a*d - b*c"], None),
+]
+
+
+@pytest.mark.parametrize("names, gens, weights", DEGREE_SELECTION_IDEALS,
+                         ids=["whitney", "e6", "d4", "axes", "minors23", "twisted-cubic"])
+def test_degree_selection_keeps_the_tangent_syzygy_bases(monkeypatch, names, gens, weights):
+    # every basis tangent_derivations builds, on its augmented rows (v_i,
+    # e_i) with the ideal's weights grading the selection, equals the
+    # position-first basis of the same rows
+    built = []
+    engine = groebner.groebner_basis
+
+    def spy(rows, order=None, **kwargs):
+        gb = engine(rows, order, **kwargs)
+        built.append((rows, order, kwargs.get("selection_weights"), gb))
+        return gb
+
+    monkeypatch.setattr(groebner, "groebner_basis", spy)
+    ideal = Ideal(len(names), [P(g, names) for g in gens], weights)
+    tangent_derivations(ideal)
+    augmented = [entry for entry in built if entry[0][0].rank > 1]
+    assert augmented and all(selection == ideal.weights for _r, _o, selection, _gb in augmented)
+    for rows, order, _selection, gb in augmented:
+        assert groebner._position_shifts(rows, rows[0].rank, ideal.weights) is not None
+        assert same_basis(gb, position_first_basis(rows, order))
 
 
 # (9, 3, 1) orders the monomials with exponents below 3, those of the

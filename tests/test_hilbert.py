@@ -16,7 +16,7 @@ from algebroids.hilbert import (dimension_multiplicity,
 from algebroids.poly import Polynomial, monomials, parse_poly
 from algebroids.series import (RationalSeries, integrate_characters)
 
-from references import partial
+from references import partial, variable
 
 
 def P(text, varnames):
@@ -38,8 +38,8 @@ def test_zero_ideal_takes_the_general_route():
         assert ideal.standard_monomials() is None
         assert ideal.contains(Polynomial.zero(n))
         assert not any(ideal.contains(g) for g in
-                       [Polynomial.one(n)] + [Polynomial.variable(n, i) for i in range(n)])
-        assert not ideal.contains(Polynomial.variable(n, 0) ** 2 - Polynomial.variable(n, n - 1))
+                       [Polynomial.one(n)] + [variable(n, i) for i in range(n)])
+        assert not ideal.contains(variable(n, 0) ** 2 - variable(n, n - 1))
         assert not ideal.is_unit()
         assert tangent_derivations(ideal).generators == [partial(n, i) for i in range(n)]
         with pytest.raises(PreconditionError, match="J not m-primary"):
@@ -150,7 +150,7 @@ def test_graded_pieces_json():
 
 
 def test_graded_pieces_maximal_ideal():
-    m = Ideal(3, [Polynomial.variable(3, i) for i in range(3)])
+    m = Ideal(3, [variable(3, i) for i in range(3)])
     report = graded_pieces_series(m, "ring", depth=6, solvable_certificate=True)
     assert report.series == RationalSeries([1], [(1, 3)])
     assert (report.dimension, report.multiplicity) == (3, 1)

@@ -22,7 +22,7 @@ from algebroids.poly import Polynomial, parse_poly
 
 from references import (dense, dense_brackets, dense_rows, gl2, identity, jacobi_holds,
                         lie_algebra_from_matrices, mat_mul, module_contains, sparse,
-                        sparse_rows, zeros)
+                        sparse_rows, variable, zeros)
 
 
 def P(text, varnames):
@@ -367,7 +367,7 @@ def test_fibre_rejects_a_bracket_outside_the_module():
     # y d/dx and x d/dy preserve the zero ideal but do not span a module
     # closed under the bracket: [y dx, x dy] = y dy - x dx has no
     # coordinates on them modulo m*T
-    x, y = (Polynomial.variable(2, i) for i in range(2))
+    x, y = (variable(2, i) for i in range(2))
     zero = Polynomial.zero(2)
     dm = DerivationModule([Derivation([y, zero]), Derivation([zero, x])], Ideal(2, []))
     with pytest.raises(AlgebroidError, match="bracket leaves the module"):
@@ -377,7 +377,7 @@ def test_fibre_rejects_a_bracket_outside_the_module():
 def test_fibre_rejects_a_bracket_outside_the_module_where_no_field_is_kept():
     # x^2 d/dy and y^2 d/dx are kept in degree 1; their bracket
     # 2x^2y d/dx - 2xy^2 d/dy has degree 2, where M is m*M and no field is kept
-    x, y = (Polynomial.variable(2, i) for i in range(2))
+    x, y = (variable(2, i) for i in range(2))
     zero = Polynomial.zero(2)
     dm = DerivationModule([Derivation([zero, x ** 2]), Derivation([y ** 2, zero])], Ideal(2, []))
     assert minimal_module_generators(dm)[1] == [1, 1]

@@ -25,7 +25,7 @@ from algebroids.repmod import binary_form_rep, covariant_dimensions, polarize, s
 from algebroids.series import RationalSeries
 
 from references import (apply_field, dense_matrices, jm_by_membership, mat_add, mat_mul,
-                        mat_scale, partitions_in_rectangle, sparse_rows)
+                        mat_scale, partitions_in_rectangle, sparse_rows, variable)
 
 WHITNEY = "vars: x, y, z\nweights: 1, 2, 2\nideal: z^2 - x^2*y\n"
 QUADRIC = "vars: x, y, z\nideal: x^2 + y^2 + z^2\n"
@@ -119,7 +119,7 @@ def test_dense_quadric_has_the_written_fingerprint():
         m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         if linalg.rank(sparse_rows(m)) == n:
             break
-    xs = [Polynomial.variable(n, j) for j in range(n)]
+    xs = [variable(n, j) for j in range(n)]
     ys = [sum((x * c for c, x in zip(row, xs)), Polynomial.zero(n)) for row in m]
     names = [f"x{j + 1}" for j in range(n)]
     dense = analyze_singularity(InputSpec(names, None, [sum((y * y for y in ys),
@@ -129,6 +129,37 @@ def test_dense_quadric_has_the_written_fingerprint():
     fp = dense.fingerprint
     assert fp == written.fingerprint
     assert (fp["dim"], fp["killing_rank"], fp["radical_dim"], fp["center_dim"]) == (11, 10, 1, 1)
+
+
+def minors_2x3(v):
+    a, b, c, d, e, f = v
+    return [a * e - b * d, a * f - c * d, b * f - c * e]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_dense_2x3_minors_have_the_written_fingerprint(seed):
+    # the 2x2 minors of [[a, b, c], [d, e, f]] in y_i = sum_j M_ij x_j, M the
+    # first draw of random.Random(seed) of rank 6 with entries in [-2, 2].
+    # S-pairs by degree build the tangent syzygies degree by degree (0.6 s
+    # in process on a 2-core VM); taken position by position they ran past
+    # 20 s
+    n = 6
+    rng = random.Random(seed)
+    while True:
+        m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if linalg.rank(sparse_rows(m)) == n:
+            break
+    xs = [variable(n, j) for j in range(n)]
+    ys = [sum((x * c for c, x in zip(row, xs)), Polynomial.zero(n)) for row in m]
+    names = list("abcdef")
+    start = time.perf_counter()
+    dense = analyze_singularity(InputSpec(names, None, minors_2x3(ys)))
+    elapsed = time.perf_counter() - start
+    written = analyze_singularity(InputSpec(names, None, minors_2x3(xs)))
+    fp = dense.fingerprint
+    assert fp == written.fingerprint
+    assert (fp["dim"], fp["killing_rank"], fp["radical_dim"]) == (12, 11, 1)
+    assert elapsed < 10
 
 
 def test_analyze_determinantal_2x4_is_desk_scale():
@@ -296,7 +327,7 @@ def test_toral_facts_on_random_monomial_ideals():
         assert report.jm_variables == jm_by_membership(ideal)
         zero = Polynomial.zero(n)
         for i in range(n):
-            field = Derivation([Polynomial.variable(n, i) if j == i else zero
+            field = Derivation([variable(n, i) if j == i else zero
                                 for j in range(n)])
             for g in report.monomial_gens:
                 (e,) = g.terms
@@ -320,7 +351,7 @@ def test_toral_series_matches_powers_of_maximal_ideal(text):
     report = analyze_toral(parse_input(text))
     n = len(report.varnames)
     assert report.v_dimension == n
-    m = Ideal(n, [Polynomial.variable(n, i) for i in range(n)])
+    m = Ideal(n, [variable(n, i) for i in range(n)])
     colengths = [0] + [m.power(i).colength() for i in range(1, 7)]
     want = [b - a for a, b in zip(colengths, colengths[1:])]
     assert report.series.expand(5).coeffs == want

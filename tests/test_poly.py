@@ -10,6 +10,8 @@ from algebroids.errors import ParseError
 from algebroids.groebner import FreeModuleElement, order_key
 from algebroids.poly import Polynomial, format_poly, monomials, parse_poly, wdeg
 
+from references import parse_poly_by_atoms
+
 
 def P(text, varnames=("x", "y", "z")):
     return parse_poly(text, list(varnames))
@@ -44,6 +46,80 @@ def test_parse_implicit_products():
     for implicit, explicit in [("2x y", "2*x*y"), ("x(y + 1)", "x*(y + 1)"),
                                ("(x + 1)(y - 1)", "(x + 1)*(y - 1)"), ("2 x^2 y", "2*x^2*y")]:
         assert P(implicit) == P(explicit), implicit
+
+
+# -- the parser against one Polynomial per atom ------------------------------
+
+def random_expression(rng, depth=0):
+    """A valid expression over x, y, z: signed products of ints, rationals,
+    variables and parenthesized sums, each factor maybe raised to a power,
+    joined by *, a blank or nothing where the grammar allows it."""
+    def factor():
+        r = rng.random()
+        if r < 0.2 and depth < 2:
+            atom = "(" + random_expression(rng, depth + 1) + ")"
+        elif r < 0.4:
+            atom = str(rng.randrange(12))
+        elif r < 0.5:
+            atom = f"{rng.randrange(9)}/{rng.randrange(1, 7)}"
+        else:
+            atom = rng.choice("xyz")
+        return atom + (f"^{rng.randrange(4)}" if rng.random() < 0.3 else "")
+
+    def product():
+        out = factor()
+        for _ in range(rng.randrange(3)):
+            nxt = factor()
+            # juxtaposition needs a name or "(" next; "2 3" and "x2" are not
+            # products, and a blank keeps "x" "y" from reading as "xy"
+            if nxt[0] == "(" or (nxt[0].isalpha() and not out[-1].isalnum()):
+                out += rng.choice(["*", " * ", " ", ""]) + nxt
+            elif nxt[0].isalpha():
+                out += rng.choice(["*", " ", " * "]) + nxt
+            else:
+                out += rng.choice(["*", " * "]) + nxt
+        return out
+
+    signs = lambda: "".join(rng.choice("+- ") for _ in range(rng.randrange(3)))
+    out = signs() + product()
+    for _ in range(rng.randrange(3)):
+        out += " " + rng.choice("+-") + signs() + " " + product()
+    return out
+
+
+def parse_outcome(parse, text):
+    try:
+        p = parse(text, ["x", "y", "z"])
+    except ParseError as exc:
+        return "error", str(exc)
+    return "poly", p, list(p.terms.items())
+
+
+def test_parser_matches_the_atom_by_atom_parser_on_valid_input():
+    rng = random.Random(53)
+    for _ in range(400):
+        text = random_expression(rng)
+        new, old = parse_outcome(parse_poly, text), parse_outcome(parse_poly_by_atoms, text)
+        assert old[0] == "poly", (text, old)
+        # equal polynomials, their terms in the same order
+        assert new == old, text
+
+
+MALFORMED_TOKENS = ["x", "y", "z", "q", "x2", "2", "0", "3/", "/", "/0", "^", "^2", "^x", "^-1",
+                    "(", ")", "*", "+", "-", " ", "1/2", "@", ".", "_w", "é"]
+
+
+def test_parser_raises_the_atom_by_atom_parsers_errors():
+    rng = random.Random(59)
+    errors = set()
+    for _ in range(600):
+        text = "".join(rng.choice(MALFORMED_TOKENS) for _ in range(rng.randrange(1, 9)))
+        new, old = parse_outcome(parse_poly, text), parse_outcome(parse_poly_by_atoms, text)
+        assert new == old, text
+        if old[0] == "error":
+            errors.add(old[1].split(" ")[0])
+    # every message of the grammar is met
+    assert errors >= {"unexpected", "exponent", "missing", "bad", "undeclared", "trailing"}
 
 
 def test_polynomials_add_only_to_polynomials():
