@@ -127,9 +127,7 @@ def tangent_derivations(ideal):
     Computed as one module-kernel (syzygy) computation: syzygies of the
     Jacobian columns augmented by the ideal generators in each slot.  The
     zero ideal has n zero columns of rank 0, whose syzygies are the partials
-    d/dx_1, ..., d/dx_n in order: T(0) = Der(A).  The ideal's weights grade
-    the engine's pair selection, so a quasi-homogeneous ideal's syzygies
-    are built degree by degree; the term order, and so every basis, stays.
+    d/dx_1, ..., d/dx_n in order: T(0) = Der(A).
     """
     if ideal.is_unit():
         raise PreconditionError("unit ideal")
@@ -143,7 +141,7 @@ def tangent_derivations(ideal):
                 for g in fs for j in range(s)]
     derivations = []
     seen = set()
-    for syz in syzygies(columns, selection_weights=ideal.weights):
+    for syz in syzygies(columns):
         proj = syz.project(list(range(n)))
         if proj.is_zero() or proj in seen:
             continue

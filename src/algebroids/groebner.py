@@ -170,7 +170,8 @@ def _reduce(terms, buckets, elements, key):
     linalg.eliminate copies, which would make a long reduction quadratic.
     """
     scale, work = linalg.integral(terms)
-    work = dict(work)  # popped and rescaled below
+    if work is terms:  # an int row comes back itself; the caller keeps it
+        work = dict(terms)
     heap = [(key(m), m) for m in work]
     heapq.heapify(heap)
     rem = {}
@@ -274,18 +275,17 @@ def _position_shifts(elements, rank, weights):
     return shifts
 
 
-def groebner_basis(gens, weights=None, *, selection_weights=None):
+def groebner_basis(gens, weights=None):
     """Reduced Groebner basis of the given module elements under
     order_key(weights), kept fraction free as primitive int vectors with
     positive leading coefficients.
 
     When some position shifts make every generator homogeneous for the
-    degree wdeg(exp, selection_weights) + shift[pos] (selection_weights
-    defaults to weights), the pair of least lcm degree is reduced first,
-    ties by the least lcm; otherwise the least lcm under the order.  Every
-    S-polynomial and remainder of homogeneous input is homogeneous, so a
-    degree is complete before the next starts.  The reduced basis is
-    unique, so the choice moves only the work."""
+    degree wdeg(exp, weights) + shift[pos], the pair of least lcm degree is
+    reduced first, ties by the least lcm; otherwise the least lcm under the
+    order.  Every S-polynomial and remainder of homogeneous input is
+    homogeneous, so a degree is complete before the next starts.  The
+    reduced basis is unique, so the choice moves only the work."""
     key = order_key(weights)
     items = [g for g in gens if not g.is_zero()]
     if not items:
@@ -296,9 +296,7 @@ def groebner_basis(gens, weights=None, *, selection_weights=None):
         if g.nvars != nvars or g.rank != rank:
             raise ValueError("mixed ambient modules")
 
-    if selection_weights is None:
-        selection_weights = weights
-    shifts = _position_shifts(items, rank, selection_weights)
+    shifts = _position_shifts(items, rank, weights)
 
     basis = []
     leads = []  # (mono, coeff) of basis[k], computed once when k is added
@@ -319,12 +317,13 @@ def groebner_basis(gens, weights=None, *, selection_weights=None):
                 lcm = _lcm_exp(lexp, exp)
                 priority = tuple(map(neg, key((pos, lcm))))
                 if shifts:
-                    priority = (wdeg(lcm, selection_weights) + shifts[pos],) + priority
+                    priority = (wdeg(lcm, weights) + shifts[pos],) + priority
                 heapq.heappush(pairs, (priority, i, j))
         basis.append(element)
         leads.append(lead)
         buckets.setdefault(pos, []).append((j, exp, coeff))
 
+    # a primitive generator's own dict may become a basis row: neither changes
     for g in items:
         add(g.terms)
 
@@ -508,7 +507,7 @@ def _greedy_minimal_generators(ideal):
     return kept
 
 
-def _augmented_basis(vectors, weights, selection_weights=None):
+def _augmented_basis(vectors, weights):
     """Groebner basis of the rows (v_i, e_i) in A^(r+s), r the rank of the
     v_i and s their number."""
     nvars = vectors[0].nvars
@@ -518,23 +517,22 @@ def _augmented_basis(vectors, weights, selection_weights=None):
         terms = dict(v.terms)
         terms[(r + i, (0,) * nvars)] = 1
         augmented.append(FreeModuleElement(nvars, r + len(vectors), terms))
-    return groebner_basis(augmented, weights, selection_weights=selection_weights)
+    return groebner_basis(augmented, weights)
 
 
-def syzygies(vectors, *, selection_weights=None):
+def syzygies(vectors):
     """Generating set of the syzygy module of the given elements of A^r.
 
     Each returned element s (rank = len(vectors)) is monic and satisfies
     sum s_i v_i = 0.  Position over term eliminates the first r positions:
     the basis elements whose leads lie in the last s positions live there
-    entirely, and they generate the syzygies.  selection_weights grade the
-    pair selection only (see groebner_basis); the order has unit weights.
+    entirely, and they generate the syzygies.
     """
     if not vectors:
         return []
     r = vectors[0].rank
     positions = list(range(r, r + len(vectors)))
-    gb = _augmented_basis(vectors, None, selection_weights)
+    gb = _augmented_basis(vectors, None)
     return [e.scale(Fraction(1, e.terms[lead])).project(positions)
             for e, lead in zip(gb.elements, gb.leads()) if lead[0] >= r]
 

@@ -29,7 +29,8 @@ def integral(row):
 
 def primitive(row, lead):
     """The multiple of the sparse dict with coprime int entries, positive at
-    lead: the row itself when it is that multiple already."""
+    lead: the row itself when it is that multiple already, so a caller that
+    changes the result, or the row after it, copies it first."""
     try:
         g = gcd(*row.values())
     except TypeError:  # a Fraction entry, which gcd refuses: clear denominators

@@ -355,12 +355,15 @@ def test_position_shifts_make_each_element_homogeneous():
 @pytest.mark.parametrize("gens", MODULE_CASES)
 def test_degree_selection_keeps_the_module_basis(gens, weighted):
     weights = module_weights(gens, weighted)
-    reference = position_first_basis(gens, weights)
-    assert same_basis(groebner_basis(gens, weights), reference)
-    # the pairs chosen by the degree of other gradings, where shifts exist
-    nvars = gens[0].nvars
-    for selection in [(1,) * nvars, (1,) + (2,) * (nvars - 1), tuple(range(nvars, 0, -1))]:
-        assert same_basis(groebner_basis(gens, weights, selection_weights=selection), reference)
+    assert same_basis(groebner_basis(gens, weights), position_first_basis(gens, weights))
+
+
+def test_degree_selection_keeps_whitneys_graded_module_basis():
+    # T(I) of Whitney is homogeneous under (1, 2, 2) with shifts, so that
+    # order takes its pairs by degree
+    gens = whitney_module()
+    assert groebner._position_shifts(gens, 3, (1, 2, 2)) is not None
+    assert same_basis(groebner_basis(gens, (1, 2, 2)), position_first_basis(gens, (1, 2, 2)))
 
 
 def random_graded_module(rng, weights, shifts):
@@ -382,8 +385,8 @@ def random_graded_module(rng, weights, shifts):
 @pytest.mark.parametrize("weights", [(1, 1, 1), (1, 2, 3), (3, 2, 1), (2, 1, 5)])
 def test_degree_selection_keeps_random_graded_bases(weights):
     # homogeneous and weighted ideals and rank-2 modules, under their own
-    # order and under the unweighted order with their weights grading the
-    # selection only
+    # order (pairs by degree) and under the unweighted one (by degree only
+    # when the weights are 1)
     rng = random.Random(41)
     cases = [[FreeModuleElement.from_poly(g) for g in random_graded_ideal(rng, weights).gens]
              for _ in range(6)]
@@ -391,8 +394,7 @@ def test_degree_selection_keeps_random_graded_bases(weights):
     for gens in filter(None, cases):
         assert groebner._position_shifts(gens, gens[0].rank, weights) is not None
         for order in (weights, None):
-            assert same_basis(groebner_basis(gens, order, selection_weights=weights),
-                              position_first_basis(gens, order))
+            assert same_basis(groebner_basis(gens, order), position_first_basis(gens, order))
 
 
 DEGREE_SELECTION_IDEALS = [
@@ -408,24 +410,26 @@ DEGREE_SELECTION_IDEALS = [
 @pytest.mark.parametrize("names, gens, weights", DEGREE_SELECTION_IDEALS,
                          ids=["whitney", "e6", "d4", "axes", "minors23", "twisted-cubic"])
 def test_degree_selection_keeps_the_tangent_syzygy_bases(monkeypatch, names, gens, weights):
-    # every basis tangent_derivations builds, on its augmented rows (v_i,
-    # e_i) with the ideal's weights grading the selection, equals the
-    # position-first basis of the same rows
+    # every basis tangent_derivations builds on its augmented rows (v_i,
+    # e_i), under the unweighted order, equals the position-first basis of
+    # the same rows; the rows of the standard-graded ideals take their
+    # pairs by degree, those of the weighted ones by the order
     built = []
     engine = groebner.groebner_basis
 
-    def spy(rows, order=None, **kwargs):
-        gb = engine(rows, order, **kwargs)
-        built.append((rows, order, kwargs.get("selection_weights"), gb))
+    def spy(rows, order=None):
+        gb = engine(rows, order)
+        built.append((rows, order, gb))
         return gb
 
     monkeypatch.setattr(groebner, "groebner_basis", spy)
     ideal = Ideal(len(names), [P(g, names) for g in gens], weights)
     tangent_derivations(ideal)
     augmented = [entry for entry in built if entry[0][0].rank > 1]
-    assert augmented and all(selection == ideal.weights for _r, _o, selection, _gb in augmented)
-    for rows, order, _selection, gb in augmented:
-        assert groebner._position_shifts(rows, rows[0].rank, ideal.weights) is not None
+    assert augmented
+    for rows, order, gb in augmented:
+        shifts = groebner._position_shifts(rows, rows[0].rank, order)
+        assert (shifts is not None) == (weights is None)
         assert same_basis(gb, position_first_basis(rows, order))
 
 
