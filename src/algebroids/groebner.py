@@ -2,16 +2,16 @@
 
 Buchberger's algorithm with the chain criterion and the coprimality
 criterion (ideals only, where it is valid); a pair of single-term elements
-is never formed, as its S-polynomial is zero.  S-pairs are taken by the
-degree of their lcm when position shifts make the input homogeneous (the
-normal strategy with sugar of Giovini, Mora, Niesi, Robbiano and Traverso,
-ISSAC 1991, whose sugar is that degree on homogeneous input), by the least
-lcm under the order otherwise.  It runs fraction free on primitive int
-vectors (linalg.integral, linalg.primitive and linalg.eliminate, which row
+is never formed, as its S-polynomial is zero.  S-pairs are taken by least
+sugar, the degree an S-polynomial would have had if the input had been
+homogenized (Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar cube,
+please", ISSAC 1991), ties by the least lcm; on every input, under the
+order's own weights.  It runs fraction free on primitive int vectors
+(linalg.integral, linalg.primitive and linalg.eliminate, which row
 elimination shares), and a basis keeps them.  It takes module elements,
-under one order: weighted grevlex, position over term.
-Syzygies and coefficient lifts over the original generators are both read off
-one basis of the augmented rows (v_i, e_i).
+under one order: weighted grevlex, position over term.  Syzygies and
+coefficient lifts over the original generators are both read off one basis
+of the augmented rows (v_i, e_i).
 """
 
 import heapq
@@ -240,52 +240,19 @@ class GroebnerBasis:
         return not _reduce(f.terms, self._buckets, self.elements, self.key)[0]
 
 
-def _position_shifts(elements, rank, weights):
-    """Shifts s with wdeg(exp, weights) + s[pos] the same on all the terms
-    of each element, or None when there are none.  The first term an
-    element has at a position whose shift is known fixes its degree, and
-    the degree fixes the shifts of its other positions; a position that no
-    element ties to one before it starts at 0."""
-    at = [[] for _ in range(rank)]  # the elements with a term at each position
-    for k, e in enumerate(elements):
-        for pos in {pos for pos, _exp in e.terms}:
-            at[pos].append(k)
-    shifts = [None] * rank
-    placed = set()
-    for start in range(rank):
-        if shifts[start] is not None:
-            continue
-        shifts[start] = 0
-        todo = [start]
-        while todo:
-            p = todo.pop()
-            for k in at[p]:
-                if k in placed:
-                    continue
-                placed.add(k)
-                terms = elements[k].terms
-                degree = next(wdeg(exp, weights) for pos, exp in terms if pos == p) + shifts[p]
-                for pos, exp in terms:
-                    d = degree - wdeg(exp, weights)
-                    if shifts[pos] is None:
-                        shifts[pos] = d
-                        todo.append(pos)
-                    elif shifts[pos] != d:
-                        return None
-    return shifts
-
-
 def groebner_basis(gens, weights=None):
     """Reduced Groebner basis of the given module elements under
     order_key(weights), kept fraction free as primitive int vectors with
     positive leading coefficients.
 
-    When some position shifts make every generator homogeneous for the
-    degree wdeg(exp, weights) + shift[pos], the pair of least lcm degree is
-    reduced first, ties by the least lcm; otherwise the least lcm under the
-    order.  Every S-polynomial and remainder of homogeneous input is
-    homogeneous, so a degree is complete before the next starts.  The
-    reduced basis is unique, so the choice moves only the work."""
+    The pair of least sugar is reduced first, ties by the least lcm under
+    the order.  A generator's sugar is its largest degree wdeg(exp,
+    weights), positions ignored; a pair's is the larger of its two
+    elements' sugars, each raised by the degree its lead gains on the way
+    to the lcm; a remainder keeps its pair's.  On homogeneous ideals the
+    sugar is the lcm's degree, so a degree is complete before the next
+    starts.  The reduced basis is unique, so the choice moves only the
+    work."""
     key = order_key(weights)
     items = [g for g in gens if not g.is_zero()]
     if not items:
@@ -296,39 +263,40 @@ def groebner_basis(gens, weights=None):
         if g.nvars != nvars or g.rank != rank:
             raise ValueError("mixed ambient modules")
 
-    shifts = _position_shifts(items, rank, weights)
-
     basis = []
     leads = []  # (mono, coeff) of basis[k], computed once when k is added
     buckets = {}  # _buckets(leads), kept in step
-    # heap of ((shifted degree of the lcm,) + negated key of (pos, lcm), i,
-    # j): the least lcm first, of least degree first when there are shifts
+    # the sugar of basis[k] less its lead's degree: a pair's sugar is the
+    # degree of the lcm plus the larger of its two elements' gaps
+    gaps = []
+    # heap of ((sugar,) + negated key of (pos, lcm), i, j): the least sugar
+    # first, ties by the least lcm
     pairs = []
     done = set()
 
-    def add(terms):
+    def add(terms, sugar):
         j = len(basis)
         mono = min(terms, key=key)
         element = FreeModuleElement._clean(nvars, rank, linalg.primitive(terms, mono))
         (pos, exp), coeff = lead = mono, element.terms[mono]
+        gap = sugar - wdeg(exp, weights)
         for i, lexp, _c in buckets.get(pos, ()):
             # two single terms have a zero S-polynomial: no pair
             if len(terms) > 1 or len(basis[i].terms) > 1:
                 lcm = _lcm_exp(lexp, exp)
-                priority = tuple(map(neg, key((pos, lcm))))
-                if shifts:
-                    priority = (wdeg(lcm, weights) + shifts[pos],) + priority
+                priority = (wdeg(lcm, weights) + max(gaps[i], gap),) + tuple(map(neg, key((pos, lcm))))
                 heapq.heappush(pairs, (priority, i, j))
         basis.append(element)
         leads.append(lead)
+        gaps.append(gap)
         buckets.setdefault(pos, []).append((j, exp, coeff))
 
     # a primitive generator's own dict may become a basis row: neither changes
     for g in items:
-        add(g.terms)
+        add(g.terms, max(wdeg(exp, weights) for _pos, exp in g.terms))
 
     while pairs:
-        _, i, j = heapq.heappop(pairs)
+        priority, i, j = heapq.heappop(pairs)
         done.add((i, j))
         p, ei = leads[i][0]
         ej = leads[j][0][1]
@@ -346,7 +314,7 @@ def groebner_basis(gens, weights=None):
                                  basis[j].mul_term(_quot(L, ej)).terms, (p, L))
         rem = _reduce(spoly, buckets, basis, key)[0]
         if rem:
-            add(rem)
+            add(rem, priority[0])
 
     # minimal basis: at each position, the elements whose leads are minimal
     # (of equal leads the first stays)

@@ -12,7 +12,12 @@ import re
 from fractions import Fraction
 from operator import add, le, mul
 
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
+
+# the most term pairs one product may multiply: a desk-scale bound, far
+# above any product a report makes, that turns a runaway expansion such as
+# (x + y + z + w)^40 into a refusal before it starts
+MAX_PRODUCT_PAIRS = 10**6
 
 
 def wdeg(exp, weights=None):
@@ -116,6 +121,10 @@ class Polynomial:
             c = _exact(other)
             return Polynomial(self.nvars, {e: c * v for e, v in self.terms.items()})
         self._check(other)
+        if len(self.terms) * len(other.terms) > MAX_PRODUCT_PAIRS:
+            raise PreconditionError(
+                f"a product of {len(self.terms)} by {len(other.terms)} terms is past "
+                f"the desk-scale bound of {MAX_PRODUCT_PAIRS} term pairs")
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -133,12 +142,13 @@ class Polynomial:
             return Polynomial(self.nvars, {tuple(k * a for a in exp): c ** k})
         out = Polynomial.one(self.nvars)
         base = self
-        while k:
+        while True:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def diff(self, i):
         terms = {}

@@ -40,6 +40,13 @@ FILE_COMMANDS = [
     ["hilbert"],
     ["monomial"],
 ]
+# inputs that are refused while they are read: one command each, as every
+# other command would only repeat the refusal
+REFUSED_INPUTS = {
+    # (x + y + z + w)^40 is past the desk-scale bound on the term pairs of
+    # one product: a precondition failure, exit 3, before it expands
+    "power_sum_40.txt": [["monomial"]],
+}
 QUASIPOLY_SERIES = [
     # the binary cubic's covariants, (1 - t + t^2)/((1 - t)^2 (1 - t^4))
     '{"numerator": [1, -1, 1], "denominator": [{"n": 1, "mult": 2}, {"n": 4, "mult": 1}]}',
@@ -65,7 +72,7 @@ def commands():
     """Every case's argv, input files named relative to inputs/."""
     out = []
     for path in sorted((HERE / "inputs").glob("*.txt")):
-        for command in FILE_COMMANDS:
+        for command in REFUSED_INPUTS.get(path.name, FILE_COMMANDS):
             out.append([command[0], path.name] + command[1:])
     for d in range(7):
         for depth in (0, 5, 12, 40):

@@ -365,7 +365,7 @@ def monomialize_by_membership(ideal):
 
 def position_first_basis(gens, weights=None):
     """The reduced Groebner basis as the engine built it before it chose
-    S-pairs by degree: Buchberger's loop pops the pair of least lcm under
+    S-pairs by degree or sugar: Buchberger's loop pops the pair of least lcm under
     the position-over-term order, so it works position by position, with
     the coprimality criterion (ideals only) and the chain criterion, fraction
     free on the engine's own reduction."""

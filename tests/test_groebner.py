@@ -331,24 +331,35 @@ def test_leads_are_those_of_the_elements(weighted):
         assert list(gb.leads()) == leads == sorted(leads, key=key)
 
 
-# -- S-pairs by degree against the position-first selection ---------------
+# -- S-pairs by sugar against the position-first selection ----------------
 
 def same_basis(gb, reference):
     return list(gb.leads()) == list(reference.leads()) and gb.elements == reference.elements
 
 
-def test_position_shifts_make_each_element_homogeneous():
-    # Whitney's T(I) under (1, 2, 2): each field has one degree once
-    # position p is shifted by -w_p; x^2 + y at one position has none
-    gens = whitney_module()
-    shifts = groebner._position_shifts(gens, 3, (1, 2, 2))
-    assert shifts is not None
-    for g in gens:
-        assert len({wdeg(exp, (1, 2, 2)) + shifts[pos] for pos, exp in g.terms}) == 1
-    assert [b - a for a, b in zip(shifts, shifts[1:])] == [-1, 0]
-    assert groebner._position_shifts(E(P("x^2 + y")), 1, None) is None
-    # a position no element reaches starts at 0
-    assert groebner._position_shifts(E(P("x*y")), 1, None) == [0]
+def test_sugar_selection_keeps_the_basis_of_graded_and_ungraded_input():
+    # Whitney's T(I) is homogeneous under (1, 2, 2) only with its positions
+    # shifted, x^2 + y only under (1, 2), and x*y is one term: the sugar of
+    # each orders its pairs, and the reduced basis stays
+    cases = [(whitney_module(), (1, 2, 2)), (whitney_module(), None),
+             (E(P("x^2 + y"), P("x*y^2 - 1")), None), (E(P("x^2 + y"), P("x*y")), (1, 2)),
+             (E(P("x*y")), None)]
+    for gens, weights in cases:
+        assert same_basis(groebner_basis(gens, weights), position_first_basis(gens, weights))
+
+
+@pytest.mark.parametrize("weights", [None, (1, 2, 3), (2, 1, 1)])
+def test_sugar_selection_keeps_random_inhomogeneous_bases(weights):
+    # seeded ideals and rank-2 modules, most with an inhomogeneous element,
+    # whose remainders' sugar can exceed their leads' degrees
+    rng = random.Random(59)
+    cases = [E(*[random_poly(rng, 3) for _ in range(3)]) for _ in range(8)]
+    cases += random_modules(61, 6, nvars=3)
+    cases = [gens for gens in ([g for g in c if not g.is_zero()] for c in cases) if gens]
+    assert sum(any(len({wdeg(exp, weights) for _pos, exp in g.terms}) > 1 for g in gens)
+               for gens in cases) >= 10
+    for gens in cases:
+        assert same_basis(groebner_basis(gens, weights), position_first_basis(gens, weights))
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["pot", "weighted"])
@@ -359,10 +370,9 @@ def test_degree_selection_keeps_the_module_basis(gens, weighted):
 
 
 def test_degree_selection_keeps_whitneys_graded_module_basis():
-    # T(I) of Whitney is homogeneous under (1, 2, 2) with shifts, so that
-    # order takes its pairs by degree
+    # T(I) of Whitney is homogeneous under (1, 2, 2) with shifts; its sugar
+    # ignores them
     gens = whitney_module()
-    assert groebner._position_shifts(gens, 3, (1, 2, 2)) is not None
     assert same_basis(groebner_basis(gens, (1, 2, 2)), position_first_basis(gens, (1, 2, 2)))
 
 
@@ -385,14 +395,13 @@ def random_graded_module(rng, weights, shifts):
 @pytest.mark.parametrize("weights", [(1, 1, 1), (1, 2, 3), (3, 2, 1), (2, 1, 5)])
 def test_degree_selection_keeps_random_graded_bases(weights):
     # homogeneous and weighted ideals and rank-2 modules, under their own
-    # order (pairs by degree) and under the unweighted one (by degree only
-    # when the weights are 1)
+    # order (the sugar of an ideal's pair is its lcm's degree) and under the
+    # unweighted one
     rng = random.Random(41)
     cases = [[FreeModuleElement.from_poly(g) for g in random_graded_ideal(rng, weights).gens]
              for _ in range(6)]
     cases += [random_graded_module(rng, weights, (0, rng.randrange(-2, 3))) for _ in range(6)]
     for gens in filter(None, cases):
-        assert groebner._position_shifts(gens, gens[0].rank, weights) is not None
         for order in (weights, None):
             assert same_basis(groebner_basis(gens, order), position_first_basis(gens, order))
 
@@ -412,8 +421,7 @@ DEGREE_SELECTION_IDEALS = [
 def test_degree_selection_keeps_the_tangent_syzygy_bases(monkeypatch, names, gens, weights):
     # every basis tangent_derivations builds on its augmented rows (v_i,
     # e_i), under the unweighted order, equals the position-first basis of
-    # the same rows; the rows of the standard-graded ideals take their
-    # pairs by degree, those of the weighted ones by the order
+    # the same rows
     built = []
     engine = groebner.groebner_basis
 
@@ -428,8 +436,6 @@ def test_degree_selection_keeps_the_tangent_syzygy_bases(monkeypatch, names, gen
     augmented = [entry for entry in built if entry[0][0].rank > 1]
     assert augmented
     for rows, order, gb in augmented:
-        shifts = groebner._position_shifts(rows, rows[0].rank, order)
-        assert (shifts is not None) == (weights is None)
         assert same_basis(gb, position_first_basis(rows, order))
 
 

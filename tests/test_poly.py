@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from algebroids.errors import ParseError
+from algebroids import poly
+from algebroids.errors import ParseError, PreconditionError
 from algebroids.groebner import FreeModuleElement, order_key
 from algebroids.poly import Polynomial, format_poly, monomials, parse_poly, wdeg
 
@@ -214,6 +216,31 @@ def test_pow():
             prod = prod * g
     assert Polynomial.zero(2) ** 0 == Polynomial.one(2)
     assert Polynomial.zero(2) ** 3 == Polynomial.zero(2)
+
+
+def test_pow_squares_no_further_than_its_highest_bit(monkeypatch):
+    # (x + y)^4 multiplies at most 3 x 3 and 1 x 5 terms; squaring its 5
+    # terms once more, past the last bit, would take 25 pairs
+    f = P("x + y - 2*z")
+    prod = Polynomial.one(3)
+    for k in range(10):
+        assert f ** k == prod
+        prod = prod * f
+    monkeypatch.setattr(poly, "MAX_PRODUCT_PAIRS", 24)
+    assert P("x + y", ("x", "y")) ** 4 == P("x^4 + 4*x^3*y + 6*x^2*y^2 + 4*x*y^3 + y^4", ("x", "y"))
+
+
+def test_products_past_the_desk_scale_bound_are_refused_before_they_start(monkeypatch):
+    # (x + y + z + w)^40 would take 30 s: its last product, of (.)^8 by
+    # (.)^32, is 165 x 6545 pairs, and it is refused before it starts
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="165 by 6545 terms"):
+        P("(x + y + z + w)^40", ("x", "y", "z", "w"))
+    assert time.perf_counter() - start < 5
+    monkeypatch.setattr(poly, "MAX_PRODUCT_PAIRS", 6)
+    assert len((P("x + y") * P("x + y + z")).terms) == 5
+    with pytest.raises(PreconditionError, match="3 by 3 terms"):
+        P("x + y + z") * P("x - y + 1")
 
 
 @pytest.mark.parametrize("weights", [(1, 1, 1), (3, 2, 2), (1, 4), (2,)])
