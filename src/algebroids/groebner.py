@@ -1,8 +1,9 @@
 """Groebner bases for ideals and submodules of free modules over Q[x1..xn].
 
-Buchberger's algorithm with the chain criterion and the coprimality
-criterion (ideals only, where it is valid); a pair of single-term elements
-is never formed, as its S-polynomial is zero.  S-pairs are taken by least
+Buchberger's algorithm.  A pair of single-term elements, or (ideals only,
+where it is valid) of coprime leads, is marked treated when it is formed
+and never queued; the chain criterion is tested on each pair as it is
+taken, against the elements treated with both.  S-pairs are taken by least
 sugar, the degree an S-polynomial would have had if the input had been
 homogenized (Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar cube,
 please", ISSAC 1991), ties by the least lcm; on every input, under the
@@ -252,7 +253,12 @@ def groebner_basis(gens, weights=None):
     to the lcm; a remainder keeps its pair's.  On homogeneous ideals the
     sugar is the lcm's degree, so a degree is complete before the next
     starts.  The reduced basis is unique, so the choice moves only the
-    work."""
+    work.
+
+    A pair of two single terms, or of coprime leads in an ideal, is marked
+    treated when formed and never queued.  A queued pair is marked when
+    taken; the chain criterion then skips it if some k treated with both
+    has a lead dividing its lcm."""
     key = order_key(weights)
     items = [g for g in gens if not g.is_zero()]
     if not items:
@@ -272,7 +278,7 @@ def groebner_basis(gens, weights=None):
     # heap of ((sugar,) + negated key of (pos, lcm), i, j): the least sugar
     # first, ties by the least lcm
     pairs = []
-    done = set()
+    treated = []  # treated[k]: the j whose pair with basis[k] is reduced or needs no reduction
 
     def add(terms, sugar):
         j = len(basis)
@@ -280,9 +286,15 @@ def groebner_basis(gens, weights=None):
         element = FreeModuleElement._clean(nvars, rank, linalg.primitive(terms, mono))
         (pos, exp), coeff = lead = mono, element.terms[mono]
         gap = sugar - wdeg(exp, weights)
+        treated.append(set())
         for i, lexp, _c in buckets.get(pos, ()):
-            # two single terms have a zero S-polynomial: no pair
-            if len(terms) > 1 or len(basis[i].terms) > 1:
+            # two single terms have a zero S-polynomial, and coprime leads of
+            # an ideal one that reduces to zero (Buchberger's first criterion)
+            if (len(terms) == 1 and len(basis[i].terms) == 1
+                    or rank == 1 and not any(map(min, lexp, exp))):
+                treated[i].add(j)
+                treated[j].add(i)
+            else:
                 lcm = _lcm_exp(lexp, exp)
                 priority = (wdeg(lcm, weights) + max(gaps[i], gap),) + tuple(map(neg, key((pos, lcm))))
                 heapq.heappush(pairs, (priority, i, j))
@@ -297,17 +309,13 @@ def groebner_basis(gens, weights=None):
 
     while pairs:
         priority, i, j = heapq.heappop(pairs)
-        done.add((i, j))
+        treated[i].add(j)
+        treated[j].add(i)
         p, ei = leads[i][0]
         ej = leads[j][0][1]
-        # coprimality criterion (valid for ideals only)
-        if rank == 1 and all(a == 0 or b == 0 for a, b in zip(ei, ej)):
-            continue
         L = _lcm_exp(ei, ej)
-        # chain criterion
-        if any(k != i and k != j and divides(ek, L)
-               and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
-               for k, ek, _c in buckets[p]):
+        # chain criterion (Buchberger's second)
+        if any(divides(leads[k][0][1], L) for k in treated[i] & treated[j]):
             continue
         # the S-polynomial: the leads, shifted to their lcm, cancel as in rref
         spoly = linalg.eliminate(basis[i].mul_term(_quot(L, ei)).terms,

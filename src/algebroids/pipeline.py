@@ -205,22 +205,18 @@ def analyze_singularity(spec, mode="tangent", series_depth=8):
     oracle_checks = {}
     if solvable is not None:
         if mode == "tangent":
+            check, scope = "isolated_regular_sequence_solvable", "isolated regular-sequence"
             in_scope = (isolated
                         and all(_min_degree(g) >= 2 for g in ideal.gens)
                         and _is_complete_intersection(ideal)
                         and (not principal or _min_degree(ideal.gens[0]) >= 3))
-            if in_scope:
-                oracle_checks["isolated_regular_sequence_solvable"] = solvable
-                if not solvable:
-                    raise InconsistencyError(
-                        "CONTRADICTS-PAPER: isolated regular-sequence fibre not solvable")
         else:
+            check, scope = "jacobian_algebroid_solvable", "Jacobian-algebroid"
             in_scope = principal and _min_degree(ideal.gens[0]) >= 3 and isolated
-            if in_scope:
-                oracle_checks["jacobian_algebroid_solvable"] = solvable
-                if not solvable:
-                    raise InconsistencyError(
-                        "CONTRADICTS-PAPER: Jacobian-algebroid fibre not solvable")
+        if in_scope:
+            oracle_checks[check] = solvable
+            if not solvable:
+                raise InconsistencyError(f"CONTRADICTS-PAPER: {scope} fibre not solvable")
 
     series = None
     series_note = None

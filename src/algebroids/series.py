@@ -32,10 +32,6 @@ class SeriesPrefix:
     def __init__(self, coeffs):
         self.coeffs = [_exact(c) for c in coeffs]
 
-    @property
-    def bound(self):
-        return len(self.coeffs) - 1
-
     def __getitem__(self, n):
         return self.coeffs[n]
 
@@ -65,12 +61,13 @@ class RationalSeries:
     def numerator_degree(self):
         return len(self.numerator) - 1
 
-    @property
-    def pole_count(self):
-        return sum(d for _, d in self.factors)
-
     def expand(self, bound):
-        return expand_series(self, bound)
+        """Coefficients 0..bound of the expansion, as a SeriesPrefix; exact."""
+        if bound < 0:
+            raise PreconditionError("bound must be >= 0")
+        coeffs = self.numerator[: bound + 1]
+        coeffs += [0] * (bound + 1 - len(coeffs))
+        return SeriesPrefix(divide_denominator(coeffs, self.factors))
 
     def __eq__(self, other):
         if not isinstance(other, RationalSeries):
@@ -125,22 +122,13 @@ def divide_denominator(coeffs, factors):
     return coeffs
 
 
-def expand_series(rs, bound):
-    """Coefficients 0..bound of the expansion of rs; exact."""
-    if bound < 0:
-        raise PreconditionError("bound must be >= 0")
-    coeffs = rs.numerator[: bound + 1]
-    coeffs += [0] * (bound + 1 - len(coeffs))
-    return SeriesPrefix(divide_denominator(coeffs, rs.factors))
-
-
 def reconstruct_rational(prefix, factors):
     """Find the RationalSeries with the given denominator matching the prefix.
 
     Raises "no stabilization" when the prefix times the denominator does not
     terminate early enough to certify the numerator.
     """
-    bound = prefix.bound
+    bound = len(prefix.coeffs) - 1
     prod = multiply_denominator(list(prefix.coeffs), factors)
     cutoff = bound - sum(n * d for n, d in factors)
     if cutoff < 0 or any(prod[cutoff + 1:]):
@@ -239,7 +227,7 @@ def quasi_polynomial_of(rs):
     input is refused before any expansion; a command at the bounds takes
     under 2 s on a 2-core VM."""
     period = lcm(*[n for n, _ in rs.factors]) if rs.factors else 1
-    max_deg = rs.pole_count - 1
+    max_deg = sum(d for _, d in rs.factors) - 1
     n0 = rs.numerator_degree + 1
     need = n0 + period * (max_deg + 1) + 2 * period
     if need > 10 ** 5 or period * (max_deg + 1) ** 3 > 2 * 10 ** 6:
@@ -284,9 +272,6 @@ class CharacterSeries:
         self.closed_denominator = [(tuple(chi), _integer(p, "closed-form power of t"))
                                    for chi, p in closed_denominator] if closed_denominator else None
 
-    def has_closed_form(self):
-        return self.closed_terms is not None and self.closed_denominator is not None
-
     def __eq__(self, other):
         return (isinstance(other, CharacterSeries) and self.rank == other.rank
                 and self.bound == other.bound and self.coeffs == other.coeffs)
@@ -304,7 +289,7 @@ def integrate_characters(cs):
             coeffs[n] = sum(lc.values())
     prefix = SeriesPrefix(coeffs)
     closed = None
-    if cs.has_closed_form():
+    if cs.closed_terms and cs.closed_denominator:
         deg = max((p for _, _, p in cs.closed_terms), default=0)
         num = [0] * (deg + 1)
         for s, _, p in cs.closed_terms:

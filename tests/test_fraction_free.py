@@ -17,7 +17,7 @@ from algebroids.liealg import LieAlgebra, fibre_lie_algebra
 from algebroids.pipeline import parse_input
 from algebroids.poly import Polynomial
 from algebroids.series import (QuasiPolynomial, RationalSeries, SeriesPrefix,
-                               expand_series, quasi_polynomial_of, reconstruct_rational)
+                               quasi_polynomial_of, reconstruct_rational)
 
 from references import dense_brackets, dense_rows, sparse_rows
 
@@ -334,7 +334,7 @@ def test_series_outputs_are_canonical():
         factors = [(1, rng.randrange(1, 3))] + [(n, 1) for n in (2, 3, 4) if rng.random() < 0.4]
         rs = RationalSeries(num, factors)
         bound = rs.numerator_degree + sum(n * d for n, d in rs.factors) + 4
-        prefix = expand_series(rs, bound)
+        prefix = rs.expand(bound)
         assert all(type(c) is int for c in prefix.coeffs)
         back = reconstruct_rational(SeriesPrefix([Fraction(c) for c in prefix.coeffs]), factors)
         assert all(type(c) is int for c in back.numerator)

@@ -595,6 +595,20 @@ def test_monomial_basis_forms_no_pairs(monkeypatch):
         {P("y*z", XYZ), P("x^2*y", XYZ)} | {Polynomial.monomial(3, e) for e in sextics})
 
 
+def test_coprime_leads_form_no_pairs(monkeypatch):
+    # the leads x^3, y^4, z^5 are pairwise coprime, so each pair's
+    # S-polynomial reduces to zero (Buchberger's first criterion): no pair
+    # takes an lcm or enters the queue, and the tails y, z, x are irreducible
+    formed, pushed = [], []
+    lcm_exp, heappush = groebner._lcm_exp, groebner.heapq.heappush
+    monkeypatch.setattr(groebner, "_lcm_exp", lambda a, b: formed.append(1) or lcm_exp(a, b))
+    monkeypatch.setattr(groebner.heapq, "heappush", lambda heap, item: pushed.append(item) or heappush(heap, item))
+    gens = [P(g, XYZ) for g in ("x^3 + y", "y^4 + z", "z^5 + x")]
+    gb = groebner_basis(E(*gens))
+    assert formed == [] and pushed == []
+    assert {e.to_polys()[0] for e in gb.elements} == set(gens)
+
+
 def test_power_of_coordinate_axes_jacobian_is_desk_scale():
     # J = m^2: J^9 = m^18 has 190 monomials among its 2002 products of
     # generators, and a basis of all the products ran past 60 s

@@ -13,7 +13,7 @@ from algebroids.hilbert import dimension_multiplicity, equivariant_series_monomi
 from algebroids.poly import Polynomial
 from algebroids.pipeline import covariants_report
 from algebroids.series import (CharacterSeries, QuasiPolynomial,
-                               RationalSeries, SeriesPrefix, expand_series,
+                               RationalSeries, SeriesPrefix,
                                integrate_characters, quasi_polynomial_of,
                                reconstruct_rational)
 
@@ -68,10 +68,10 @@ def test_partitions_symmetry_and_column_sum():
 
 def test_expand_examples():
     rs = RationalSeries([1], [(1, 1), (2, 1)])
-    assert expand_series(rs, 5).coeffs == [1, 1, 2, 2, 3, 3]
+    assert rs.expand(5).coeffs == [1, 1, 2, 2, 3, 3]
     rs = RationalSeries([1], [(1, 3)])
-    assert expand_series(rs, 3).coeffs == [1, 3, 6, 10]
-    assert expand_series(RationalSeries([], [(1, 2)]), 4).coeffs == [0] * 5
+    assert rs.expand(3).coeffs == [1, 3, 6, 10]
+    assert RationalSeries([], [(1, 2)]).expand(4).coeffs == [0] * 5
 
 
 def test_series_are_equal_only_when_every_coefficient_is():
@@ -174,7 +174,7 @@ def test_quasi_polynomial_refuses_a_series_outside_desk_scale(monkeypatch):
     def expansion_started(rs, bound):
         raise RuntimeError("expanded")
 
-    monkeypatch.setattr(series, "expand_series", expansion_started)
+    monkeypatch.setattr(RationalSeries, "expand", expansion_started)
     # no factor: need = numerator degree + 3
     for degree, accepted in ((10 ** 5 - 3, True), (10 ** 5 - 2, False)):
         rs = RationalSeries([0] * degree + [1], [])
