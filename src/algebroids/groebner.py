@@ -7,12 +7,16 @@ taken, against the elements treated with both.  S-pairs are taken by least
 sugar, the degree an S-polynomial would have had if the input had been
 homogenized (Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar cube,
 please", ISSAC 1991), ties by the least lcm; on every input, under the
-order's own weights.  It runs fraction free on primitive int vectors
-(linalg.integral, linalg.primitive and linalg.eliminate, which row
-elimination shares), and a basis keeps them.  It takes module elements,
-under one order: weighted grevlex, position over term.  Syzygies and
-coefficient lifts over the original generators are both read off one basis
-of the augmented rows (v_i, e_i).
+order's own weights.  An input waits in the same queue at its sugar, as a
+pair with nothing, and is reduced like an S-polynomial when taken (Kreuzer
+and Robbiano, Computational Commutative Algebra 2, 2005): only a nonzero
+remainder joins the basis, so an input that reduces to zero forms no pair.
+It runs fraction free on primitive int vectors (linalg.integral,
+linalg.primitive and linalg.eliminate, which row elimination shares), and a
+basis keeps them.  It takes module elements, under one order: weighted
+grevlex, position over term.  Syzygies and coefficient lifts over the
+original generators are both read off one basis of the augmented rows
+(v_i, e_i).
 """
 
 import heapq
@@ -246,13 +250,15 @@ def groebner_basis(gens, weights=None):
     order_key(weights), kept fraction free as primitive int vectors with
     positive leading coefficients.
 
-    The pair of least sugar is reduced first, ties by the least lcm under
-    the order.  A generator's sugar is its largest degree wdeg(exp,
-    weights), positions ignored; a pair's is the larger of its two
-    elements' sugars, each raised by the degree its lead gains on the way
-    to the lcm; a remainder keeps its pair's.  On homogeneous ideals the
-    sugar is the lcm's degree, so a degree is complete before the next
-    starts.  The reduced basis is unique, so the choice moves only the
+    The inputs and the S-pairs wait in one queue, and the entry of least
+    sugar is reduced first: an input ahead of the pairs of its sugar, a
+    pair ahead of those with a larger lcm under the order.  An input's
+    sugar is its largest degree wdeg(exp, weights), positions ignored; a
+    pair's is the larger of its two elements' sugars, each raised by the
+    degree its lead gains on the way to the lcm; a remainder keeps its
+    entry's.  Only a nonzero remainder joins the basis.  On homogeneous
+    ideals the sugar is the degree, so a degree is complete before the
+    next starts.  The reduced basis is unique, so the order moves only the
     work.
 
     A pair of two single terms, or of coprime leads in an ideal, is marked
@@ -275,9 +281,11 @@ def groebner_basis(gens, weights=None):
     # the sugar of basis[k] less its lead's degree: a pair's sugar is the
     # degree of the lcm plus the larger of its two elements' gaps
     gaps = []
-    # heap of ((sugar,) + negated key of (pos, lcm), i, j): the least sugar
-    # first, ties by the least lcm
-    pairs = []
+    # heap of ((sugar,) + negated key of (pos, lcm), i, j) for the pair of
+    # basis[i] and basis[j], the least sugar first, ties by the least lcm; the
+    # input items[n] waits as ((sugar,), -1, n), ahead of the pairs of its sugar
+    queue = [((max(wdeg(exp, weights) for _pos, exp in g.terms),), -1, n) for n, g in enumerate(items)]
+    heapq.heapify(queue)
     treated = []  # treated[k]: the j whose pair with basis[k] is reduced or needs no reduction
 
     def add(terms, sugar):
@@ -297,30 +305,29 @@ def groebner_basis(gens, weights=None):
             else:
                 lcm = _lcm_exp(lexp, exp)
                 priority = (wdeg(lcm, weights) + max(gaps[i], gap),) + tuple(map(neg, key((pos, lcm))))
-                heapq.heappush(pairs, (priority, i, j))
+                heapq.heappush(queue, (priority, i, j))
         basis.append(element)
         leads.append(lead)
         gaps.append(gap)
         buckets.setdefault(pos, []).append((j, exp, coeff))
 
-    # a primitive generator's own dict may become a basis row: neither changes
-    for g in items:
-        add(g.terms, max(wdeg(exp, weights) for _pos, exp in g.terms))
-
-    while pairs:
-        priority, i, j = heapq.heappop(pairs)
-        treated[i].add(j)
-        treated[j].add(i)
-        p, ei = leads[i][0]
-        ej = leads[j][0][1]
-        L = _lcm_exp(ei, ej)
-        # chain criterion (Buchberger's second)
-        if any(divides(leads[k][0][1], L) for k in treated[i] & treated[j]):
-            continue
-        # the S-polynomial: the leads, shifted to their lcm, cancel as in rref
-        spoly = linalg.eliminate(basis[i].mul_term(_quot(L, ei)).terms,
-                                 basis[j].mul_term(_quot(L, ej)).terms, (p, L))
-        rem = _reduce(spoly, buckets, basis, key)[0]
+    while queue:
+        priority, i, j = heapq.heappop(queue)
+        if i < 0:  # the input items[j]
+            terms = items[j].terms
+        else:
+            treated[i].add(j)
+            treated[j].add(i)
+            p, ei = leads[i][0]
+            ej = leads[j][0][1]
+            L = _lcm_exp(ei, ej)
+            # chain criterion (Buchberger's second)
+            if any(divides(leads[k][0][1], L) for k in treated[i] & treated[j]):
+                continue
+            # the S-polynomial: the leads, shifted to their lcm, cancel as in rref
+            terms = linalg.eliminate(basis[i].mul_term(_quot(L, ei)).terms,
+                                     basis[j].mul_term(_quot(L, ej)).terms, (p, L))
+        rem = _reduce(terms, buckets, basis, key)[0]
         if rem:
             add(rem, priority[0])
 
@@ -358,7 +365,7 @@ class Ideal:
             raise ValueError(f"need one positive int weight per variable, got {self.weights}")
         self.gens = [g for g in gens if not g.is_zero()]
         self._gb = None  # the basis under order_key(weights), built on first use
-        # colength, minimal generators and powers; gens is never mutated after this
+        # colength and powers; gens is never mutated after this
         self._memo = {}
 
     def groebner(self):
@@ -437,17 +444,13 @@ class Ideal:
         g_j with j < i is never needed: the smallest such j would itself lie
         in L + <g after j> and have been dropped.  Otherwise the greedy route.
         """
-        if "minimal_generators" not in self._memo:
-            if self.is_quasi_homogeneous():
-                kept, degrees = graded.minimal_generators(
-                    [FreeModuleElement.from_poly(g) for g in reversed(self.gens)],
-                    self.weights, (0,))
-                last = len(self.gens) - 1
-                picked = sorted((d, last - k) for k, d in zip(kept, degrees))
-                self._memo["minimal_generators"] = tuple(self.gens[i] for _d, i in picked)
-            else:
-                self._memo["minimal_generators"] = tuple(_greedy_minimal_generators(self))
-        return list(self._memo["minimal_generators"])
+        if not self.is_quasi_homogeneous():
+            return _greedy_minimal_generators(self)
+        kept, degrees = graded.minimal_generators(
+            [FreeModuleElement.from_poly(g) for g in reversed(self.gens)], self.weights, (0,))
+        last = len(self.gens) - 1
+        picked = sorted((d, last - k) for k, d in zip(kept, degrees))
+        return [self.gens[i] for _d, i in picked]
 
     def product(self, other):
         """The ideal of the distinct products of a generator of each."""
@@ -455,16 +458,13 @@ class Ideal:
         return Ideal(self.nvars, gens, self.weights)
 
     def power(self, k):
-        """I^k as I^(k-1) * I, each power built once and kept.  A
-        quasi-homogeneous power keeps only its minimal generators after each
-        step, found without a basis."""
+        """I^k as I^(k-1) * I, each power built once and kept, generated by
+        all the distinct products: groebner_basis reduces each input when its
+        sugar comes up, so a product that reduces to zero forms no pair."""
         powers = self._memo.setdefault(
             "powers", [Ideal(self.nvars, [Polynomial.one(self.nvars)], self.weights)])
         while len(powers) <= k:
-            out = powers[-1].product(self)
-            if out.is_quasi_homogeneous():
-                out = Ideal(self.nvars, out.minimal_generators(), self.weights)
-            powers.append(out)
+            powers.append(powers[-1].product(self))
         return powers[k]
 
     def __repr__(self):

@@ -565,7 +565,7 @@ def test_minimal_generators_of_graded_ideal_build_no_groebner_basis(monkeypatch)
     assert calls
 
 
-# -- powers: pruned after each product ---------------------------------------
+# -- powers: all the products, reduced as inputs ------------------------------
 
 def test_power_is_the_ideal_of_all_k_fold_products():
     rng = random.Random(31)
@@ -576,7 +576,6 @@ def test_power_is_the_ideal_of_all_k_fold_products():
                         for combo in combinations_with_replacement(ideal.gens, k)]
             power = ideal.power(k)
             assert same_ideal(power, Ideal(ideal.nvars, products, weights))
-            assert power.gens == power.minimal_generators()
 
 
 def test_monomial_basis_forms_no_pairs(monkeypatch):
@@ -607,6 +606,23 @@ def test_coprime_leads_form_no_pairs(monkeypatch):
     gb = groebner_basis(E(*gens))
     assert formed == [] and pushed == []
     assert {e.to_polys()[0] for e in gb.elements} == set(gens)
+
+
+def test_redundant_input_forms_no_pair(monkeypatch):
+    # an input waits in the queue at its sugar and is reduced like an
+    # S-polynomial when taken: a combination of the other generators reduces
+    # to zero, joins no basis and takes no lcm
+    formed = []
+    lcm_exp = groebner._lcm_exp
+    monkeypatch.setattr(groebner, "_lcm_exp", lambda a, b: formed.append(1) or lcm_exp(a, b))
+    gens = [P(g, XYZ) for g in ("x^2 + y*z", "y^2 - x*z", "x*y + z^2 + x*z")]
+    gb = groebner_basis(E(*gens))
+    alone = len(formed)
+    assert alone > 0
+    formed.clear()
+    combination = P("x^3 + y*z^2", XYZ) * gens[0] + P("3*y^3 - z^3", XYZ) * gens[1]
+    assert groebner_basis(E(*gens, combination)).elements == gb.elements
+    assert len(formed) == alone
 
 
 def test_power_of_coordinate_axes_jacobian_is_desk_scale():
