@@ -453,18 +453,19 @@ class Ideal:
         return [self.gens[i] for _d, i in picked]
 
     def product(self, other):
-        """The ideal of the distinct products of a generator of each."""
-        gens = dict.fromkeys(a * b for a in self.gens for b in other.gens)
+        """The ideal of the distinct products of a generator of each, up to sign."""
+        products = (a * b for a in self.gens for b in other.gens)
+        gens = dict.fromkeys(p if p.terms[max(p.terms)] > 0 else -p for p in products)
         return Ideal(self.nvars, gens, self.weights)
 
     def power(self, k):
-        """I^k as I^(k-1) * I, each power built once and kept, generated by
-        all the distinct products: groebner_basis reduces each input when its
-        sugar comes up, so a product that reduces to zero forms no pair."""
+        """I^k as I^(k-1) * I, each built once and kept: the products of the
+        basis of I^(k-1) with the gens, a redundant one dropped as an input."""
         powers = self._memo.setdefault(
             "powers", [Ideal(self.nvars, [Polynomial.one(self.nvars)], self.weights)])
         while len(powers) <= k:
-            powers.append(powers[-1].product(self))
+            basis = [e.to_polys()[0] for e in powers[-1].groebner().elements]
+            powers.append(Ideal(self.nvars, basis, self.weights).product(self))
         return powers[k]
 
     def __repr__(self):

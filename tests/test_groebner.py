@@ -565,7 +565,7 @@ def test_minimal_generators_of_graded_ideal_build_no_groebner_basis(monkeypatch)
     assert calls
 
 
-# -- powers: all the products, reduced as inputs ------------------------------
+# -- powers: the basis of the last power times the generators, as inputs ------
 
 def test_power_is_the_ideal_of_all_k_fold_products():
     rng = random.Random(31)
@@ -626,9 +626,13 @@ def test_redundant_input_forms_no_pair(monkeypatch):
 
 
 def test_power_of_coordinate_axes_jacobian_is_desk_scale():
-    # J = m^2: J^9 = m^18 has 190 monomials among its 2002 products of
-    # generators, and a basis of all the products ran past 60 s
+    # J = m^2: J^9 = m^18 has 190 monomials, and power builds it from the
+    # products of the 153 monomials of J^8's basis with J's 12 generators:
+    # 1836 products, 190 up to sign.  Each input costs a reduction, and the
+    # bound catches a power built from many more products than that
     j = jacobian_ideal(Ideal(3, [P(g, XYZ) for g in ("x*y", "y*z", "x*z")]))
     start = time.perf_counter()
-    assert j.power(9).colength() == 1140  # C(20, 3), the colength of m^18
+    power = j.power(9)
+    assert power.colength() == 1140  # C(20, 3), the colength of m^18
     assert time.perf_counter() - start < 60
+    assert len(power.gens) == 190
