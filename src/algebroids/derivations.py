@@ -124,10 +124,11 @@ class DerivationModule:
 def tangent_derivations(ideal):
     """Generators of {delta : delta(f) in I for every generator f of I}.
 
-    Computed as one module-kernel (syzygy) computation: syzygies of the
-    Jacobian columns augmented by the ideal generators in each slot.  The
-    zero ideal has n zero columns of rank 0, whose syzygies are the partials
-    d/dx_1, ..., d/dx_n in order: T(0) = Der(A).
+    Computed as one module-kernel (syzygy) computation: the syzygies of the
+    Jacobian columns modulo the slot columns, each ideal generator in each
+    slot.  The zero ideal has n zero columns of rank 0 and no slot columns,
+    whose syzygies are the partials d/dx_1, ..., d/dx_n in order: T(0) =
+    Der(A).
     """
     if ideal.is_unit():
         raise PreconditionError("unit ideal")
@@ -137,17 +138,9 @@ def tangent_derivations(ideal):
     columns = [FreeModuleElement(n, s, {(j, e): c for j, f in enumerate(fs)
                                         for e, c in f.diff(i).terms.items()})
                for i in range(n)]
-    columns += [FreeModuleElement(n, s, {(j, e): c for e, c in g.terms.items()})
-                for g in fs for j in range(s)]
-    derivations = []
-    seen = set()
-    for syz in syzygies(columns):
-        proj = syz.project(list(range(n)))
-        if proj.is_zero() or proj in seen:
-            continue
-        seen.add(proj)
-        derivations.append(Derivation.from_vector(proj))
-    return DerivationModule(derivations, ideal)
+    slots = [FreeModuleElement(n, s, {(j, e): c for e, c in g.terms.items()})
+             for g in fs for j in range(s)]
+    return DerivationModule([Derivation.from_vector(q) for q in syzygies(columns, slots)], ideal)
 
 
 def krull_dimension(ideal):

@@ -14,9 +14,9 @@ remainder joins the basis, so an input that reduces to zero forms no pair.
 It runs fraction free on primitive int vectors (linalg.integral,
 linalg.primitive and linalg.eliminate, which row elimination shares), and a
 basis keeps them.  It takes module elements, under one order: weighted
-grevlex, position over term.  Syzygies and coefficient lifts over the
-original generators are both read off one basis of the augmented rows
-(v_i, e_i).
+grevlex, position over term.  Syzygies modulo relations u and coefficient
+lifts over the original generators are both read off one basis of the
+augmented rows (v_i, e_i) and (u, 0).
 """
 
 import heapq
@@ -147,9 +147,6 @@ class FreeModuleElement:
     def __eq__(self, other):
         return (isinstance(other, FreeModuleElement) and self.rank == other.rank
                 and self.nvars == other.nvars and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.nvars, self.rank, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"FreeModuleElement({self.to_polys()!r})"
@@ -484,9 +481,9 @@ def _greedy_minimal_generators(ideal):
     return kept
 
 
-def _augmented_basis(vectors, weights):
-    """Groebner basis of the rows (v_i, e_i) in A^(r+s), r the rank of the
-    v_i and s their number."""
+def _augmented_basis(vectors, relations, weights):
+    """Groebner basis of the rows (v_i, e_i) and (u, 0) in A^(r+s), r the
+    rank of the v_i and the relations u, s the number of the v_i."""
     nvars = vectors[0].nvars
     r = vectors[0].rank
     augmented = []
@@ -494,22 +491,24 @@ def _augmented_basis(vectors, weights):
         terms = dict(v.terms)
         terms[(r + i, (0,) * nvars)] = 1
         augmented.append(FreeModuleElement(nvars, r + len(vectors), terms))
+    augmented += [FreeModuleElement(nvars, r + len(vectors), u.terms) for u in relations]
     return groebner_basis(augmented, weights)
 
 
-def syzygies(vectors):
-    """Generating set of the syzygy module of the given elements of A^r.
+def syzygies(vectors, relations):
+    """Generating set of the syzygies of the given elements of A^r modulo
+    the relations in A^r: the q with sum q_i v_i in their submodule.
 
-    Each returned element s (rank = len(vectors)) is monic and satisfies
-    sum s_i v_i = 0.  Position over term eliminates the first r positions:
-    the basis elements whose leads lie in the last s positions live there
-    entirely, and they generate the syzygies.
+    Each returned element q (rank = len(vectors)) is monic.  Position over
+    term eliminates the first r positions: the basis elements whose leads
+    lie in the last s positions live there entirely, and they generate the
+    syzygies modulo the relations.
     """
     if not vectors:
         return []
     r = vectors[0].rank
     positions = list(range(r, r + len(vectors)))
-    gb = _augmented_basis(vectors, None)
+    gb = _augmented_basis(vectors, relations, None)
     return [e.scale(Fraction(1, e.terms[lead])).project(positions)
             for e, lead in zip(gb.elements, gb.leads()) if lead[0] >= r]
 
@@ -525,7 +524,7 @@ def lifts(gens, targets, weights=None):
     """
     r = gens[0].rank
     positions = list(range(r, r + len(gens)))
-    gb = _augmented_basis(gens, weights)
+    gb = _augmented_basis(gens, (), weights)
     out = []
     for t in targets:
         rem = gb.normal_form(FreeModuleElement(gb.nvars, gb.rank, t.terms))

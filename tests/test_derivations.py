@@ -433,6 +433,22 @@ def test_module_contains_the_euler_parts_and_the_free_partials():
             == [False, False, True, True])
 
 
+def test_tangent_syzygies_give_the_slot_columns_no_unit_vectors(monkeypatch):
+    # the twisted cubic, n = 4 and s = 3: the slot columns g e_j enter as
+    # relations, so the syzygy basis has rank s + n = 7, not s + n + s^2 = 16
+    ranks = []
+    original = groebner.groebner_basis
+
+    def recorded(gens, weights=None):
+        ranks.append(gens[0].rank)
+        return original(gens, weights)
+
+    monkeypatch.setattr(groebner, "groebner_basis", recorded)
+    ideal = Ideal(4, [P(g, "xyzw") for g in ("x*z - y^2", "y*w - z^2", "x*w - y*z")])
+    tangent_derivations(ideal)
+    assert ranks == [1, 7]
+
+
 def test_monomialize_builds_one_basis(monkeypatch):
     ideal = Ideal(3, [P("x^2*y + 2*x*y*z", "xyz"), P("x*y*z", "xyz")])
     calls = count_bases(monkeypatch)

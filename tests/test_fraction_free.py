@@ -211,7 +211,7 @@ def test_basis_elements_are_primitive_ints_positive_at_their_leads():
 
 @pytest.mark.parametrize("vectors, order", CASES[:6] + CASES[12:18])
 def test_syzygies_and_lifts_match_the_fraction_reference(vectors, order):
-    assert syzygies(vectors) == ref_syzygies(vectors)
+    assert syzygies(vectors, []) == ref_syzygies(vectors)
     rng = random.Random(3)
     nvars, rank = vectors[0].nvars, vectors[0].rank
     members = []
@@ -226,7 +226,7 @@ def test_syzygies_and_lifts_match_the_fraction_reference(vectors, order):
     assert found == ref_lifts(vectors, targets, order_key(order))
     assert all(lift is not None for lift in found[:2])
     # and every coefficient is in the one form (see below)
-    assert all(all_canonical(s.terms.values()) for s in syzygies(vectors))
+    assert all(all_canonical(s.terms.values()) for s in syzygies(vectors, []))
     assert all(all_canonical(q.terms.values()) for lift in found if lift for q in lift)
 
 

@@ -186,7 +186,7 @@ def test_colength_against_linear_algebra():
 
 def test_syzygies_koszul():
     for f, g in [(P("x"), P("y")), (P("x^2 + 1"), P("y^3")), (P("x"), P("x^2 - y"))]:
-        syz = syzygies(E(f, g))
+        syz = syzygies(E(f, g), [])
         for s in syz:
             polys = s.to_polys()
             assert polys[0] * f + polys[1] * g == Polynomial.zero(2)
@@ -198,7 +198,7 @@ def test_syzygies_whitney_columns():
     names = ["x", "y", "z"]
     f = parse_poly("z^2 - x^2*y", names)
     cols = [f.diff(i) for i in range(3)] + [f]
-    syz = syzygies(E(*cols))
+    syz = syzygies(E(*cols), [])
     zero = FreeModuleElement(3, 4)
     for s in syz:
         acc = Polynomial.zero(3)
@@ -237,6 +237,54 @@ def random_poly(rng, nvars, degree=2, terms=3):
     for _ in range(rng.randrange(1, terms + 1)):
         out[tuple(rng.randrange(degree + 1) for _ in range(nvars))] = rng.randrange(-3, 4)
     return Polynomial(nvars, out)
+
+
+def jacobian_and_slot_columns(ideal):
+    """The n Jacobian columns and the s^2 slot columns g e_j of I's
+    generators, elements of A^s."""
+    n, fs = ideal.nvars, ideal.gens
+    cols = [FreeModuleElement.from_polys([f.diff(i) for f in fs]) for i in range(n)]
+    zero = Polynomial.zero(n)
+    slots = [FreeModuleElement.from_polys([g if k == j else zero for k in range(len(fs))])
+             for g in fs for j in range(len(fs))]
+    return cols, slots
+
+
+def syzygy_modulo_ideals():
+    named = [("xyz", ["x*y", "y*z", "x*z"], None),
+             ("xyzw", ["x*z - y^2", "y*w - z^2", "x*w - y*z"], None),
+             ("abcdef", ["a*e - b*d", "a*f - c*d", "b*f - c*e"], None),
+             ("xyz", ["x^2 - y^3", "y^5 - z^2"], (3, 2, 5))]
+    out = [Ideal(len(names), [P(g, names) for g in gens], weights) for names, gens, weights in named]
+    rng = random.Random(67)
+    while len(out) < len(named) + 20:
+        nvars = rng.randint(2, 4)
+        ideal = Ideal(nvars, [random_poly(rng, nvars) for _ in range(rng.randint(1, 3))])
+        if ideal.gens and not ideal.is_unit():
+            out.append(ideal)
+    return out
+
+
+@pytest.mark.parametrize("ideal", syzygy_modulo_ideals())
+def test_syzygies_modulo_relations_are_the_projected_augmented_syzygies(ideal):
+    # the relations enter with no unit vector: the syzygies of the columns
+    # modulo the slots are the nonzero projections of all the syzygies of
+    # columns and slots together, de-duplicated, in the same order
+    cols, slots = jacobian_and_slot_columns(ideal)
+    projected = []
+    for q in syzygies(cols + slots, []):
+        q = q.project(range(len(cols)))
+        if not q.is_zero() and q not in projected:
+            projected.append(q)
+    modulo = syzygies(cols, slots)
+    assert modulo == projected
+    relations = groebner_basis(slots)
+    for q in modulo:
+        acc = FreeModuleElement(ideal.nvars, len(ideal.gens))
+        for p, col in zip(q.to_polys(), cols):
+            for exp, c in p.terms.items():
+                acc = acc + col.mul_term(exp, c)
+        assert relations.contains(acc)
 
 
 def whitney_module():
@@ -420,8 +468,8 @@ DEGREE_SELECTION_IDEALS = [
                          ids=["whitney", "e6", "d4", "axes", "minors23", "twisted-cubic"])
 def test_degree_selection_keeps_the_tangent_syzygy_bases(monkeypatch, names, gens, weights):
     # every basis tangent_derivations builds on its augmented rows (v_i,
-    # e_i), under the unweighted order, equals the position-first basis of
-    # the same rows
+    # e_i) and (u, 0), under the unweighted order, equals the
+    # position-first basis of the same rows
     built = []
     engine = groebner.groebner_basis
 
